@@ -14,13 +14,20 @@ single-bit mutants come from uniformly chosen parents (parents stay in the
 population).  Offspring whose genome decodes to an invalid start state are
 dropped without replacement.  Survivor selection keeps the top ``n`` by
 stored score, ties resolved toward older individuals.
+
+Rollouts are pure functions of the start state, so a candidate whose start
+is held by a live individual (the population, or an offspring already
+evaluated this generation) takes over that individual's rollout instead of
+running its own.  Only live individuals are looked up, so memory stays
+bounded by the population.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,6 +131,7 @@ def init_population(
     """
     demos = DemonstrationSet()
     population: list[Individual] = []
+    live: dict[object, Individual] = {}
     for index in range(config.population_size):
         for _ in range(MAX_SAMPLING_ATTEMPTS):
             genome = random_genome(rng, encoding_spec)
@@ -135,7 +143,7 @@ def init_population(
                 f"no valid start state found in {MAX_SAMPLING_ATTEMPTS} attempts"
             )
         candidate = Candidate(index, genome, state, birth_generation=0)
-        population.append(_evaluate(candidate, demos, env_spec, policy))
+        population.append(_evaluate(candidate, demos, env_spec, policy, live))
     return population, demos
 
 
@@ -179,9 +187,15 @@ def evaluate_offspring(
     demos: DemonstrationSet,
     env_spec: EnvSpec,
     policy: Policy,
+    population: Sequence[Individual],
 ) -> list[Individual]:
-    """Evaluate offspring strictly in creation order; the set grows in between."""
-    return [_evaluate(candidate, demos, env_spec, policy) for candidate in candidates]
+    """Evaluate offspring strictly in creation order; the set grows in between.
+
+    An offspring whose start equals that of an individual of ``population``,
+    or of an offspring evaluated before it, takes over that rollout.
+    """
+    live = {individual.initial_state: individual for individual in population}
+    return [_evaluate(candidate, demos, env_spec, policy, live) for candidate in candidates]
 
 
 def migrate(
@@ -247,7 +261,7 @@ def _run(
             population, config, encoding_spec, env_spec, rng, generation, next_id
         )
         next_id += len(candidates)
-        offspring = evaluate_offspring(candidates, demos, env_spec, policy)
+        offspring = evaluate_offspring(candidates, demos, env_spec, policy, population)
         previous_ids = {individual.id for individual in population}
         population = migrate(population, offspring, config.population_size, demos)
         admitted = tuple(sorted(i.id for i in population if i.id not in previous_ids))
@@ -268,13 +282,20 @@ def _evaluate(
     demos: DemonstrationSet,
     env_spec: EnvSpec,
     policy: Policy,
+    live: dict[object, Individual],
 ) -> Individual:
     # the rollout itself is pure and set-independent; only the scoring depends
     # on (and extends) the demonstration set
-    trajectory = rollout.generate(env_spec, policy, candidate.initial_state)
+    twin = live.get(candidate.initial_state)
+    if twin is None:
+        trajectory = rollout.generate(env_spec, policy, candidate.initial_state)
+    else:
+        # a distinct object sharing the twin's tuples: the set discards and
+        # excludes members by identity
+        trajectory = dataclasses.replace(twin.trajectory)
     components = joint_fitness(trajectory, demos, env_spec)
     demos.add(trajectory, components.local_diversity, components.certainty)
-    return Individual(
+    individual = Individual(
         id=candidate.id,
         genome=candidate.genome,
         initial_state=candidate.initial_state,
@@ -282,6 +303,8 @@ def _evaluate(
         fitness=components,
         birth_generation=candidate.birth_generation,
     )
+    live.setdefault(candidate.initial_state, individual)
+    return individual
 
 
 def _tournament_pick(

@@ -56,8 +56,10 @@ class TabularPolicy:
             raise ContractViolationError(
                 f"Q table must have shape (height, width, {N_ACTIONS}), got {q.shape}"
             )
-        if temperature <= 0:
-            raise ContractViolationError("softmax temperature must be positive")
+        if not np.isfinite(q).all():
+            raise ContractViolationError("Q values must be finite")
+        if not 0 < temperature < math.inf:
+            raise ContractViolationError("softmax temperature must be positive and finite")
         self.q_values = q
         self.temperature = float(temperature)
 
@@ -87,14 +89,14 @@ class GaussianControllerPolicy:
 
     def __init__(self, gain: float = 1.0, noise_scale: float = 0.1,
                  window: float = 0.1, step_size: float = 0.05):
-        if gain <= 0:
-            raise ContractViolationError("gain must be positive")
-        if noise_scale < 0:
-            raise ContractViolationError("noise_scale must be non-negative")
-        if window <= 0:
-            raise ContractViolationError("certainty window must be positive")
-        if step_size <= 0:
-            raise ContractViolationError("step_size must be positive")
+        if not 0 < gain < math.inf:
+            raise ContractViolationError("gain must be positive and finite")
+        if not 0 <= noise_scale < math.inf:
+            raise ContractViolationError("noise_scale must be non-negative and finite")
+        if not 0 < window < math.inf:
+            raise ContractViolationError("certainty window must be positive and finite")
+        if not 0 < step_size < math.inf:
+            raise ContractViolationError("step_size must be positive and finite")
         self.gain = float(gain)
         self.noise_scale = float(noise_scale)
         self.window = float(window)
@@ -258,30 +260,63 @@ def _require(path: Path, payload: dict, field: str):
     return payload[field]
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int that numpy reads as a mask
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # JSON NaN/Infinity load as floats; integers too large for a float overflow
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _load_tabular(path: Path, payload: dict) -> TabularPolicy:
     height = _require(path, payload, "height")
     width = _require(path, payload, "width")
     temperature = _require(path, payload, "temperature")
     entries = _require(path, payload, "entries")
-    if not (isinstance(height, int) and isinstance(width, int) and height > 0 and width > 0):
+    if not (_is_int(height) and _is_int(width) and height > 0 and width > 0):
         raise PolicyFormatError(f"{path}: 'height'/'width' must be positive integers")
+    if not _is_finite_number(temperature):
+        raise PolicyFormatError(f"{path}: 'temperature' must be a finite number")
+    if not isinstance(entries, list):
+        raise PolicyFormatError(f"{path}: 'entries' must be a list")
     q = np.zeros((height, width, N_ACTIONS))
+    listed = np.zeros(q.shape, dtype=bool)
     for index, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise PolicyFormatError(f"{path}: entries[{index}] must be [row, col, action, value]")
         r, c, a, value = entry
-        if not (isinstance(r, int) and 0 <= r < height):
+        if not (_is_int(r) and 0 <= r < height):
             raise PolicyFormatError(f"{path}: entries[{index}]: row {r!r} out of range")
-        if not (isinstance(c, int) and 0 <= c < width):
+        if not (_is_int(c) and 0 <= c < width):
             raise PolicyFormatError(f"{path}: entries[{index}]: col {c!r} out of range")
-        if not (isinstance(a, int) and 0 <= a < N_ACTIONS):
+        if not (_is_int(a) and 0 <= a < N_ACTIONS):
             raise PolicyFormatError(f"{path}: entries[{index}]: action {a!r} out of range")
-        if not isinstance(value, (int, float)):
-            raise PolicyFormatError(f"{path}: entries[{index}]: value {value!r} is not a number")
+        if not _is_finite_number(value):
+            raise PolicyFormatError(
+                f"{path}: entries[{index}]: value {value!r} is not a finite number"
+            )
+        if listed[r, c, a]:
+            raise PolicyFormatError(
+                f"{path}: entries[{index}]: duplicate entry for row {r}, col {c}, action {a}"
+            )
+        listed[r, c, a] = True
         q[r, c, a] = float(value)
+    if not listed.all():
+        r, c, a = (int(i) for i in np.argwhere(~listed)[0])
+        raise PolicyFormatError(
+            f"{path}: entries list {int(listed.sum())} of {listed.size} values; "
+            f"the entry for row {r}, col {c}, action {a} is missing"
+        )
     try:
         return TabularPolicy(q, float(temperature))
-    except (TypeError, ContractViolationError) as exc:
+    except ContractViolationError as exc:
         raise PolicyFormatError(f"{path}: {exc}") from exc
 
 
@@ -289,8 +324,8 @@ def _load_controller(path: Path, payload: dict) -> GaussianControllerPolicy:
     kwargs = {}
     for field in ("gain", "noise_scale", "window", "step_size"):
         value = _require(path, payload, field)
-        if not isinstance(value, (int, float)):
-            raise PolicyFormatError(f"{path}: field {field!r} must be a number")
+        if not _is_finite_number(value):
+            raise PolicyFormatError(f"{path}: field {field!r} must be a finite number")
         kwargs[field] = float(value)
     try:
         return GaussianControllerPolicy(**kwargs)

@@ -1,0 +1,55 @@
+"""Per-pair numpy reference for the set-level fitness terms.
+
+This is the scoring the library did before members were packed into one
+buffer: one small distance matrix per (candidate, member) pair, with numpy
+reductions in their default order.  The packed scoring in
+``evodemo.fitness`` must agree with it bit for bit (``==``), unlike the
+loop oracle in ``bruteforce.py``, which agrees to 1e-12.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from evodemo.environments import max_state_distance
+from evodemo.fitness import (
+    EMPTY_SET_GLOBAL_DIVERSITY,
+    FitnessComponents,
+    empty_set_components,
+    local_diversity,
+    trajectory_certainty,
+)
+
+
+def points(trajectory) -> np.ndarray:
+    return np.asarray(trajectory.states, dtype=float)
+
+
+def one_way(pu: np.ndarray, pv: np.ndarray) -> float:
+    diff = pu[:, None, :] - pv[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    return float((dist.min(axis=1).sum() + dist.min(axis=0).sum()) / (len(pu) + len(pv)))
+
+
+def global_diversity(trajectory, demos, env_spec) -> float:
+    """Normalized distance to the nearest other demonstration (1 when alone)."""
+    others = [e for e in demos if e.trajectory is not trajectory]
+    if not others:
+        return EMPTY_SET_GLOBAL_DIVERSITY
+    own = points(trajectory)
+    return min(one_way(own, points(e.trajectory)) for e in others) / max_state_distance(env_spec)
+
+
+def joint_fitness(trajectory, demos, env_spec) -> FitnessComponents:
+    d_l = local_diversity(trajectory, env_spec)
+    certainty = trajectory_certainty(trajectory)
+    others = [e for e in demos if e.trajectory is not trajectory]
+    if not others:
+        return empty_set_components(d_l, certainty)
+    d_g = global_diversity(trajectory, demos, env_spec)
+    local_distance = min(
+        math.hypot(d_l - e.local_diversity, certainty - e.certainty) for e in others
+    )
+    return FitnessComponents(d_l, certainty, d_g, local_distance, d_g + local_distance)

@@ -1,16 +1,21 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from evodemo import evolution
 from evodemo.encoding import BitGenome
 from evodemo.environments import (
+    GridState,
     default_encoding_spec,
     parse_layout,
     validate_initial,
 )
 from evodemo.errors import ConfigurationError
 from evodemo.evolution import (
+    Candidate,
     EvolutionConfig,
     baseline,
     evaluate_offspring,
@@ -19,7 +24,11 @@ from evodemo.evolution import (
     migrate,
     run,
 )
-from evodemo.fitness import EMPTY_SET_GLOBAL_DIVERSITY, EMPTY_SET_LOCAL_DISTANCE
+from evodemo.fitness import (
+    EMPTY_SET_GLOBAL_DIVERSITY,
+    EMPTY_SET_LOCAL_DISTANCE,
+    FitnessComponents,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +139,7 @@ def test_evaluated_offspring_join_the_demo_set(flat_spec, well_trained_policy):
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
-    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy)
+    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
     assert len(demos) == 10 + len(offspring)
     alive = {id(t) for t in demos.trajectories()}
     for individual in population + offspring:
@@ -147,7 +156,7 @@ def test_migrate_keeps_best_by_stored_score(flat_spec, well_trained_policy):
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
-    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy)
+    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
 
     merged = population + offspring
     survivors = migrate(population, offspring, 10, demos)
@@ -246,3 +255,75 @@ def test_observer_sees_the_baseline_population_once(flat_spec, well_trained_poli
         lambda generation, population, demos: calls.append(generation),
     )
     assert calls == [0]
+
+
+# ---------------------------------------------------------------------------
+# rollout reuse for starts held by live individuals
+
+
+def _seeded(spec, policy, seed):
+    config = EvolutionConfig(seed=seed)
+    encoding = default_encoding_spec(spec, config.bits_per_dimension)
+    rng = np.random.default_rng(seed)
+    population, demos = init_population(config, spec, encoding, policy, rng)
+    return config, encoding, rng, population, demos
+
+
+def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, monkeypatch):
+    _, _, _, population, demos = _seeded(flat_spec, well_trained_policy, 0)
+    calls = []
+    original_generate = evolution.rollout.generate
+    monkeypatch.setattr(
+        evolution.rollout, "generate", lambda *args: calls.append(args) or original_generate(*args)
+    )
+    twin = population[3]
+    fresh_start = next(
+        GridState(r, c)
+        for r in range(1, 10)
+        for c in range(1, 10)
+        if validate_initial(flat_spec, GridState(r, c)) is None
+        and all(i.initial_state != GridState(r, c) for i in population)
+    )
+    candidates = [
+        Candidate(10, twin.genome, twin.initial_state, 1),
+        Candidate(11, twin.genome, fresh_start, 1),
+        Candidate(12, twin.genome, fresh_start, 1),  # held by offspring 11 by now
+    ]
+    reused, fresh, fresh_again = evaluate_offspring(
+        candidates, demos, flat_spec, well_trained_policy, population
+    )
+    assert [args[2] for args in calls] == [fresh_start]
+    assert reused.trajectory is not twin.trajectory
+    assert reused.trajectory == twin.trajectory
+    assert reused.trajectory.states is twin.trajectory.states
+    d_l, c = twin.fitness.local_diversity, twin.fitness.certainty
+    assert reused.fitness == FitnessComponents(d_l, c, 0.0, 0.0, 0.0)
+    assert fresh_again.trajectory is not fresh.trajectory
+    assert fresh_again.trajectory == fresh.trajectory
+    assert fresh_again.fitness.joint == 0.0
+    # every individual is its own member of the set
+    assert len(demos) == 13
+    assert {id(t) for t in demos.trajectories()} == {
+        id(i.trajectory) for i in population + [reused, fresh, fresh_again]
+    }
+
+
+def test_dropped_trajectories_are_freed(flat_spec, well_trained_policy):
+    config, encoding, rng, population, demos = _seeded(flat_spec, well_trained_policy, 6)
+    dropped = []
+    for generation in range(1, 4):
+        candidates = make_offspring(
+            population, config, encoding, flat_spec, rng, generation, 100 * generation
+        )
+        offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
+        survivors = migrate(population, offspring, config.population_size, demos)
+        kept = {id(i) for i in survivors}
+        dropped += [i for i in population + offspring if id(i) not in kept]
+        population = survivors
+    live_starts = {i.initial_state for i in population}
+    assert any(i.initial_state not in live_starts for i in dropped)
+    refs = [weakref.ref(i.trajectory) for i in dropped]
+    del candidates, offspring, survivors, dropped
+    gc.collect()
+    # even a dropped rollout whose tuples a live twin still shares is freed itself
+    assert all(ref() is None for ref in refs)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from evodemo.environments import parse_layout
+import pairwise
+from evodemo.environments import ReachSpec, parse_layout
 from evodemo.errors import ContractViolationError
 from evodemo.fitness import (
     EMPTY_SET_GLOBAL_DIVERSITY,
     EMPTY_SET_LOCAL_DISTANCE,
     DemonstrationSet,
-    global_diversity,
+    FitnessComponents,
     joint_fitness,
     local_diversity,
     one_way_distance,
@@ -85,13 +86,15 @@ def test_global_diversity_normalizes_by_grid_diameter(flat_spec):
     b = make_traj([(9.0, 9.0)])
     demos = DemonstrationSet.from_trajectories([a, b], flat_spec)
     # frozen oracle: sqrt(128) / sqrt(200)
-    assert global_diversity(a, demos, flat_spec) == pytest.approx(0.8, abs=1e-15)
+    assert joint_fitness(a, demos, flat_spec).global_diversity == pytest.approx(0.8, abs=1e-15)
+    assert pairwise.global_diversity(a, demos, flat_spec) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_global_diversity_alone_in_the_set(flat_spec):
     a = make_traj([(4.0, 4.0)])
     demos = DemonstrationSet.from_trajectories([a], flat_spec)
-    assert global_diversity(a, demos, flat_spec) == EMPTY_SET_GLOBAL_DIVERSITY == 1.0
+    assert joint_fitness(a, demos, flat_spec).global_diversity == EMPTY_SET_GLOBAL_DIVERSITY == 1.0
+    assert pairwise.global_diversity(a, demos, flat_spec) == 1.0
 
 
 def test_empty_set_sentinels(flat_spec):
@@ -208,3 +211,72 @@ def test_metrics_match_bruteforce_on_random_cases():
             assert got.global_diversity == pytest.approx(expected_dg, abs=1e-12)
             assert got.local_distance == pytest.approx(expected_ld, abs=1e-12)
             assert got.joint == pytest.approx(expected_dg + expected_ld, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# packed scoring: bit-identical to the per-pair numpy reference
+
+REACH = ReachSpec()
+
+
+def random_walk(rng, dims, length):
+    """A trajectory of ``length`` states (before collapsing), grid-like in 2-D."""
+    if dims == 2:
+        coords = rng.integers(1, 10, size=(length, 2)).astype(float)
+    else:
+        coords = rng.uniform(-0.15, 0.15, size=(length, 3))
+    states = [tuple(row) for row in coords.tolist()]
+    collapsed = states[:1] + [s for prev, s in zip(states, states[1:]) if s != prev]
+    raw = max(length - 1, 1)
+    # coarse certainties make equal profiles, and so ties in the profile term, likely
+    certs = tuple((rng.integers(0, 4, size=raw) / 4).tolist())
+    return make_traj(collapsed, certainties=certs, raw_length=raw)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_packed_scoring_equals_pairwise_reference(flat_spec, dims):
+    env_spec = flat_spec if dims == 2 else REACH
+    rng = np.random.default_rng(dims)
+    for _ in range(30):
+        members = [
+            random_walk(rng, dims, int(rng.integers(1, 102)))
+            for _ in range(int(rng.integers(1, 71)))
+        ]
+        for _ in range(int(rng.integers(0, 3))):
+            members.append(dataclasses.replace(members[int(rng.integers(len(members)))]))
+        demos = DemonstrationSet.from_trajectories(members, env_spec)
+        for _ in range(min(int(rng.integers(0, 4)), len(members) - 1)):
+            demos.discard(members.pop(int(rng.integers(len(members)))))
+        member = members[int(rng.integers(len(members)))]
+        scored = [
+            random_walk(rng, dims, int(rng.integers(1, 102))),
+            member,  # scored while itself a member
+            dataclasses.replace(member),  # a value-equal twin from outside
+        ]
+        for trajectory in scored:
+            expected = pairwise.joint_fitness(trajectory, demos, env_spec)
+            assert joint_fitness(trajectory, demos, env_spec) == expected
+
+
+def test_a_value_equal_copy_decides_the_score_without_distance_work(flat_spec, monkeypatch):
+    original = make_traj([(2.0, 2.0), (2.0, 3.0), (3.0, 3.0)], certainties=(0.5, 0.25))
+    other = make_traj([(8.0, 8.0), (8.0, 9.0)])
+    demos = DemonstrationSet.from_trajectories([original, other], flat_spec)
+
+    def fail(*args):
+        raise AssertionError("distances computed for a trajectory with a copy in the set")
+
+    monkeypatch.setattr(DemonstrationSet, "one_way_distances", fail)
+    copy = dataclasses.replace(original)
+    components = joint_fitness(copy, demos, flat_spec)
+    assert components == FitnessComponents(3 / 121, 0.375, 0.0, 0.0, 0.0)
+    monkeypatch.undo()
+    assert components == pairwise.joint_fitness(copy, demos, flat_spec)
+
+
+def test_value_equal_members_share_one_position_array(flat_spec):
+    original = make_traj([(2.0, 2.0), (2.0, 3.0)])
+    demos = DemonstrationSet.from_trajectories([original, dataclasses.replace(original)], flat_spec)
+    first, second = demos.entries
+    assert first.trajectory is not second.trajectory
+    assert second.points is first.points

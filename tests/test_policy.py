@@ -228,3 +228,67 @@ def test_load_policy_rejects_broken_entries(tmp_path, flat_spec):
     path.write_text(json.dumps(payload))
     with pytest.raises(PolicyFormatError, match="entr"):
         load_policy(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabular_policy_rejects_non_finite_q_values(bad):
+    q = np.zeros((3, 3, 4))
+    q[1, 2, 3] = bad
+    with pytest.raises(ContractViolationError, match="finite"):
+        TabularPolicy(q)
+
+
+def _load_edited(tmp_path, edit):
+    """Save a complete 2x2 table, let ``edit`` change its entries, and load it."""
+    path = tmp_path / "policy.json"
+    save_policy(TabularPolicy(np.arange(16, dtype=float).reshape(2, 2, 4)), path)
+    payload = json.loads(path.read_text())
+    edit(payload["entries"])
+    path.write_text(json.dumps(payload))
+    return load_policy(path)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_load_policy_rejects_boolean_indices(tmp_path, field):
+    # [1, 1, true, -7.0] would otherwise overwrite all four actions of cell (1, 1)
+    def edit(entries):
+        entries[5][field] = True
+
+    with pytest.raises(PolicyFormatError, match=r"entries\[5\]"):
+        _load_edited(tmp_path, edit)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_policy_rejects_non_finite_values(tmp_path, bad):
+    def edit(entries):
+        entries[6][3] = bad
+
+    with pytest.raises(PolicyFormatError, match=r"entries\[6\].*finite"):
+        _load_edited(tmp_path, edit)
+
+
+def test_load_policy_rejects_duplicate_entries(tmp_path):
+    def edit(entries):
+        entries[7] = [*entries[2][:3], 99.0]
+
+    with pytest.raises(PolicyFormatError, match=r"entries\[7\]: duplicate .*row 0, col 0, action 2"):
+        _load_edited(tmp_path, edit)
+
+
+def test_load_policy_rejects_incomplete_tables(tmp_path):
+    def edit(entries):
+        del entries[2:]
+
+    with pytest.raises(PolicyFormatError, match="2 of 16 .*row 0, col 0, action 2 is missing"):
+        _load_edited(tmp_path, edit)
+
+
+@pytest.mark.parametrize("field", ["gain", "noise_scale", "window", "step_size"])
+def test_load_policy_rejects_non_finite_controller_fields(tmp_path, field):
+    path = tmp_path / "controller.json"
+    save_policy(GaussianControllerPolicy(), path)
+    payload = json.loads(path.read_text())
+    payload[field] = math.nan
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFormatError, match=field):
+        load_policy(path)
