@@ -289,10 +289,10 @@ class ReachEnv:
             )
         if any(abs(a) > 1.0 for a in values):
             raise ContractViolationError(f"reach action outside [-1, 1]: {values}")
-        moved = []
-        for (lo, hi), x, a in zip(self.spec.bounds, self._state.effector, values):
-            moved.append(min(max(x + self.spec.step_size * a, lo), hi))
-        effector = tuple(moved)
+        lo, hi = np.array(self.spec.bounds, dtype=float).T
+        effector = tuple(reach_move(
+            np.array(self._state.effector, dtype=float), np.array(values), self.spec.step_size, lo, hi
+        ).tolist())
         distance = math.dist(effector, self._state.target)
         reward = 0.0 if distance <= self.spec.goal_radius else -1.0
         self._steps += 1
@@ -300,6 +300,27 @@ class ReachEnv:
         self._done = truncated
         self._state = ReachState(effector, self._state.target)
         return self._state, reward, False, truncated
+
+
+def clip_like_python(values: np.ndarray, lo, hi) -> np.ndarray:
+    """Elementwise ``min(max(v, lo), hi)`` exactly as Python's builtins pick.
+
+    ``np.maximum``/``np.minimum`` pick the other operand on a tie between
+    signed zeros; comparing keeps the builtins' choice, so array and scalar
+    code yield the same bits.
+    """
+    raised = np.where(lo > values, lo, values)
+    return np.where(hi < raised, hi, raised)
+
+
+def reach_move(effector: np.ndarray, action: np.ndarray, step_size: float,
+               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Effector after one reach action, elementwise over any leading batch shape.
+
+    Every axis moves by ``step_size * action`` and is clipped to its bounds
+    ``[lo, hi]``, lower bound first.
+    """
+    return clip_like_python(effector + step_size * action, lo, hi)
 
 
 def make_env(spec: EnvSpec):

@@ -19,7 +19,9 @@ Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
 evaluated this generation) takes over that individual's rollout instead of
 running its own.  Only live individuals are looked up, so memory stays
-bounded by the population.
+bounded by the population.  The distinct starts no live individual holds are
+rolled out together, in one ``rollout.generate_many`` call per batch, before
+any candidate of the batch is scored.
 """
 
 from __future__ import annotations
@@ -123,15 +125,13 @@ def init_population(
     policy: Policy,
     rng: np.random.Generator,
 ) -> tuple[list[Individual], DemonstrationSet]:
-    """Sample and evaluate the seed population in creation order.
+    """Sample the seed population, then evaluate it in creation order.
 
     Start states come from rejection sampling over random genomes; an
     environment whose valid starts are too sparse to hit within
     ``MAX_SAMPLING_ATTEMPTS`` draws is a configuration error.
     """
-    demos = DemonstrationSet()
-    population: list[Individual] = []
-    live: dict[object, Individual] = {}
+    candidates: list[Candidate] = []
     for index in range(config.population_size):
         for _ in range(MAX_SAMPLING_ATTEMPTS):
             genome = random_genome(rng, encoding_spec)
@@ -142,9 +142,9 @@ def init_population(
             raise ConfigurationError(
                 f"no valid start state found in {MAX_SAMPLING_ATTEMPTS} attempts"
             )
-        candidate = Candidate(index, genome, state, birth_generation=0)
-        population.append(_evaluate(candidate, demos, env_spec, policy, live))
-    return population, demos
+        candidates.append(Candidate(index, genome, state, birth_generation=0))
+    demos = DemonstrationSet()
+    return _evaluate(candidates, demos, env_spec, policy, ()), demos
 
 
 def make_offspring(
@@ -194,8 +194,7 @@ def evaluate_offspring(
     An offspring whose start equals that of an individual of ``population``,
     or of an offspring evaluated before it, takes over that rollout.
     """
-    live = {individual.initial_state: individual for individual in population}
-    return [_evaluate(candidate, demos, env_spec, policy, live) for candidate in candidates]
+    return _evaluate(candidates, demos, env_spec, policy, population)
 
 
 def migrate(
@@ -278,33 +277,42 @@ def _run(
 
 
 def _evaluate(
-    candidate: Candidate,
+    candidates: Sequence[Candidate],
     demos: DemonstrationSet,
     env_spec: EnvSpec,
     policy: Policy,
-    live: dict[object, Individual],
-) -> Individual:
-    # the rollout itself is pure and set-independent; only the scoring depends
-    # on (and extends) the demonstration set
-    twin = live.get(candidate.initial_state)
-    if twin is None:
-        trajectory = rollout.generate(env_spec, policy, candidate.initial_state)
-    else:
-        # a distinct object sharing the twin's tuples: the set discards and
-        # excludes members by identity
-        trajectory = dataclasses.replace(twin.trajectory)
-    components = joint_fitness(trajectory, demos, env_spec)
-    demos.add(trajectory, components.local_diversity, components.certainty)
-    individual = Individual(
-        id=candidate.id,
-        genome=candidate.genome,
-        initial_state=candidate.initial_state,
-        trajectory=trajectory,
-        fitness=components,
-        birth_generation=candidate.birth_generation,
-    )
-    live.setdefault(candidate.initial_state, individual)
-    return individual
+    population: Sequence[Individual],
+) -> list[Individual]:
+    # rollouts are pure and set-independent, so every start that no live
+    # individual holds is rolled out up front in one batch; only the scoring
+    # depends on (and extends) the demonstration set, in creation order
+    live = {individual.initial_state: individual for individual in population}
+    fresh_starts = list(dict.fromkeys(
+        candidate.initial_state for candidate in candidates if candidate.initial_state not in live
+    ))
+    fresh = dict(zip(fresh_starts, rollout.generate_many(env_spec, policy, fresh_starts)))
+    individuals = []
+    for candidate in candidates:
+        twin = live.get(candidate.initial_state)
+        if twin is None:
+            trajectory = fresh[candidate.initial_state]
+        else:
+            # a distinct object sharing the twin's tuples: the set discards and
+            # excludes members by identity
+            trajectory = dataclasses.replace(twin.trajectory)
+        components = joint_fitness(trajectory, demos, env_spec)
+        demos.add(trajectory, components.local_diversity, components.certainty)
+        individual = Individual(
+            id=candidate.id,
+            genome=candidate.genome,
+            initial_state=candidate.initial_state,
+            trajectory=trajectory,
+            fitness=components,
+            birth_generation=candidate.birth_generation,
+        )
+        live.setdefault(candidate.initial_state, individual)
+        individuals.append(individual)
+    return individuals
 
 
 def _tournament_pick(

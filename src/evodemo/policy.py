@@ -28,7 +28,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .environments import ACTION_NAMES, GridEnv, GridSpec, GridState, N_ACTIONS, ReachState
+from .environments import (
+    ACTION_NAMES, GridEnv, GridSpec, GridState, N_ACTIONS, ReachState, clip_like_python,
+)
 from .errors import ContractViolationError, PolicyFormatError
 
 POLICY_FORMAT = "evodemo-policy"
@@ -103,10 +105,9 @@ class GaussianControllerPolicy:
         self.step_size = float(step_size)
 
     def mean_action(self, state: ReachState) -> tuple[float, ...]:
-        action = []
-        for x, t in zip(state.effector, state.target):
-            action.append(min(max(self.gain * (t - x) / self.step_size, -1.0), 1.0))
-        return tuple(action)
+        effector = np.array(state.effector, dtype=float)
+        target = np.array(state.target, dtype=float)
+        return tuple(controller_action(effector, target, self.gain, self.step_size).tolist())
 
     def act(self, state: ReachState) -> tuple[float, ...]:
         return self.mean_action(state)
@@ -125,6 +126,16 @@ class GaussianControllerPolicy:
                     (offset - self.window) / self.noise_scale
                 )
         return min(max(mass, 0.0), 1.0)
+
+
+def controller_action(effector: np.ndarray, target: np.ndarray, gain: float,
+                      step_size: float) -> np.ndarray:
+    """The controller's mean action, elementwise over effector/target arrays.
+
+    Each axis steers at the target with ``(gain * (t - x)) / step_size``,
+    saturated to [-1, 1]; any leading batch shape is kept.
+    """
+    return clip_like_python(gain * (target - effector) / step_size, -1.0, 1.0)
 
 
 def _normal_cdf(x: float) -> float:

@@ -19,6 +19,7 @@ byte-identically.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -218,24 +219,59 @@ class BundleData:
     individuals: list[dict]
 
 
+BUNDLE_FILES = ("manifest.json", "config.json", "returns.csv", "lengths.csv",
+                "generations.csv", "trajectories.json")
+
+
 def load_bundle(path: str | Path) -> BundleData:
+    """Read a bundle back; anything missing or malformed is a ConfigurationError naming the file."""
     path = Path(path)
-    for name in ("manifest.json", "config.json", "returns.csv", "generations.csv"):
+    for name in BUNDLE_FILES:
         if not (path / name).is_file():
             raise ConfigurationError(f"{path} is not a result bundle: missing {name}")
-    config = json.loads((path / "config.json").read_text(encoding="utf-8"))
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    returns = [float(row["episode_return"]) for row in _read_csv(path / "returns.csv")]
-    lengths = [int(row["final_length"]) for row in _read_csv(path / "lengths.csv")]
+    manifest = _read_bundle_json(path / "manifest.json")
+    if (manifest.get("format"), manifest.get("version")) != (BUNDLE_FORMAT, BUNDLE_VERSION):
+        raise ConfigurationError(
+            f"{path / 'manifest.json'}: expected format {BUNDLE_FORMAT!r} version "
+            f"{BUNDLE_VERSION}, found {manifest.get('format')!r} version {manifest.get('version')!r}"
+        )
+    config = _read_bundle_json(path / "config.json")
+    trajectories = _read_bundle_json(path / "trajectories.json")
+    with _malformed(path / "returns.csv"):
+        returns = [float(row["episode_return"]) for row in _read_csv(path / "returns.csv")]
+    with _malformed(path / "lengths.csv"):
+        lengths = [int(row["final_length"]) for row in _read_csv(path / "lengths.csv")]
     histogram = None
     if (path / "histogram.csv").is_file():
-        histogram = _read_histogram(path / "histogram.csv")
-    generations = [
-        {key: (int(row[key]) if key in ("id", "generation") else float(row[key])) for key in row}
-        for row in _read_csv(path / "generations.csv")
-    ]
-    individuals = json.loads((path / "trajectories.json").read_text(encoding="utf-8"))["individuals"]
+        with _malformed(path / "histogram.csv"):
+            histogram = _read_histogram(path / "histogram.csv")
+    with _malformed(path / "generations.csv"):
+        generations = [
+            {key: (int(row[key]) if key in ("id", "generation") else float(row[key])) for key in row}
+            for row in _read_csv(path / "generations.csv")
+        ]
+    with _malformed(path / "trajectories.json"):
+        individuals = trajectories["individuals"]
     return BundleData(path, config, manifest, returns, lengths, histogram, generations, individuals)
+
+
+def _read_bundle_json(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{path}: top level must be a JSON object")
+    return payload
+
+
+@contextmanager
+def _malformed(path: Path):
+    """Turn a missing column or an unparsable cell of ``path`` into a ConfigurationError."""
+    try:
+        yield
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed bundle file ({exc!r})") from exc
 
 
 def write_comparison_report(

@@ -217,14 +217,33 @@ sweep:
     assert main(["sweep", config]) == 1
 
 
-def test_corrupt_bundle_exits_two(tmp_path, capsys):
+def test_corrupt_bundle_exits_one(tmp_path, capsys):
     bad = tmp_path / "bundle"
     bad.mkdir()
     (bad / "manifest.json").write_text("not json")
-    for name in ("config.json", "returns.csv", "generations.csv"):
+    for name in ("config.json", "returns.csv", "lengths.csv", "generations.csv", "trajectories.json"):
         (bad / name).write_text("")
-    assert main(["report", "--search", str(bad), "--out", str(tmp_path / "cmp")]) == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert main(["report", "--search", str(bad), "--out", str(tmp_path / "cmp")]) == 1
+    assert "manifest.json: not valid JSON" in capsys.readouterr().err
+
+
+def test_bundle_missing_a_file_exits_one(tmp_path, capsys):
+    config = write_yaml(
+        tmp_path / "evolve.yaml",
+        f"""
+environment: PointReach
+policy:
+  gaussian_controller: {{}}
+evolution: {{population_size: 4, generations: 1}}
+seeds: [0]
+output: {tmp_path / 'out'}
+""",
+    )
+    assert main(["evolve", config]) == 0
+    (tmp_path / "out" / "seed_0" / "lengths.csv").unlink()
+    code = main(["report", "--search", str(tmp_path / "out" / "seed_0"), "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert "missing lengths.csv" in capsys.readouterr().err
 
 
 def test_layout_path_resolves_relative_to_config(tmp_path):

@@ -327,3 +327,34 @@ def test_dropped_trajectories_are_freed(flat_spec, well_trained_policy):
     gc.collect()
     # even a dropped rollout whose tuples a live twin still shares is freed itself
     assert all(ref() is None for ref in refs)
+
+
+def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
+    reach_spec, reach_controller, monkeypatch
+):
+    # 2 bits per dimension leave 4**6 starts, so offspring often repeat one
+    config = EvolutionConfig(population_size=8, generations=6, bits_per_dimension=2, seed=5)
+    batches, candidate_starts, population_starts = [], [], []
+    original_generate_many = evolution.rollout.generate_many
+    original_make_offspring = evolution.make_offspring
+
+    def generate_many(env_spec, policy, starts):
+        batches.append(list(starts))
+        return original_generate_many(env_spec, policy, starts)
+
+    def make_offspring(*args):
+        candidates = original_make_offspring(*args)
+        candidate_starts.append([c.initial_state for c in candidates])
+        return candidates
+
+    monkeypatch.setattr(evolution.rollout, "generate_many", generate_many)
+    monkeypatch.setattr(evolution, "make_offspring", make_offspring)
+    run(reach_spec, reach_controller, config,
+        lambda generation, population, demos: population_starts.append(
+            {i.initial_state for i in population}))
+    assert len(batches) == config.generations + 1
+    assert any(len(set(starts)) < len(starts) for starts in candidate_starts)
+    assert any(set(starts) & live for starts, live in zip(candidate_starts, population_starts))
+    for starts, live, batch in zip(candidate_starts, population_starts, batches[1:]):
+        fresh = [s for s in starts if s not in live]
+        assert batch == list(dict.fromkeys(fresh))  # distinct, in creation order

@@ -163,6 +163,44 @@ def test_load_bundle_rejects_non_bundles(tmp_path):
         load_bundle(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["lengths.csv", "trajectories.json"])
+def test_load_bundle_names_a_missing_file(tmp_path, flat_result, name):
+    export_bundle(flat_result, tmp_path)
+    (tmp_path / name).unlink()
+    with pytest.raises(ConfigurationError, match=f"missing {name}"):
+        load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "config.json", "trajectories.json"])
+def test_load_bundle_names_a_malformed_json_file(tmp_path, flat_result, name):
+    export_bundle(flat_result, tmp_path)
+    (tmp_path / name).write_text("{not json")
+    with pytest.raises(ConfigurationError, match=f"{name}: not valid JSON"):
+        load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [("format", "something-else"), ("version", 2)])
+def test_load_bundle_checks_the_manifest_header(tmp_path, flat_result, field, value):
+    export_bundle(flat_result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match="manifest.json: expected format"):
+        load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("returns.csv", "id,episode_return\n0,lots\n"),
+    ("generations.csv", ""),
+    ("trajectories.json", '{"format": "evodemo-bundle"}'),
+])
+def test_load_bundle_names_a_malformed_table(tmp_path, flat_result, name, text):
+    export_bundle(flat_result, tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ConfigurationError, match=f"{name}: malformed"):
+        load_bundle(tmp_path)
+
+
 def test_config_snapshot_is_preserved(tmp_path, flat_result):
     out = tmp_path / "bundle"
     export_bundle(flat_result, out, {"environment": "FlatGrid11", "note": "x"})
