@@ -76,30 +76,18 @@ class GridSpec:
         unknown = {c for row in self.cells for c in row} - _CELL_CHARS
         if unknown:
             raise ConfigurationError(f"unknown layout characters: {sorted(unknown)}")
-        targets = [
-            (r, c)
-            for r in range(self.height)
-            for c in range(self.width)
-            if self.cells[r][c] == TARGET
-        ]
-        if len(targets) != 1:
-            raise ConfigurationError(f"layout must contain exactly one target, found {len(targets)}")
+        targets = sum(row.count(TARGET) for row in self.cells)
+        if targets != 1:
+            raise ConfigurationError(f"layout must contain exactly one target, found {targets}")
         for r in range(self.height):
             for c in range(self.width):
                 on_edge = r in (0, self.height - 1) or c in (0, self.width - 1)
                 if on_edge and self.cells[r][c] != WALL:
                     raise ConfigurationError("layout perimeter must be wall")
 
-    def cell(self, row: int, col: int) -> str:
-        return self.cells[row][col]
-
     @cached_property
     def target_cell(self) -> tuple[int, int]:
-        for r in range(self.height):
-            for c in range(self.width):
-                if self.cells[r][c] == TARGET:
-                    return (r, c)
-        raise AssertionError("validated layout lost its target")
+        return next((r, row.index(TARGET)) for r, row in enumerate(self.cells) if TARGET in row)
 
     @cached_property
     def hole_cells(self) -> frozenset[tuple[int, int]]:
@@ -109,6 +97,29 @@ class GridSpec:
             for c in range(self.width)
             if self.cells[r][c] == HOLE
         )
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[tuple[int, float, bool], ...], ...]:
+        """The grid dynamics: ``(next_cell, reward, terminated)`` per cell ``row * width + col``
+        and action, stepped by ``GridEnv`` and by the Q-learning trainer alike."""
+        table = []
+        for r in range(self.height):
+            for c in range(self.width):
+                moves = []
+                for dr, dc in ACTION_DELTAS:
+                    row, col = r + dr, c + dc
+                    inside = 0 <= row < self.height and 0 <= col < self.width
+                    cell = self.cells[row][col] if inside else WALL  # only the perimeter looks out
+                    reward = self.step_cost
+                    if cell == WALL:
+                        row, col = r, c
+                    elif cell == TARGET:
+                        reward += self.target_reward
+                    elif cell == HOLE:
+                        reward += self.hole_penalty
+                    moves.append((row * self.width + col, reward, cell in (TARGET, HOLE)))
+                table.append(tuple(moves))
+        return tuple(table)
 
     @cached_property
     def canonical_start(self) -> GridState:
@@ -183,6 +194,9 @@ def preset(name: str) -> EnvSpec:
     )
 
 
+_BLOCKED_CELLS = {WALL: "wall cell", HOLE: "hole cell", TARGET: "target cell"}
+
+
 def validate_initial(spec: EnvSpec, state) -> str | None:
     """Check a candidate start state; returns a reason string when invalid."""
     if isinstance(spec, GridSpec):
@@ -190,14 +204,7 @@ def validate_initial(spec: EnvSpec, state) -> str | None:
             raise ContractViolationError(f"expected GridState, got {type(state).__name__}")
         if not (0 <= state.row < spec.height and 0 <= state.col < spec.width):
             return "outside the grid"
-        cell = spec.cell(state.row, state.col)
-        if cell == WALL:
-            return "wall cell"
-        if cell == HOLE:
-            return "hole cell"
-        if cell == TARGET:
-            return "target cell"
-        return None
+        return _BLOCKED_CELLS.get(spec.cells[state.row][state.col])
     if isinstance(spec, ReachSpec):
         if not isinstance(state, ReachState):
             raise ContractViolationError(f"expected ReachState, got {type(state).__name__}")
@@ -237,22 +244,12 @@ class GridEnv:
         action = int(action)
         if not 0 <= action < N_ACTIONS:
             raise ContractViolationError(f"grid action must be in [0, {N_ACTIONS}), got {action}")
-        dr, dc = ACTION_DELTAS[action]
-        row, col = self._state.row + dr, self._state.col + dc
-        reward = self.spec.step_cost
-        terminated = False
-        if self.spec.cell(row, col) == WALL:
-            row, col = self._state.row, self._state.col
-        elif self.spec.cell(row, col) == TARGET:
-            reward += self.spec.target_reward
-            terminated = True
-        elif self.spec.cell(row, col) == HOLE:
-            reward += self.spec.hole_penalty
-            terminated = True
+        width = self.spec.width
+        nxt, reward, terminated = self.spec.transitions[self._state.row * width + self._state.col][action]
         self._steps += 1
         truncated = not terminated and self._steps >= self.spec.max_steps
         self._done = terminated or truncated
-        self._state = GridState(row, col)
+        self._state = GridState(*divmod(nxt, width))
         return self._state, reward, terminated, truncated
 
 
@@ -340,14 +337,10 @@ def position(state) -> tuple[float, ...]:
     raise ContractViolationError(f"unknown state type {type(state).__name__}")
 
 
-def grid_max_state_distance(height: int, width: int) -> float:
-    return math.hypot(height - 1.0, width - 1.0)
-
-
 def max_state_distance(spec: EnvSpec) -> float:
     """Largest Euclidean distance between two positions of the state space."""
     if isinstance(spec, GridSpec):
-        return grid_max_state_distance(spec.height, spec.width)
+        return math.hypot(spec.height - 1.0, spec.width - 1.0)
     if isinstance(spec, ReachSpec):
         return math.sqrt(sum((hi - lo) ** 2 for lo, hi in spec.bounds))
     raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
@@ -360,10 +353,6 @@ def state_count(spec: EnvSpec) -> int | None:
     if isinstance(spec, ReachSpec):
         return None
     raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
-def is_continuous(spec: EnvSpec) -> bool:
-    return isinstance(spec, ReachSpec)
 
 
 def default_encoding_spec(spec: EnvSpec, bits_per_dim: int) -> EncodingSpec:

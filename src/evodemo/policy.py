@@ -29,7 +29,7 @@ from typing import Protocol
 import numpy as np
 
 from .environments import (
-    ACTION_NAMES, GridEnv, GridSpec, GridState, N_ACTIONS, ReachState, clip_like_python,
+    ACTION_NAMES, GridSpec, GridState, N_ACTIONS, ReachState, clip_like_python,
 )
 from .errors import ContractViolationError, PolicyFormatError
 
@@ -184,26 +184,33 @@ def train_q_learning(
         raise ContractViolationError("checkpoint steps must lie in [1, steps]")
 
     rng = np.random.default_rng(seed)
-    env = GridEnv(spec)
-    q = np.zeros((spec.height, spec.width, N_ACTIONS))
+    transitions = spec.transitions
+    start = spec.canonical_start.row * spec.width + spec.canonical_start.col
+    # plain float rows: Python floats are IEEE float64, so the bits match a numpy table's
+    q = [[0.0] * N_ACTIONS for _ in transitions]
+    shape = (spec.height, spec.width, N_ACTIONS)
+
     checkpoints: dict[int, TabularPolicy] = {}
     decay_steps = max(1, int(round(steps * epsilon_decay_fraction)))
-    state = env.reset(spec.canonical_start)
+    cell, episode_steps = start, 0
     for step in range(steps):
         epsilon = epsilon_start + (epsilon_end - epsilon_start) * min(step / decay_steps, 1.0)
+        values = q[cell]
         if rng.random() < epsilon:
             action = int(rng.integers(N_ACTIONS))
         else:
-            action = int(np.argmax(q[state.row, state.col]))
-        nxt, reward, terminated, truncated = env.step(action)
-        bootstrap = 0.0 if terminated else gamma * float(q[nxt.row, nxt.col].max())
-        q[state.row, state.col, action] += alpha * (reward + bootstrap - q[state.row, state.col, action])
-        state = nxt
-        if terminated or truncated:
-            state = env.reset(spec.canonical_start)
+            action = values.index(max(values))  # the first maximum, as np.argmax picks
+        nxt, reward, terminated = transitions[cell][action]
+        bootstrap = 0.0 if terminated else gamma * max(q[nxt])
+        values[action] += alpha * (reward + bootstrap - values[action])
+        episode_steps += 1
+        if terminated or episode_steps >= spec.max_steps:
+            cell, episode_steps = start, 0
+        else:
+            cell = nxt
         if step + 1 in wanted:
-            checkpoints[step + 1] = TabularPolicy(q.copy(), temperature)
-    return QLearningResult(TabularPolicy(q, temperature), checkpoints)
+            checkpoints[step + 1] = TabularPolicy(np.reshape(q, shape), temperature)
+    return QLearningResult(TabularPolicy(np.reshape(q, shape), temperature), checkpoints)
 
 
 def save_policy(policy: Policy, path: str | Path) -> None:

@@ -18,6 +18,7 @@ byte-identically.
 
 from __future__ import annotations
 
+import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ GENERATION_COLUMNS = (
     "local_distance",
     "joint_fitness",
 )
+FITNESS_KEYS = ("local_diversity", "certainty", "global_diversity", "local_distance", "joint")
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,8 @@ def load_bundle(path: str | Path) -> BundleData:
         ]
     with _malformed(path / "trajectories.json"):
         individuals = trajectories["individuals"]
+        for ind in individuals:
+            _check_individual(ind)
     return BundleData(path, config, manifest, returns, lengths, histogram, generations, individuals)
 
 
@@ -265,12 +269,22 @@ def _read_bundle_json(path: Path) -> dict:
     return payload
 
 
+def _check_individual(ind: dict) -> None:
+    """Raise KeyError/TypeError unless ``ind`` has every field the comparison report reads."""
+    values = [ind["id"], ind["trajectory"]["episode_return"]]
+    values += [ind["fitness"][key] for key in FITNESS_KEYS]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"individual {ind['id']!r}: id, fitness and episode_return must be numbers")
+    if not isinstance(ind["trajectory"]["states"], list):
+        raise TypeError(f"individual {ind['id']!r}: trajectory states must be a list")
+
+
 @contextmanager
 def _malformed(path: Path):
-    """Turn a missing column or an unparsable cell of ``path`` into a ConfigurationError."""
+    """Turn a missing field or an unparsable cell of ``path`` into a ConfigurationError."""
     try:
         yield
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed bundle file ({exc!r})") from exc
 
 
@@ -328,11 +342,7 @@ def write_comparison_report(
                     [
                         bundle.path.name,
                         ind["id"],
-                        ind["fitness"]["local_diversity"],
-                        ind["fitness"]["certainty"],
-                        ind["fitness"]["global_diversity"],
-                        ind["fitness"]["local_distance"],
-                        ind["fitness"]["joint"],
+                        *(ind["fitness"][key] for key in FITNESS_KEYS),
                         ind["trajectory"]["episode_return"],
                         len(ind["trajectory"]["states"]),
                     ]
@@ -404,16 +414,21 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
     return path
 
 
+def _read_rows(path: Path) -> list[list[str]]:
+    with path.open(encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def _read_csv(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    header, *rows = _read_rows(path)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _write_histogram(path: Path, histogram: np.ndarray) -> Path:
@@ -422,8 +437,7 @@ def _write_histogram(path: Path, histogram: np.ndarray) -> Path:
 
 
 def _read_histogram(path: Path) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return np.array([[int(cell) for cell in line.split(",")] for line in lines[1:]], dtype=int)
+    return np.array([[int(cell) for cell in row] for row in _read_rows(path)[1:]], dtype=int)
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -432,13 +446,7 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 
 def _components_to_dict(components: FitnessComponents) -> dict:
-    return {
-        "local_diversity": components.local_diversity,
-        "certainty": components.certainty,
-        "global_diversity": components.global_diversity,
-        "local_distance": components.local_distance,
-        "joint": components.joint,
-    }
+    return {key: getattr(components, key) for key in FITNESS_KEYS}
 
 
 def _state_to_dict(env_spec, state) -> dict:

@@ -246,6 +246,28 @@ output: {tmp_path / 'out'}
     assert "missing lengths.csv" in capsys.readouterr().err
 
 
+def test_bundle_with_malformed_individuals_exits_one(tmp_path, capsys):
+    config = write_yaml(
+        tmp_path / "evolve.yaml",
+        f"""
+environment: PointReach
+policy:
+  gaussian_controller: {{}}
+evolution: {{population_size: 4, generations: 1}}
+seeds: [0]
+output: {tmp_path / 'out'}
+""",
+    )
+    assert main(["evolve", config]) == 0
+    trajectories = tmp_path / "out" / "seed_0" / "trajectories.json"
+    payload = json.loads(trajectories.read_text())
+    payload["individuals"] = [{"id": 1}]
+    trajectories.write_text(json.dumps(payload))
+    code = main(["report", "--search", str(tmp_path / "out" / "seed_0"), "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert "trajectories.json: malformed" in capsys.readouterr().err
+
+
 def test_layout_path_resolves_relative_to_config(tmp_path):
     (tmp_path / "maps").mkdir()
     (tmp_path / "maps" / "tiny.map").write_text("#####\n#...#\n#.T.#\n#####\n")

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bruteforce as bf
+import qlearning_reference as reference
 from evodemo.environments import (
+    FLOOR,
+    N_ACTIONS,
     GridState,
     ReachSpec,
     ReachState,
@@ -135,6 +139,36 @@ def test_grid_accepts_numpy_actions(flat_spec):
     env.reset(GridState(1, 1))
     state, _, _, _ = env.step(np.int64(RIGHT))
     assert state == GridState(1, 2)
+
+
+def assert_steps_like_the_if_chain(spec):
+    """Every interior (cell, action): the table, and ``GridEnv.step`` from every floor cell."""
+    for row in range(1, spec.height - 1):
+        for col in range(1, spec.width - 1):
+            for action in range(N_ACTIONS):
+                r, c, reward, terminated = reference.if_chain_step(spec, row, col, action)
+                nxt, table_reward, table_terminated = spec.transitions[row * spec.width + col][action]
+                assert (nxt, table_terminated) == (r * spec.width + c, terminated)
+                assert repr(table_reward) == repr(reward)  # same value and same type
+                if spec.cells[row][col] != FLOOR:
+                    continue
+                env = make_env(spec)
+                env.reset(GridState(row, col))
+                state, env_reward, env_terminated, truncated = env.step(action)
+                assert (state, env_terminated) == (GridState(r, c), terminated)
+                assert repr(env_reward) == repr(reward)
+                assert truncated == (not terminated and spec.max_steps == 1)
+
+
+def test_grid_step_matches_the_if_chain_on_presets(flat_spec, holey_spec):
+    for spec in (flat_spec, holey_spec):
+        assert_steps_like_the_if_chain(spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=reference.grid_layouts())
+def test_grid_step_matches_the_if_chain_on_random_layouts(spec):
+    assert_steps_like_the_if_chain(spec)
 
 
 def test_validate_initial_reasons(flat_spec, holey_spec):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
+import qlearning_reference as reference
 from evodemo.environments import GridState, ReachState
 from evodemo.errors import ContractViolationError, PolicyFormatError
 from evodemo.policy import (
@@ -142,6 +145,48 @@ def test_training_checkpoints_are_frozen_snapshots(flat_spec):
     rerun = train_q_learning(flat_spec, 3000, seed=0, checkpoint_steps=(1000, 2000))
     assert np.array_equal(early, rerun.checkpoints[1000].q_values)
     assert np.array_equal(later, rerun.checkpoints[2000].q_values)
+
+
+def assert_same_training(result, expected):
+    assert result.policy.q_values.tobytes() == expected.policy.q_values.tobytes()
+    assert result.policy.temperature == expected.policy.temperature
+    assert sorted(result.checkpoints) == sorted(expected.checkpoints)
+    for step, snapshot in expected.checkpoints.items():
+        assert result.checkpoints[step].q_values.tobytes() == snapshot.q_values.tobytes()
+
+
+@pytest.mark.parametrize("spec_fixture", ["flat_spec", "holey_spec"])
+def test_training_matches_the_reference_trainer_on_presets(request, spec_fixture):
+    spec = request.getfixturevalue(spec_fixture)
+    checkpoints = tuple(range(1000, 20_001, 1000))
+    assert_same_training(
+        train_q_learning(spec, 20_000, seed=0, checkpoint_steps=checkpoints),
+        reference.train_q_learning(spec, 20_000, seed=0, checkpoint_steps=checkpoints),
+    )
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=reference.grid_layouts(),
+    data=st.data(),
+    steps=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    gamma=unit,
+    epsilon_start=unit,
+    epsilon_end=unit,
+    epsilon_decay_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    temperature=st.floats(0.1, 10.0),
+)
+def test_training_matches_the_reference_trainer(spec, data, steps, **params):
+    checkpoints = tuple(data.draw(st.sets(st.integers(1, steps), max_size=8)))
+    assert_same_training(
+        train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params),
+        reference.train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params),
+    )
 
 
 def test_trained_policy_is_shortest_path_optimal_everywhere(flat_spec, well_trained_policy):

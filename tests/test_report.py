@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -201,6 +202,50 @@ def test_load_bundle_names_a_malformed_table(tmp_path, flat_result, name, text):
         load_bundle(tmp_path)
 
 
+def _drop(field):
+    def edit(ind):
+        del ind[field]
+    return edit
+
+
+def _set(path, value):
+    def edit(ind):
+        *parents, last = path
+        for key in parents:
+            ind = ind[key]
+        ind[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("fitness"),
+    _drop("trajectory"),
+    _drop("id"),
+    _set(("fitness", "joint"), "high"),
+    _set(("fitness",), None),
+    _set(("trajectory", "episode_return"), None),
+    _set(("trajectory", "states"), 7),
+], ids=["no fitness", "no trajectory", "no id", "text joint", "null fitness",
+        "null return", "states not a list"])
+def test_load_bundle_names_malformed_individuals(tmp_path, flat_result, edit):
+    export_bundle(flat_result, tmp_path)
+    payload = json.loads((tmp_path / "trajectories.json").read_text())
+    edit(payload["individuals"][0])
+    (tmp_path / "trajectories.json").write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match="trajectories.json: malformed"):
+        load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("individuals", [[5], 3], ids=["not an object", "not a list"])
+def test_load_bundle_names_malformed_individual_lists(tmp_path, flat_result, individuals):
+    export_bundle(flat_result, tmp_path)
+    payload = json.loads((tmp_path / "trajectories.json").read_text())
+    payload["individuals"] = individuals
+    (tmp_path / "trajectories.json").write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match="trajectories.json: malformed"):
+        load_bundle(tmp_path)
+
+
 def test_config_snapshot_is_preserved(tmp_path, flat_result):
     out = tmp_path / "bundle"
     export_bundle(flat_result, out, {"environment": "FlatGrid11", "note": "x"})
@@ -274,6 +319,19 @@ def test_population_analysis_sorted_by_joint(tmp_path, two_group_bundles):
     lines = (out / "population_analysis.csv").read_text().splitlines()
     joints = [float(line.split(",")[6]) for line in lines[1:]]
     assert joints == sorted(joints, reverse=True)
+
+
+@pytest.mark.parametrize("name", ['seed,0', 'seed "0"', 'a,"b",c'])
+def test_population_analysis_round_trips_awkward_bundle_names(tmp_path, flat_result, name):
+    bundle = tmp_path / name
+    export_bundle(flat_result, bundle, {"environment": "FlatGrid11"})
+    write_comparison_report([bundle], [], tmp_path / "cmp")
+    with (tmp_path / "cmp" / "population_analysis.csv").open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert len(rows) == len(flat_result.population)
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {name}
+    assert sorted(int(row[1]) for row in rows) == sorted(i.id for i in flat_result.population)
 
 
 def test_comparison_refuses_mixed_environments(tmp_path, flat_result, reach_result):
