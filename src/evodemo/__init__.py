@@ -14,7 +14,6 @@ from .environments import (
     ReachSpec,
     ReachState,
     load_layout,
-    make_env,
     preset,
 )
 from .errors import ConfigurationError, ContractViolationError, PolicyFormatError
@@ -56,7 +55,6 @@ __all__ = [
     "joint_fitness",
     "load_layout",
     "load_policy",
-    "make_env",
     "occurrence_stats",
     "preset",
     "run",

@@ -10,26 +10,25 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import yaml
 
 from . import evolution, report, rollout
 from .environments import (
-    EnvSpec,
-    GridSpec,
+    KIND_CONTROLLER,
+    KIND_TABULAR,
     PRESET_NAMES,
-    ReachSpec,
+    EnvSpec,
     load_layout,
     preset,
 )
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, is_int
 from .evolution import EvolutionConfig
 from .policy import (
     GaussianControllerPolicy,
     Policy,
-    TabularPolicy,
     load_policy,
     save_policy,
     train_q_learning,
@@ -135,8 +134,6 @@ def cmd_train(args) -> int:
     config, base_dir = _load_config_file(args.config)
     _check_keys(config, {"environment", "training", "output"}, "config")
     env_name, env_spec = _build_env(config, base_dir)
-    if not isinstance(env_spec, GridSpec):
-        raise ConfigurationError("training is defined for grid environments only")
     training = _training_section(config.get("training"), seed_override=args.seed)
     out = _output_dir(config, args)
 
@@ -172,39 +169,15 @@ def _run_search(args, baseline_mode: bool) -> int:
     )
     env_name, env_spec = _build_env(config, base_dir)
     policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
-    evo_config = _evolution_config(config, env_spec, seed=0)
+    evo_config = _evolution_config(config, env_spec)
     seeds = _seed_list(config, args)
     out = _output_dir(config, args)
     mode = "baseline" if baseline_mode else "evolve"
 
-    bundle_names = []
-    for seed in seeds:
-        seeded = replace(evo_config, seed=seed)
-        result = (
-            evolution.baseline(env_spec, policy, seeded)
-            if baseline_mode
-            else evolution.run(env_spec, policy, seeded)
-        )
-        bundle = out / f"seed_{seed}"
-        snapshot = _config_snapshot(env_name, policy_snapshot, seeded, seeds, out, mode)
-        report.export_bundle(result, bundle, snapshot, mode=mode)
-        bundle_names.append(bundle.name)
-        best = result.population[0]
-        print(
-            f"[{mode}] seed {seed}: {len(result.population)} demonstrations, "
-            f"best joint fitness {best.fitness.joint:.4f} -> {bundle}"
-        )
-    report._write_json(  # parent-level index over the per-seed bundles
-        out / "manifest.json",
-        {
-            "format": report.BUNDLE_FORMAT,
-            "version": report.BUNDLE_VERSION,
-            "mode": mode,
-            "environment": env_name,
-            "seeds": list(seeds),
-            "bundles": bundle_names,
-        },
-    )
+    snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
+                "output": str(out), "mode": mode}
+    bundles = _export_seeds(env_spec, policy, evo_config, seeds, out, mode, snapshot)
+    report.write_run_manifest(out, mode, env_name, seeds, bundles)
     return 0
 
 
@@ -236,25 +209,47 @@ def cmd_sweep(args) -> int:
 
     env_name, env_spec = _build_env(config, base_dir)
     policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
-    base_config = _evolution_config(config, env_spec, seed=0)
+    base_config = _evolution_config(config, env_spec)
     seeds = _seed_list(config, args)
     out = _output_dir(config, args)
 
+    snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
+                "output": str(out), "mode": "evolve"}
     for cell in cells:
         try:
             cell_config = replace(base_config, **cell)
         except (TypeError, ConfigurationError) as exc:
             raise ConfigurationError(f"invalid sweep cell {cell}: {exc}") from exc
         cell_name = "__".join(f"{key}={_cell_value(value)}" for key, value in cell.items())
-        for seed in seeds:
-            seeded = replace(cell_config, seed=seed)
-            result = evolution.run(env_spec, policy, seeded)
-            bundle = out / cell_name / f"seed_{seed}"
-            snapshot = _config_snapshot(env_name, policy_snapshot, seeded, seeds, out, "evolve")
-            snapshot["sweep_cell"] = {key: value for key, value in cell.items()}
-            report.export_bundle(result, bundle, snapshot, mode="evolve")
-            print(f"[sweep] {cell_name} seed {seed} -> {bundle}")
+        _export_seeds(env_spec, policy, cell_config, seeds, out / cell_name, "evolve",
+                      {**snapshot, "sweep_cell": dict(cell)})
     return 0
+
+
+def _export_seeds(env_spec: EnvSpec, policy: Policy, config: EvolutionConfig, seeds: list[int],
+                  out: Path, mode: str, snapshot: dict) -> list[str]:
+    """Run one search per seed and export it to ``out/seed_<seed>``; returns the bundle names.
+
+    Each bundle's ``config.json`` is ``snapshot`` plus the seed and the search
+    settings, with the genome's bit width under ``encoding``.
+    """
+    search = evolution.baseline if mode == "baseline" else evolution.run
+    bundles = []
+    for seed in seeds:
+        seeded = replace(config, seed=seed)
+        result = search(env_spec, policy, seeded)
+        settings = asdict(seeded)
+        del settings["seed"]
+        encoding = {"bits_per_dimension": settings.pop("bits_per_dimension")}
+        bundle = out / f"seed_{seed}"
+        config_json = {**snapshot, "evolution": settings, "encoding": encoding, "seed": seed}
+        report.export_bundle(result, bundle, config_json, mode=mode)
+        bundles.append(bundle.name)
+        print(
+            f"[{mode}] seed {seed}: {len(result.population)} demonstrations, "
+            f"best joint fitness {result.population[0].fitness.joint:.4f} -> {bundle}"
+        )
+    return bundles
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def _seed_list(config: dict, args) -> list[int]:
     if args.seed is not None:
         return [int(s) for s in args.seed]
     seeds = config.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(is_int(s) for s in seeds):
         raise ConfigurationError("'seeds' must be a non-empty list of integers")
     return seeds
 
@@ -321,7 +316,7 @@ def _training_section(section, seed_override=None) -> dict:
     resolved.update(section)
     if seed_override:
         resolved["seed"] = seed_override[0]
-    if not isinstance(resolved["steps"], int) or resolved["steps"] < 1:
+    if not is_int(resolved["steps"]) or resolved["steps"] < 1:
         raise ConfigurationError("training 'steps' must be a positive integer")
     if not isinstance(resolved["checkpoints"], list):
         raise ConfigurationError("training 'checkpoints' must be a list of step counts")
@@ -332,7 +327,12 @@ def _training_section(section, seed_override=None) -> dict:
     return resolved
 
 
-def _train(env_spec: GridSpec, training: dict):
+def _train(env_spec: EnvSpec, training: dict):
+    if env_spec.policy_kind != KIND_TABULAR:
+        raise ConfigurationError(
+            f"training makes {KIND_TABULAR} policies, but this environment needs a "
+            f"{env_spec.policy_kind} policy"
+        )
     try:
         return train_q_learning(
             env_spec,
@@ -365,11 +365,9 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
         if not path.is_absolute():
             path = base_dir / path
         policy = load_policy(path)
-        _check_policy_matches(policy, env_spec)
+        env_spec.check_policy(policy)
         return policy, {"path": str(path)}
     if key == "train":
-        if not isinstance(env_spec, GridSpec):
-            raise ConfigurationError("an inline 'train' policy needs a grid environment")
         training = _training_section(value)
         result = _train(env_spec, training)
         policy, selected = _select_policy(result, training, env_spec)
@@ -377,7 +375,7 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
         snapshot["selected_step"] = selected
         return policy, {"train": snapshot}
     if key == "gaussian_controller":
-        if not isinstance(env_spec, ReachSpec):
+        if env_spec.policy_kind != KIND_CONTROLLER:
             raise ConfigurationError("'gaussian_controller' needs the PointReach environment")
         if not isinstance(value, dict):
             raise ConfigurationError("'gaussian_controller' must be a mapping")
@@ -392,7 +390,7 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
     raise ConfigurationError(f"unknown policy kind {key!r}")
 
 
-def _select_policy(result, training: dict, env_spec: GridSpec):
+def _select_policy(result, training: dict, env_spec: EnvSpec):
     """Apply the training 'select' rule; returns (policy, selected step)."""
     if training["select"] == "final":
         return result.policy, training["steps"]
@@ -407,21 +405,7 @@ def _select_policy(result, training: dict, env_spec: GridSpec):
     )
 
 
-def _check_policy_matches(policy: Policy, env_spec: EnvSpec) -> None:
-    if isinstance(env_spec, GridSpec) and not isinstance(policy, TabularPolicy):
-        raise ConfigurationError("grid environments need a tabular policy")
-    if isinstance(env_spec, ReachSpec) and not isinstance(policy, GaussianControllerPolicy):
-        raise ConfigurationError("the reach environment needs a gaussian_controller policy")
-    if isinstance(env_spec, GridSpec) and isinstance(policy, TabularPolicy):
-        height, width, _ = policy.q_values.shape
-        if (height, width) != (env_spec.height, env_spec.width):
-            raise ConfigurationError(
-                f"policy table is {height}x{width} but the grid is "
-                f"{env_spec.height}x{env_spec.width}"
-            )
-
-
-def _evolution_config(config: dict, env_spec: EnvSpec, seed: int) -> EvolutionConfig:
+def _evolution_config(config: dict, env_spec: EnvSpec) -> EvolutionConfig:
     section = config.get("evolution", {}) or {}
     if not isinstance(section, dict):
         raise ConfigurationError("'evolution' must be a mapping")
@@ -431,39 +415,11 @@ def _evolution_config(config: dict, env_spec: EnvSpec, seed: int) -> EvolutionCo
         raise ConfigurationError("'encoding' must be a mapping")
     _check_keys(encoding_section, {"bits_per_dimension"}, "encoding")
 
-    continuous = isinstance(env_spec, ReachSpec)
-    values = {
-        "population_size": 30 if continuous else 10,
-        "generations": 1000 if continuous else 40,
-        "crossover_probability": 0.75,
-        "mutation_probability": 0.5,
-        "tournament_size": 3,
-        "bits_per_dimension": 9 if continuous else 6,
-        "seed": seed,
-    }
-    values.update(section)
+    # settings neither the config nor the environment gives keep EvolutionConfig's defaults
+    values = {**env_spec.search_defaults, **section}
     if "bits_per_dimension" in encoding_section:
         values["bits_per_dimension"] = encoding_section["bits_per_dimension"]
     return EvolutionConfig(**values)
-
-
-def _config_snapshot(env_name, policy_snapshot, evo_config, seeds, out, mode) -> dict:
-    return {
-        "environment": env_name,
-        "policy": policy_snapshot,
-        "evolution": {
-            "population_size": evo_config.population_size,
-            "generations": evo_config.generations,
-            "crossover_probability": evo_config.crossover_probability,
-            "mutation_probability": evo_config.mutation_probability,
-            "tournament_size": evo_config.tournament_size,
-        },
-        "encoding": {"bits_per_dimension": evo_config.bits_per_dimension},
-        "seed": evo_config.seed,
-        "seeds": list(seeds),
-        "output": str(out),
-        "mode": mode,
-    }
 
 
 def _sweep_cells(grid: dict) -> list[dict]:

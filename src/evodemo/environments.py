@@ -16,6 +16,13 @@ order.
 
 Both environments are strictly deterministic: a state and an action fully
 determine the successor and the reward.
+
+Each spec class is the one place that answers questions about its
+environment, so the search, scoring, export and CLI code never switch on the
+spec type: ``validate_initial``, ``make_env``, ``max_state_distance``,
+``state_count``, ``grid_shape``, ``encoding_spec``,
+``initial_state_from_vector``, ``outcome``, ``search_defaults``,
+``policy_kind`` and ``check_policy``.  A state gives its ``position``.
 """
 
 from __future__ import annotations
@@ -24,22 +31,33 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .encoding import CONTINUOUS, DISCRETE, EncodingSpec
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, is_finite_number, is_int
 
 WALL = "#"
 FLOOR = "."
 HOLE = "O"
 TARGET = "T"
 _CELL_CHARS = frozenset((WALL, FLOOR, HOLE, TARGET))
+_BLOCKED_CELLS = {WALL: "wall cell", HOLE: "hole cell", TARGET: "target cell"}
 
 # action order is also the tie-break order for greedy policies
 ACTION_NAMES = ("up", "right", "down", "left")
 ACTION_DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 N_ACTIONS = len(ACTION_NAMES)
+
+OUTCOME_REACHED = "reached_target"
+OUTCOME_FAILED = "failed"
+OUTCOME_TRUNCATED = "truncated"
+OUTCOMES = (OUTCOME_REACHED, OUTCOME_FAILED, OUTCOME_TRUNCATED)
+
+# the kind of policy each environment runs, as policy files name it
+KIND_TABULAR = "tabular"
+KIND_CONTROLLER = "gaussian_controller"
 
 
 @dataclass(frozen=True)
@@ -47,11 +65,21 @@ class GridState:
     row: int
     col: int
 
+    @property
+    def position(self) -> tuple[float, ...]:
+        """The coordinates used by trajectory distances."""
+        return (float(self.row), float(self.col))
+
 
 @dataclass(frozen=True)
 class ReachState:
     effector: tuple[float, float, float]
     target: tuple[float, float, float]
+
+    @property
+    def position(self) -> tuple[float, ...]:
+        """The coordinates used by trajectory distances: the effector's."""
+        return tuple(float(x) for x in self.effector)
 
 
 @dataclass(frozen=True)
@@ -66,11 +94,17 @@ class GridSpec:
     step_cost: float = -1.0
     max_steps: int = 100
 
+    policy_kind: ClassVar[str] = KIND_TABULAR
+
     def __post_init__(self) -> None:
+        for name in ("target_reward", "hole_penalty", "step_cost"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if not is_int(self.max_steps) or self.max_steps < 1:
+            raise ConfigurationError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if self.height < 3 or self.width < 3:
             raise ConfigurationError("grid needs at least a 3x3 footprint")
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be positive")
         if len(self.cells) != self.height or any(len(row) != self.width for row in self.cells):
             raise ConfigurationError("cell rows do not match the declared grid size")
         unknown = {c for row in self.cells for c in row} - _CELL_CHARS
@@ -88,15 +122,6 @@ class GridSpec:
     @cached_property
     def target_cell(self) -> tuple[int, int]:
         return next((r, row.index(TARGET)) for r, row in enumerate(self.cells) if TARGET in row)
-
-    @cached_property
-    def hole_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (r, c)
-            for r in range(self.height)
-            for c in range(self.width)
-            if self.cells[r][c] == HOLE
-        )
 
     @cached_property
     def transitions(self) -> tuple[tuple[tuple[int, float, bool], ...], ...]:
@@ -130,6 +155,71 @@ class GridSpec:
                     return GridState(r, c)
         raise ConfigurationError("layout has no floor cell to start from")
 
+    @cached_property
+    def max_state_distance(self) -> float:
+        """Largest Euclidean distance between two positions of the state space."""
+        return math.hypot(self.height - 1.0, self.width - 1.0)
+
+    @property
+    def state_count(self) -> int:
+        """Number of states (cells) of the finite state space."""
+        return self.height * self.width
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        """Shape of a per-cell state-visit histogram."""
+        return (self.height, self.width)
+
+    @property
+    def search_defaults(self) -> dict:
+        """Search settings the CLI uses where a config gives none."""
+        return {"population_size": 10, "generations": 40, "bits_per_dimension": 6}
+
+    def validate_initial(self, state) -> str | None:
+        """Check a candidate start state; returns a reason string when invalid."""
+        if not isinstance(state, GridState):
+            raise ContractViolationError(f"expected GridState, got {type(state).__name__}")
+        if not (0 <= state.row < self.height and 0 <= state.col < self.width):
+            return "outside the grid"
+        return _BLOCKED_CELLS.get(self.cells[state.row][state.col])
+
+    def make_env(self) -> GridEnv:
+        return GridEnv(self)
+
+    def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
+        """Encoding over the agent cell within the interior (walls excluded by construction)."""
+        try:
+            return EncodingSpec(
+                dims=2,
+                bits_per_dim=bits_per_dim,
+                bounds=((1, self.height - 2), (1, self.width - 2)),
+                kind=DISCRETE,
+            )
+        except ContractViolationError as exc:
+            raise ConfigurationError(f"bits_per_dimension {bits_per_dim!r}: {exc}") from exc
+
+    def initial_state_from_vector(self, values: tuple[float, ...]) -> GridState:
+        """Assemble a decoded (row, col) vector into a state."""
+        if len(values) != 2:
+            raise ContractViolationError(f"grid states need 2 values, got {len(values)}")
+        return GridState(int(values[0]), int(values[1]))
+
+    def outcome(self, state: GridState, terminated: bool) -> str:
+        """How an episode that ended in ``state`` went."""
+        if not terminated:
+            return OUTCOME_TRUNCATED
+        return OUTCOME_REACHED if (state.row, state.col) == self.target_cell else OUTCOME_FAILED
+
+    def check_policy(self, policy) -> None:
+        """Raise a ConfigurationError unless ``policy`` is a Q table of this grid's size."""
+        if getattr(policy, "kind", None) != KIND_TABULAR:
+            raise ConfigurationError("grid environments need a tabular policy")
+        height, width, _ = policy.q_values.shape
+        if (height, width) != (self.height, self.width):
+            raise ConfigurationError(
+                f"policy table is {height}x{width} but the grid is {self.height}x{self.width}"
+            )
+
 
 @dataclass(frozen=True)
 class ReachSpec:
@@ -139,6 +229,10 @@ class ReachSpec:
     goal_radius: float = 0.05
     horizon: int = 50
     step_size: float = 0.05
+
+    policy_kind: ClassVar[str] = KIND_CONTROLLER
+    state_count: ClassVar[None] = None  # continuous: no finite state count
+    grid_shape: ClassVar[None] = None  # continuous: no per-cell histogram
 
     def __post_init__(self) -> None:
         if not self.bounds:
@@ -156,6 +250,57 @@ class ReachSpec:
     @property
     def dims(self) -> int:
         return len(self.bounds)
+
+    @cached_property
+    def max_state_distance(self) -> float:
+        """Largest Euclidean distance between two positions of the state space."""
+        return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.bounds))
+
+    @property
+    def search_defaults(self) -> dict:
+        """Search settings the CLI uses where a config gives none (the paper's)."""
+        return {"population_size": 30, "generations": 1000, "bits_per_dimension": 9}
+
+    def validate_initial(self, state) -> str | None:
+        """Check a candidate start state; returns a reason string when invalid."""
+        if not isinstance(state, ReachState):
+            raise ContractViolationError(f"expected ReachState, got {type(state).__name__}")
+        for point in (state.effector, state.target):
+            if len(point) != self.dims:
+                return "wrong dimensionality"
+            for (lo, hi), x in zip(self.bounds, point):
+                if not lo <= x <= hi:
+                    return "coordinate outside bounds"
+        return None
+
+    def make_env(self) -> ReachEnv:
+        return ReachEnv(self)
+
+    def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
+        """Encoding over effector and target jointly."""
+        return EncodingSpec(
+            dims=2 * self.dims,
+            bits_per_dim=bits_per_dim,
+            bounds=self.bounds + self.bounds,
+            kind=CONTINUOUS,
+        )
+
+    def initial_state_from_vector(self, values: tuple[float, ...]) -> ReachState:
+        """Assemble a decoded (effector, target) vector into a state."""
+        if len(values) != 2 * self.dims:
+            raise ContractViolationError(
+                f"reach states need {2 * self.dims} values, got {len(values)}"
+            )
+        return ReachState(tuple(values[: self.dims]), tuple(values[self.dims:]))
+
+    def outcome(self, state: ReachState, terminated: bool) -> str:
+        """How an episode went: reach episodes always run to the horizon."""
+        return OUTCOME_TRUNCATED
+
+    def check_policy(self, policy) -> None:
+        """Raise a ConfigurationError unless ``policy`` is a reach controller."""
+        if getattr(policy, "kind", None) != KIND_CONTROLLER:
+            raise ConfigurationError("the reach environment needs a gaussian_controller policy")
 
 
 EnvSpec = GridSpec | ReachSpec
@@ -194,30 +339,6 @@ def preset(name: str) -> EnvSpec:
     )
 
 
-_BLOCKED_CELLS = {WALL: "wall cell", HOLE: "hole cell", TARGET: "target cell"}
-
-
-def validate_initial(spec: EnvSpec, state) -> str | None:
-    """Check a candidate start state; returns a reason string when invalid."""
-    if isinstance(spec, GridSpec):
-        if not isinstance(state, GridState):
-            raise ContractViolationError(f"expected GridState, got {type(state).__name__}")
-        if not (0 <= state.row < spec.height and 0 <= state.col < spec.width):
-            return "outside the grid"
-        return _BLOCKED_CELLS.get(spec.cells[state.row][state.col])
-    if isinstance(spec, ReachSpec):
-        if not isinstance(state, ReachState):
-            raise ContractViolationError(f"expected ReachState, got {type(state).__name__}")
-        for point in (state.effector, state.target):
-            if len(point) != spec.dims:
-                return "wrong dimensionality"
-            for (lo, hi), x in zip(spec.bounds, point):
-                if not lo <= x <= hi:
-                    return "coordinate outside bounds"
-        return None
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
 class GridEnv:
     """Mutable single-episode stepper for a grid layout."""
 
@@ -228,7 +349,7 @@ class GridEnv:
         self._done = True
 
     def reset(self, state: GridState) -> GridState:
-        reason = validate_initial(self.spec, state)
+        reason = self.spec.validate_initial(state)
         if reason is not None:
             raise ContractViolationError(f"cannot reset to {state}: {reason}")
         self._state = state
@@ -268,7 +389,7 @@ class ReachEnv:
         self._done = True
 
     def reset(self, state: ReachState) -> ReachState:
-        reason = validate_initial(self.spec, state)
+        reason = self.spec.validate_initial(state)
         if reason is not None:
             raise ContractViolationError(f"cannot reset to {state}: {reason}")
         self._state = state
@@ -318,76 +439,3 @@ def reach_move(effector: np.ndarray, action: np.ndarray, step_size: float,
     ``[lo, hi]``, lower bound first.
     """
     return clip_like_python(effector + step_size * action, lo, hi)
-
-
-def make_env(spec: EnvSpec):
-    if isinstance(spec, GridSpec):
-        return GridEnv(spec)
-    if isinstance(spec, ReachSpec):
-        return ReachEnv(spec)
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
-def position(state) -> tuple[float, ...]:
-    """Project a state onto the coordinates used by trajectory distances."""
-    if isinstance(state, GridState):
-        return (float(state.row), float(state.col))
-    if isinstance(state, ReachState):
-        return tuple(float(x) for x in state.effector)
-    raise ContractViolationError(f"unknown state type {type(state).__name__}")
-
-
-def max_state_distance(spec: EnvSpec) -> float:
-    """Largest Euclidean distance between two positions of the state space."""
-    if isinstance(spec, GridSpec):
-        return math.hypot(spec.height - 1.0, spec.width - 1.0)
-    if isinstance(spec, ReachSpec):
-        return math.sqrt(sum((hi - lo) ** 2 for lo, hi in spec.bounds))
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
-def state_count(spec: EnvSpec) -> int | None:
-    """Number of states of a finite space; None for continuous spaces."""
-    if isinstance(spec, GridSpec):
-        return spec.height * spec.width
-    if isinstance(spec, ReachSpec):
-        return None
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
-def default_encoding_spec(spec: EnvSpec, bits_per_dim: int) -> EncodingSpec:
-    """Encoding over the disturbable start-state coordinates of an environment.
-
-    Grids disturb the agent cell within the interior (walls excluded by
-    construction); the reach task disturbs effector and target jointly.
-    """
-    if isinstance(spec, GridSpec):
-        return EncodingSpec(
-            dims=2,
-            bits_per_dim=bits_per_dim,
-            bounds=((1, spec.height - 2), (1, spec.width - 2)),
-            kind=DISCRETE,
-        )
-    if isinstance(spec, ReachSpec):
-        return EncodingSpec(
-            dims=2 * spec.dims,
-            bits_per_dim=bits_per_dim,
-            bounds=spec.bounds + spec.bounds,
-            kind=CONTINUOUS,
-        )
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")
-
-
-def initial_state_from_vector(spec: EnvSpec, values: tuple[float, ...]):
-    """Assemble a decoded value vector into this environment's state type."""
-    if isinstance(spec, GridSpec):
-        if len(values) != 2:
-            raise ContractViolationError(f"grid states need 2 values, got {len(values)}")
-        return GridState(int(values[0]), int(values[1]))
-    if isinstance(spec, ReachSpec):
-        if len(values) != 2 * spec.dims:
-            raise ContractViolationError(
-                f"reach states need {2 * spec.dims} values, got {len(values)}"
-            )
-        return ReachState(tuple(values[: spec.dims]), tuple(values[spec.dims:]))
-    raise ContractViolationError(f"unknown environment spec {type(spec).__name__}")

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import rollout
 from .encoding import BitGenome, EncodingSpec, crossover, decode, mutate, random_genome
-from .environments import EnvSpec, default_encoding_spec, initial_state_from_vector, validate_initial
-from .errors import ConfigurationError
+from .environments import EnvSpec
+from .errors import ConfigurationError, is_finite_number, is_int
 from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
 from .policy import Policy
 
@@ -54,14 +54,18 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "tournament_size", "bits_per_dimension"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2:
             raise ConfigurationError("population_size must be at least 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be at least 1")
         for name in ("crossover_probability", "mutation_probability"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1]")
+            if not (is_finite_number(value) and 0.0 <= value <= 1.0):
+                raise ConfigurationError(f"{name} must be a number in [0, 1], got {value!r}")
         if self.tournament_size < 1:
             raise ConfigurationError("tournament_size must be at least 1")
         if self.bits_per_dimension < 1:
@@ -135,8 +139,8 @@ def init_population(
     for index in range(config.population_size):
         for _ in range(MAX_SAMPLING_ATTEMPTS):
             genome = random_genome(rng, encoding_spec)
-            state = initial_state_from_vector(env_spec, decode(genome, encoding_spec))
-            if validate_initial(env_spec, state) is None:
+            state = env_spec.initial_state_from_vector(decode(genome, encoding_spec))
+            if env_spec.validate_initial(state) is None:
                 break
         else:
             raise ConfigurationError(
@@ -174,8 +178,8 @@ def make_offspring(
     candidates: list[Candidate] = []
     next_id = first_id
     for genome in genomes:
-        state = initial_state_from_vector(env_spec, decode(genome, encoding_spec))
-        if validate_initial(env_spec, state) is not None:
+        state = env_spec.initial_state_from_vector(decode(genome, encoding_spec))
+        if env_spec.validate_initial(state) is not None:
             continue
         candidates.append(Candidate(next_id, genome, state, generation))
         next_id += 1
@@ -247,7 +251,7 @@ def _run(
     observer: Observer | None,
 ) -> RunResult:
     rng = np.random.default_rng(config.seed)
-    encoding_spec = default_encoding_spec(env_spec, config.bits_per_dimension)
+    encoding_spec = env_spec.encoding_spec(config.bits_per_dimension)
     population, demos = init_population(config, env_spec, encoding_spec, policy, rng)
     population = _sorted_population(population)
     history = [_generation_stats(0, population, tuple(sorted(i.id for i in population)))]

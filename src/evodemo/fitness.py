@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .environments import EnvSpec, max_state_distance, state_count
+from .environments import EnvSpec
 from .errors import ContractViolationError
 from .rollout import Trajectory
 
@@ -99,10 +99,6 @@ class DemonstrationSet:
 
     def __iter__(self) -> Iterator[DemoEntry]:
         return iter(self._entries)
-
-    @property
-    def entries(self) -> tuple[DemoEntry, ...]:
-        return tuple(self._entries)
 
     def trajectories(self) -> tuple[Trajectory, ...]:
         return tuple(e.trajectory for e in self._entries)
@@ -175,7 +171,7 @@ class DemonstrationSet:
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
     """Fraction of the state space one trajectory covers on its own."""
-    count = state_count(env_spec)
+    count = env_spec.state_count
     if count is None:
         return len(trajectory.states) / (trajectory.raw_length + 1)
     return len(set(trajectory.states)) / count
@@ -186,12 +182,6 @@ def trajectory_certainty(trajectory: Trajectory) -> float:
     if not trajectory.certainties:
         raise ContractViolationError("trajectory has no executed actions")
     return sum(trajectory.certainties) / len(trajectory.certainties)
-
-
-def state_to_trajectory_distance(point: tuple[float, ...], trajectory: Trajectory) -> float:
-    """Euclidean distance from a position to the nearest trajectory position."""
-    diff = _points(trajectory) - np.asarray(point, dtype=float)
-    return float(np.sqrt((diff * diff).sum(axis=1)).min())
 
 
 def one_way_distance(u: Trajectory, v: Trajectory) -> float:
@@ -213,7 +203,7 @@ def joint_fitness(trajectory: Trajectory, demos: DemonstrationSet, env_spec: Env
     distances = demos.one_way_distances(_points(trajectory))
     if len(others) < len(demos):  # the scored trajectory is itself a member
         distances = distances[[e.trajectory is not trajectory for e in demos]]
-    d_g = float(distances.min()) / max_state_distance(env_spec)
+    d_g = float(distances.min()) / env_spec.max_state_distance
     # math.hypot per member, not np.hypot: the two differ in the last bit on
     # some inputs, and stored scores must not move
     local_distance = min(

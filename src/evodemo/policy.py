@@ -29,17 +29,18 @@ from typing import Protocol
 import numpy as np
 
 from .environments import (
-    ACTION_NAMES, GridSpec, GridState, N_ACTIONS, ReachState, clip_like_python,
+    ACTION_NAMES, KIND_CONTROLLER, KIND_TABULAR, N_ACTIONS, GridSpec, GridState, ReachState,
+    clip_like_python,
 )
-from .errors import ContractViolationError, PolicyFormatError
+from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_int
 
 POLICY_FORMAT = "evodemo-policy"
 POLICY_VERSION = 1
-KIND_TABULAR = "tabular"
-KIND_CONTROLLER = "gaussian_controller"
 
 
 class Policy(Protocol):
+    kind: str  # the ``policy_kind`` of the environments it runs in
+
     def act(self, state): ...
 
     def certainty(self, state, action) -> float: ...
@@ -51,6 +52,8 @@ class TabularPolicy:
     Ties in the Q values resolve to the first action in (up, right, down,
     left) order, so acting is deterministic even on an untrained table.
     """
+
+    kind = KIND_TABULAR
 
     def __init__(self, q_values: np.ndarray, temperature: float = 1.0):
         q = np.asarray(q_values, dtype=float)
@@ -88,6 +91,8 @@ class GaussianControllerPolicy:
     within ``window`` of the queried action; ``noise_scale`` 0 degenerates to
     a point mass.
     """
+
+    kind = KIND_CONTROLLER
 
     def __init__(self, gain: float = 1.0, noise_scale: float = 0.1,
                  window: float = 0.1, step_size: float = 0.05):
@@ -278,29 +283,14 @@ def _require(path: Path, payload: dict, field: str):
     return payload[field]
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int that numpy reads as a mask
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # JSON NaN/Infinity load as floats; integers too large for a float overflow
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _load_tabular(path: Path, payload: dict) -> TabularPolicy:
     height = _require(path, payload, "height")
     width = _require(path, payload, "width")
     temperature = _require(path, payload, "temperature")
     entries = _require(path, payload, "entries")
-    if not (_is_int(height) and _is_int(width) and height > 0 and width > 0):
+    if not (is_int(height) and is_int(width) and height > 0 and width > 0):
         raise PolicyFormatError(f"{path}: 'height'/'width' must be positive integers")
-    if not _is_finite_number(temperature):
+    if not is_finite_number(temperature):
         raise PolicyFormatError(f"{path}: 'temperature' must be a finite number")
     if not isinstance(entries, list):
         raise PolicyFormatError(f"{path}: 'entries' must be a list")
@@ -310,13 +300,13 @@ def _load_tabular(path: Path, payload: dict) -> TabularPolicy:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise PolicyFormatError(f"{path}: entries[{index}] must be [row, col, action, value]")
         r, c, a, value = entry
-        if not (_is_int(r) and 0 <= r < height):
+        if not (is_int(r) and 0 <= r < height):
             raise PolicyFormatError(f"{path}: entries[{index}]: row {r!r} out of range")
-        if not (_is_int(c) and 0 <= c < width):
+        if not (is_int(c) and 0 <= c < width):
             raise PolicyFormatError(f"{path}: entries[{index}]: col {c!r} out of range")
-        if not (_is_int(a) and 0 <= a < N_ACTIONS):
+        if not (is_int(a) and 0 <= a < N_ACTIONS):
             raise PolicyFormatError(f"{path}: entries[{index}]: action {a!r} out of range")
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             raise PolicyFormatError(
                 f"{path}: entries[{index}]: value {value!r} is not a finite number"
             )
@@ -342,7 +332,7 @@ def _load_controller(path: Path, payload: dict) -> GaussianControllerPolicy:
     kwargs = {}
     for field in ("gain", "noise_scale", "window", "step_size"):
         value = _require(path, payload, field)
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             raise PolicyFormatError(f"{path}: field {field!r} must be a finite number")
         kwargs[field] = float(value)
     try:

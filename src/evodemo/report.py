@@ -12,6 +12,9 @@ outliers.  A result exports into a flat bundle directory:
 * ``generations.csv``: every individual's score components per generation
 * ``config.json`` / ``manifest.json``: reproduction metadata
 
+A multi-seed run also gets one ``manifest.json`` above its bundles
+(``write_run_manifest``) that lists them.
+
 Exports are deterministic: re-running the same seed rewrites every file
 byte-identically.
 """
@@ -21,17 +24,16 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .environments import GridSpec, ReachSpec
+from .environments import EnvSpec
 from .errors import ConfigurationError, ContractViolationError
 from .evolution import RunResult
 from .rollout import Trajectory, trajectory_to_dict
-from .fitness import FitnessComponents
 
 BUNDLE_FORMAT = "evodemo-bundle"
 BUNDLE_VERSION = 1
@@ -46,6 +48,7 @@ GENERATION_COLUMNS = (
     "joint_fitness",
 )
 FITNESS_KEYS = ("local_diversity", "certainty", "global_diversity", "local_distance", "joint")
+SCORE_COLUMNS = GENERATION_COLUMNS[2:]  # the FITNESS_KEYS fields as bundle CSVs name them
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,6 @@ class BoxplotStats:
     q3: float
     maximum: float
     count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "minimum": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "maximum": self.maximum,
-            "count": self.count,
-        }
 
     @property
     def iqr(self) -> float:
@@ -81,53 +74,15 @@ def boxplot_stats(values: Iterable[float]) -> BoxplotStats:
     return BoxplotStats(min(data), float(q1), float(median), float(q3), max(data), len(data))
 
 
-def visit_histogram(trajectories: Iterable[Trajectory], grid_spec: GridSpec) -> np.ndarray:
+def visit_histogram(trajectories: Iterable[Trajectory], env_spec: EnvSpec) -> np.ndarray:
     """Per-cell visit counts over the collapsed states of all demonstrations."""
-    if not isinstance(grid_spec, GridSpec):
+    if env_spec.grid_shape is None:
         raise ContractViolationError("state-visit histograms are defined for grid runs only")
-    counts = np.zeros((grid_spec.height, grid_spec.width), dtype=int)
+    counts = np.zeros(env_spec.grid_shape, dtype=int)
     for trajectory in trajectories:
         for row, col in trajectory.states:
             counts[int(round(row)), int(round(col))] += 1
     return counts
-
-
-def fitness_decomposition(result: RunResult) -> tuple[list[dict], list[dict]]:
-    """Per-individual and per-generation component tables.
-
-    The population table lists the final individuals sorted by descending
-    joint score; the generation table carries the population mean of every
-    component per generation.
-    """
-    population_rows = [
-        {
-            "id": ind.id,
-            "birth_generation": ind.birth_generation,
-            "local_diversity": ind.fitness.local_diversity,
-            "certainty": ind.fitness.certainty,
-            "global_diversity": ind.fitness.global_diversity,
-            "local_distance": ind.fitness.local_distance,
-            "joint_fitness": ind.fitness.joint,
-            "episode_return": ind.trajectory.episode_return,
-            "final_length": ind.trajectory.final_length,
-        }
-        for ind in result.population
-    ]
-    generation_rows = []
-    for stats in result.history:
-        members = [snap.fitness for snap in stats.individuals]
-        generation_rows.append(
-            {
-                "generation": stats.generation,
-                "mean_local_diversity": _mean(c.local_diversity for c in members),
-                "mean_certainty": _mean(c.certainty for c in members),
-                "mean_global_diversity": _mean(c.global_diversity for c in members),
-                "mean_local_distance": _mean(c.local_distance for c in members),
-                "mean_joint_fitness": stats.mean_joint,
-                "admitted": len(stats.admitted_ids),
-            }
-        )
-    return population_rows, generation_rows
 
 
 def export_bundle(
@@ -150,12 +105,12 @@ def export_bundle(
     boxplots = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "returns": boxplot_stats(r for _, r in returns_rows).as_dict(),
-        "lengths": boxplot_stats(l for _, l in lengths_rows).as_dict(),
+        "returns": asdict(boxplot_stats(r for _, r in returns_rows)),
+        "lengths": asdict(boxplot_stats(l for _, l in lengths_rows)),
     }
     written.append(_write_json(out / "boxplots.json", boxplots))
 
-    if isinstance(result.env_spec, GridSpec):
+    if result.env_spec.grid_shape is not None:
         histogram = visit_histogram(
             (ind.trajectory for ind in result.population), result.env_spec
         )
@@ -169,8 +124,8 @@ def export_bundle(
                 "id": ind.id,
                 "birth_generation": ind.birth_generation,
                 "genome": ind.genome.as_string(),
-                "initial_state": _state_to_dict(result.env_spec, ind.initial_state),
-                "fitness": _components_to_dict(ind.fitness),
+                "initial_state": asdict(ind.initial_state),
+                "fitness": asdict(ind.fitness),
                 "trajectory": trajectory_to_dict(ind.trajectory),
             }
             for ind in result.population
@@ -195,7 +150,7 @@ def export_bundle(
     written.append(_write_csv(out / "generations.csv", GENERATION_COLUMNS, generation_rows))
 
     snapshot = dict(config_snapshot) if config_snapshot else {}
-    snapshot.setdefault("evolution", _config_to_dict(result.config))
+    snapshot.setdefault("evolution", asdict(result.config))
     written.append(_write_json(out / "config.json", snapshot))
 
     manifest = {
@@ -207,6 +162,21 @@ def export_bundle(
     }
     written.append(_write_json(out / "manifest.json", manifest))
     return written
+
+
+def write_run_manifest(
+    out_dir: str | Path, mode: str, environment: str, seeds: Sequence[int], bundles: Sequence[str]
+) -> Path:
+    """Write the index of a multi-seed run: a ``manifest.json`` next to its bundles."""
+    manifest = {
+        "format": BUNDLE_FORMAT,
+        "version": BUNDLE_VERSION,
+        "mode": mode,
+        "environment": environment,
+        "seeds": list(seeds),
+        "bundles": list(bundles),
+    }
+    return _write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 @dataclass
@@ -326,8 +296,8 @@ def write_comparison_report(
         payload["groups"][name] = {
             "bundles": len(bundles),
             "individuals": len(returns),
-            "returns": boxplot_stats(returns).as_dict(),
-            "lengths": boxplot_stats(lengths).as_dict(),
+            "returns": asdict(boxplot_stats(returns)),
+            "lengths": asdict(boxplot_stats(lengths)),
         }
         histograms = [b.histogram for b in bundles if b.histogram is not None]
         if histograms:
@@ -351,17 +321,7 @@ def write_comparison_report(
         written.append(
             _write_csv(
                 out / "population_analysis.csv",
-                (
-                    "bundle",
-                    "id",
-                    "local_diversity",
-                    "certainty",
-                    "global_diversity",
-                    "local_distance",
-                    "joint_fitness",
-                    "episode_return",
-                    "final_length",
-                ),
+                ("bundle", "id", *SCORE_COLUMNS, "episode_return", "final_length"),
                 population_rows,
             )
         )
@@ -371,27 +331,13 @@ def write_comparison_report(
             for row in bundle.generations:
                 by_generation.setdefault(int(row["generation"]), []).append(row)
         generation_rows = [
-            [
-                generation,
-                _mean(r["local_diversity"] for r in rows),
-                _mean(r["certainty"] for r in rows),
-                _mean(r["global_diversity"] for r in rows),
-                _mean(r["local_distance"] for r in rows),
-                _mean(r["joint_fitness"] for r in rows),
-            ]
+            [generation, *(_mean(r[column] for r in rows) for column in SCORE_COLUMNS)]
             for generation, rows in sorted(by_generation.items())
         ]
         written.append(
             _write_csv(
                 out / "generation_analysis.csv",
-                (
-                    "generation",
-                    "mean_local_diversity",
-                    "mean_certainty",
-                    "mean_global_diversity",
-                    "mean_local_distance",
-                    "mean_joint_fitness",
-                ),
+                ("generation", *(f"mean_{column}" for column in SCORE_COLUMNS)),
                 generation_rows,
             )
         )
@@ -443,27 +389,3 @@ def _read_histogram(path: Path) -> np.ndarray:
 def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
-
-
-def _components_to_dict(components: FitnessComponents) -> dict:
-    return {key: getattr(components, key) for key in FITNESS_KEYS}
-
-
-def _state_to_dict(env_spec, state) -> dict:
-    if isinstance(env_spec, GridSpec):
-        return {"row": state.row, "col": state.col}
-    if isinstance(env_spec, ReachSpec):
-        return {"effector": list(state.effector), "target": list(state.target)}
-    raise ContractViolationError(f"unknown environment spec {type(env_spec).__name__}")
-
-
-def _config_to_dict(config) -> dict:
-    return {
-        "population_size": config.population_size,
-        "generations": config.generations,
-        "crossover_probability": config.crossover_probability,
-        "mutation_probability": config.mutation_probability,
-        "tournament_size": config.tournament_size,
-        "bits_per_dimension": config.bits_per_dimension,
-        "seed": config.seed,
-    }

@@ -20,16 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
+# the outcome names are also read from this module, next to ``Trajectory.outcome``
 from .environments import (
-    EnvSpec, GridSpec, ReachSpec, ReachState, make_env, position, reach_move, validate_initial,
+    OUTCOME_FAILED, OUTCOME_REACHED, OUTCOME_TRUNCATED, OUTCOMES, EnvSpec, ReachSpec, ReachState,
+    reach_move,
 )
 from .errors import ContractViolationError
 from .policy import GaussianControllerPolicy, controller_action
-
-OUTCOME_REACHED = "reached_target"
-OUTCOME_FAILED = "failed"
-OUTCOME_TRUNCATED = "truncated"
-OUTCOMES = (OUTCOME_REACHED, OUTCOME_FAILED, OUTCOME_TRUNCATED)
 
 
 @dataclass(frozen=True)
@@ -68,9 +65,9 @@ def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
     """
     if _in_lockstep(env_spec, policy):
         return _controller_rollouts(env_spec, policy, [initial_state])[0]
-    env = make_env(env_spec)
+    env = env_spec.make_env()
     state = env.reset(initial_state)
-    positions = [position(state)]
+    positions = [state.position]
     actions: list = []
     rewards: list[float] = []
     certainties: list[float] = []
@@ -88,18 +85,13 @@ def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
         state, reward, terminated, truncated = env.step(action)
         actions.append(action)
         rewards.append(float(reward))
-        positions.append(position(state))
+        positions.append(state.position)
 
     deduped = [positions[0]]
     for point in positions[1:]:
         if point != deduped[-1]:
             deduped.append(point)
 
-    if terminated and isinstance(env_spec, GridSpec):
-        target = (float(env_spec.target_cell[0]), float(env_spec.target_cell[1]))
-        outcome = OUTCOME_REACHED if deduped[-1] == target else OUTCOME_FAILED
-    else:
-        outcome = OUTCOME_TRUNCATED
     return Trajectory(
         states=tuple(deduped),
         actions=tuple(actions),
@@ -107,7 +99,7 @@ def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
         certainties=tuple(certainties),
         raw_length=len(actions),
         episode_return=float(sum(rewards)),
-        outcome=outcome,
+        outcome=env_spec.outcome(state, terminated),
     )
 
 
@@ -136,7 +128,7 @@ def _controller_rollouts(
     ``policy.act``: the arrays go through the same elementwise formulas.
     """
     for start in starts:
-        reason = validate_initial(spec, start)
+        reason = spec.validate_initial(start)
         if reason is not None:
             raise ContractViolationError(f"cannot reset to {start}: {reason}")
     if not starts:

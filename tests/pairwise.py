@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from evodemo.environments import max_state_distance
 from evodemo.fitness import (
     EMPTY_SET_GLOBAL_DIVERSITY,
     FitnessComponents,
@@ -39,7 +38,7 @@ def global_diversity(trajectory, demos, env_spec) -> float:
     if not others:
         return EMPTY_SET_GLOBAL_DIVERSITY
     own = points(trajectory)
-    return min(one_way(own, points(e.trajectory)) for e in others) / max_state_distance(env_spec)
+    return min(one_way(own, points(e.trajectory)) for e in others) / env_spec.max_state_distance
 
 
 def joint_fitness(trajectory, demos, env_spec) -> FitnessComponents:

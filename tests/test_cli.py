@@ -198,6 +198,29 @@ def test_mismatched_policy_kind_exits_one(tmp_path):
     assert main(["evolve", config]) == 1
 
 
+@pytest.mark.parametrize(
+    ("setting", "field"),
+    [
+        ("evolution: {population_size: ten}", "population_size"),
+        ("evolution: {tournament_size: 2.5}", "tournament_size"),
+        ("evolution: {generations: true}", "generations"),
+        ("evolution: {crossover_probability: high}", "crossover_probability"),
+        ("evolution: {mutation_probability: true}", "mutation_probability"),
+        ("encoding: {bits_per_dimension: 3}", "bits_per_dimension"),  # 9 interior rows
+        ("seeds: [true]", "seeds"),
+    ],
+)
+def test_bad_search_values_exit_one_naming_the_field(tmp_path, capsys, setting, field):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: FlatGrid11\npolicy: {{train: {{steps: 100}}}}\n"
+        f"output: {tmp_path / 'runs'}\n{setting}\n",
+    )
+    assert main(["evolve", config]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_invalid_flag_exits_one(tmp_path, capsys):
     assert main(["evolve", "--bogus"]) == 1
 

@@ -8,22 +8,20 @@ import bruteforce as bf
 import qlearning_reference as reference
 from evodemo.environments import (
     FLOOR,
+    HOLE,
     N_ACTIONS,
     GridState,
     ReachSpec,
     ReachState,
-    default_encoding_spec,
-    initial_state_from_vector,
-    make_env,
-    max_state_distance,
     parse_layout,
-    position,
-    state_count,
-    validate_initial,
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
+
+
+def holes(spec):
+    return {(r, c) for r, row in enumerate(spec.cells) for c, cell in enumerate(row) if cell == HOLE}
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +32,7 @@ def test_parse_layout_reads_cells_and_target():
     spec = parse_layout("#####\n#..O#\n#.T.#\n#####\n")
     assert (spec.height, spec.width) == (4, 5)
     assert spec.target_cell == (2, 2)
-    assert spec.hole_cells == frozenset({(1, 3)})
+    assert holes(spec) == {(1, 3)}
     assert spec.canonical_start == GridState(1, 1)
 
 
@@ -54,17 +52,34 @@ def test_parse_layout_rejects_malformed_maps(text):
         parse_layout(text)
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("step_cost", float("nan")),
+        ("step_cost", "x"),
+        ("hole_penalty", float("-inf")),
+        ("target_reward", True),
+        ("max_steps", 2.5),
+        ("max_steps", True),
+        ("max_steps", 0),
+    ],
+)
+def test_grid_spec_rejects_bad_reward_constants(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        parse_layout("#####\n#..O#\n#.T.#\n#####\n", **{field: value})
+
+
 def test_flat_preset_geometry(flat_spec):
     assert (flat_spec.height, flat_spec.width) == (11, 11)
     assert flat_spec.target_cell == (9, 9)
-    assert flat_spec.hole_cells == frozenset()
+    assert holes(flat_spec) == set()
     assert flat_spec.canonical_start == GridState(1, 1)
 
 
 def test_holey_preset_geometry(holey_spec):
     assert (holey_spec.height, holey_spec.width) == (11, 11)
     assert holey_spec.target_cell == (9, 5)
-    assert holey_spec.hole_cells == frozenset((5, c) for c in range(1, 6))
+    assert holes(holey_spec) == {(5, c) for c in range(1, 6)}
     assert holey_spec.canonical_start == GridState(1, 1)
 
 
@@ -73,7 +88,7 @@ def test_holey_preset_geometry(holey_spec):
 
 
 def test_grid_step_costs_and_moves(flat_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     env.reset(GridState(1, 1))
     state, reward, terminated, truncated = env.step(DOWN)
     assert state == GridState(2, 1)
@@ -81,7 +96,7 @@ def test_grid_step_costs_and_moves(flat_spec):
 
 
 def test_grid_wall_bump_stays_put(flat_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     env.reset(GridState(1, 1))
     state, reward, terminated, truncated = env.step(UP)
     assert state == GridState(1, 1)
@@ -89,7 +104,7 @@ def test_grid_wall_bump_stays_put(flat_spec):
 
 
 def test_grid_target_entry_pays_and_terminates(flat_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     env.reset(GridState(8, 9))
     state, reward, terminated, truncated = env.step(DOWN)
     assert state == GridState(9, 9)
@@ -98,7 +113,7 @@ def test_grid_target_entry_pays_and_terminates(flat_spec):
 
 
 def test_grid_hole_entry_penalizes_and_terminates(holey_spec):
-    env = make_env(holey_spec)
+    env = holey_spec.make_env()
     env.reset(GridState(4, 3))
     state, reward, terminated, truncated = env.step(DOWN)
     assert state == GridState(5, 3)
@@ -107,7 +122,7 @@ def test_grid_hole_entry_penalizes_and_terminates(holey_spec):
 
 
 def test_grid_truncates_at_step_limit(flat_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     env.reset(GridState(1, 1))
     for step in range(flat_spec.max_steps):
         _, _, terminated, truncated = env.step(UP)
@@ -118,13 +133,13 @@ def test_grid_truncates_at_step_limit(flat_spec):
 
 
 def test_grid_rejects_bad_resets_and_actions(flat_spec, holey_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     with pytest.raises(ContractViolationError):
         env.reset(GridState(0, 0))  # wall
     with pytest.raises(ContractViolationError):
         env.reset(GridState(9, 9))  # target
     with pytest.raises(ContractViolationError):
-        make_env(holey_spec).reset(GridState(5, 1))  # hole
+        holey_spec.make_env().reset(GridState(5, 1))  # hole
     env.reset(GridState(1, 1))
     with pytest.raises(ContractViolationError):
         env.step(4)
@@ -135,7 +150,7 @@ def test_grid_rejects_bad_resets_and_actions(flat_spec, holey_spec):
 
 
 def test_grid_accepts_numpy_actions(flat_spec):
-    env = make_env(flat_spec)
+    env = flat_spec.make_env()
     env.reset(GridState(1, 1))
     state, _, _, _ = env.step(np.int64(RIGHT))
     assert state == GridState(1, 2)
@@ -152,7 +167,7 @@ def assert_steps_like_the_if_chain(spec):
                 assert repr(table_reward) == repr(reward)  # same value and same type
                 if spec.cells[row][col] != FLOOR:
                     continue
-                env = make_env(spec)
+                env = spec.make_env()
                 env.reset(GridState(row, col))
                 state, env_reward, env_terminated, truncated = env.step(action)
                 assert (state, env_terminated) == (GridState(r, c), terminated)
@@ -172,11 +187,11 @@ def test_grid_step_matches_the_if_chain_on_random_layouts(spec):
 
 
 def test_validate_initial_reasons(flat_spec, holey_spec):
-    assert validate_initial(flat_spec, GridState(3, 3)) is None
-    assert validate_initial(flat_spec, GridState(0, 5)) is not None
-    assert validate_initial(flat_spec, GridState(9, 9)) is not None
-    assert validate_initial(holey_spec, GridState(5, 2)) is not None
-    assert validate_initial(flat_spec, GridState(40, 2)) is not None
+    assert flat_spec.validate_initial(GridState(3, 3)) is None
+    assert flat_spec.validate_initial(GridState(0, 5)) is not None
+    assert flat_spec.validate_initial(GridState(9, 9)) is not None
+    assert holey_spec.validate_initial(GridState(5, 2)) is not None
+    assert flat_spec.validate_initial(GridState(40, 2)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,7 @@ def test_holey_optimal_return_detours_around_holes(holey_spec):
 
 
 def test_reach_moves_scale_and_clip(reach_spec):
-    env = make_env(reach_spec)
+    env = reach_spec.make_env()
     env.reset(ReachState((0.14, 0.0, 0.0), (0.0, 0.0, 0.0)))
     state, _, terminated, truncated = env.step((1.0, 0.0, 0.0))
     assert state.effector == (0.15, 0.0, 0.0)  # clipped at the box edge
@@ -206,7 +221,7 @@ def test_reach_moves_scale_and_clip(reach_spec):
 
 
 def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec):
-    env = make_env(reach_spec)
+    env = reach_spec.make_env()
     env.reset(ReachState((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)))
     _, reward, _, _ = env.step((-1.0, 0.0, 0.0))  # distance 0.05, on the edge
     assert reward == 0.0
@@ -216,7 +231,7 @@ def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec):
 
 
 def test_reach_runs_to_horizon_without_terminating(reach_spec):
-    env = make_env(reach_spec)
+    env = reach_spec.make_env()
     env.reset(ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     for step in range(reach_spec.horizon):
         _, reward, terminated, truncated = env.step((0.0, 0.0, 0.0))
@@ -226,7 +241,7 @@ def test_reach_runs_to_horizon_without_terminating(reach_spec):
 
 
 def test_reach_rejects_bad_actions(reach_spec):
-    env = make_env(reach_spec)
+    env = reach_spec.make_env()
     env.reset(ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     with pytest.raises(ContractViolationError):
         env.step((2.0, 0.0, 0.0))
@@ -235,8 +250,8 @@ def test_reach_rejects_bad_actions(reach_spec):
 
 
 def test_reach_rejects_out_of_bounds_start(reach_spec):
-    assert validate_initial(reach_spec, ReachState((0.2, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    assert validate_initial(reach_spec, ReachState((0.0, 0.0, 0.0), (0.1, -0.1, 0.05))) is None
+    assert reach_spec.validate_initial(ReachState((0.2, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    assert reach_spec.validate_initial(ReachState((0.0, 0.0, 0.0), (0.1, -0.1, 0.05))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +259,27 @@ def test_reach_rejects_out_of_bounds_start(reach_spec):
 
 
 def test_position_and_distances(flat_spec, reach_spec):
-    assert position(GridState(3, 7)) == (3.0, 7.0)
-    assert position(ReachState((0.1, 0.0, -0.1), (0.0, 0.0, 0.0))) == (0.1, 0.0, -0.1)
-    assert max_state_distance(flat_spec) == math.hypot(10.0, 10.0)
-    assert max_state_distance(reach_spec) == pytest.approx(math.sqrt(3 * 0.3**2))
-    assert state_count(flat_spec) == 121
-    assert state_count(reach_spec) is None
+    assert GridState(3, 7).position == (3.0, 7.0)
+    assert ReachState((0.1, 0.0, -0.1), (0.0, 0.0, 0.0)).position == (0.1, 0.0, -0.1)
+    assert flat_spec.max_state_distance == math.hypot(10.0, 10.0)
+    assert reach_spec.max_state_distance == pytest.approx(math.sqrt(3 * 0.3**2))
+    assert flat_spec.state_count == 121
+    assert reach_spec.state_count is None
 
 
 def test_default_encodings_cover_disturbable_coordinates(flat_spec, reach_spec):
-    grid_enc = default_encoding_spec(flat_spec, 6)
+    grid_enc = flat_spec.encoding_spec(6)
     assert grid_enc.dims == 2
     assert grid_enc.bounds == ((1, 9), (1, 9))
-    reach_enc = default_encoding_spec(reach_spec, 9)
+    reach_enc = reach_spec.encoding_spec(9)
     assert reach_enc.dims == 6
     assert reach_enc.bounds == ((-0.15, 0.15),) * 6
     assert reach_enc.kind == "continuous"
 
 
 def test_initial_state_from_vector_round_trips(flat_spec, reach_spec):
-    assert initial_state_from_vector(flat_spec, (4.0, 5.0)) == GridState(4, 5)
-    state = initial_state_from_vector(reach_spec, (0.1, 0.0, -0.1, 0.05, 0.0, 0.0))
+    assert flat_spec.initial_state_from_vector((4.0, 5.0)) == GridState(4, 5)
+    state = reach_spec.initial_state_from_vector((0.1, 0.0, -0.1, 0.05, 0.0, 0.0))
     assert state == ReachState((0.1, 0.0, -0.1), (0.05, 0.0, 0.0))
 
 

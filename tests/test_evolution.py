@@ -7,12 +7,7 @@ import pytest
 
 from evodemo import evolution
 from evodemo.encoding import BitGenome
-from evodemo.environments import (
-    GridState,
-    default_encoding_spec,
-    parse_layout,
-    validate_initial,
-)
+from evodemo.environments import GridState, parse_layout
 from evodemo.errors import ConfigurationError
 from evodemo.evolution import (
     Candidate,
@@ -67,13 +62,13 @@ def test_config_rejects_out_of_range_values(kwargs):
 
 def test_init_population_yields_valid_scored_individuals(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=0)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     assert [individual.id for individual in population] == list(range(10))
     assert len(demos) == 10
     for individual in population:
-        assert validate_initial(flat_spec, individual.initial_state) is None
+        assert flat_spec.validate_initial(individual.initial_state) is None
         assert individual.birth_generation == 0
     # the first one is scored against an empty set, so it carries the sentinels
     first = population[0].fitness
@@ -83,7 +78,7 @@ def test_init_population_yields_valid_scored_individuals(flat_spec, well_trained
 
 def test_init_population_is_seed_deterministic(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=3)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     a, _ = init_population(config, flat_spec, encoding, well_trained_policy, np.random.default_rng(3))
     b, _ = init_population(config, flat_spec, encoding, well_trained_policy, np.random.default_rng(3))
     assert [i.genome for i in a] == [i.genome for i in b]
@@ -94,7 +89,7 @@ def test_unsatisfiable_start_sampling_is_a_config_error(well_trained_policy):
     # every interior cell is a hole or the target: nothing valid to decode into
     spec = parse_layout("#####\n#OOO#\n#OTO#\n#OOO#\n#####")
     config = EvolutionConfig(seed=0)
-    encoding = default_encoding_spec(spec, config.bits_per_dimension)
+    encoding = spec.encoding_spec(config.bits_per_dimension)
     policy_q = np.zeros((spec.height, spec.width, 4))
     from evodemo.policy import TabularPolicy
 
@@ -108,7 +103,7 @@ def test_unsatisfiable_start_sampling_is_a_config_error(well_trained_policy):
 
 def test_offspring_counts_follow_ceil_rule(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=1)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, _ = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
@@ -122,7 +117,7 @@ def test_offspring_counts_follow_ceil_rule(flat_spec, well_trained_policy):
 def test_offspring_ids_skip_filtered_candidates(holey_spec, well_trained_policy):
     # holes can swallow decoded starts; surviving candidates keep dense ids
     config = EvolutionConfig(seed=5)
-    encoding = default_encoding_spec(holey_spec, config.bits_per_dimension)
+    encoding = holey_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, _ = init_population(config, holey_spec, encoding, well_trained_policy, rng)
     for generation in range(1, 6):
@@ -135,7 +130,7 @@ def test_offspring_ids_skip_filtered_candidates(holey_spec, well_trained_policy)
 
 def test_evaluated_offspring_join_the_demo_set(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=2)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
@@ -152,7 +147,7 @@ def test_evaluated_offspring_join_the_demo_set(flat_spec, well_trained_policy):
 
 def test_migrate_keeps_best_by_stored_score(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=4)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
@@ -171,7 +166,7 @@ def test_migrate_keeps_best_by_stored_score(flat_spec, well_trained_policy):
 
 def test_migrate_breaks_score_ties_toward_older_ids(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=0)
-    encoding = default_encoding_spec(flat_spec, config.bits_per_dimension)
+    encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
     survivors = migrate(population, [], 10, demos)
@@ -263,7 +258,7 @@ def test_observer_sees_the_baseline_population_once(flat_spec, well_trained_poli
 
 def _seeded(spec, policy, seed):
     config = EvolutionConfig(seed=seed)
-    encoding = default_encoding_spec(spec, config.bits_per_dimension)
+    encoding = spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(seed)
     population, demos = init_population(config, spec, encoding, policy, rng)
     return config, encoding, rng, population, demos
@@ -281,7 +276,7 @@ def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, mo
         GridState(r, c)
         for r in range(1, 10)
         for c in range(1, 10)
-        if validate_initial(flat_spec, GridState(r, c)) is None
+        if flat_spec.validate_initial(GridState(r, c)) is None
         and all(i.initial_state != GridState(r, c) for i in population)
     )
     candidates = [

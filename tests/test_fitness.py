@@ -16,7 +16,6 @@ from evodemo.fitness import (
     joint_fitness,
     local_diversity,
     one_way_distance,
-    state_to_trajectory_distance,
     trajectory_certainty,
 )
 from evodemo.rollout import Trajectory
@@ -59,9 +58,11 @@ def test_certainty_is_mean_over_executed_steps():
     assert trajectory_certainty(traj) == pytest.approx((1.0 + 0.5 + 0.25) / 3)
 
 
-def test_state_to_trajectory_distance_takes_nearest_point():
+def test_one_way_distance_takes_nearest_points():
+    point = make_traj([(0.0, 0.0)], raw_length=1)
     traj = make_traj([(1.0, 0.0), (5.0, 5.0)])
-    assert state_to_trajectory_distance((0.0, 0.0), traj) == 1.0
+    # the point's nearest trajectory point is 1 away; each trajectory point's is the point
+    assert one_way_distance(point, traj) == pytest.approx((2.0 + math.sqrt(50.0)) / 3, abs=1e-15)
 
 
 def test_one_way_distance_matches_hand_computation():
@@ -151,7 +152,7 @@ def test_discard_removes_by_identity(flat_spec):
     demos = DemonstrationSet.from_trajectories([original, twin], flat_spec)
     demos.discard(original)
     assert len(demos) == 1
-    assert demos.entries[0].trajectory is twin
+    assert [entry.trajectory for entry in demos] == [twin]
 
 
 def test_discard_of_a_non_member_raises(flat_spec):
@@ -163,7 +164,7 @@ def test_discard_of_a_non_member_raises(flat_spec):
 def test_entries_cache_profiles(flat_spec):
     a = make_traj([(1.0, 1.0), (2.0, 1.0)], certainties=(0.25, 0.75), raw_length=2)
     demos = DemonstrationSet.from_trajectories([a], flat_spec)
-    entry = demos.entries[0]
+    (entry,) = demos
     assert entry.local_diversity == 2 / 121
     assert entry.certainty == 0.5
 
@@ -277,6 +278,6 @@ def test_a_value_equal_copy_decides_the_score_without_distance_work(flat_spec, m
 def test_value_equal_members_share_one_position_array(flat_spec):
     original = make_traj([(2.0, 2.0), (2.0, 3.0)])
     demos = DemonstrationSet.from_trajectories([original, dataclasses.replace(original)], flat_spec)
-    first, second = demos.entries
+    first, second = demos
     assert first.trajectory is not second.trajectory
     assert second.points is first.points

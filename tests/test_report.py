@@ -10,7 +10,6 @@ from evodemo.report import (
     GENERATION_COLUMNS,
     boxplot_stats,
     export_bundle,
-    fitness_decomposition,
     load_bundle,
     visit_histogram,
     write_comparison_report,
@@ -72,24 +71,6 @@ def test_visit_histogram_counts_cells(flat_spec, well_trained_policy):
 def test_visit_histogram_rejects_continuous_spaces(reach_spec, reach_result):
     with pytest.raises(ContractViolationError):
         visit_histogram([reach_result.population[0].trajectory], reach_spec)
-
-
-def test_fitness_decomposition_tables(flat_result):
-    population_rows, generation_rows = fitness_decomposition(flat_result)
-    assert len(population_rows) == 10
-    joints = [row["joint_fitness"] for row in population_rows]
-    assert joints == sorted(joints, reverse=True)
-    assert len(generation_rows) == 6
-    assert generation_rows[0]["admitted"] == 10
-    assert set(generation_rows[0]) == {
-        "generation",
-        "mean_local_diversity",
-        "mean_certainty",
-        "mean_global_diversity",
-        "mean_local_distance",
-        "mean_joint_fitness",
-        "admitted",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +300,27 @@ def test_population_analysis_sorted_by_joint(tmp_path, two_group_bundles):
     lines = (out / "population_analysis.csv").read_text().splitlines()
     joints = [float(line.split(",")[6]) for line in lines[1:]]
     assert joints == sorted(joints, reverse=True)
+
+
+def test_generation_analysis_averages_each_generation(tmp_path, two_group_bundles):
+    search_dirs, _ = two_group_bundles
+    out = tmp_path / "cmp"
+    write_comparison_report(search_dirs, [], out)
+    by_generation = {}
+    for bundle in search_dirs:
+        with (bundle / "generations.csv").open(newline="") as handle:
+            for row in csv.DictReader(handle):
+                by_generation.setdefault(int(row["generation"]), []).append(row)
+    with (out / "generation_analysis.csv").open(newline="") as handle:
+        analysis = list(csv.DictReader(handle))
+    assert [int(row["generation"]) for row in analysis] == sorted(by_generation) == list(range(6))
+    for row in analysis:
+        members = by_generation[int(row["generation"])]
+        assert len(members) == 20  # the whole population of both seeds
+        for column in GENERATION_COLUMNS[2:]:
+            values = [float(member[column]) for member in members]
+            expected = sum(values) / len(values)
+            assert float(row[f"mean_{column}"]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ['seed,0', 'seed "0"', 'a,"b",c'])
