@@ -290,32 +290,36 @@ def _evaluate(
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
     # depends on (and extends) the demonstration set, in creation order
-    live = {individual.initial_state: individual for individual in population}
+    held = {individual.initial_state: individual.trajectory for individual in population}
     fresh_starts = list(dict.fromkeys(
-        candidate.initial_state for candidate in candidates if candidate.initial_state not in live
+        candidate.initial_state for candidate in candidates if candidate.initial_state not in held
     ))
     fresh = dict(zip(fresh_starts, rollout.generate_many(env_spec, policy, fresh_starts)))
-    individuals = []
+    trajectories = []
     for candidate in candidates:
-        twin = live.get(candidate.initial_state)
+        twin = held.get(candidate.initial_state)
         if twin is None:
-            trajectory = fresh[candidate.initial_state]
+            held[candidate.initial_state] = fresh[candidate.initial_state]
+            trajectories.append(fresh[candidate.initial_state])
         else:
             # a distinct object sharing the twin's tuples: the set discards and
             # excludes members by identity
-            trajectory = dataclasses.replace(twin.trajectory)
-        components = joint_fitness(trajectory, demos, env_spec)
+            trajectories.append(dataclasses.replace(twin))
+    # the set each candidate is scored against is known before any is scored,
+    # so the distance work for the whole batch is done in one pass
+    nearest = demos.nearest_distances(trajectories)
+    individuals = []
+    for candidate, trajectory, distance in zip(candidates, trajectories, nearest):
+        components = joint_fitness(trajectory, demos, env_spec, distance)
         demos.add(trajectory, components.local_diversity, components.certainty)
-        individual = Individual(
+        individuals.append(Individual(
             id=candidate.id,
             genome=candidate.genome,
             initial_state=candidate.initial_state,
             trajectory=trajectory,
             fitness=components,
             birth_generation=candidate.birth_generation,
-        )
-        live.setdefault(candidate.initial_state, individual)
-        individuals.append(individual)
+        ))
     return individuals
 
 

@@ -27,18 +27,23 @@ an identical twin contributed by someone else.
 
 The demonstration set caches each member's position array and (local
 diversity, certainty) pair; scoring a candidate never re-derives members.
-It also keeps all members' positions packed in one axis-major buffer with
-segment offsets, so a candidate is scored against every member with one
-distance matrix.  A member that is a value-equal copy of the candidate, with
-the same profile, decides the score without any distance work: both context
-terms are exactly 0, as the arithmetic would give.
+Members at equal positions share one array, and the set counts its members
+per distinct profile, so the profile term is a minimum over distinct pairs.
+A trajectory whose positions another member holds is at distance exactly 0
+without any distance work, so a value-equal copy of a member scores 0 on
+both context terms.
+
+``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
+for a whole batch of trajectories at once, each against the set as it will
+stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
+called alone, asks it for a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +53,10 @@ from .rollout import Trajectory
 
 EMPTY_SET_GLOBAL_DIVERSITY = 1.0
 EMPTY_SET_LOCAL_DISTANCE = math.sqrt(2.0)
+# cap on the elements of one rows-by-columns distance matrix (512 KiB of
+# float64, and the kernel holds two at once); a chunk holds at least one
+# trajectory's rows, however long
+MAX_MATRIX_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -81,18 +90,15 @@ class DemoEntry:
 class DemonstrationSet:
     """Alive demonstrations with cached positions and (D_l, C) profiles.
 
-    Member ``i``'s positions also sit in columns ``starts[i]`` onwards of one
-    ``(dims, capacity)`` buffer, kept in member order on ``add`` and
-    ``discard``.  Value-equal members share one position array.
+    Members are grouped by their trajectory's states; the members of a group
+    share one position array, which is one column block of the distance
+    matrix ``nearest_distances`` builds.
     """
 
     def __init__(self) -> None:
         self._entries: list[DemoEntry] = []
-        self._packed = np.empty((0, 0))
-        self._size = 0  # packed columns in use
-        self._starts: list[int] = []  # first packed column of each entry
-        # entries grouped by their trajectory's states, to find value-equal copies
         self._by_states: dict[tuple, list[DemoEntry]] = {}
+        self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -103,19 +109,30 @@ class DemonstrationSet:
     def trajectories(self) -> tuple[Trajectory, ...]:
         return tuple(e.trajectory for e in self._entries)
 
-    def copies_of(self, trajectory: Trajectory) -> Iterator[DemoEntry]:
-        """Members value-equal to ``trajectory`` other than that very object."""
-        for entry in self._by_states.get(trajectory.states, ()):
-            if entry.trajectory is not trajectory and entry.trajectory == trajectory:
-                yield entry
+    def other_profiles(self, trajectory: Trajectory) -> list[tuple[float, float]]:
+        """Distinct (D_l, C) pairs of the members other than ``trajectory`` itself."""
+        own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
+        for e in self._by_states.get(trajectory.states, ()):
+            if e.trajectory is trajectory:
+                pair = (e.local_diversity, e.certainty)
+                own[pair] = own.get(pair, 0) + 1
+        # an own pair stays while another member holds it too
+        return [pair for pair, count in self._profiles.items() if count > own.get(pair, 0)]
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
-        copy = next(self.copies_of(trajectory), None)
-        points = copy.points if copy is not None else _points(trajectory)
+        group = self._by_states.get(trajectory.states)
+        if group is None:
+            points = _points(trajectory)
+            if self._entries and points.shape[1] != self._entries[0].points.shape[1]:
+                raise ContractViolationError("members must share one position dimensionality")
+            group = self._by_states[trajectory.states] = []
+        else:
+            points = group[0].points
         entry = DemoEntry(trajectory, points, float(local_diversity), float(certainty))
-        self._pack(points)
         self._entries.append(entry)
-        self._by_states.setdefault(trajectory.states, []).append(entry)
+        group.append(entry)
+        pair = (entry.local_diversity, entry.certainty)
+        self._profiles[pair] = self._profiles.get(pair, 0) + 1
 
     def discard(self, trajectory: Trajectory) -> None:
         # identity-based: value-equal duplicates from other individuals survive
@@ -125,48 +142,101 @@ class DemonstrationSet:
         else:
             raise ContractViolationError("trajectory is not a member of this demonstration set")
         del self._entries[index]
-        start, length = self._starts.pop(index), len(entry.points)
-        self._packed[:, start : self._size - length] = self._packed[:, start + length : self._size]
-        self._size -= length
-        for later in range(index, len(self._starts)):
-            self._starts[later] -= length
+        pair = (entry.local_diversity, entry.certainty)
+        self._profiles[pair] -= 1
+        if not self._profiles[pair]:
+            del self._profiles[pair]
         # re-key the group by a member still alive, so no dropped trajectory is kept
         group = [e for e in self._by_states.pop(trajectory.states) if e is not entry]
         if group:
             self._by_states[group[0].trajectory.states] = group
 
-    def one_way_distances(self, points: np.ndarray) -> np.ndarray:
-        """One-way distance from positions ``points`` to every member, in member order."""
-        packed = self._packed[:, : self._size]
-        if points.shape[1] != len(packed):
-            raise ContractViolationError("positions must share the members' dimensionality")
-        return _one_way(points, packed, self._starts, [len(e.points) for e in self._entries])
+    def nearest_distances(self, trajectories: Sequence[Trajectory]) -> list[float]:
+        """One-way distance from each trajectory to its nearest other demonstration.
 
-    def _pack(self, points: np.ndarray) -> None:
-        dims, end = points.shape[1], self._size + len(points)
-        if self._packed.shape[0] != dims:
-            if self._size:
-                raise ContractViolationError("members must share one position dimensionality")
-            self._packed = np.empty((dims, 0))
-        if end > self._packed.shape[1]:
-            grown = np.empty((dims, max(end, 2 * self._packed.shape[1])))
-            grown[:, : self._size] = self._packed[:, : self._size]
-            self._packed = grown
-        self._packed[:, self._size : end] = points.T
-        self._starts.append(self._size)
-        self._size = end
+        Trajectory ``k`` is compared with every member and every one of
+        ``trajectories[:k]`` but itself (by identity), as though each joined
+        the set right after it was scored; ``inf`` when there is nothing to
+        compare with.  A trajectory whose positions another of those already
+        holds is at distance 0 with no distance work.  Every other one is a
+        row block of one distance matrix over the distinct position arrays,
+        masked to the column blocks it may see, and split into consecutive
+        chunks of rows whose matrix holds at most ``MAX_MATRIX_ELEMENTS``
+        elements.
+        """
+        groups = list(self._by_states.values())
+        blocks = [group[0].points for group in groups]
+        # the one object at each block's positions, None once distinct objects are
+        holders = [
+            group[0].trajectory if all(e.trajectory is group[0].trajectory for e in group)
+            else None
+            for group in groups
+        ]
+        block_of = {states: index for index, states in enumerate(self._by_states)}
+        nearest = [math.inf] * len(trajectories)
+        rows: list[_Row] = []
+        for k, trajectory in enumerate(trajectories):
+            block = block_of.get(trajectory.states)
+            if block is None:
+                points = _points(trajectory)
+                rows.append(_Row(k, points, len(blocks), -1))
+                block_of[trajectory.states] = len(blocks)
+                blocks.append(points)
+                holders.append(trajectory)
+            elif holders[block] is trajectory:  # alone at its positions but for itself
+                rows.append(_Row(k, blocks[block], len(blocks), block))
+            else:
+                nearest[k] = 0.0
+                holders[block] = None
+        if not rows:
+            return nearest
+        if len({points.shape[1] for points in blocks}) > 1:
+            raise ContractViolationError("demonstrations must share one position dimensionality")
+        lengths = np.array([len(points) for points in blocks])
+        column_ends = np.concatenate([[0], np.cumsum(lengths)])  # columns of the first v blocks
+        columns = np.ascontiguousarray(np.concatenate(blocks).T)
+        begin = 0
+        while begin < len(rows):
+            end, height = begin + 1, len(rows[begin].points)
+            while end < len(rows):
+                height += len(rows[end].points)
+                if height * column_ends[rows[end].visible] > MAX_MATRIX_ELEMENTS:
+                    break
+                end += 1
+            chunk = rows[begin:end]
+            distances = _nearest_in_chunk(chunk, columns, column_ends, lengths)
+            for row, distance in zip(chunk, distances):
+                nearest[row.index] = distance
+            begin = end
+        return nearest
 
-    @classmethod
-    def from_trajectories(cls, trajectories: Iterable[Trajectory], env_spec: EnvSpec) -> "DemonstrationSet":
-        """Convenience constructor that derives each member's cached profile."""
-        demos = cls()
-        for trajectory in trajectories:
-            demos.add(
-                trajectory,
-                local_diversity(trajectory, env_spec),
-                trajectory_certainty(trajectory),
-            )
-        return demos
+
+class _Row(NamedTuple):
+    """A trajectory that needs distance work in ``nearest_distances``."""
+
+    index: int  # in the batch
+    points: np.ndarray
+    visible: int  # it sees column blocks 0 .. visible - 1,
+    own: int  # except its own block when it is a member alone there (else -1)
+
+
+def _nearest_in_chunk(
+    chunk: list[_Row], columns: np.ndarray, column_ends: np.ndarray, lengths: np.ndarray
+) -> list[float]:
+    visible = chunk[-1].visible
+    if not visible:  # the first trajectory ever scored
+        return [math.inf] * len(chunk)
+    distances = _one_way_matrix(
+        np.concatenate([row.points for row in chunk]),
+        np.array([len(row.points) for row in chunk]),
+        columns[:, : column_ends[visible]],
+        lengths[:visible],
+    )
+    block = np.arange(visible)
+    seen = np.array([row.visible for row in chunk])[:, None]
+    own = np.array([row.own for row in chunk])[:, None]
+    distances[(block >= seen) | (block == own)] = math.inf
+    return distances.min(axis=1).tolist()
 
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
@@ -186,29 +256,33 @@ def trajectory_certainty(trajectory: Trajectory) -> float:
 
 def one_way_distance(u: Trajectory, v: Trajectory) -> float:
     """Symmetric average minimum point distance between two trajectories."""
-    return float(_one_way(_points(u), _points(v).T, [0], [len(v.states)])[0])
+    pu, pv = _points(u), _points(v)
+    return float(_one_way_matrix(pu, np.array([len(pu)]), pv.T, np.array([len(pv)]))[0, 0])
 
 
-def joint_fitness(trajectory: Trajectory, demos: DemonstrationSet, env_spec: EnvSpec) -> FitnessComponents:
-    """Full scoring of one trajectory against the current demonstration set."""
+def joint_fitness(
+    trajectory: Trajectory,
+    demos: DemonstrationSet,
+    env_spec: EnvSpec,
+    nearest_distance: float | None = None,
+) -> FitnessComponents:
+    """Full scoring of one trajectory against the current demonstration set.
+
+    ``nearest_distance`` is the trajectory's entry of
+    ``demos.nearest_distances`` for a batch scored in order; left out, it is
+    computed here for a batch of one.
+    """
     d_l = local_diversity(trajectory, env_spec)
     certainty = trajectory_certainty(trajectory)
-    others = [e for e in demos if e.trajectory is not trajectory]
-    if not others:
+    profiles = demos.other_profiles(trajectory)
+    if not profiles:
         return empty_set_components(d_l, certainty)
-    copies = demos.copies_of(trajectory)
-    if any(e.local_diversity == d_l and e.certainty == certainty for e in copies):
-        # a copy with the same profile is at distance 0 on both terms
-        return FitnessComponents(d_l, certainty, 0.0, 0.0, 0.0)
-    distances = demos.one_way_distances(_points(trajectory))
-    if len(others) < len(demos):  # the scored trajectory is itself a member
-        distances = distances[[e.trajectory is not trajectory for e in demos]]
-    d_g = float(distances.min()) / env_spec.max_state_distance
-    # math.hypot per member, not np.hypot: the two differ in the last bit on
+    if nearest_distance is None:
+        (nearest_distance,) = demos.nearest_distances([trajectory])
+    d_g = float(nearest_distance) / env_spec.max_state_distance
+    # math.hypot per pair, not np.hypot: the two differ in the last bit on
     # some inputs, and stored scores must not move
-    local_distance = min(
-        math.hypot(d_l - e.local_diversity, certainty - e.certainty) for e in others
-    )
+    local_distance = min(math.hypot(d_l - other_d_l, certainty - c) for other_d_l, c in profiles)
     return FitnessComponents(
         local_diversity=d_l,
         certainty=certainty,
@@ -222,32 +296,54 @@ def _points(trajectory: Trajectory) -> np.ndarray:
     return np.asarray(trajectory.states, dtype=float)
 
 
-def _one_way(
-    points: np.ndarray, packed: np.ndarray, starts: list[int], lengths: list[int]
+def _one_way_matrix(
+    rows: np.ndarray, row_lengths: np.ndarray, columns: np.ndarray, column_lengths: np.ndarray
 ) -> np.ndarray:
-    """One-way distances from ``points`` (m, dims) to each segment of ``packed`` (dims, N).
+    """One-way distances between the row blocks of ``rows`` (R, dims) and the
+    column blocks of ``columns`` (dims, C), as a (row blocks, column blocks) array.
 
-    Bit-identical to giving each segment its own distance matrix reduced in
-    numpy's default order, as ``tests/pairwise.py`` does; the comments give
-    the order each step keeps.
+    Each entry is bit-identical to giving its two blocks their own distance
+    matrix reduced in numpy's default order, as ``tests/pairwise.py`` does;
+    the comments give the order each step keeps.
     """
     # squared distances summed over axes left to right, (dx² + dy²) + dz², the
-    # order of (diff * diff).sum(axis=2); per-axis (m, N) arrays updated in
-    # place keep the peak memory at two candidate-by-members matrices
-    dist = np.subtract.outer(points[:, 0], packed[0])
+    # order of (diff * diff).sum(axis=2); per-axis (R, C) arrays updated in
+    # place keep the peak memory at two such matrices
+    dist = np.subtract.outer(rows[:, 0], columns[0])
     dist *= dist
-    if len(packed) > 1:
+    if len(columns) > 1:
         axis_sq = np.empty_like(dist)
-        for axis in range(1, len(packed)):
-            np.subtract.outer(points[:, axis], packed[axis], out=axis_sq)
+        for axis in range(1, len(columns)):
+            np.subtract.outer(rows[:, axis], columns[axis], out=axis_sq)
             axis_sq *= axis_sq
             dist += axis_sq
+        del axis_sq  # freed before the reductions below allocate theirs
     np.sqrt(dist, out=dist)
-    # each segment's row minima are summed as one contiguous row, the layout a
-    # per-segment dist.min(axis=1).sum() reduces
-    row_sums = np.ascontiguousarray(np.minimum.reduceat(dist, starts, axis=1).T).sum(axis=1)
-    # column minima are summed per segment with ndarray.sum(), never with
-    # np.add.reduceat, whose summation order differs in the last bits
-    column_minima = dist.min(axis=0)
-    column_sums = np.array([column_minima[s : s + n].sum() for s, n in zip(starts, lengths)])
-    return (row_sums + column_sums) / (len(points) + np.array(lengths))
+    row_starts = np.cumsum(row_lengths) - row_lengths
+    column_starts = np.cumsum(column_lengths) - column_lengths
+    # minima are exact in any order, so each is taken the way numpy runs it
+    # fastest on the row-major dist: each row's minimum within each column
+    # block, (column blocks, R), in one reduceat along the rows, and each
+    # column's minimum within each row block, (row blocks, C), one row block
+    # at a time, since a reduceat across rows walks column by column
+    row_minima = np.minimum.reduceat(dist.T, column_starts, axis=0)
+    column_minima = np.empty((len(row_lengths), dist.shape[1]))
+    for block, (start, length) in enumerate(zip(row_starts.tolist(), row_lengths.tolist())):
+        dist[start : start + length].min(axis=0, out=column_minima[block])
+    row_sums = _block_sums(row_minima, row_starts, row_lengths).T
+    column_sums = _block_sums(column_minima, column_starts, column_lengths)
+    return (row_sums + column_sums) / np.add.outer(row_lengths, column_lengths)
+
+
+def _block_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each block ``values[:, start : start + length]``, one column per block.
+
+    Each block of each row of a C-contiguous array is one contiguous run,
+    the layout a one-block ``ndarray.sum()`` reduces, so every sum is
+    bit-identical to it; ``np.add.reduceat`` sums in another order.
+    """
+    values = np.ascontiguousarray(values)
+    sums = np.empty((len(values), len(starts)))
+    for block, (start, length) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        sums[:, block] = values[:, start : start + length].sum(axis=1)
+    return sums

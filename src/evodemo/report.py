@@ -60,10 +60,6 @@ class BoxplotStats:
     maximum: float
     count: int
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def boxplot_stats(values: Iterable[float]) -> BoxplotStats:
     """Five-number summary with linear-interpolation quartiles."""

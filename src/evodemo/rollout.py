@@ -197,15 +197,3 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
         "episode_return": trajectory.episode_return,
         "outcome": trajectory.outcome,
     }
-
-
-def trajectory_from_dict(data: dict) -> Trajectory:
-    return Trajectory(
-        states=tuple(tuple(s) for s in data["states"]),
-        actions=tuple(tuple(a) if isinstance(a, list) else a for a in data["actions"]),
-        rewards=tuple(float(r) for r in data["rewards"]),
-        certainties=tuple(float(c) for c in data["certainties"]),
-        raw_length=int(data["raw_length"]),
-        episode_return=float(data["episode_return"]),
-        outcome=str(data["outcome"]),
-    )

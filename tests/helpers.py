@@ -1,0 +1,37 @@
+"""Test-side constructors and accessors the library does not ship.
+
+Each is a thin composition of public library names, kept here because only
+tests need it.
+"""
+
+from __future__ import annotations
+
+from evodemo.fitness import DemonstrationSet, local_diversity, trajectory_certainty
+from evodemo.report import BoxplotStats
+from evodemo.rollout import Trajectory
+
+
+def demo_set(trajectories, env_spec) -> DemonstrationSet:
+    """A demonstration set holding ``trajectories``, each with its derived profile."""
+    demos = DemonstrationSet()
+    for trajectory in trajectories:
+        d_l = local_diversity(trajectory, env_spec)
+        demos.add(trajectory, d_l, trajectory_certainty(trajectory))
+    return demos
+
+
+def trajectory_from_dict(data: dict) -> Trajectory:
+    """Inverse of ``rollout.trajectory_to_dict``."""
+    return Trajectory(
+        states=tuple(tuple(s) for s in data["states"]),
+        actions=tuple(tuple(a) if isinstance(a, list) else a for a in data["actions"]),
+        rewards=tuple(float(r) for r in data["rewards"]),
+        certainties=tuple(float(c) for c in data["certainties"]),
+        raw_length=int(data["raw_length"]),
+        episode_return=float(data["episode_return"]),
+        outcome=str(data["outcome"]),
+    )
+
+
+def iqr(stats: BoxplotStats) -> float:
+    return stats.q3 - stats.q1

@@ -1,8 +1,8 @@
 """Per-pair numpy reference for the set-level fitness terms.
 
-This is the scoring the library did before members were packed into one
-buffer: one small distance matrix per (candidate, member) pair, with numpy
-reductions in their default order.  The packed scoring in
+This is the scoring the library did before it scored a batch in one
+distance matrix: one small distance matrix per (candidate, member) pair,
+with numpy reductions in their default order.  The batch scoring in
 ``evodemo.fitness`` must agree with it bit for bit (``==``), unlike the
 loop oracle in ``bruteforce.py``, which agrees to 1e-12.
 """

@@ -13,9 +13,10 @@ import pytest
 
 import bruteforce as bf
 from conftest import ACCEPTANCE_RESULTS
+from helpers import demo_set, iqr
 from evodemo.encoding import EncodingSpec, occurrence_stats, state_value_distance
 from evodemo.environments import parse_layout
-from evodemo.fitness import DemonstrationSet, joint_fitness, one_way_distance
+from evodemo.fitness import joint_fitness, one_way_distance
 from evodemo.evolution import EvolutionConfig, run
 from evodemo.report import boxplot_stats, export_bundle, visit_histogram
 from evodemo.rollout import OUTCOME_REACHED, Trajectory, generate
@@ -102,7 +103,7 @@ def test_criterion_2_metric_oracle_equivalence():
     for _ in range(200):
         u = random_trajectory(rng, 4)
         v = random_trajectory(rng, 4)
-        demos = DemonstrationSet.from_trajectories([u, v], grid)
+        demos = demo_set([u, v], grid)
         for traj, other in ((u, v), (v, u)):
             got = joint_fitness(traj, demos, grid)
             expected_dl = bf.local_diversity(traj.states, 25, traj.raw_length)
@@ -137,7 +138,7 @@ def test_criterion_3_duplicate_trajectory_law(flat_spec):
         original = random_trajectory(rng, 10)
         copy = dataclasses.replace(original)
         extras = [random_trajectory(rng, 10) for _ in range(int(rng.integers(0, 4)))]
-        demos = DemonstrationSet.from_trajectories([original, copy, *extras], flat_spec)
+        demos = demo_set([original, copy, *extras], flat_spec)
         components = joint_fitness(original, demos, flat_spec)
         if components.global_diversity != 0.0 or components.joint != 0.0:
             failures += 1
@@ -189,7 +190,8 @@ def test_criterion_5_diversity_over_baseline(flat_spec, flat_early_runs, flat_ea
     iqr_wins = 0
     coverage_wins = 0
     for searched, random_only in zip(flat_early_runs, flat_early_baselines):
-        if boxplot_stats(final_returns(searched)).iqr >= boxplot_stats(final_returns(random_only)).iqr:
+        searched_iqr = iqr(boxplot_stats(final_returns(searched)))
+        if searched_iqr >= iqr(boxplot_stats(final_returns(random_only))):
             iqr_wins += 1
         if coverage(searched, flat_spec) >= coverage(random_only, flat_spec):
             coverage_wins += 1

@@ -1,11 +1,15 @@
 import gc
 import math
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evodemo import evolution
+from evodemo import evolution, fitness
 from evodemo.encoding import BitGenome
 from evodemo.environments import GridState, parse_layout
 from evodemo.errors import ConfigurationError
@@ -24,6 +28,8 @@ from evodemo.fitness import (
     EMPTY_SET_LOCAL_DISTANCE,
     FitnessComponents,
 )
+from evodemo.policy import GaussianControllerPolicy, TabularPolicy
+from evodemo.report import export_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +359,68 @@ def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
     for starts, live, batch in zip(candidate_starts, population_starts, batches[1:]):
         fresh = [s for s in starts if s not in live]
         assert batch == list(dict.fromkeys(fresh))  # distinct, in creation order
+
+
+def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
+    reach_spec, reach_controller, monkeypatch
+):
+    config = EvolutionConfig(population_size=8, generations=5, bits_per_dimension=2, seed=5)
+    passes, scored = [], []
+    original_pass = fitness.DemonstrationSet.nearest_distances
+    original_score = evolution.joint_fitness
+
+    def nearest_distances(demos, trajectories):
+        passes.append(len(trajectories))
+        return original_pass(demos, trajectories)
+
+    def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
+        assert nearest_distance is not None  # the batch pass answered it
+        scored.append(trajectory)
+        return original_score(trajectory, demos, env_spec, nearest_distance)
+
+    monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
+    run(reach_spec, reach_controller, config)
+    assert len(passes) == config.generations + 1  # each batch passes all its candidates
+    assert passes[0] == config.population_size
+    assert len(scored) == sum(passes)
+
+
+# ---------------------------------------------------------------------------
+# search invariants over generated configurations
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    reach=st.booleans(),
+    population_size=st.integers(2, 8),
+    generations=st.integers(1, 4),
+    crossover_probability=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+    mutation_probability=st.sampled_from([0.0, 0.5, 1.0]),
+    tournament_size=st.integers(1, 4),
+    bits_per_dimension=st.integers(4, 7),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_search_invariants_hold_for_generated_configs(flat_spec, reach_spec, reach, seed, **fields):
+    if reach:
+        spec, policy = reach_spec, GaussianControllerPolicy(step_size=reach_spec.step_size)
+    else:
+        q = np.random.default_rng(seed).normal(size=(flat_spec.height, flat_spec.width, 4))
+        spec, policy = flat_spec, TabularPolicy(q)
+    config = EvolutionConfig(seed=seed, **fields)
+    best = [-math.inf]
+
+    def observer(generation, population, demos):
+        # the set is the image of the population, member for member
+        assert sorted(map(id, demos.trajectories())) == sorted(id(i.trajectory) for i in population)
+        top = max(i.fitness.joint for i in population)
+        assert top >= best[0]  # the stored maximum never decreases
+        best[0] = top
+
+    bundles = []
+    with tempfile.TemporaryDirectory() as directory:
+        for rerun in range(2):
+            out = Path(directory) / str(rerun)
+            export_bundle(run(spec, policy, config, observer if rerun == 0 else None), out)
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert bundles[0] == bundles[1]

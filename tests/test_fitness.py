@@ -1,11 +1,16 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 import pairwise
+from helpers import demo_set
+from evodemo import fitness
 from evodemo.environments import ReachSpec, parse_layout
 from evodemo.errors import ContractViolationError
 from evodemo.fitness import (
@@ -85,7 +90,7 @@ def test_one_way_distance_of_identical_trajectories_is_zero():
 def test_global_diversity_normalizes_by_grid_diameter(flat_spec):
     a = make_traj([(1.0, 1.0)])
     b = make_traj([(9.0, 9.0)])
-    demos = DemonstrationSet.from_trajectories([a, b], flat_spec)
+    demos = demo_set([a, b], flat_spec)
     # frozen oracle: sqrt(128) / sqrt(200)
     assert joint_fitness(a, demos, flat_spec).global_diversity == pytest.approx(0.8, abs=1e-15)
     assert pairwise.global_diversity(a, demos, flat_spec) == pytest.approx(0.8, abs=1e-15)
@@ -93,14 +98,14 @@ def test_global_diversity_normalizes_by_grid_diameter(flat_spec):
 
 def test_global_diversity_alone_in_the_set(flat_spec):
     a = make_traj([(4.0, 4.0)])
-    demos = DemonstrationSet.from_trajectories([a], flat_spec)
+    demos = demo_set([a], flat_spec)
     assert joint_fitness(a, demos, flat_spec).global_diversity == EMPTY_SET_GLOBAL_DIVERSITY == 1.0
     assert pairwise.global_diversity(a, demos, flat_spec) == 1.0
 
 
 def test_empty_set_sentinels(flat_spec):
     a = make_traj([(4.0, 4.0)])
-    demos = DemonstrationSet.from_trajectories([a], flat_spec)
+    demos = demo_set([a], flat_spec)
     components = joint_fitness(a, demos, flat_spec)
     assert components.global_diversity == 1.0
     assert components.local_distance == EMPTY_SET_LOCAL_DISTANCE == math.sqrt(2.0)
@@ -110,7 +115,7 @@ def test_empty_set_sentinels(flat_spec):
 def test_duplicate_trajectory_scores_zero(flat_spec):
     original = make_traj([(2.0, 2.0), (2.0, 3.0), (3.0, 3.0)])
     copy = dataclasses.replace(original)  # same values, distinct identity
-    demos = DemonstrationSet.from_trajectories([original, copy], flat_spec)
+    demos = demo_set([original, copy], flat_spec)
     components = joint_fitness(original, demos, flat_spec)
     assert components.global_diversity == 0.0
     assert components.local_distance == 0.0
@@ -120,7 +125,7 @@ def test_duplicate_trajectory_scores_zero(flat_spec):
 def test_own_membership_is_excluded_by_identity_not_value(flat_spec):
     a = make_traj([(1.0, 1.0), (1.0, 2.0)])
     b = make_traj([(8.0, 8.0)])
-    demos = DemonstrationSet.from_trajectories([a, b], flat_spec)
+    demos = demo_set([a, b], flat_spec)
     # scoring a member only removes that exact object from the comparison
     components = joint_fitness(a, demos, flat_spec)
     expected = one_way_distance(a, b) / math.hypot(10.0, 10.0)
@@ -131,7 +136,7 @@ def test_joint_is_global_diversity_plus_profile_distance(flat_spec):
     a = make_traj([(1.0, 1.0), (1.0, 2.0)], certainties=(0.9,) * 2, raw_length=2)
     b = make_traj([(5.0, 5.0)], certainties=(0.3,), raw_length=1)
     c = make_traj([(9.0, 1.0), (8.0, 1.0)], certainties=(0.5,) * 2, raw_length=2)
-    demos = DemonstrationSet.from_trajectories([a, b, c], flat_spec)
+    demos = demo_set([a, b, c], flat_spec)
     components = joint_fitness(a, demos, flat_spec)
     assert components.joint == components.global_diversity + components.local_distance
     profiles = [
@@ -149,21 +154,21 @@ def test_joint_is_global_diversity_plus_profile_distance(flat_spec):
 def test_discard_removes_by_identity(flat_spec):
     original = make_traj([(3.0, 3.0)])
     twin = dataclasses.replace(original)
-    demos = DemonstrationSet.from_trajectories([original, twin], flat_spec)
+    demos = demo_set([original, twin], flat_spec)
     demos.discard(original)
     assert len(demos) == 1
     assert [entry.trajectory for entry in demos] == [twin]
 
 
 def test_discard_of_a_non_member_raises(flat_spec):
-    demos = DemonstrationSet.from_trajectories([make_traj([(3.0, 3.0)])], flat_spec)
+    demos = demo_set([make_traj([(3.0, 3.0)])], flat_spec)
     with pytest.raises(ContractViolationError):
         demos.discard(make_traj([(3.0, 3.0)]))
 
 
 def test_entries_cache_profiles(flat_spec):
     a = make_traj([(1.0, 1.0), (2.0, 1.0)], certainties=(0.25, 0.75), raw_length=2)
-    demos = DemonstrationSet.from_trajectories([a], flat_spec)
+    demos = demo_set([a], flat_spec)
     (entry,) = demos
     assert entry.local_diversity == 2 / 121
     assert entry.certainty == 0.5
@@ -191,7 +196,7 @@ def test_metrics_match_bruteforce_on_random_cases():
             certs = tuple(float(rng.random()) for _ in range(length))
             trajs.append(make_traj(collapsed, certainties=certs, raw_length=length))
 
-        demos = DemonstrationSet.from_trajectories(trajs, SMALL_GRID)
+        demos = demo_set(trajs, SMALL_GRID)
         for traj in trajs:
             got = joint_fitness(traj, demos, SMALL_GRID)
             others = [t for t in trajs if t is not traj]
@@ -215,7 +220,7 @@ def test_metrics_match_bruteforce_on_random_cases():
 
 
 # ---------------------------------------------------------------------------
-# packed scoring: bit-identical to the per-pair numpy reference
+# scoring alone: bit-identical to the per-pair numpy reference
 
 REACH = ReachSpec()
 
@@ -245,7 +250,7 @@ def test_packed_scoring_equals_pairwise_reference(flat_spec, dims):
         ]
         for _ in range(int(rng.integers(0, 3))):
             members.append(dataclasses.replace(members[int(rng.integers(len(members)))]))
-        demos = DemonstrationSet.from_trajectories(members, env_spec)
+        demos = demo_set(members, env_spec)
         for _ in range(min(int(rng.integers(0, 4)), len(members) - 1)):
             demos.discard(members.pop(int(rng.integers(len(members)))))
         member = members[int(rng.integers(len(members)))]
@@ -262,12 +267,12 @@ def test_packed_scoring_equals_pairwise_reference(flat_spec, dims):
 def test_a_value_equal_copy_decides_the_score_without_distance_work(flat_spec, monkeypatch):
     original = make_traj([(2.0, 2.0), (2.0, 3.0), (3.0, 3.0)], certainties=(0.5, 0.25))
     other = make_traj([(8.0, 8.0), (8.0, 9.0)])
-    demos = DemonstrationSet.from_trajectories([original, other], flat_spec)
+    demos = demo_set([original, other], flat_spec)
 
     def fail(*args):
         raise AssertionError("distances computed for a trajectory with a copy in the set")
 
-    monkeypatch.setattr(DemonstrationSet, "one_way_distances", fail)
+    monkeypatch.setattr(fitness, "_one_way_matrix", fail)
     copy = dataclasses.replace(original)
     components = joint_fitness(copy, demos, flat_spec)
     assert components == FitnessComponents(3 / 121, 0.375, 0.0, 0.0, 0.0)
@@ -277,7 +282,116 @@ def test_a_value_equal_copy_decides_the_score_without_distance_work(flat_spec, m
 
 def test_value_equal_members_share_one_position_array(flat_spec):
     original = make_traj([(2.0, 2.0), (2.0, 3.0)])
-    demos = DemonstrationSet.from_trajectories([original, dataclasses.replace(original)], flat_spec)
+    demos = demo_set([original, dataclasses.replace(original)], flat_spec)
     first, second = demos
     assert first.trajectory is not second.trajectory
     assert second.points is first.points
+
+
+# ---------------------------------------------------------------------------
+# batch scoring: one pass per batch, equal to scoring each in turn
+
+
+def _batch_member(rng, dims, max_length, live, batch):
+    """A fresh walk, a twin of a live or an earlier batch member, a walk over
+    a member's positions with other certainties (same columns, other profile),
+    or a live or earlier batch member itself (the same object again)."""
+    kind = int(rng.integers(5))
+    pool = live if kind == 0 else batch if kind == 1 else live + batch
+    if kind != 3 and pool:
+        source = pool[int(rng.integers(len(pool)))]
+        if kind == 4:
+            return source
+        if kind < 2:
+            return dataclasses.replace(source)
+        certs = tuple((rng.integers(0, 4, size=source.raw_length) / 4).tolist())
+        return dataclasses.replace(source, certainties=certs)
+    return random_walk(rng, dims, int(rng.integers(1, max_length + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([2, 3]),
+    max_length=st.sampled_from([1, 8, 150]),
+    batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+    bound=st.sampled_from([1, 300, 5000, fitness.MAX_MATRIX_ELEMENTS]),
+)
+def test_batch_scoring_equals_sequential_reference(
+    flat_spec, seed, dims, max_length, batch_sizes, bound
+):
+    # lengths up to 150 cover sums longer than numpy's 128-element pairwise
+    # block; the smaller element bounds split batches into several chunks
+    env_spec = flat_spec if dims == 2 else REACH
+    rng = np.random.default_rng(seed)
+    demos, live = DemonstrationSet(), []
+    with mock.patch.object(fitness, "MAX_MATRIX_ELEMENTS", bound):
+        for size in batch_sizes:
+            batch = []
+            for _ in range(size):
+                batch.append(_batch_member(rng, dims, max_length, live, batch))
+            nearest = demos.nearest_distances(batch)
+            for trajectory, distance in zip(batch, nearest):
+                expected = pairwise.joint_fitness(trajectory, demos, env_spec)
+                assert joint_fitness(trajectory, demos, env_spec, distance) == expected
+                demos.add(trajectory, expected.local_diversity, expected.certainty)
+                live.append(trajectory)
+            for _ in range(int(rng.integers(0, len(live) // 2 + 1))):
+                demos.discard(live.pop(int(rng.integers(len(live)))))
+            for member in live[:3]:  # scored alone while a member
+                expected = pairwise.joint_fitness(member, demos, env_spec)
+                assert joint_fitness(member, demos, env_spec) == expected
+
+
+def test_a_batch_is_split_into_bounded_chunks(monkeypatch):
+    rng = np.random.default_rng(11)
+    members = [random_walk(rng, 3, 150) for _ in range(10)]
+    demos = demo_set(members, REACH)
+    shapes = []
+    kernel = fitness._one_way_matrix
+
+    def recording(rows, row_lengths, columns, column_lengths):
+        shapes.append((len(rows), columns.shape[1]))
+        return kernel(rows, row_lengths, columns, column_lengths)
+
+    monkeypatch.setattr(fitness, "_one_way_matrix", recording)
+    long_batch = [random_walk(rng, 3, 100) for _ in range(3)]
+    short_batch = [random_walk(rng, 3, 3) for _ in range(5)]
+    # 100 rows against 1,500 columns exceed the bound alone; 5 x 3 rows do not
+    for batch, chunks in ((long_batch, 3), (short_batch, 1)):
+        shapes.clear()
+        nearest = demos.nearest_distances(batch)
+        sequential = demo_set(members, REACH)
+        for trajectory, distance in zip(batch, nearest):
+            expected = pairwise.joint_fitness(trajectory, sequential, REACH)
+            assert joint_fitness(trajectory, sequential, REACH, distance) == expected
+            sequential.add(trajectory, expected.local_diversity, expected.certainty)
+        assert len(shapes) == chunks
+    assert shapes[0][0] * shapes[0][1] <= fitness.MAX_MATRIX_ELEMENTS
+
+
+def test_a_member_after_its_twin_in_a_batch_is_at_distance_zero(flat_spec):
+    member = make_traj([(2.0, 2.0), (2.0, 3.0)])
+    other = make_traj([(8.0, 8.0), (8.0, 9.0)])
+    demos = demo_set([member, other], flat_spec)
+    twin = dataclasses.replace(member)
+    # the member is compared with the twin scored before it; its own earlier
+    # appearance is itself and counts for nothing
+    assert demos.nearest_distances([twin, member]) == [0.0, 0.0]
+    assert demos.nearest_distances([member, member]) == [
+        fitness.one_way_distance(member, other)
+    ] * 2
+
+
+def test_members_must_share_one_dimensionality(flat_spec):
+    demos = demo_set([make_traj([(1.0, 1.0), (1.0, 2.0)])], flat_spec)
+    with pytest.raises(ContractViolationError):
+        demos.add(random_walk(np.random.default_rng(0), 3, 4), 0.5, 0.5)
+    assert len(demos) == 1
+
+
+def test_nearest_distance_is_infinite_with_nothing_to_compare():
+    alone = make_traj([(1.0, 1.0), (1.0, 2.0)])
+    assert DemonstrationSet().nearest_distances([alone]) == [math.inf]
+    assert demo_set([alone], SMALL_GRID).nearest_distances([alone]) == [math.inf]
+    assert DemonstrationSet().nearest_distances([]) == []

@@ -5,8 +5,10 @@ two versions of the code; these digests can.  A refactor or optimisation
 must leave every file of every pinned bundle byte-identical.
 
 The digests live in ``golden_digests.json`` next to this file, together
-with the numpy version they were recorded under.  To re-record them after a
-deliberate change of output, run from the repository root:
+with the numpy version they were recorded under; ``paper_scale_digests.json``
+holds those of one PointReach seed at the paper's defaults (population 30,
+1000 generations, 9 bits).  To re-record both after a deliberate change of
+output, run from the repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -29,6 +31,10 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 GRID_SEEDS = (0, 7)
 REACH_SEEDS = (0, 3)
 REACH_CONFIG = dict(population_size=30, generations=10, bits_per_dimension=9)
+# one PointReach seed at the paper's defaults: 1000 generations
+PAPER_DIGESTS = Path(__file__).with_name("paper_scale_digests.json")
+PAPER_CASE = "PointReach/seed_0/paper"
+PAPER_CONFIG = dict(population_size=30, generations=1000, bits_per_dimension=9, seed=0)
 
 
 def golden_cases(flat_policy, holey_policy, reach_policy):
@@ -55,12 +61,23 @@ def bundle_digests(cases, directory: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def paper_cases(reach_policy):
+    return [(PAPER_CASE, preset("PointReach"), reach_policy, EvolutionConfig(**PAPER_CONFIG))]
+
+
 def test_bundles_match_golden_digests(
     tmp_path, well_trained_policy, just_converged_holey_policy, reach_controller
 ):
-    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     cases = golden_cases(well_trained_policy, just_converged_holey_policy, reach_controller)
-    actual = bundle_digests(cases, tmp_path)
+    _assert_digests(DIGESTS, bundle_digests(cases, tmp_path))
+
+
+def test_paper_scale_bundle_matches_digests(tmp_path, reach_controller):
+    _assert_digests(PAPER_DIGESTS, bundle_digests(paper_cases(reach_controller), tmp_path))
+
+
+def _assert_digests(path: Path, actual: dict[str, dict[str, str]]) -> None:
+    golden = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(actual) == sorted(golden["bundles"])
     differing = [
         f"{name}/{file}"
@@ -84,12 +101,16 @@ def _record() -> None:
     )
     _, holey_policy = earliest_successful_checkpoint(holey, trained)
     reach_policy = GaussianControllerPolicy(step_size=reach.step_size)
-    with tempfile.TemporaryDirectory() as directory:
-        bundles = bundle_digests(golden_cases(flat_policy, holey_policy, reach_policy),
-                                 Path(directory))
-    payload = {"numpy": np.__version__, "python": sys.version.split()[0], "bundles": bundles}
-    DIGESTS.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {sum(map(len, bundles.values()))} digests to {DIGESTS}")
+    recordings = (
+        (DIGESTS, golden_cases(flat_policy, holey_policy, reach_policy)),
+        (PAPER_DIGESTS, paper_cases(reach_policy)),
+    )
+    for path, cases in recordings:
+        with tempfile.TemporaryDirectory() as directory:
+            bundles = bundle_digests(cases, Path(directory))
+        payload = {"numpy": np.__version__, "python": sys.version.split()[0], "bundles": bundles}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {sum(map(len, bundles.values()))} digests to {path}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import iqr, trajectory_from_dict
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import EvolutionConfig, baseline, run
 from evodemo.report import (
@@ -14,7 +15,6 @@ from evodemo.report import (
     visit_histogram,
     write_comparison_report,
 )
-from evodemo.rollout import trajectory_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def test_boxplot_quartiles_interpolate_linearly():
     assert stats.q1 == 1.75
     assert stats.median == 2.5
     assert stats.q3 == 3.25
-    assert stats.iqr == 1.5
+    assert iqr(stats) == 1.5
     assert stats.count == 4
 
 

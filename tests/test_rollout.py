@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trajectory_from_dict
 from evodemo import rollout
 from evodemo.environments import GridState, ReachEnv, ReachSpec, ReachState, reach_move
 from evodemo.errors import ContractViolationError
@@ -17,7 +18,6 @@ from evodemo.rollout import (
     Trajectory,
     generate,
     generate_many,
-    trajectory_from_dict,
     trajectory_to_dict,
 )
 
