@@ -19,10 +19,12 @@ determine the successor and the reward.
 
 Each spec class is the one place that answers questions about its
 environment, so the search, scoring, export and CLI code never switch on the
-spec type: ``validate_initial``, ``make_env``, ``max_state_distance``,
+spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
 ``state_count``, ``grid_shape``, ``encoding_spec``,
-``initial_state_from_vector``, ``outcome``, ``search_defaults``,
-``policy_kind`` and ``check_policy``.  A state gives its ``position``.
+``initial_state_from_vector``, ``search_defaults``, ``policy_kind`` and
+``check_policy``.  A state gives its ``position``.  ``rollouts(policy,
+starts)`` is the only way an episode is produced: it runs the fixed policy
+from each start and records the episode as a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -83,6 +86,48 @@ class ReachState:
 
 
 @dataclass(frozen=True)
+class Trajectory:
+    """One deterministic policy demonstration.
+
+    A trajectory keeps two views of the episode.  ``states`` holds the visited
+    positions with consecutive duplicates collapsed (a grid agent bumping into a
+    wall does not stretch its path), while ``actions``, ``rewards``, and
+    ``certainties`` keep one entry per executed step.  Return and mean certainty
+    therefore still account for steps whose states were collapsed.
+    """
+
+    states: tuple[tuple[float, ...], ...]
+    actions: tuple
+    rewards: tuple[float, ...]
+    certainties: tuple[float, ...]
+    raw_length: int
+    episode_return: float
+    outcome: str
+
+    def __post_init__(self) -> None:
+        if not self.states:
+            raise ContractViolationError("a trajectory needs at least one state")
+        if not len(self.actions) == len(self.rewards) == len(self.certainties) == self.raw_length:
+            raise ContractViolationError("per-step records must all have raw_length entries")
+        if len(self.states) > self.raw_length + 1:
+            raise ContractViolationError("more states than steps plus one")
+        if self.outcome not in OUTCOMES:
+            raise ContractViolationError(f"unknown outcome {self.outcome!r}")
+
+    @property
+    def final_length(self) -> int:
+        """Number of states after collapsing consecutive duplicates."""
+        return len(self.states)
+
+
+def _check_starts(spec: EnvSpec, starts: Sequence) -> None:
+    for start in starts:
+        reason = spec.validate_initial(start)
+        if reason is not None:
+            raise ContractViolationError(f"cannot start an episode at {start}: {reason}")
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """A gridworld layout plus its reward constants."""
 
@@ -126,7 +171,7 @@ class GridSpec:
     @cached_property
     def transitions(self) -> tuple[tuple[tuple[int, float, bool], ...], ...]:
         """The grid dynamics: ``(next_cell, reward, terminated)`` per cell ``row * width + col``
-        and action, stepped by ``GridEnv`` and by the Q-learning trainer alike."""
+        and action, walked by ``rollouts`` and by the Q-learning trainer alike."""
         table = []
         for r in range(self.height):
             for c in range(self.width):
@@ -183,8 +228,61 @@ class GridSpec:
             return "outside the grid"
         return _BLOCKED_CELLS.get(self.cells[state.row][state.col])
 
-    def make_env(self) -> GridEnv:
-        return GridEnv(self)
+    def rollouts(self, policy, starts: Sequence[GridState]) -> list[Trajectory]:
+        """One episode of ``policy`` per start, in order; pure in all arguments.
+
+        An episode walks ``transitions`` until it enters the target
+        (``reached_target``) or a hole (``failed``), or has taken ``max_steps``
+        steps (``truncated``).  Every start must be valid; an invalid one is a
+        contract violation.
+        """
+        _check_starts(self, starts)
+        width, transitions = self.width, self.transitions
+        target = self.target_cell[0] * width + self.target_cell[1]
+        trajectories = []
+        for start in starts:
+            cell = start.row * width + start.col
+            cells = [cell]
+            actions: list = []
+            rewards: list[float] = []
+            certainties: list[float] = []
+            # policies are deterministic, so a cell revisited within the episode
+            # (an agent pinned against a wall) reuses its first decision
+            decisions: dict = {}
+            terminated = False
+            while not terminated and len(actions) < self.max_steps:
+                decision = decisions.get(cell)
+                if decision is None:
+                    state = GridState(*divmod(cell, width))
+                    action = policy.act(state)
+                    # without this check a duck-typed policy's -1 would read the last column
+                    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
+                            or not 0 <= action < N_ACTIONS):
+                        raise ContractViolationError(
+                            f"grid action must be an integer in [0, {N_ACTIONS}), got {action!r}"
+                        )
+                    decision = decisions[cell] = (action, float(policy.certainty(state, action)))
+                action, certainty = decision
+                cell, reward, terminated = transitions[cell][action]
+                actions.append(action)
+                rewards.append(float(reward))
+                certainties.append(certainty)
+                if cell != cells[-1]:
+                    cells.append(cell)
+            if not terminated:
+                outcome = OUTCOME_TRUNCATED
+            else:
+                outcome = OUTCOME_REACHED if cell == target else OUTCOME_FAILED
+            trajectories.append(Trajectory(
+                states=tuple(GridState(*divmod(c, width)).position for c in cells),
+                actions=tuple(actions),
+                rewards=tuple(rewards),
+                certainties=tuple(certainties),
+                raw_length=len(actions),
+                episode_return=float(sum(rewards)),
+                outcome=outcome,
+            ))
+        return trajectories
 
     def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
         """Encoding over the agent cell within the interior (walls excluded by construction)."""
@@ -204,12 +302,6 @@ class GridSpec:
             raise ContractViolationError(f"grid states need 2 values, got {len(values)}")
         return GridState(int(values[0]), int(values[1]))
 
-    def outcome(self, state: GridState, terminated: bool) -> str:
-        """How an episode that ended in ``state`` went."""
-        if not terminated:
-            return OUTCOME_TRUNCATED
-        return OUTCOME_REACHED if (state.row, state.col) == self.target_cell else OUTCOME_FAILED
-
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a Q table of this grid's size."""
         if getattr(policy, "kind", None) != KIND_TABULAR:
@@ -223,7 +315,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ReachSpec:
-    """Bounded-box point-reach task with a sparse distance reward."""
+    """Bounded-box point-reach task with a sparse distance reward.
+
+    Actions are per-axis displacements in [-1, 1], scaled by ``step_size`` and
+    clipped to the box.  A step pays 0 when the effector ends within
+    ``goal_radius`` of the target (by ``math.dist``) and -1 otherwise.  The
+    episode never terminates on success; it runs to the horizon regardless.
+    """
 
     bounds: tuple[tuple[float, float], ...] = ((-0.15, 0.15),) * 3
     goal_radius: float = 0.05
@@ -237,15 +335,18 @@ class ReachSpec:
     def __post_init__(self) -> None:
         if not self.bounds:
             raise ConfigurationError("reach bounds must not be empty")
-        for lo, hi in self.bounds:
-            if hi <= lo:
-                raise ConfigurationError(f"degenerate reach bounds [{lo}, {hi}]")
-        if self.goal_radius <= 0:
-            raise ConfigurationError("goal_radius must be positive")
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be positive")
-        if self.step_size <= 0:
-            raise ConfigurationError("step_size must be positive")
+        for bound in self.bounds:
+            if not (isinstance(bound, (tuple, list)) and len(bound) == 2
+                    and all(is_finite_number(x) for x in bound) and bound[0] < bound[1]):
+                raise ConfigurationError(
+                    f"bounds must be (lo, hi) pairs of finite numbers with lo < hi, got {bound!r}"
+                )
+        for name in ("goal_radius", "step_size"):
+            value = getattr(self, name)
+            if not is_finite_number(value) or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
+        if not is_int(self.horizon) or self.horizon < 1:
+            raise ConfigurationError(f"horizon must be a positive integer, got {self.horizon!r}")
 
     @property
     def dims(self) -> int:
@@ -273,8 +374,69 @@ class ReachSpec:
                     return "coordinate outside bounds"
         return None
 
-    def make_env(self) -> ReachEnv:
-        return ReachEnv(self)
+    def rollouts(self, policy, starts: Sequence[ReachState]) -> list[Trajectory]:
+        """Gaussian-controller episodes, one per start, stepped together as ``(B, dims)`` arrays.
+
+        Bit-identical to stepping each start alone with ``policy.act``: the
+        arrays go through the same elementwise formulas,
+        ``policy.mean_actions`` and the clipped move.  Every start must be
+        valid; an invalid one is a contract violation.
+        """
+        _check_starts(self, starts)
+        if not starts:
+            return []
+        # the controller always acts at its own Gaussian mean: every step has a
+        # zero offset on every axis and therefore the same certainty mass
+        certainties = (float(policy.certainty(starts[0], policy.act(starts[0]))),) * self.horizon
+
+        lo, hi = np.array(self.bounds, dtype=float).T
+        target = np.array([start.target for start in starts], dtype=float)
+        path = [np.array([start.effector for start in starts], dtype=float)]
+        actions = []
+        while len(actions) < self.horizon:
+            actions.append(policy.mean_actions(path[-1], target))
+            path.append(clip_like_python(path[-1] + self.step_size * actions[-1], lo, hi))
+            if np.array_equal(path[-1].view(np.int64), path[-2].view(np.int64)):
+                # every effector stayed put bit for bit, so each later step
+                # repeats this one exactly: its records are copied, not computed
+                break
+        repeats = self.horizon - len(actions)
+        path = np.stack(path)  # (steps + 1, B, dims)
+
+        offset = path[1:] - target
+        distance = np.sqrt((offset * offset).sum(axis=2))
+        inside = distance <= self.goal_radius
+        # the numpy norm may differ from math.dist in the last bit: a distance
+        # that is not finite or lies within a relative 1e-9 of the radius is
+        # decided by math.dist on Python floats, as the reward is defined
+        unsure = ~np.isfinite(distance) | (
+            np.abs(distance - self.goal_radius) <= 1e-9 * self.goal_radius + 1e-150
+        )
+        paths = path.transpose(1, 0, 2).tolist()
+        targets = target.tolist()
+        for step, row in zip(*np.nonzero(unsure)):
+            inside[step, row] = math.dist(paths[row][step + 1], targets[row]) <= self.goal_radius
+
+        # a position is kept unless it equals the one before it
+        keep = np.ones((len(starts), len(path)), dtype=bool)
+        keep[:, 1:] = (path[1:] != path[:-1]).any(axis=2).T
+        trajectories = []
+        for points, kept, steps, rewards in zip(
+            paths, keep.tolist(), np.stack(actions, axis=1).tolist(),
+            np.where(inside, 0.0, -1.0).T.tolist(),
+        ):
+            steps = list(map(tuple, steps))
+            rewards += rewards[-1:] * repeats
+            trajectories.append(Trajectory(
+                states=tuple(map(tuple, compress(points, kept))),
+                actions=tuple(steps + steps[-1:] * repeats),
+                rewards=tuple(rewards),
+                certainties=certainties,
+                raw_length=self.horizon,
+                episode_return=float(sum(rewards)),
+                outcome=OUTCOME_TRUNCATED,
+            ))
+        return trajectories
 
     def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
         """Encoding over effector and target jointly."""
@@ -292,10 +454,6 @@ class ReachSpec:
                 f"reach states need {2 * self.dims} values, got {len(values)}"
             )
         return ReachState(tuple(values[: self.dims]), tuple(values[self.dims:]))
-
-    def outcome(self, state: ReachState, terminated: bool) -> str:
-        """How an episode went: reach episodes always run to the horizon."""
-        return OUTCOME_TRUNCATED
 
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a reach controller."""
@@ -339,87 +497,6 @@ def preset(name: str) -> EnvSpec:
     )
 
 
-class GridEnv:
-    """Mutable single-episode stepper for a grid layout."""
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self._state: GridState | None = None
-        self._steps = 0
-        self._done = True
-
-    def reset(self, state: GridState) -> GridState:
-        reason = self.spec.validate_initial(state)
-        if reason is not None:
-            raise ContractViolationError(f"cannot reset to {state}: {reason}")
-        self._state = state
-        self._steps = 0
-        self._done = False
-        return state
-
-    def step(self, action: int) -> tuple[GridState, float, bool, bool]:
-        if self._done or self._state is None:
-            raise ContractViolationError("step called on a finished episode; reset first")
-        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
-            raise ContractViolationError(f"grid action must be an integer, got {action!r}")
-        action = int(action)
-        if not 0 <= action < N_ACTIONS:
-            raise ContractViolationError(f"grid action must be in [0, {N_ACTIONS}), got {action}")
-        width = self.spec.width
-        nxt, reward, terminated = self.spec.transitions[self._state.row * width + self._state.col][action]
-        self._steps += 1
-        truncated = not terminated and self._steps >= self.spec.max_steps
-        self._done = terminated or truncated
-        self._state = GridState(*divmod(nxt, width))
-        return self._state, reward, terminated, truncated
-
-
-class ReachEnv:
-    """Mutable single-episode stepper for the point-reach task.
-
-    Actions are per-axis displacements in [-1, 1], scaled by ``step_size`` and
-    clipped to the box.  The episode never terminates on success; it runs to
-    the horizon regardless.
-    """
-
-    def __init__(self, spec: ReachSpec):
-        self.spec = spec
-        self._state: ReachState | None = None
-        self._steps = 0
-        self._done = True
-
-    def reset(self, state: ReachState) -> ReachState:
-        reason = self.spec.validate_initial(state)
-        if reason is not None:
-            raise ContractViolationError(f"cannot reset to {state}: {reason}")
-        self._state = state
-        self._steps = 0
-        self._done = False
-        return state
-
-    def step(self, action) -> tuple[ReachState, float, bool, bool]:
-        if self._done or self._state is None:
-            raise ContractViolationError("step called on a finished episode; reset first")
-        values = tuple(float(a) for a in action)
-        if len(values) != self.spec.dims:
-            raise ContractViolationError(
-                f"reach action needs {self.spec.dims} components, got {len(values)}"
-            )
-        if any(abs(a) > 1.0 for a in values):
-            raise ContractViolationError(f"reach action outside [-1, 1]: {values}")
-        lo, hi = np.array(self.spec.bounds, dtype=float).T
-        effector = tuple(reach_move(
-            np.array(self._state.effector, dtype=float), np.array(values), self.spec.step_size, lo, hi
-        ).tolist())
-        distance = math.dist(effector, self._state.target)
-        reward = 0.0 if distance <= self.spec.goal_radius else -1.0
-        self._steps += 1
-        truncated = self._steps >= self.spec.horizon
-        self._done = truncated
-        self._state = ReachState(effector, self._state.target)
-        return self._state, reward, False, truncated
-
-
 def clip_like_python(values: np.ndarray, lo, hi) -> np.ndarray:
     """Elementwise ``min(max(v, lo), hi)`` exactly as Python's builtins pick.
 
@@ -430,12 +507,3 @@ def clip_like_python(values: np.ndarray, lo, hi) -> np.ndarray:
     raised = np.where(lo > values, lo, values)
     return np.where(hi < raised, hi, raised)
 
-
-def reach_move(effector: np.ndarray, action: np.ndarray, step_size: float,
-               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Effector after one reach action, elementwise over any leading batch shape.
-
-    Every axis moves by ``step_size * action`` and is clipped to its bounds
-    ``[lo, hi]``, lower bound first.
-    """
-    return clip_like_python(effector + step_size * action, lo, hi)

@@ -20,8 +20,8 @@ is held by a live individual (the population, or an offspring already
 evaluated this generation) takes over that individual's rollout instead of
 running its own.  Only live individuals are looked up, so memory stays
 bounded by the population.  The distinct starts no live individual holds are
-rolled out together, in one ``rollout.generate_many`` call per batch, before
-any candidate of the batch is scored.
+rolled out together, in one ``env_spec.rollouts`` call per batch, before any
+candidate of the batch is scored.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rollout
 from .encoding import BitGenome, EncodingSpec, crossover, decode, mutate, random_genome
-from .environments import EnvSpec
+from .environments import EnvSpec, Trajectory
 from .errors import ConfigurationError, is_finite_number, is_int
 from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
 from .policy import Policy
@@ -87,7 +86,7 @@ class Individual:
     id: int
     genome: BitGenome
     initial_state: object
-    trajectory: rollout.Trajectory
+    trajectory: Trajectory
     fitness: FitnessComponents
     birth_generation: int
 
@@ -294,7 +293,7 @@ def _evaluate(
     fresh_starts = list(dict.fromkeys(
         candidate.initial_state for candidate in candidates if candidate.initial_state not in held
     ))
-    fresh = dict(zip(fresh_starts, rollout.generate_many(env_spec, policy, fresh_starts)))
+    fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, fresh_starts)))
     trajectories = []
     for candidate in candidates:
         twin = held.get(candidate.initial_state)

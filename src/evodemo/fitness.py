@@ -47,9 +47,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .environments import EnvSpec
+from .environments import EnvSpec, Trajectory
 from .errors import ContractViolationError
-from .rollout import Trajectory
 
 EMPTY_SET_GLOBAL_DIVERSITY = 1.0
 EMPTY_SET_LOCAL_DISTANCE = math.sqrt(2.0)

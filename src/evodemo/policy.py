@@ -63,7 +63,7 @@ class TabularPolicy:
             )
         if not np.isfinite(q).all():
             raise ContractViolationError("Q values must be finite")
-        if not 0 < temperature < math.inf:
+        if not (is_finite_number(temperature) and temperature > 0):
             raise ContractViolationError("softmax temperature must be positive and finite")
         self.q_values = q
         self.temperature = float(temperature)
@@ -96,23 +96,31 @@ class GaussianControllerPolicy:
 
     def __init__(self, gain: float = 1.0, noise_scale: float = 0.1,
                  window: float = 0.1, step_size: float = 0.05):
-        if not 0 < gain < math.inf:
+        if not (is_finite_number(gain) and gain > 0):
             raise ContractViolationError("gain must be positive and finite")
-        if not 0 <= noise_scale < math.inf:
+        if not (is_finite_number(noise_scale) and noise_scale >= 0):
             raise ContractViolationError("noise_scale must be non-negative and finite")
-        if not 0 < window < math.inf:
+        if not (is_finite_number(window) and window > 0):
             raise ContractViolationError("certainty window must be positive and finite")
-        if not 0 < step_size < math.inf:
+        if not (is_finite_number(step_size) and step_size > 0):
             raise ContractViolationError("step_size must be positive and finite")
         self.gain = float(gain)
         self.noise_scale = float(noise_scale)
         self.window = float(window)
         self.step_size = float(step_size)
 
+    def mean_actions(self, effector: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The mean action, elementwise over effector/target arrays.
+
+        Each axis steers at the target with ``(gain * (t - x)) / step_size``,
+        saturated to [-1, 1]; any leading batch shape is kept.
+        """
+        return clip_like_python(self.gain * (target - effector) / self.step_size, -1.0, 1.0)
+
     def mean_action(self, state: ReachState) -> tuple[float, ...]:
         effector = np.array(state.effector, dtype=float)
         target = np.array(state.target, dtype=float)
-        return tuple(controller_action(effector, target, self.gain, self.step_size).tolist())
+        return tuple(self.mean_actions(effector, target).tolist())
 
     def act(self, state: ReachState) -> tuple[float, ...]:
         return self.mean_action(state)
@@ -131,16 +139,6 @@ class GaussianControllerPolicy:
                     (offset - self.window) / self.noise_scale
                 )
         return min(max(mass, 0.0), 1.0)
-
-
-def controller_action(effector: np.ndarray, target: np.ndarray, gain: float,
-                      step_size: float) -> np.ndarray:
-    """The controller's mean action, elementwise over effector/target arrays.
-
-    Each axis steers at the target with ``(gain * (t - x)) / step_size``,
-    saturated to [-1, 1]; any leading batch shape is kept.
-    """
-    return clip_like_python(gain * (target - effector) / step_size, -1.0, 1.0)
 
 
 def _normal_cdf(x: float) -> float:
@@ -176,17 +174,24 @@ def train_q_learning(
     ``checkpoint_steps``; they are what deliberately under-trained policies
     are taken from.
     """
-    if steps < 1:
-        raise ContractViolationError("steps must be positive")
-    if not 0 < alpha <= 1:
+    if not (is_int(steps) and steps >= 1):
+        raise ContractViolationError("steps must be a positive integer")
+    if not (is_int(seed) and seed >= 0):
+        raise ContractViolationError("seed must be a non-negative integer")
+    if not (is_finite_number(alpha) and 0 < alpha <= 1):
         raise ContractViolationError("alpha must lie in (0, 1]")
-    if not 0 <= gamma <= 1:
+    if not (is_finite_number(gamma) and 0 <= gamma <= 1):
         raise ContractViolationError("gamma must lie in [0, 1]")
-    if not 0 < epsilon_decay_fraction <= 1:
+    if not (is_finite_number(epsilon_decay_fraction) and 0 < epsilon_decay_fraction <= 1):
         raise ContractViolationError("epsilon_decay_fraction must lie in (0, 1]")
-    wanted = set(int(s) for s in checkpoint_steps)
-    if any(s < 1 or s > steps for s in wanted):
-        raise ContractViolationError("checkpoint steps must lie in [1, steps]")
+    for name, value in (("epsilon_start", epsilon_start), ("epsilon_end", epsilon_end)):
+        if not is_finite_number(value):
+            raise ContractViolationError(f"{name} must be a finite number")
+    if not (is_finite_number(temperature) and temperature > 0):
+        raise ContractViolationError("temperature must be positive and finite")
+    if not all(is_int(s) and 1 <= s <= steps for s in checkpoint_steps):
+        raise ContractViolationError("checkpoint_steps must be integers in [1, steps]")
+    wanted = set(checkpoint_steps)
 
     rng = np.random.default_rng(seed)
     transitions = spec.transitions

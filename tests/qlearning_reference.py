@@ -1,5 +1,9 @@
-"""Reference Q-learning trainer, grid step and random layouts for the equivalence tests.
+"""Reference grid stepper, rollout and Q-learning trainer, and random layouts, for the
+equivalence tests.
 
+``GridEnv`` is the mutable single-episode stepper the library used before each
+spec rolled out its own starts, and ``stepped_rollout`` the per-step episode
+loop that drove it; ``GridSpec.rollouts`` must produce the same trajectories.
 ``train_q_learning`` is the trainer the library used before it stepped the
 precomputed transition table: it steps ``GridEnv`` and keeps Q in a numpy
 array.  ``if_chain_step`` is the if-chain ``GridEnv.step`` used before it read
@@ -13,10 +17,90 @@ import numpy as np
 from hypothesis import strategies as st
 
 from evodemo.environments import (
-    ACTION_DELTAS, FLOOR, HOLE, N_ACTIONS, TARGET, WALL, GridEnv, GridSpec, parse_layout,
+    ACTION_DELTAS, FLOOR, HOLE, N_ACTIONS, OUTCOME_FAILED, OUTCOME_REACHED, OUTCOME_TRUNCATED,
+    TARGET, WALL, GridSpec, GridState, Trajectory, parse_layout,
 )
 from evodemo.errors import ContractViolationError
 from evodemo.policy import QLearningResult, TabularPolicy
+
+
+class GridEnv:
+    """Mutable single-episode stepper for a grid layout."""
+
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
+        self._state: GridState | None = None
+        self._steps = 0
+        self._done = True
+
+    def reset(self, state: GridState) -> GridState:
+        reason = self.spec.validate_initial(state)
+        if reason is not None:
+            raise ContractViolationError(f"cannot reset to {state}: {reason}")
+        self._state = state
+        self._steps = 0
+        self._done = False
+        return state
+
+    def step(self, action: int) -> tuple[GridState, float, bool, bool]:
+        if self._done or self._state is None:
+            raise ContractViolationError("step called on a finished episode; reset first")
+        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
+            raise ContractViolationError(f"grid action must be an integer, got {action!r}")
+        action = int(action)
+        if not 0 <= action < N_ACTIONS:
+            raise ContractViolationError(f"grid action must be in [0, {N_ACTIONS}), got {action}")
+        width = self.spec.width
+        nxt, reward, terminated = self.spec.transitions[self._state.row * width + self._state.col][action]
+        self._steps += 1
+        truncated = not terminated and self._steps >= self.spec.max_steps
+        self._done = terminated or truncated
+        self._state = GridState(*divmod(nxt, width))
+        return self._state, reward, terminated, truncated
+
+
+def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Trajectory:
+    """One episode stepped through ``GridEnv`` with per-state act/certainty calls."""
+    env = GridEnv(spec)
+    state = env.reset(initial_state)
+    positions = [state.position]
+    actions: list = []
+    rewards: list[float] = []
+    certainties: list[float] = []
+    # policies are deterministic, so a state revisited within the episode
+    # (a grid agent pinned against a wall) reuses its first decision
+    decisions: dict = {}
+    terminated = truncated = False
+    while not (terminated or truncated):
+        decision = decisions.get(state)
+        if decision is None:
+            action = policy.act(state)
+            decision = decisions[state] = (action, float(policy.certainty(state, action)))
+        action, certainty = decision
+        certainties.append(certainty)
+        state, reward, terminated, truncated = env.step(action)
+        actions.append(action)
+        rewards.append(float(reward))
+        positions.append(state.position)
+
+    deduped = [positions[0]]
+    for point in positions[1:]:
+        if point != deduped[-1]:
+            deduped.append(point)
+
+    if not terminated:
+        outcome = OUTCOME_TRUNCATED
+    else:
+        outcome = OUTCOME_REACHED if (state.row, state.col) == spec.target_cell else OUTCOME_FAILED
+    return Trajectory(
+        states=tuple(deduped),
+        actions=tuple(actions),
+        rewards=tuple(rewards),
+        certainties=tuple(certainties),
+        raw_length=len(actions),
+        episode_return=float(sum(rewards)),
+        outcome=outcome,
+    )
 
 
 @st.composite

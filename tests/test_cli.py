@@ -221,6 +221,32 @@ def test_bad_search_values_exit_one_naming_the_field(tmp_path, capsys, setting, 
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    ("environment", "policy", "parameter"),
+    [
+        ("PointReach", "{gaussian_controller: {gain: x}}", "gain"),
+        ("PointReach", "{gaussian_controller: {window: true}}", "window"),
+        ("PointReach", "{gaussian_controller: {noise_scale: .inf}}", "noise_scale"),
+        ("FlatGrid11", "{train: {steps: 100, alpha: x}}", "alpha"),
+        ("FlatGrid11", "{train: {steps: 100, gamma: true}}", "gamma"),
+        ("FlatGrid11", "{train: {steps: 100, checkpoints: [true]}}", "checkpoint"),
+        ("FlatGrid11", "{train: {steps: 100, epsilon_end: x}}", "epsilon_end"),
+        ("FlatGrid11", "{train: {steps: 100, seed: -1}}", "seed"),
+        ("FlatGrid11", "{train: {steps: 100, seed: 1.5}}", "seed"),
+    ],
+)
+def test_bad_policy_parameters_exit_one_naming_the_parameter(
+    tmp_path, capsys, environment, policy, parameter
+):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: {environment}\npolicy: {policy}\noutput: {tmp_path / 'runs'}\n",
+    )
+    assert main(["evolve", config]) == 1
+    assert parameter in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_invalid_flag_exits_one(tmp_path, capsys):
     assert main(["evolve", "--bogus"]) == 1
 

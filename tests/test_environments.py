@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,14 @@ from evodemo.environments import (
     FLOOR,
     HOLE,
     N_ACTIONS,
+    OUTCOME_TRUNCATED,
     GridState,
     ReachSpec,
     ReachState,
     parse_layout,
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
+from evodemo.policy import GaussianControllerPolicy
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 
@@ -69,6 +72,29 @@ def test_grid_spec_rejects_bad_reward_constants(field, value):
         parse_layout("#####\n#..O#\n#.T.#\n#####\n", **{field: value})
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("goal_radius", float("nan")),
+        ("goal_radius", "x"),
+        ("goal_radius", 0.0),
+        ("step_size", float("nan")),
+        ("step_size", True),
+        ("horizon", 2.5),
+        ("horizon", True),
+        ("horizon", 0),
+        ("bounds", ((float("nan"), 0.15),) * 3),
+        ("bounds", ((-0.15, float("inf")),) * 3),
+        ("bounds", ((-0.15, 0.15, 0.3),)),
+        ("bounds", ((0.15, -0.15),)),
+        ("bounds", ()),
+    ],
+)
+def test_reach_spec_rejects_bad_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ReachSpec(**{field: value})
+
+
 def test_flat_preset_geometry(flat_spec):
     assert (flat_spec.height, flat_spec.width) == (11, 11)
     assert flat_spec.target_cell == (9, 9)
@@ -87,77 +113,77 @@ def test_holey_preset_geometry(holey_spec):
 # grid stepping
 
 
+class FixedAction:
+    """A duck-typed grid policy that returns one action everywhere."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def act(self, state):
+        return self.action
+
+    def certainty(self, state, action):
+        return 1.0
+
+
+def step(spec, state, action):
+    """``(state, reward, terminated)`` after one move of the transition table."""
+    nxt, reward, terminated = spec.transitions[state.row * spec.width + state.col][action]
+    return GridState(*divmod(nxt, spec.width)), reward, terminated
+
+
 def test_grid_step_costs_and_moves(flat_spec):
-    env = flat_spec.make_env()
-    env.reset(GridState(1, 1))
-    state, reward, terminated, truncated = env.step(DOWN)
+    state, reward, terminated = step(flat_spec, GridState(1, 1), DOWN)
     assert state == GridState(2, 1)
-    assert (reward, terminated, truncated) == (-1.0, False, False)
+    assert (reward, terminated) == (-1.0, False)
 
 
 def test_grid_wall_bump_stays_put(flat_spec):
-    env = flat_spec.make_env()
-    env.reset(GridState(1, 1))
-    state, reward, terminated, truncated = env.step(UP)
+    state, reward, terminated = step(flat_spec, GridState(1, 1), UP)
     assert state == GridState(1, 1)
-    assert (reward, terminated, truncated) == (-1.0, False, False)
+    assert (reward, terminated) == (-1.0, False)
 
 
 def test_grid_target_entry_pays_and_terminates(flat_spec):
-    env = flat_spec.make_env()
-    env.reset(GridState(8, 9))
-    state, reward, terminated, truncated = env.step(DOWN)
+    state, reward, terminated = step(flat_spec, GridState(8, 9), DOWN)
     assert state == GridState(9, 9)
     assert reward == 49.0  # step cost plus target payout
-    assert terminated and not truncated
+    assert terminated
 
 
 def test_grid_hole_entry_penalizes_and_terminates(holey_spec):
-    env = holey_spec.make_env()
-    env.reset(GridState(4, 3))
-    state, reward, terminated, truncated = env.step(DOWN)
+    state, reward, terminated = step(holey_spec, GridState(4, 3), DOWN)
     assert state == GridState(5, 3)
     assert reward == -51.0
-    assert terminated and not truncated
+    assert terminated
 
 
 def test_grid_truncates_at_step_limit(flat_spec):
-    env = flat_spec.make_env()
-    env.reset(GridState(1, 1))
-    for step in range(flat_spec.max_steps):
-        _, _, terminated, truncated = env.step(UP)
-    assert not terminated
-    assert truncated
-    with pytest.raises(ContractViolationError):
-        env.step(UP)
+    (trajectory,) = flat_spec.rollouts(FixedAction(UP), [GridState(1, 1)])
+    assert trajectory.outcome == OUTCOME_TRUNCATED
+    assert trajectory.raw_length == flat_spec.max_steps
 
 
 def test_grid_rejects_bad_resets_and_actions(flat_spec, holey_spec):
-    env = flat_spec.make_env()
-    with pytest.raises(ContractViolationError):
-        env.reset(GridState(0, 0))  # wall
-    with pytest.raises(ContractViolationError):
-        env.reset(GridState(9, 9))  # target
-    with pytest.raises(ContractViolationError):
-        holey_spec.make_env().reset(GridState(5, 1))  # hole
-    env.reset(GridState(1, 1))
-    with pytest.raises(ContractViolationError):
-        env.step(4)
-    with pytest.raises(ContractViolationError):
-        env.step(True)
-    with pytest.raises(ContractViolationError):
-        env.step("up")
+    for spec, start in ((flat_spec, GridState(0, 0)),  # wall
+                        (flat_spec, GridState(9, 9)),  # target
+                        (holey_spec, GridState(5, 1))):  # hole
+        with pytest.raises(ContractViolationError):
+            spec.rollouts(FixedAction(RIGHT), [GridState(1, 1), start])
+    for action in (4, -1, True, "up", 1.0):
+        with pytest.raises(ContractViolationError):
+            flat_spec.rollouts(FixedAction(action), [GridState(1, 1)])
 
 
 def test_grid_accepts_numpy_actions(flat_spec):
-    env = flat_spec.make_env()
-    env.reset(GridState(1, 1))
-    state, _, _, _ = env.step(np.int64(RIGHT))
-    assert state == GridState(1, 2)
+    one_step = dataclasses.replace(flat_spec, max_steps=1)
+    (trajectory,) = one_step.rollouts(FixedAction(np.int64(RIGHT)), [GridState(1, 1)])
+    assert trajectory.states[-1] == GridState(1, 2).position
 
 
 def assert_steps_like_the_if_chain(spec):
-    """Every interior (cell, action): the table, and ``GridEnv.step`` from every floor cell."""
+    """Every interior (cell, action): the table, and a one-step rollout from every floor cell."""
+    one_step = dataclasses.replace(spec, max_steps=1)
     for row in range(1, spec.height - 1):
         for col in range(1, spec.width - 1):
             for action in range(N_ACTIONS):
@@ -167,12 +193,10 @@ def assert_steps_like_the_if_chain(spec):
                 assert repr(table_reward) == repr(reward)  # same value and same type
                 if spec.cells[row][col] != FLOOR:
                     continue
-                env = spec.make_env()
-                env.reset(GridState(row, col))
-                state, env_reward, env_terminated, truncated = env.step(action)
-                assert (state, env_terminated) == (GridState(r, c), terminated)
-                assert repr(env_reward) == repr(reward)
-                assert truncated == (not terminated and spec.max_steps == 1)
+                (trajectory,) = one_step.rollouts(FixedAction(action), [GridState(row, col)])
+                assert trajectory.states[-1] == GridState(r, c).position
+                assert trajectory.rewards == (float(reward),)
+                assert (trajectory.outcome == OUTCOME_TRUNCATED) == (not terminated)
 
 
 def test_grid_step_matches_the_if_chain_on_presets(flat_spec, holey_spec):
@@ -213,40 +237,26 @@ def test_holey_optimal_return_detours_around_holes(holey_spec):
 
 
 def test_reach_moves_scale_and_clip(reach_spec):
-    env = reach_spec.make_env()
-    env.reset(ReachState((0.14, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    state, _, terminated, truncated = env.step((1.0, 0.0, 0.0))
-    assert state.effector == (0.15, 0.0, 0.0)  # clipped at the box edge
-    assert not terminated and not truncated
+    # a controller tuned for smaller steps asks for a full-size move past the box
+    policy = GaussianControllerPolicy(step_size=0.01)
+    (trajectory,) = reach_spec.rollouts(policy, [ReachState((0.14, 0.0, 0.0), (0.15, 0.0, 0.0))])
+    assert trajectory.states[1] == (0.15, 0.0, 0.0)  # clipped at the box edge
 
 
-def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec):
-    env = reach_spec.make_env()
-    env.reset(ReachState((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    _, reward, _, _ = env.step((-1.0, 0.0, 0.0))  # distance 0.05, on the edge
-    assert reward == 0.0
-    env.reset(ReachState((0.12, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    _, reward, _, _ = env.step((-1.0, 0.0, 0.0))  # distance 0.07
-    assert reward == -1.0
+def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec, reach_controller):
+    (on_edge, outside) = reach_spec.rollouts(reach_controller, [
+        ReachState((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)),  # one full step left: distance 0.05
+        ReachState((0.12, 0.0, 0.0), (0.0, 0.0, 0.0)),  # distance 0.07
+    ])
+    assert on_edge.states[1] == (0.05, 0.0, 0.0)
+    assert on_edge.rewards[0] == 0.0
+    assert outside.rewards[0] == -1.0
 
 
-def test_reach_runs_to_horizon_without_terminating(reach_spec):
-    env = reach_spec.make_env()
-    env.reset(ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    for step in range(reach_spec.horizon):
-        _, reward, terminated, truncated = env.step((0.0, 0.0, 0.0))
-        assert reward == 0.0
-        assert not terminated
-    assert truncated
-
-
-def test_reach_rejects_bad_actions(reach_spec):
-    env = reach_spec.make_env()
-    env.reset(ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    with pytest.raises(ContractViolationError):
-        env.step((2.0, 0.0, 0.0))
-    with pytest.raises(ContractViolationError):
-        env.step((0.0, 0.0))
+def test_reach_runs_to_horizon_without_terminating(reach_spec, reach_controller):
+    (trajectory,) = reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3)])
+    assert trajectory.rewards == (0.0,) * reach_spec.horizon
+    assert trajectory.outcome == OUTCOME_TRUNCATED
 
 
 def test_reach_rejects_out_of_bounds_start(reach_spec):

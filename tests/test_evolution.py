@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evodemo import evolution, fitness
 from evodemo.encoding import BitGenome
-from evodemo.environments import GridState, parse_layout
+from evodemo.environments import GridSpec, GridState, ReachSpec, parse_layout
 from evodemo.errors import ConfigurationError
 from evodemo.evolution import (
     Candidate,
@@ -273,10 +273,13 @@ def _seeded(spec, policy, seed):
 def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, monkeypatch):
     _, _, _, population, demos = _seeded(flat_spec, well_trained_policy, 0)
     calls = []
-    original_generate = evolution.rollout.generate
-    monkeypatch.setattr(
-        evolution.rollout, "generate", lambda *args: calls.append(args) or original_generate(*args)
-    )
+    original_rollouts = GridSpec.rollouts
+
+    def rollouts(spec, policy, starts):
+        calls.append(list(starts))
+        return original_rollouts(spec, policy, starts)
+
+    monkeypatch.setattr(GridSpec, "rollouts", rollouts)
     twin = population[3]
     fresh_start = next(
         GridState(r, c)
@@ -293,7 +296,7 @@ def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, mo
     reused, fresh, fresh_again = evaluate_offspring(
         candidates, demos, flat_spec, well_trained_policy, population
     )
-    assert [args[2] for args in calls] == [fresh_start]
+    assert calls == [[fresh_start]]
     assert reused.trajectory is not twin.trajectory
     assert reused.trajectory == twin.trajectory
     assert reused.trajectory.states is twin.trajectory.states
@@ -336,19 +339,19 @@ def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
     # 2 bits per dimension leave 4**6 starts, so offspring often repeat one
     config = EvolutionConfig(population_size=8, generations=6, bits_per_dimension=2, seed=5)
     batches, candidate_starts, population_starts = [], [], []
-    original_generate_many = evolution.rollout.generate_many
+    original_rollouts = ReachSpec.rollouts
     original_make_offspring = evolution.make_offspring
 
-    def generate_many(env_spec, policy, starts):
+    def rollouts(env_spec, policy, starts):
         batches.append(list(starts))
-        return original_generate_many(env_spec, policy, starts)
+        return original_rollouts(env_spec, policy, starts)
 
     def make_offspring(*args):
         candidates = original_make_offspring(*args)
         candidate_starts.append([c.initial_state for c in candidates])
         return candidates
 
-    monkeypatch.setattr(evolution.rollout, "generate_many", generate_many)
+    monkeypatch.setattr(ReachSpec, "rollouts", rollouts)
     monkeypatch.setattr(evolution, "make_offspring", make_offspring)
     run(reach_spec, reach_controller, config,
         lambda generation, population, demos: population_starts.append(

@@ -72,8 +72,9 @@ def test_softmax_is_stable_for_large_values():
 def test_tabular_validation():
     with pytest.raises(ContractViolationError):
         TabularPolicy(np.zeros((3, 3)))
-    with pytest.raises(ContractViolationError):
-        TabularPolicy(np.zeros((3, 3, 4)), temperature=0.0)
+    for temperature in (0.0, math.inf, "x", True):
+        with pytest.raises(ContractViolationError):
+            TabularPolicy(np.zeros((3, 3, 4)), temperature=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,9 @@ def test_controller_validation():
         GaussianControllerPolicy(window=0.0)
     with pytest.raises(ContractViolationError):
         GaussianControllerPolicy(step_size=0.0)
+    for field, value in (("gain", "x"), ("window", True), ("noise_scale", math.nan)):
+        with pytest.raises(ContractViolationError, match=field):
+            GaussianControllerPolicy(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,10 @@ def test_training_rejects_bad_parameters(flat_spec):
         train_q_learning(flat_spec, 100, alpha=0.0)
     with pytest.raises(ContractViolationError):
         train_q_learning(flat_spec, 100, checkpoint_steps=(200,))
+    for field, value in (("alpha", "x"), ("gamma", True), ("checkpoint_steps", (True,)),
+                         ("seed", -1), ("temperature", math.inf), ("epsilon_end", None)):
+        with pytest.raises(ContractViolationError, match=field):
+            train_q_learning(flat_spec, 100, **{field: value})
 
 
 # ---------------------------------------------------------------------------
