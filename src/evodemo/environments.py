@@ -22,9 +22,12 @@ environment, so the search, scoring, export and CLI code never switch on the
 spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
 ``state_count``, ``grid_shape``, ``encoding_spec``,
 ``initial_state_from_vector``, ``search_defaults``, ``policy_kind`` and
-``check_policy``.  A state gives its ``position``.  ``rollouts(policy,
-starts)`` is the only way an episode is produced: it runs the fixed policy
-from each start and records the episode as a ``Trajectory``.
+``check_policy``.  ``rollouts(policy, starts)`` is the only way an episode
+is produced: it runs the fixed policy from each start and records the
+episode as a ``Trajectory``.  A ``GridSpec`` also answers, built once per
+layout and indexed by cell ``row * width + col``: ``transitions``, the
+dynamics that ``rollouts`` and the Q-learning trainer walk, and
+``positions``, the coordinates ``rollouts`` records for each cell.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .encoding import CONTINUOUS, DISCRETE, EncodingSpec
-from .errors import ConfigurationError, ContractViolationError, is_finite_number, is_int
+from .errors import (
+    ConfigurationError, ContractViolationError, is_finite_number, is_index, is_int,
+)
 
 WALL = "#"
 FLOOR = "."
@@ -68,21 +73,11 @@ class GridState:
     row: int
     col: int
 
-    @property
-    def position(self) -> tuple[float, ...]:
-        """The coordinates used by trajectory distances."""
-        return (float(self.row), float(self.col))
-
 
 @dataclass(frozen=True)
 class ReachState:
     effector: tuple[float, float, float]
     target: tuple[float, float, float]
-
-    @property
-    def position(self) -> tuple[float, ...]:
-        """The coordinates used by trajectory distances: the effector's."""
-        return tuple(float(x) for x in self.effector)
 
 
 @dataclass(frozen=True)
@@ -192,6 +187,12 @@ class GridSpec:
         return tuple(table)
 
     @cached_property
+    def positions(self) -> tuple[tuple[float, float], ...]:
+        """The coordinates trajectory distances use, ``(float(row), float(col))``,
+        per cell ``row * width + col``."""
+        return tuple((float(r), float(c)) for r in range(self.height) for c in range(self.width))
+
+    @cached_property
     def canonical_start(self) -> GridState:
         """First floor cell in row-major order; training episodes begin here."""
         for r in range(self.height):
@@ -237,8 +238,11 @@ class GridSpec:
         contract violation.
         """
         _check_starts(self, starts)
-        width, transitions = self.width, self.transitions
+        width, transitions, positions = self.width, self.transitions, self.positions
         target = self.target_cell[0] * width + self.target_cell[1]
+        # policies are deterministic, so a cell visited anywhere in the batch (an
+        # agent pinned against a wall, or paths that merge) reuses its first decision
+        decisions: dict = {}
         trajectories = []
         for start in starts:
             cell = start.row * width + start.col
@@ -246,9 +250,6 @@ class GridSpec:
             actions: list = []
             rewards: list[float] = []
             certainties: list[float] = []
-            # policies are deterministic, so a cell revisited within the episode
-            # (an agent pinned against a wall) reuses its first decision
-            decisions: dict = {}
             terminated = False
             while not terminated and len(actions) < self.max_steps:
                 decision = decisions.get(cell)
@@ -256,8 +257,7 @@ class GridSpec:
                     state = GridState(*divmod(cell, width))
                     action = policy.act(state)
                     # without this check a duck-typed policy's -1 would read the last column
-                    if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
-                            or not 0 <= action < N_ACTIONS):
+                    if not (is_index(action) and 0 <= action < N_ACTIONS):
                         raise ContractViolationError(
                             f"grid action must be an integer in [0, {N_ACTIONS}), got {action!r}"
                         )
@@ -274,7 +274,7 @@ class GridSpec:
             else:
                 outcome = OUTCOME_REACHED if cell == target else OUTCOME_FAILED
             trajectories.append(Trajectory(
-                states=tuple(GridState(*divmod(c, width)).position for c in cells),
+                states=tuple(positions[c] for c in cells),
                 actions=tuple(actions),
                 rewards=tuple(rewards),
                 certainties=tuple(certainties),

@@ -253,12 +253,6 @@ def trajectory_certainty(trajectory: Trajectory) -> float:
     return sum(trajectory.certainties) / len(trajectory.certainties)
 
 
-def one_way_distance(u: Trajectory, v: Trajectory) -> float:
-    """Symmetric average minimum point distance between two trajectories."""
-    pu, pv = _points(u), _points(v)
-    return float(_one_way_matrix(pu, np.array([len(pu)]), pv.T, np.array([len(pv)]))[0, 0])
-
-
 def joint_fitness(
     trajectory: Trajectory,
     demos: DemonstrationSet,

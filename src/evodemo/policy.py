@@ -14,6 +14,10 @@ Both expose the same two-method surface:
   mass its Gaussian action model puts within a window around the action
   (densities are unbounded in continuous action spaces, masses are not).
 
+A tabular policy is built once and never changes: it keeps a read-only copy
+of its Q table and works out every cell's greedy action and softmax
+probabilities up front, so ``act`` and ``certainty`` are table lookups.
+
 Policy files are versioned JSON.  Tabular files list every (row, col, action,
 value) entry explicitly so a table can be written or audited by hand.
 """
@@ -32,7 +36,7 @@ from .environments import (
     ACTION_NAMES, KIND_CONTROLLER, KIND_TABULAR, N_ACTIONS, GridSpec, GridState, ReachState,
     clip_like_python,
 )
-from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_int
+from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_index, is_int
 
 POLICY_FORMAT = "evodemo-policy"
 POLICY_VERSION = 1
@@ -51,12 +55,16 @@ class TabularPolicy:
 
     Ties in the Q values resolve to the first action in (up, right, down,
     left) order, so acting is deterministic even on an untrained table.
+
+    It keeps a read-only copy of the table it is given and builds every
+    cell's greedy action and softmax probabilities from it once, so ``act``
+    and ``certainty`` are lookups that cannot disagree with ``q_values``.
     """
 
     kind = KIND_TABULAR
 
     def __init__(self, q_values: np.ndarray, temperature: float = 1.0):
-        q = np.asarray(q_values, dtype=float)
+        q = np.array(q_values, dtype=float)
         if q.ndim != 3 or q.shape[2] != N_ACTIONS:
             raise ContractViolationError(
                 f"Q table must have shape (height, width, {N_ACTIONS}), got {q.shape}"
@@ -65,21 +73,36 @@ class TabularPolicy:
             raise ContractViolationError("Q values must be finite")
         if not (is_finite_number(temperature) and temperature > 0):
             raise ContractViolationError("softmax temperature must be positive and finite")
+        q.setflags(write=False)
         self.q_values = q
         self.temperature = float(temperature)
+        # the per-cell softmax exp(q / t - max) / sum, over every cell at once
+        scaled = q / self.temperature
+        shifted = np.exp(scaled - scaled.max(axis=2, keepdims=True))
+        self._actions = np.argmax(q, axis=2).tolist()
+        self._probabilities = (shifted / shifted.sum(axis=2, keepdims=True)).tolist()
 
-    def action_probabilities(self, state: GridState) -> np.ndarray:
-        scaled = self.q_values[state.row, state.col] / self.temperature
-        shifted = np.exp(scaled - scaled.max())
-        return shifted / shifted.sum()
+    def _cell(self, state: GridState) -> tuple[int, int]:
+        row, col = getattr(state, "row", None), getattr(state, "col", None)
+        height, width, _ = self.q_values.shape
+        # a negative index would silently read the table from its far end
+        if not (is_index(row) and is_index(col) and 0 <= row < height and 0 <= col < width):
+            raise ContractViolationError(
+                f"state {state!r} is not a cell of the {height}x{width} Q table"
+            )
+        return row, col
 
     def act(self, state: GridState) -> int:
-        return int(np.argmax(self.q_values[state.row, state.col]))
+        row, col = self._cell(state)
+        return self._actions[row][col]
 
     def certainty(self, state: GridState, action: int) -> float:
-        if not 0 <= action < N_ACTIONS:
-            raise ContractViolationError(f"action {action} out of range")
-        return float(self.action_probabilities(state)[action])
+        if not (is_index(action) and 0 <= action < N_ACTIONS):
+            raise ContractViolationError(
+                f"action {action!r} must be an integer in [0, {N_ACTIONS})"
+            )
+        row, col = self._cell(state)
+        return self._probabilities[row][col][action]
 
 
 class GaussianControllerPolicy:

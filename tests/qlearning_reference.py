@@ -9,6 +9,9 @@ precomputed transition table: it steps ``GridEnv`` and keeps Q in a numpy
 array.  ``if_chain_step`` is the if-chain ``GridEnv.step`` used before it read
 the same table.  ``evodemo.policy.train_q_learning`` must produce the same
 final table and checkpoints bit for bit, and ``GridEnv.step`` the same moves.
+``tabular_decision`` is the per-cell argmax and softmax ``TabularPolicy``
+computed on every call before it built its tables once; its ``act`` and
+``certainty`` must equal it (``==``) on the tables ``q_tables`` generates.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Traject
     """One episode stepped through ``GridEnv`` with per-state act/certainty calls."""
     env = GridEnv(spec)
     state = env.reset(initial_state)
-    positions = [state.position]
+    positions = [(float(state.row), float(state.col))]
     actions: list = []
     rewards: list[float] = []
     certainties: list[float] = []
@@ -81,7 +84,7 @@ def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Traject
         state, reward, terminated, truncated = env.step(action)
         actions.append(action)
         rewards.append(float(reward))
-        positions.append(state.position)
+        positions.append((float(state.row), float(state.col)))
 
     deduped = [positions[0]]
     for point in positions[1:]:
@@ -121,6 +124,26 @@ def grid_layouts(draw) -> GridSpec:
         step_cost=draw(reward), target_reward=draw(reward), hole_penalty=draw(reward),
         max_steps=draw(st.integers(1, 40)),
     )
+
+
+@st.composite
+def q_tables(draw) -> np.ndarray:
+    """Q tables of 3 to 15 rows and columns, scaled by 1e-3 to 1e4, often with ties."""
+    shape = (draw(st.integers(3, 15)), draw(st.integers(3, 15)), N_ACTIONS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal(shape)
+    levels = draw(st.sampled_from((None, 1, 3)))  # rounded to few levels, values tie
+    if levels is not None:
+        table = np.round(table * levels)
+    return table * draw(st.floats(1e-3, 1e4))
+
+
+def tabular_decision(q: np.ndarray, temperature: float, row: int, col: int) -> tuple[int, list]:
+    """Greedy action and the softmax probability of each action in one cell."""
+    values = q[row, col]
+    scaled = values / temperature
+    shifted = np.exp(scaled - scaled.max())
+    return int(np.argmax(values)), (shifted / shifted.sum()).tolist()
 
 
 def if_chain_step(spec: GridSpec, row: int, col: int, action: int) -> tuple[int, int, float, bool]:

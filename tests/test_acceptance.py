@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_RESULTS
 from helpers import demo_set, iqr
 from evodemo.encoding import EncodingSpec, occurrence_stats, state_value_distance
 from evodemo.environments import parse_layout
-from evodemo.fitness import joint_fitness, one_way_distance
+from evodemo.fitness import joint_fitness
 from evodemo.evolution import EvolutionConfig, run
 from evodemo.report import boxplot_stats, export_bundle, visit_histogram
 from evodemo.rollout import OUTCOME_REACHED, Trajectory, generate
@@ -118,7 +118,7 @@ def test_criterion_2_metric_oracle_equivalence():
                 worst,
                 abs(got.local_diversity - expected_dl),
                 abs(got.certainty - expected_c),
-                abs(one_way_distance(traj, other) - expected_delta),
+                abs(demo_set([other], grid).nearest_distances([traj])[0] - expected_delta),
                 abs(got.global_diversity - expected_dg),
                 abs(got.joint - (expected_dg + expected_ld)),
             )

@@ -178,7 +178,7 @@ def test_grid_rejects_bad_resets_and_actions(flat_spec, holey_spec):
 def test_grid_accepts_numpy_actions(flat_spec):
     one_step = dataclasses.replace(flat_spec, max_steps=1)
     (trajectory,) = one_step.rollouts(FixedAction(np.int64(RIGHT)), [GridState(1, 1)])
-    assert trajectory.states[-1] == GridState(1, 2).position
+    assert trajectory.states[-1] == (1.0, 2.0)
 
 
 def assert_steps_like_the_if_chain(spec):
@@ -194,7 +194,7 @@ def assert_steps_like_the_if_chain(spec):
                 if spec.cells[row][col] != FLOOR:
                     continue
                 (trajectory,) = one_step.rollouts(FixedAction(action), [GridState(row, col)])
-                assert trajectory.states[-1] == GridState(r, c).position
+                assert trajectory.states[-1] == (float(r), float(c))
                 assert trajectory.rewards == (float(reward),)
                 assert (trajectory.outcome == OUTCOME_TRUNCATED) == (not terminated)
 
@@ -268,9 +268,11 @@ def test_reach_rejects_out_of_bounds_start(reach_spec):
 # shared helpers
 
 
-def test_position_and_distances(flat_spec, reach_spec):
-    assert GridState(3, 7).position == (3.0, 7.0)
-    assert ReachState((0.1, 0.0, -0.1), (0.0, 0.0, 0.0)).position == (0.1, 0.0, -0.1)
+def test_position_and_distances(flat_spec, reach_spec, reach_controller):
+    assert flat_spec.positions[3 * 11 + 7] == (3.0, 7.0)
+    assert flat_spec.positions == tuple((float(r), float(c)) for r in range(11) for c in range(11))
+    start = ReachState((0.1, 0.0, -0.1), (0.0, 0.0, 0.0))
+    assert reach_spec.rollouts(reach_controller, [start])[0].states[0] == (0.1, 0.0, -0.1)
     assert flat_spec.max_state_distance == math.hypot(10.0, 10.0)
     assert reach_spec.max_state_distance == pytest.approx(math.sqrt(3 * 0.3**2))
     assert flat_spec.state_count == 121

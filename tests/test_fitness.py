@@ -20,7 +20,6 @@ from evodemo.fitness import (
     FitnessComponents,
     joint_fitness,
     local_diversity,
-    one_way_distance,
     trajectory_certainty,
 )
 from evodemo.rollout import Trajectory
@@ -42,6 +41,12 @@ def make_traj(states, certainties=None, raw_length=None):
         episode_return=-float(raw),
         outcome="truncated",
     )
+
+
+def one_way_distance(u, v):
+    """The library's one-way distance from ``u`` to a set holding only ``v``."""
+    (distance,) = demo_set([v], SMALL_GRID).nearest_distances([u])
+    return distance
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +384,7 @@ def test_a_member_after_its_twin_in_a_batch_is_at_distance_zero(flat_spec):
     # appearance is itself and counts for nothing
     assert demos.nearest_distances([twin, member]) == [0.0, 0.0]
     assert demos.nearest_distances([member, member]) == [
-        fitness.one_way_distance(member, other)
+        one_way_distance(member, other)
     ] * 2
 
 

@@ -20,8 +20,16 @@ from evodemo.policy import (
 from evodemo.rollout import generate
 
 
-def tabular_for(rows=3, cols=3, fill=0.0, temperature=1.0):
-    return TabularPolicy(np.full((rows, cols, 4), fill), temperature=temperature)
+def tabular_for(rows=3, cols=3, fill=0.0, temperature=1.0, cells=None):
+    """A policy over a ``fill`` table whose ``cells`` map (row, col) to their 4 Q values."""
+    q = np.full((rows, cols, 4), fill)
+    for cell, values in (cells or {}).items():
+        q[cell] = values
+    return TabularPolicy(q, temperature=temperature)
+
+
+def probabilities(policy, state):
+    return np.array([policy.certainty(state, a) for a in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +37,9 @@ def tabular_for(rows=3, cols=3, fill=0.0, temperature=1.0):
 
 
 def test_softmax_probabilities_match_direct_formula():
-    policy = tabular_for()
     q = np.array([1.0, 2.0, 3.0, 0.0])
-    policy.q_values[1, 1] = q
-    probs = policy.action_probabilities(GridState(1, 1))
+    policy = tabular_for(cells={(1, 1): q})
+    probs = probabilities(policy, GridState(1, 1))
     expected = np.exp(q) / np.exp(q).sum()
     assert np.allclose(probs, expected, atol=1e-15)
     assert probs.sum() == pytest.approx(1.0)
@@ -40,33 +47,75 @@ def test_softmax_probabilities_match_direct_formula():
 
 def test_temperature_sharpens_and_flattens():
     q = np.array([1.0, 2.0, 3.0, 0.0])
-    cold = tabular_for(temperature=0.1)
-    hot = tabular_for(temperature=10.0)
-    cold.q_values[0, 0] = q
-    hot.q_values[0, 0] = q
+    cold = tabular_for(temperature=0.1, cells={(0, 0): q})
+    hot = tabular_for(temperature=10.0, cells={(0, 0): q})
     assert cold.certainty(GridState(0, 0), 2) > hot.certainty(GridState(0, 0), 2)
 
 
 def test_act_breaks_ties_in_fixed_action_order():
-    policy = tabular_for()
-    assert policy.act(GridState(0, 0)) == 0  # all equal: up wins
-    policy.q_values[0, 0] = np.array([0.0, 5.0, 5.0, 0.0])
+    assert tabular_for().act(GridState(0, 0)) == 0  # all equal: up wins
+    policy = tabular_for(cells={(0, 0): np.array([0.0, 5.0, 5.0, 0.0])})
     assert policy.act(GridState(0, 0)) == 1  # right before down
 
 
 def test_certainty_is_probability_of_queried_action():
-    policy = tabular_for()
-    policy.q_values[2, 2] = np.array([0.0, 0.0, 0.0, 10.0])
+    policy = tabular_for(cells={(2, 2): np.array([0.0, 0.0, 0.0, 10.0])})
     assert policy.certainty(GridState(2, 2), 3) > 0.99
     assert policy.certainty(GridState(2, 2), 0) < 0.01
 
 
 def test_softmax_is_stable_for_large_values():
-    policy = tabular_for()
-    policy.q_values[0, 1] = np.array([1e4, 0.0, 0.0, 0.0])
-    probs = policy.action_probabilities(GridState(0, 1))
+    policy = tabular_for(cells={(0, 1): np.array([1e4, 0.0, 0.0, 0.0])})
+    probs = probabilities(policy, GridState(0, 1))
     assert np.isfinite(probs).all()
     assert probs[0] == pytest.approx(1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=reference.q_tables(), temperature=st.floats(0.05, 7.5))
+def test_lookups_equal_the_per_cell_formula(table, temperature):
+    policy = TabularPolicy(table, temperature)
+    height, width, _ = table.shape
+    for row in range(height):
+        for col in range(width):
+            state = GridState(row, col)
+            expected = reference.tabular_decision(table, temperature, row, col)
+            assert policy.act(state) == expected[0]
+            assert [policy.certainty(state, a) for a in range(4)] == expected[1]
+
+
+def test_the_table_cannot_change_under_the_policy():
+    q = np.zeros((3, 3, 4))
+    q[1, 1] = (0.0, 2.0, 1.0, 0.0)
+    policy = TabularPolicy(q)
+    state = GridState(1, 1)
+    before = policy.act(state), probabilities(policy, state).tolist()
+    q[1, 1] = (9.0, 0.0, 0.0, 0.0)  # the caller's array
+    with pytest.raises(ValueError):
+        policy.q_values[1, 1, 0] = 9.0
+    assert policy.q_values[1, 1].tolist() == [0.0, 2.0, 1.0, 0.0]
+    assert (policy.act(state), probabilities(policy, state).tolist()) == before
+    assert before[0] == 1
+
+
+@pytest.mark.parametrize("call, culprit", [
+    (lambda p: p.certainty(GridState(1, 1), True), "action True"),
+    (lambda p: p.certainty(GridState(1, 1), 1.0), "action 1.0"),
+    (lambda p: p.certainty(GridState(1, 1), "1"), "action '1'"),
+    (lambda p: p.certainty(GridState(1, 1), None), "action None"),
+    (lambda p: p.certainty(GridState(1, 1), 4), "action 4"),
+    (lambda p: p.certainty(GridState(1, 1), -1), "action -1"),
+    (lambda p: p.act(GridState(-1, 0)), r"GridState\(row=-1, col=0\)"),
+    (lambda p: p.act(GridState(0, -1)), r"GridState\(row=0, col=-1\)"),
+    (lambda p: p.act(GridState(5, 5)), r"GridState\(row=5, col=5\)"),
+    (lambda p: p.act(GridState(3, 0)), r"GridState\(row=3, col=0\)"),
+    (lambda p: p.act(GridState(1.0, 1)), r"GridState\(row=1.0, col=1\)"),
+    (lambda p: p.certainty(GridState(0, 3), 0), r"GridState\(row=0, col=3\)"),
+    (lambda p: p.act(ReachState((0.0,) * 3, (0.0,) * 3)), "ReachState"),
+])
+def test_tabular_lookups_reject_bad_inputs_naming_them(call, culprit):
+    with pytest.raises(ContractViolationError, match=culprit):
+        call(tabular_for())
 
 
 def test_tabular_validation():

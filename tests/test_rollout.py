@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,6 +175,41 @@ def test_grid_rollouts_match_the_step_loop(data, spec, temperature):
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
 
 
+class CountingPolicy:
+    """Asks ``policy`` and counts the calls per state."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.acts = Counter()
+        self.certainties = Counter()
+
+    def act(self, state):
+        self.acts[state] += 1
+        return self.policy.act(state)
+
+    def certainty(self, state, action):
+        self.certainties[state] += 1
+        return self.policy.certainty(state, action)
+
+
+def test_a_batch_asks_the_policy_once_per_distinct_cell(flat_spec, well_trained_policy):
+    # paths from these starts merge on their way to the target, and (1, 5) is repeated
+    starts = [GridState(1, 1), GridState(1, 5), GridState(5, 1), GridState(1, 5), GridState(9, 1)]
+    alone = []
+    for start in starts:
+        counting = CountingPolicy(well_trained_policy)
+        flat_spec.rollouts(counting, [start])
+        alone.append(counting.acts)
+    batch = CountingPolicy(well_trained_policy)
+    trajectories = flat_spec.rollouts(batch, starts)
+    asked = set().union(*alone)
+    assert batch.acts == batch.certainties == Counter(asked)
+    # one start at a time asks 60 times in all; the batch asks once per cell
+    assert sum(sum(counts.values()) for counts in alone) == 60
+    assert sum(batch.acts.values()) == len(asked) == 27
+    assert trajectories == flat_spec.rollouts(well_trained_policy, starts)
+
+
 # ---------------------------------------------------------------------------
 # reach rollouts in lockstep
 
@@ -235,6 +271,41 @@ def test_lockstep_matches_the_step_loop(data, box, gain, step_size, horizon):
     expected = [reference_reach_rollout(spec, policy, start) for start in starts]
     assert same_bits(spec.rollouts(policy, starts), expected)
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
+
+
+class CountingPolicy:
+    """Asks ``policy`` and counts the calls per state."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.acts = Counter()
+        self.certainties = Counter()
+
+    def act(self, state):
+        self.acts[state] += 1
+        return self.policy.act(state)
+
+    def certainty(self, state, action):
+        self.certainties[state] += 1
+        return self.policy.certainty(state, action)
+
+
+def test_a_batch_asks_the_policy_once_per_distinct_cell(flat_spec, well_trained_policy):
+    # paths from these starts merge on their way to the target, and (1, 5) is repeated
+    starts = [GridState(1, 1), GridState(1, 5), GridState(5, 1), GridState(1, 5), GridState(9, 1)]
+    alone = []
+    for start in starts:
+        counting = CountingPolicy(well_trained_policy)
+        flat_spec.rollouts(counting, [start])
+        alone.append(counting.acts)
+    batch = CountingPolicy(well_trained_policy)
+    trajectories = flat_spec.rollouts(batch, starts)
+    asked = set().union(*alone)
+    assert batch.acts == batch.certainties == Counter(asked)
+    # one start at a time asks 60 times in all; the batch asks once per cell
+    assert sum(sum(counts.values()) for counts in alone) == 60
+    assert sum(batch.acts.values()) == len(asked) == 27
+    assert trajectories == flat_spec.rollouts(well_trained_policy, starts)
 
 
 @settings(max_examples=40, deadline=None)
