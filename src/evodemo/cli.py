@@ -364,9 +364,7 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
         path = Path(value)
         if not path.is_absolute():
             path = base_dir / path
-        policy = load_policy(path)
-        env_spec.check_policy(policy)
-        return policy, {"path": str(path)}
+        return load_policy(path), {"path": str(path)}
     if key == "train":
         training = _training_section(value)
         result = _train(env_spec, training)

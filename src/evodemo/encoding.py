@@ -93,12 +93,6 @@ class BitGenome:
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    @classmethod
-    def from_string(cls, text: str) -> "BitGenome":
-        if not text or any(c not in "01" for c in text):
-            raise ContractViolationError(f"not a 0/1 genome string: {text!r}")
-        return cls(tuple(int(c) for c in text))
-
 
 @dataclass(frozen=True)
 class OccurrenceStats:

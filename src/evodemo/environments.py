@@ -23,11 +23,14 @@ spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
 ``state_count``, ``grid_shape``, ``encoding_spec``,
 ``initial_state_from_vector``, ``search_defaults``, ``policy_kind`` and
 ``check_policy``.  ``rollouts(policy, starts)`` is the only way an episode
-is produced: it runs the fixed policy from each start and records the
-episode as a ``Trajectory``.  A ``GridSpec`` also answers, built once per
-layout and indexed by cell ``row * width + col``: ``transitions``, the
-dynamics that ``rollouts`` and the Q-learning trainer walk, and
-``positions``, the coordinates ``rollouts`` records for each cell.
+is produced: it first checks that the policy fits (``check_policy``), then
+runs the fixed policy from each start and records the episode as a
+``Trajectory``.  A ``GridSpec`` also answers, built once per layout and
+indexed by cell ``row * width + col``: ``transitions``, the dynamics that
+``rollouts`` and the Q-learning trainer walk, and ``positions``, the
+coordinates ``rollouts`` records for each cell.  A grid rollout walks
+``transitions`` side by side with the tabular policy's ``decisions``, which
+use the same indexing.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .encoding import CONTINUOUS, DISCRETE, EncodingSpec
 from .errors import (
-    ConfigurationError, ContractViolationError, is_finite_number, is_index, is_int,
+    ConfigurationError, ContractViolationError, is_finite_number, is_int,
 )
 
 WALL = "#"
@@ -232,17 +235,17 @@ class GridSpec:
     def rollouts(self, policy, starts: Sequence[GridState]) -> list[Trajectory]:
         """One episode of ``policy`` per start, in order; pure in all arguments.
 
-        An episode walks ``transitions`` until it enters the target
-        (``reached_target``) or a hole (``failed``), or has taken ``max_steps``
-        steps (``truncated``).  Every start must be valid; an invalid one is a
-        contract violation.
+        An episode walks ``transitions`` and the policy's ``decisions`` until
+        it enters the target (``reached_target``) or a hole (``failed``), or
+        has taken ``max_steps`` steps (``truncated``).  A policy that does not
+        fit is a configuration error; every start must be valid, and an
+        invalid one is a contract violation.
         """
+        self.check_policy(policy)
         _check_starts(self, starts)
         width, transitions, positions = self.width, self.transitions, self.positions
+        decisions = policy.decisions
         target = self.target_cell[0] * width + self.target_cell[1]
-        # policies are deterministic, so a cell visited anywhere in the batch (an
-        # agent pinned against a wall, or paths that merge) reuses its first decision
-        decisions: dict = {}
         trajectories = []
         for start in starts:
             cell = start.row * width + start.col
@@ -252,17 +255,7 @@ class GridSpec:
             certainties: list[float] = []
             terminated = False
             while not terminated and len(actions) < self.max_steps:
-                decision = decisions.get(cell)
-                if decision is None:
-                    state = GridState(*divmod(cell, width))
-                    action = policy.act(state)
-                    # without this check a duck-typed policy's -1 would read the last column
-                    if not (is_index(action) and 0 <= action < N_ACTIONS):
-                        raise ContractViolationError(
-                            f"grid action must be an integer in [0, {N_ACTIONS}), got {action!r}"
-                        )
-                    decision = decisions[cell] = (action, float(policy.certainty(state, action)))
-                action, certainty = decision
+                action, certainty = decisions[cell]
                 cell, reward, terminated = transitions[cell][action]
                 actions.append(action)
                 rewards.append(float(reward))
@@ -305,7 +298,9 @@ class GridSpec:
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a Q table of this grid's size."""
         if getattr(policy, "kind", None) != KIND_TABULAR:
-            raise ConfigurationError("grid environments need a tabular policy")
+            raise ConfigurationError(
+                f"grid environments need a tabular policy, not {type(policy).__name__}"
+            )
         height, width, _ = policy.q_values.shape
         if (height, width) != (self.height, self.width):
             raise ConfigurationError(
@@ -379,9 +374,11 @@ class ReachSpec:
 
         Bit-identical to stepping each start alone with ``policy.act``: the
         arrays go through the same elementwise formulas,
-        ``policy.mean_actions`` and the clipped move.  Every start must be
-        valid; an invalid one is a contract violation.
+        ``policy.mean_actions`` and the clipped move.  A policy that does not
+        fit is a configuration error; every start must be valid, and an
+        invalid one is a contract violation.
         """
+        self.check_policy(policy)
         _check_starts(self, starts)
         if not starts:
             return []
@@ -458,7 +455,10 @@ class ReachSpec:
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a reach controller."""
         if getattr(policy, "kind", None) != KIND_CONTROLLER:
-            raise ConfigurationError("the reach environment needs a gaussian_controller policy")
+            raise ConfigurationError(
+                "the reach environment needs a gaussian_controller policy, "
+                f"not {type(policy).__name__}"
+            )
 
 
 EnvSpec = GridSpec | ReachSpec

@@ -94,10 +94,7 @@ class Individual:
 @dataclass(frozen=True)
 class IndividualSnapshot:
     id: int
-    birth_generation: int
     fitness: FitnessComponents
-    episode_return: float
-    final_length: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,6 @@ class GenerationStats:
     generation: int
     individuals: tuple[IndividualSnapshot, ...]
     mean_joint: float
-    min_joint: float
     max_joint: float
     admitted_ids: tuple[int, ...]
 
@@ -147,7 +143,7 @@ def init_population(
             )
         candidates.append(Candidate(index, genome, state, birth_generation=0))
     demos = DemonstrationSet()
-    return _evaluate(candidates, demos, env_spec, policy, ()), demos
+    return evaluate_offspring(candidates, demos, env_spec, policy, population=()), demos
 
 
 def make_offspring(
@@ -183,21 +179,6 @@ def make_offspring(
         candidates.append(Candidate(next_id, genome, state, generation))
         next_id += 1
     return candidates
-
-
-def evaluate_offspring(
-    candidates: list[Candidate],
-    demos: DemonstrationSet,
-    env_spec: EnvSpec,
-    policy: Policy,
-    population: Sequence[Individual],
-) -> list[Individual]:
-    """Evaluate offspring strictly in creation order; the set grows in between.
-
-    An offspring whose start equals that of an individual of ``population``,
-    or of an offspring evaluated before it, takes over that rollout.
-    """
-    return _evaluate(candidates, demos, env_spec, policy, population)
 
 
 def migrate(
@@ -279,13 +260,18 @@ def _run(
     )
 
 
-def _evaluate(
+def evaluate_offspring(
     candidates: Sequence[Candidate],
     demos: DemonstrationSet,
     env_spec: EnvSpec,
     policy: Policy,
     population: Sequence[Individual],
 ) -> list[Individual]:
+    """Evaluate offspring strictly in creation order; the set grows in between.
+
+    An offspring whose start equals that of an individual of ``population``,
+    or of an offspring evaluated before it, takes over that rollout.
+    """
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
     # depends on (and extends) the demonstration set, in creation order
@@ -340,20 +326,13 @@ def _generation_stats(
 ) -> GenerationStats:
     joints = [individual.fitness.joint for individual in population]
     snapshots = tuple(
-        IndividualSnapshot(
-            id=individual.id,
-            birth_generation=individual.birth_generation,
-            fitness=individual.fitness,
-            episode_return=individual.trajectory.episode_return,
-            final_length=individual.trajectory.final_length,
-        )
+        IndividualSnapshot(id=individual.id, fitness=individual.fitness)
         for individual in population
     )
     return GenerationStats(
         generation=generation,
         individuals=snapshots,
         mean_joint=sum(joints) / len(joints),
-        min_joint=min(joints),
         max_joint=max(joints),
         admitted_ids=admitted,
     )

@@ -16,7 +16,10 @@ Both expose the same two-method surface:
 
 A tabular policy is built once and never changes: it keeps a read-only copy
 of its Q table and works out every cell's greedy action and softmax
-probabilities up front, so ``act`` and ``certainty`` are table lookups.
+probabilities up front, so ``act`` and ``certainty`` are table lookups.  Its
+``decisions`` table, one (greedy action, probability) pair per cell
+``row * width + col``, is what ``GridSpec.rollouts`` walks; ``act`` and
+``certainty`` remain for callers that hold a single state.
 
 Policy files are versioned JSON.  Tabular files list every (row, col, action,
 value) entry explicitly so a table can be written or audited by hand.
@@ -59,6 +62,9 @@ class TabularPolicy:
     It keeps a read-only copy of the table it is given and builds every
     cell's greedy action and softmax probabilities from it once, so ``act``
     and ``certainty`` are lookups that cannot disagree with ``q_values``.
+    ``decisions`` holds each cell's greedy action and that action's
+    probability, indexed by cell ``row * width + col`` like
+    ``GridSpec.transitions``.
     """
 
     kind = KIND_TABULAR
@@ -79,10 +85,12 @@ class TabularPolicy:
         # the per-cell softmax exp(q / t - max) / sum, over every cell at once
         scaled = q / self.temperature
         shifted = np.exp(scaled - scaled.max(axis=2, keepdims=True))
-        self._actions = np.argmax(q, axis=2).tolist()
-        self._probabilities = (shifted / shifted.sum(axis=2, keepdims=True)).tolist()
+        probabilities = (shifted / shifted.sum(axis=2, keepdims=True)).reshape(-1, N_ACTIONS)
+        self._probabilities = probabilities.tolist()
+        actions = np.argmax(q, axis=2).ravel().tolist()
+        self.decisions = tuple((a, p[a]) for a, p in zip(actions, self._probabilities))
 
-    def _cell(self, state: GridState) -> tuple[int, int]:
+    def _cell(self, state: GridState) -> int:
         row, col = getattr(state, "row", None), getattr(state, "col", None)
         height, width, _ = self.q_values.shape
         # a negative index would silently read the table from its far end
@@ -90,19 +98,17 @@ class TabularPolicy:
             raise ContractViolationError(
                 f"state {state!r} is not a cell of the {height}x{width} Q table"
             )
-        return row, col
+        return row * width + col
 
     def act(self, state: GridState) -> int:
-        row, col = self._cell(state)
-        return self._actions[row][col]
+        return self.decisions[self._cell(state)][0]
 
     def certainty(self, state: GridState, action: int) -> float:
         if not (is_index(action) and 0 <= action < N_ACTIONS):
             raise ContractViolationError(
                 f"action {action!r} must be an integer in [0, {N_ACTIONS})"
             )
-        row, col = self._cell(state)
-        return self._probabilities[row][col][action]
+        return self._probabilities[self._cell(state)][action]
 
 
 class GaussianControllerPolicy:

@@ -6,9 +6,21 @@ tests need it.
 
 from __future__ import annotations
 
+import numpy as np
+
+from evodemo.encoding import BitGenome
+from evodemo.environments import N_ACTIONS, GridSpec
 from evodemo.fitness import DemonstrationSet, local_diversity, trajectory_certainty
+from evodemo.policy import TabularPolicy
 from evodemo.report import BoxplotStats
 from evodemo.rollout import Trajectory
+
+
+def constant_policy(spec: GridSpec, action: int) -> TabularPolicy:
+    """A tabular policy for ``spec`` that takes ``action`` in every cell."""
+    q = np.zeros((spec.height, spec.width, N_ACTIONS))
+    q[:, :, action] = 1.0
+    return TabularPolicy(q)
 
 
 def demo_set(trajectories, env_spec) -> DemonstrationSet:
@@ -18,6 +30,11 @@ def demo_set(trajectories, env_spec) -> DemonstrationSet:
         d_l = local_diversity(trajectory, env_spec)
         demos.add(trajectory, d_l, trajectory_certainty(trajectory))
     return demos
+
+
+def genome_from_string(text: str) -> BitGenome:
+    """Inverse of ``BitGenome.as_string``."""
+    return BitGenome(tuple(int(c) for c in text))
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:

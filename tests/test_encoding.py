@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from helpers import genome_from_string
 from evodemo.encoding import (
-    BitGenome,
     EncodingSpec,
     crossover,
     decode,
@@ -24,9 +24,9 @@ def spec_1d(bits, low, high, kind="discrete"):
 
 def test_sub_encoding_is_msb_first():
     spec = spec_1d(4, 0, 8)
-    assert sub_encoding_value(BitGenome.from_string("1000"), spec, 0) == 8
-    assert sub_encoding_value(BitGenome.from_string("0001"), spec, 0) == 1
-    assert sub_encoding_value(BitGenome.from_string("1111"), spec, 0) == 15
+    assert sub_encoding_value(genome_from_string("1000"), spec, 0) == 8
+    assert sub_encoding_value(genome_from_string("0001"), spec, 0) == 1
+    assert sub_encoding_value(genome_from_string("1111"), spec, 0) == 15
 
 
 def test_discrete_decode_matches_enumeration_oracle():
@@ -34,7 +34,7 @@ def test_discrete_decode_matches_enumeration_oracle():
     expected = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 6, 7, 7, 8]
     spec = spec_1d(4, 0, 8)
     for e in range(16):
-        genome = BitGenome.from_string(format(e, "04b"))
+        genome = genome_from_string(format(e, "04b"))
         assert decode(genome, spec) == (expected[e],)
 
 
@@ -57,14 +57,14 @@ def test_discrete_decode_every_code_agrees_with_oracle():
         for low, high in ((0, 8), (1, 9), (-3, 3)):
             spec = spec_1d(bits, low, high)
             for e in range(2**bits):
-                genome = BitGenome.from_string(format(e, f"0{bits}b"))
+                genome = genome_from_string(format(e, f"0{bits}b"))
                 assert decode(genome, spec)[0] == bf.decode_discrete(genome.bits, low, high)
 
 
 def test_continuous_decode_endpoints_are_exact():
     spec = spec_1d(9, -0.15, 0.15, kind="continuous")
-    assert decode(BitGenome.from_string("0" * 9), spec) == (-0.15,)
-    assert decode(BitGenome.from_string("1" * 9), spec) == (0.15,)
+    assert decode(genome_from_string("0" * 9), spec) == (-0.15,)
+    assert decode(genome_from_string("1" * 9), spec) == (0.15,)
 
 
 def test_continuous_decode_matches_oracle_table():
@@ -81,7 +81,7 @@ def test_continuous_decode_matches_oracle_table():
     ]
     spec = spec_1d(3, -1.0, 1.0, kind="continuous")
     for e in range(8):
-        genome = BitGenome.from_string(format(e, "03b"))
+        genome = genome_from_string(format(e, "03b"))
         assert decode(genome, spec)[0] == pytest.approx(expected[e], abs=1e-15)
 
 
@@ -94,14 +94,14 @@ def test_continuous_resolution_nine_bits():
 
 def test_multi_dimension_decode_splits_genome_per_dimension():
     spec = EncodingSpec(dims=2, bits_per_dim=4, bounds=((0, 8), (1, 9)), kind="discrete")
-    genome = BitGenome.from_string("10000000")
+    genome = genome_from_string("10000000")
     assert decode(genome, spec) == (4, 1)
 
 
 def test_decode_rejects_wrong_genome_length():
     spec = spec_1d(4, 0, 8)
     with pytest.raises(ContractViolationError):
-        decode(BitGenome.from_string("101"), spec)
+        decode(genome_from_string("101"), spec)
 
 
 def test_discrete_spec_requires_enough_codes():
@@ -110,9 +110,9 @@ def test_discrete_spec_requires_enough_codes():
 
 
 def test_genome_string_round_trip():
-    genome = BitGenome.from_string("10110")
+    genome = genome_from_string("10110")
     assert genome.as_string() == "10110"
-    assert BitGenome.from_string(genome.as_string()) == genome
+    assert genome_from_string(genome.as_string()) == genome
 
 
 def test_random_genome_is_seed_deterministic():
@@ -135,8 +135,8 @@ def test_mutation_flips_exactly_one_bit():
 
 def test_crossover_single_cut_preserves_segments():
     rng = np.random.default_rng(5)
-    a = BitGenome.from_string("11111111")
-    b = BitGenome.from_string("00000000")
+    a = genome_from_string("11111111")
+    b = genome_from_string("00000000")
     for _ in range(50):
         bits = crossover(a, b, rng).as_string()
         # ones then zeros, with at least one of each: a single interior cut

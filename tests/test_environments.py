@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import bruteforce as bf
 import qlearning_reference as reference
+from helpers import constant_policy
 from evodemo.environments import (
     FLOOR,
     HOLE,
@@ -113,19 +114,6 @@ def test_holey_preset_geometry(holey_spec):
 # grid stepping
 
 
-class FixedAction:
-    """A duck-typed grid policy that returns one action everywhere."""
-
-    def __init__(self, action):
-        self.action = action
-
-    def act(self, state):
-        return self.action
-
-    def certainty(self, state, action):
-        return 1.0
-
-
 def step(spec, state, action):
     """``(state, reward, terminated)`` after one move of the transition table."""
     nxt, reward, terminated = spec.transitions[state.row * spec.width + state.col][action]
@@ -159,31 +147,30 @@ def test_grid_hole_entry_penalizes_and_terminates(holey_spec):
 
 
 def test_grid_truncates_at_step_limit(flat_spec):
-    (trajectory,) = flat_spec.rollouts(FixedAction(UP), [GridState(1, 1)])
+    (trajectory,) = flat_spec.rollouts(constant_policy(flat_spec, UP), [GridState(1, 1)])
     assert trajectory.outcome == OUTCOME_TRUNCATED
     assert trajectory.raw_length == flat_spec.max_steps
 
 
-def test_grid_rejects_bad_resets_and_actions(flat_spec, holey_spec):
+def test_grid_rejects_bad_resets_and_policies(flat_spec, holey_spec):
     for spec, start in ((flat_spec, GridState(0, 0)),  # wall
                         (flat_spec, GridState(9, 9)),  # target
                         (holey_spec, GridState(5, 1))):  # hole
         with pytest.raises(ContractViolationError):
-            spec.rollouts(FixedAction(RIGHT), [GridState(1, 1), start])
-    for action in (4, -1, True, "up", 1.0):
-        with pytest.raises(ContractViolationError):
-            flat_spec.rollouts(FixedAction(action), [GridState(1, 1)])
-
-
-def test_grid_accepts_numpy_actions(flat_spec):
-    one_step = dataclasses.replace(flat_spec, max_steps=1)
-    (trajectory,) = one_step.rollouts(FixedAction(np.int64(RIGHT)), [GridState(1, 1)])
-    assert trajectory.states[-1] == (1.0, 2.0)
+            spec.rollouts(constant_policy(spec, RIGHT), [GridState(1, 1), start])
+    # a grid rollout reads the tabular policy's decision table, which
+    # act/certainty alone do not provide
+    duck_typed = SimpleNamespace(act=lambda state: RIGHT, certainty=lambda state, action: 1.0)
+    for policy, name in ((duck_typed, "SimpleNamespace"),
+                         (GaussianControllerPolicy(), "GaussianControllerPolicy")):
+        with pytest.raises(ConfigurationError, match=f"need a tabular policy, not {name}"):
+            flat_spec.rollouts(policy, [GridState(1, 1)])
 
 
 def assert_steps_like_the_if_chain(spec):
     """Every interior (cell, action): the table, and a one-step rollout from every floor cell."""
     one_step = dataclasses.replace(spec, max_steps=1)
+    policies = [constant_policy(spec, action) for action in range(N_ACTIONS)]
     for row in range(1, spec.height - 1):
         for col in range(1, spec.width - 1):
             for action in range(N_ACTIONS):
@@ -193,7 +180,7 @@ def assert_steps_like_the_if_chain(spec):
                 assert repr(table_reward) == repr(reward)  # same value and same type
                 if spec.cells[row][col] != FLOOR:
                     continue
-                (trajectory,) = one_step.rollouts(FixedAction(action), [GridState(row, col)])
+                (trajectory,) = one_step.rollouts(policies[action], [GridState(row, col)])
                 assert trajectory.states[-1] == (float(r), float(c))
                 assert trajectory.rewards == (float(reward),)
                 assert (trajectory.outcome == OUTCOME_TRUNCATED) == (not terminated)

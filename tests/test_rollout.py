@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlearning_reference as reference
-from helpers import trajectory_from_dict
+from helpers import constant_policy, trajectory_from_dict
 from evodemo.environments import (
-    FLOOR, N_ACTIONS, GridState, ReachSpec, ReachState, clip_like_python,
+    FLOOR, N_ACTIONS, GridState, ReachSpec, ReachState, clip_like_python, preset,
 )
-from evodemo.errors import ContractViolationError
+from evodemo.errors import ConfigurationError, ContractViolationError
+from evodemo.evolution import EvolutionConfig, baseline, run
 from evodemo.policy import GaussianControllerPolicy, TabularPolicy
 from evodemo.rollout import (
     OUTCOME_FAILED,
@@ -24,12 +24,6 @@ from evodemo.rollout import (
 )
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
-
-
-def constant_policy(spec, action):
-    q = np.zeros((spec.height, spec.width, 4))
-    q[:, :, action] = 1.0
-    return TabularPolicy(q)
 
 
 def test_successful_rollout_records_full_step_data(flat_spec, well_trained_policy):
@@ -175,39 +169,24 @@ def test_grid_rollouts_match_the_step_loop(data, spec, temperature):
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
 
 
-class CountingPolicy:
-    """Asks ``policy`` and counts the calls per state."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.acts = Counter()
-        self.certainties = Counter()
-
-    def act(self, state):
-        self.acts[state] += 1
-        return self.policy.act(state)
-
-    def certainty(self, state, action):
-        self.certainties[state] += 1
-        return self.policy.certainty(state, action)
+THIRTEEN_BY_THIRTEEN = TabularPolicy(np.zeros((13, 13, N_ACTIONS)))
 
 
-def test_a_batch_asks_the_policy_once_per_distinct_cell(flat_spec, well_trained_policy):
-    # paths from these starts merge on their way to the target, and (1, 5) is repeated
-    starts = [GridState(1, 1), GridState(1, 5), GridState(5, 1), GridState(1, 5), GridState(9, 1)]
-    alone = []
-    for start in starts:
-        counting = CountingPolicy(well_trained_policy)
-        flat_spec.rollouts(counting, [start])
-        alone.append(counting.acts)
-    batch = CountingPolicy(well_trained_policy)
-    trajectories = flat_spec.rollouts(batch, starts)
-    asked = set().union(*alone)
-    assert batch.acts == batch.certainties == Counter(asked)
-    # one start at a time asks 60 times in all; the batch asks once per cell
-    assert sum(sum(counts.values()) for counts in alone) == 60
-    assert sum(batch.acts.values()) == len(asked) == 27
-    assert trajectories == flat_spec.rollouts(well_trained_policy, starts)
+@pytest.mark.parametrize(("name", "policy", "start", "misfit"), [
+    ("FlatGrid11", THIRTEEN_BY_THIRTEEN, GridState(1, 1),
+     "policy table is 13x13 but the grid is 11x11"),
+    ("FlatGrid11", GaussianControllerPolicy(), GridState(1, 1),
+     "need a tabular policy, not GaussianControllerPolicy"),
+    ("PointReach", THIRTEEN_BY_THIRTEEN, ReachState((0.0,) * 3, (0.1,) * 3),
+     "needs a gaussian_controller policy, not TabularPolicy"),
+])
+def test_library_rollouts_reject_a_policy_that_does_not_fit(name, policy, start, misfit):
+    spec = preset(name)
+    config = EvolutionConfig(population_size=4, generations=1)
+    for call in (lambda: run(spec, policy, config), lambda: baseline(spec, policy, config),
+                 lambda: generate(spec, policy, start)):
+        with pytest.raises(ConfigurationError, match=misfit):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -271,41 +250,6 @@ def test_lockstep_matches_the_step_loop(data, box, gain, step_size, horizon):
     expected = [reference_reach_rollout(spec, policy, start) for start in starts]
     assert same_bits(spec.rollouts(policy, starts), expected)
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
-
-
-class CountingPolicy:
-    """Asks ``policy`` and counts the calls per state."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.acts = Counter()
-        self.certainties = Counter()
-
-    def act(self, state):
-        self.acts[state] += 1
-        return self.policy.act(state)
-
-    def certainty(self, state, action):
-        self.certainties[state] += 1
-        return self.policy.certainty(state, action)
-
-
-def test_a_batch_asks_the_policy_once_per_distinct_cell(flat_spec, well_trained_policy):
-    # paths from these starts merge on their way to the target, and (1, 5) is repeated
-    starts = [GridState(1, 1), GridState(1, 5), GridState(5, 1), GridState(1, 5), GridState(9, 1)]
-    alone = []
-    for start in starts:
-        counting = CountingPolicy(well_trained_policy)
-        flat_spec.rollouts(counting, [start])
-        alone.append(counting.acts)
-    batch = CountingPolicy(well_trained_policy)
-    trajectories = flat_spec.rollouts(batch, starts)
-    asked = set().union(*alone)
-    assert batch.acts == batch.certainties == Counter(asked)
-    # one start at a time asks 60 times in all; the batch asks once per cell
-    assert sum(sum(counts.values()) for counts in alone) == 60
-    assert sum(batch.acts.values()) == len(asked) == 27
-    assert trajectories == flat_spec.rollouts(well_trained_policy, starts)
 
 
 @settings(max_examples=40, deadline=None)
