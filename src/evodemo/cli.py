@@ -364,7 +364,12 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
         path = Path(value)
         if not path.is_absolute():
             path = base_dir / path
-        return load_policy(path), {"path": str(path)}
+        policy = load_policy(path)
+        try:
+            env_spec.check_policy(policy)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
+        return policy, {"path": str(path)}
     if key == "train":
         training = _training_section(value)
         result = _train(env_spec, training)

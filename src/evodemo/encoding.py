@@ -33,6 +33,9 @@ from .errors import ContractViolationError
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
+_BITS = frozenset((0, 1))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a genome's bytes to its 0/1 text
+
 
 @dataclass(frozen=True)
 class EncodingSpec:
@@ -84,14 +87,14 @@ class BitGenome:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        if not _BITS.issuperset(self.bits):
             raise ContractViolationError("genome bits must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,8 @@ def sub_encoding_value(genome: BitGenome, spec: EncodingSpec, dim: int) -> int:
     """Integer read from one dimension's sub-encoding, most-significant bit first."""
     _check_genome(genome, spec)
     _check_dim(spec, dim)
-    start = dim * spec.bits_per_dim
-    value = 0
-    for bit in genome.bits[start:start + spec.bits_per_dim]:
-        value = (value << 1) | bit
-    return value
+    shift = (spec.dims - 1 - dim) * spec.bits_per_dim
+    return (_as_int(genome) >> shift) & ((1 << spec.bits_per_dim) - 1)
 
 
 def decode(genome: BitGenome, spec: EncodingSpec) -> tuple[float, ...]:
@@ -127,9 +127,12 @@ def decode(genome: BitGenome, spec: EncodingSpec) -> tuple[float, ...]:
     """
     _check_genome(genome, spec)
     codes = 2 ** spec.bits_per_dim
+    word = _as_int(genome)
+    shift = spec.genome_length
     values: list[float] = []
-    for dim, (lo, hi) in enumerate(spec.bounds):
-        raw = sub_encoding_value(genome, spec, dim)
+    for lo, hi in spec.bounds:
+        shift -= spec.bits_per_dim
+        raw = (word >> shift) & (codes - 1)  # this dimension's sub-encoding
         if spec.kind == DISCRETE:
             norm = raw / codes
             values.append(int(math.floor(norm * (hi + 1 - lo) + lo)))
@@ -202,6 +205,11 @@ def crossover(parent_a: BitGenome, parent_b: BitGenome, rng: np.random.Generator
         raise ContractViolationError("crossover needs genomes of length at least 2")
     cut = int(rng.integers(1, len(parent_a)))
     return BitGenome(parent_a.bits[:cut] + parent_b.bits[cut:])
+
+
+def _as_int(genome: BitGenome) -> int:
+    """The whole genome read as one integer, most-significant bit first."""
+    return int(bytes(genome.bits).translate(_DIGITS), 2)
 
 
 def _check_genome(genome: BitGenome, spec: EncodingSpec) -> None:

@@ -40,6 +40,7 @@ from .environments import (
     clip_like_python,
 )
 from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_index, is_int
+from .jsonfile import write_json
 
 POLICY_FORMAT = "evodemo-policy"
 POLICY_VERSION = 1
@@ -284,7 +285,7 @@ def save_policy(policy: Policy, path: str | Path) -> None:
         }
     else:
         raise ContractViolationError(f"cannot serialize policy type {type(policy).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_policy(path: str | Path) -> Policy:

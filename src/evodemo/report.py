@@ -16,7 +16,9 @@ A multi-seed run also gets one ``manifest.json`` above its bundles
 (``write_run_manifest``) that lists them.
 
 Exports are deterministic: re-running the same seed rewrites every file
-byte-identically.
+byte-identically.  Every JSON file is exactly
+``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, produced by the
+package's own writer (``jsonfile``) without ``json``'s slow indenting encoder.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +35,7 @@ import numpy as np
 from .environments import EnvSpec
 from .errors import ConfigurationError, ContractViolationError
 from .evolution import RunResult
+from .jsonfile import write_json
 from .rollout import Trajectory, trajectory_to_dict
 
 BUNDLE_FORMAT = "evodemo-bundle"
@@ -70,6 +73,11 @@ def boxplot_stats(values: Iterable[float]) -> BoxplotStats:
     return BoxplotStats(min(data), float(q1), float(median), float(q3), max(data), len(data))
 
 
+def _fields(record) -> dict:
+    """A dataclass's fields by name, shallow (``asdict`` deep-copies every value)."""
+    return {field.name: getattr(record, field.name) for field in fields(record)}
+
+
 def visit_histogram(trajectories: Iterable[Trajectory], env_spec: EnvSpec) -> np.ndarray:
     """Per-cell visit counts over the collapsed states of all demonstrations."""
     if env_spec.grid_shape is None:
@@ -101,10 +109,10 @@ def export_bundle(
     boxplots = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "returns": asdict(boxplot_stats(r for _, r in returns_rows)),
-        "lengths": asdict(boxplot_stats(l for _, l in lengths_rows)),
+        "returns": _fields(boxplot_stats(r for _, r in returns_rows)),
+        "lengths": _fields(boxplot_stats(l for _, l in lengths_rows)),
     }
-    written.append(_write_json(out / "boxplots.json", boxplots))
+    written.append(write_json(out / "boxplots.json", boxplots))
 
     if result.env_spec.grid_shape is not None:
         histogram = visit_histogram(
@@ -120,14 +128,14 @@ def export_bundle(
                 "id": ind.id,
                 "birth_generation": ind.birth_generation,
                 "genome": ind.genome.as_string(),
-                "initial_state": asdict(ind.initial_state),
-                "fitness": asdict(ind.fitness),
+                "initial_state": _fields(ind.initial_state),
+                "fitness": _fields(ind.fitness),
                 "trajectory": trajectory_to_dict(ind.trajectory),
             }
             for ind in result.population
         ],
     }
-    written.append(_write_json(out / "trajectories.json", trajectories))
+    written.append(write_json(out / "trajectories.json", trajectories))
 
     generation_rows = []
     for stats in result.history:
@@ -146,8 +154,8 @@ def export_bundle(
     written.append(_write_csv(out / "generations.csv", GENERATION_COLUMNS, generation_rows))
 
     snapshot = dict(config_snapshot) if config_snapshot else {}
-    snapshot.setdefault("evolution", asdict(result.config))
-    written.append(_write_json(out / "config.json", snapshot))
+    snapshot.setdefault("evolution", _fields(result.config))
+    written.append(write_json(out / "config.json", snapshot))
 
     manifest = {
         "format": BUNDLE_FORMAT,
@@ -156,7 +164,7 @@ def export_bundle(
         "seed": result.config.seed,
         "files": sorted(p.name for p in written),
     }
-    written.append(_write_json(out / "manifest.json", manifest))
+    written.append(write_json(out / "manifest.json", manifest))
     return written
 
 
@@ -172,7 +180,7 @@ def write_run_manifest(
         "seeds": list(seeds),
         "bundles": list(bundles),
     }
-    return _write_json(Path(out_dir) / "manifest.json", manifest)
+    return write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 @dataclass
@@ -292,13 +300,13 @@ def write_comparison_report(
         payload["groups"][name] = {
             "bundles": len(bundles),
             "individuals": len(returns),
-            "returns": asdict(boxplot_stats(returns)),
-            "lengths": asdict(boxplot_stats(lengths)),
+            "returns": _fields(boxplot_stats(returns)),
+            "lengths": _fields(boxplot_stats(lengths)),
         }
         histograms = [b.histogram for b in bundles if b.histogram is not None]
         if histograms:
             written.append(_write_histogram(out / f"histogram_{name}.csv", sum(histograms)))
-    written.append(_write_json(out / "report.json", payload))
+    written.append(write_json(out / "report.json", payload))
 
     if search:
         population_rows = []
@@ -355,11 +363,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# cell types whose repr is their CSV text, which never needs quoting
+_NUMBERS = frozenset((int, float))
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        for row in rows:
+            if _NUMBERS.issuperset(map(type, row)):
+                handle.write(",".join(map(repr, row)) + "\n")
+            else:  # a bool, a numpy scalar or a string: the cell-by-cell path
+                writer.writerow([_format_cell(cell) for cell in row])
     return path
 
 
@@ -380,8 +396,3 @@ def _write_histogram(path: Path, histogram: np.ndarray) -> Path:
 
 def _read_histogram(path: Path) -> np.ndarray:
     return np.array([[int(cell) for cell in row] for row in _read_rows(path)[1:]], dtype=int)
-
-
-def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

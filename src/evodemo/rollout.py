@@ -20,11 +20,12 @@ def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
 
 
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
+    """The exported fields of ``trajectory``; its tuples are written as JSON arrays."""
     return {
-        "states": [list(s) for s in trajectory.states],
-        "actions": [list(a) if isinstance(a, tuple) else a for a in trajectory.actions],
-        "rewards": list(trajectory.rewards),
-        "certainties": list(trajectory.certainties),
+        "states": trajectory.states,
+        "actions": trajectory.actions,
+        "rewards": trajectory.rewards,
+        "certainties": trajectory.certainties,
         "raw_length": trajectory.raw_length,
         "episode_return": trajectory.episode_return,
         "outcome": trajectory.outcome,

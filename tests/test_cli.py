@@ -198,6 +198,21 @@ def test_mismatched_policy_kind_exits_one(tmp_path):
     assert main(["evolve", config]) == 1
 
 
+def test_policy_file_that_does_not_fit_exits_one_naming_the_file(tmp_path, capsys):
+    from evodemo.policy import GaussianControllerPolicy, save_policy
+
+    save_policy(GaussianControllerPolicy(), tmp_path / "ctrl.json")
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: FlatGrid11\npolicy: ctrl.json\noutput: {tmp_path / 'out'}\n",
+    )
+    assert main(["evolve", config]) == 1
+    message = capsys.readouterr().err
+    assert str(tmp_path / "ctrl.json") in message
+    assert "GaussianControllerPolicy" in message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     ("setting", "field"),
     [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from helpers import genome_from_string
@@ -27,6 +29,32 @@ def test_sub_encoding_is_msb_first():
     assert sub_encoding_value(genome_from_string("1000"), spec, 0) == 8
     assert sub_encoding_value(genome_from_string("0001"), spec, 0) == 1
     assert sub_encoding_value(genome_from_string("1111"), spec, 0) == 15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_each_dimension_reads_its_own_bit_slice(data):
+    dims = data.draw(st.integers(1, 4))
+    bits = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["discrete", "continuous"]))
+    bounds = []
+    for _ in range(dims):
+        if kind == "discrete":
+            low = data.draw(st.integers(-50, 50))
+            bounds.append((low, low + data.draw(st.integers(0, 2**bits - 1))))
+        else:
+            low = data.draw(st.floats(-10, 10))
+            bounds.append((low, low + data.draw(st.floats(0.01, 10))))
+    spec = EncodingSpec(dims=dims, bits_per_dim=bits, bounds=tuple(bounds), kind=kind)
+    text = data.draw(st.text("01", min_size=dims * bits, max_size=dims * bits))
+    genome = genome_from_string(text)
+    values = decode(genome, spec)
+    for dim, (low, high) in enumerate(bounds):
+        piece = text[dim * bits:(dim + 1) * bits]
+        assert sub_encoding_value(genome, spec, dim) == int(piece, 2)
+        one_dim = EncodingSpec(dims=1, bits_per_dim=bits, bounds=((low, high),), kind=kind)
+        assert values[dim] == decode(genome_from_string(piece), one_dim)[0]
+    assert genome.as_string() == text
 
 
 def test_discrete_decode_matches_enumeration_oracle():

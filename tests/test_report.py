@@ -1,14 +1,21 @@
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import iqr, trajectory_from_dict
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import EvolutionConfig, baseline, run
+from evodemo.jsonfile import dumps
 from evodemo.report import (
     GENERATION_COLUMNS,
+    _format_cell,
+    _write_csv,
     boxplot_stats,
     export_bundle,
     load_bundle,
@@ -71,6 +78,74 @@ def test_visit_histogram_counts_cells(flat_spec, well_trained_policy):
 def test_visit_histogram_rejects_continuous_spaces(reach_spec, reach_result):
     with pytest.raises(ContractViolationError):
         visit_histogram([reach_result.population[0].trajectory], reach_spec)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and CSV rows
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1]
+json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS) | st.floats().map(np.float64)
+json_strings = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'))
+json_scalars = (
+    json_floats
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | json_strings
+    # the shapes the writer joins in one go: lists of floats or ints, rows of floats
+    | st.lists(json_floats)
+    | st.lists(st.integers(-(2**70), 2**70))
+    | st.lists(st.lists(json_floats, max_size=4).map(tuple), max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=5)
+        | st.dictionaries(st.integers(), children, max_size=3)  # handed to json itself
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=json_values, bad=st.sampled_from([{1.0}, np.float32(0.5), object()]))
+def test_json_writer_rejects_what_json_rejects(value, bad):
+    for payload in ([value, bad], {"a": value, "b": bad}, [[1.0, bad]], {"a": [{"b": (bad,)}]}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps(payload)
+
+
+csv_cells = (
+    st.integers(-(2**70), 2**70)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.text()
+    | st.just('a,"b"\nc')
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(csv_cells, max_size=7)))
+def test_csv_rows_match_format_cell_and_csv_writer(tmp_path_factory, rows):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("id", "value"))
+    writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_csv(path, ("id", "value"), rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
