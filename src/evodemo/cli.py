@@ -235,8 +235,9 @@ def _export_seeds(env_spec: EnvSpec, policy: Policy, config: EvolutionConfig, se
     """
     search = evolution.baseline if mode == "baseline" else evolution.run
     bundles = []
-    for seed in seeds:
-        seeded = replace(config, seed=seed)
+    # every seed is checked before the first search runs
+    for seeded in [replace(config, seed=seed) for seed in seeds]:
+        seed = seeded.seed
         result = search(env_spec, policy, seeded)
         settings = asdict(seeded)
         del settings["seed"]

@@ -1,9 +1,9 @@
 """Bit-string genomes and their decoding into initial states.
 
-A genome is a flat tuple of bits.  It is split into one sub-encoding of
-``bits_per_dim`` bits per state dimension (most-significant bit first), and
-each sub-encoding is read as an integer, normalized, and mapped into that
-dimension's value range::
+A genome is a bit string held as one integer and its length.  It is split
+into one sub-encoding of ``bits_per_dim`` bits per state dimension
+(most-significant bit first), and each sub-encoding is read as an integer,
+normalized, and mapped into that dimension's value range::
 
     discrete:    norm  = int(e) / 2**m                  in [0, 1)
                  value = floor(norm * (max + 1 - min) + min)
@@ -17,8 +17,9 @@ Discrete decoding is surjective but not uniform: ``2**m`` codes spread over
 integer multiples of ``2**-m``), and ``state_value_distance`` gives the value
 spacing of a continuous dimension, i.e. the resolution of the disturbance.
 
-The variation operators are deliberately minimal: a single-bit flip and a
-single-point crossover producing one child.
+The variation operators, a single-bit flip and a single-point crossover
+producing one child, work on the integers directly; ``evolution.make_offspring``
+applies them to a whole generation at once.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from .errors import ContractViolationError
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
-
-_BITS = frozenset((0, 1))
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a genome's bytes to its 0/1 text
 
 
 @dataclass(frozen=True)
@@ -82,19 +80,28 @@ class EncodingSpec:
 
 @dataclass(frozen=True)
 class BitGenome:
-    """Immutable bit sequence; serializes as a 0/1 string, MSB first."""
+    """Immutable bit string of ``length`` bits read as the integer ``value``;
+    serializes as a 0/1 string, MSB first."""
 
-    bits: tuple[int, ...]
+    value: int
+    length: int
 
     def __post_init__(self) -> None:
-        if not _BITS.issuperset(self.bits):
-            raise ContractViolationError("genome bits must be 0 or 1")
+        # exact ints only: a bool or a float that equals an int is not a genome
+        if type(self.length) is not int or self.length < 1:
+            raise ContractViolationError(
+                f"genome length must be a positive int, got {self.length!r}"
+            )
+        if type(self.value) is not int or self.value < 0 or self.value.bit_length() > self.length:
+            raise ContractViolationError(
+                f"genome value must be an int in [0, 2**{self.length}), got {self.value!r}"
+            )
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def as_string(self) -> str:
-        return bytes(self.bits).translate(_DIGITS).decode("ascii")
+        return format(self.value, f"0{self.length}b")
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,6 @@ class OccurrenceStats:
         return self.higher_probability / self.lower_probability
 
 
-def sub_encoding_value(genome: BitGenome, spec: EncodingSpec, dim: int) -> int:
-    """Integer read from one dimension's sub-encoding, most-significant bit first."""
-    _check_genome(genome, spec)
-    _check_dim(spec, dim)
-    shift = (spec.dims - 1 - dim) * spec.bits_per_dim
-    return (_as_int(genome) >> shift) & ((1 << spec.bits_per_dim) - 1)
-
-
 def decode(genome: BitGenome, spec: EncodingSpec) -> tuple[float, ...]:
     """Map a genome to one state value per dimension.
 
@@ -126,24 +125,27 @@ def decode(genome: BitGenome, spec: EncodingSpec) -> tuple[float, ...]:
     ``min`` and ``max`` exactly at the all-zero / all-one sub-encodings.
     """
     _check_genome(genome, spec)
+    return decode_values([genome.value], spec)[0]
+
+
+def decode_values(values: list[int], spec: EncodingSpec) -> list[tuple[float, ...]]:
+    """``decode`` for the ``value`` of each of many genomes of the spec's length, one
+    dimension at a time, by shifts and masks on Python integers of any bit width."""
     codes = 2 ** spec.bits_per_dim
-    word = _as_int(genome)
     shift = spec.genome_length
-    values: list[float] = []
+    columns = []
     for lo, hi in spec.bounds:
         shift -= spec.bits_per_dim
-        raw = (word >> shift) & (codes - 1)  # this dimension's sub-encoding
+        raws = [(value >> shift) & (codes - 1) for value in values]  # this dimension's codes
         if spec.kind == DISCRETE:
-            norm = raw / codes
-            values.append(int(math.floor(norm * (hi + 1 - lo) + lo)))
-        elif raw == 0:
-            values.append(lo)
-        elif raw == codes - 1:
-            values.append(hi)
+            span = hi + 1 - lo
+            columns.append([int(math.floor(raw / codes * span + lo)) for raw in raws])
         else:
-            norm = raw / (codes - 1)
-            values.append(norm * (hi - lo) + lo)
-    return tuple(values)
+            columns.append([
+                lo if raw == 0 else hi if raw == codes - 1 else raw / (codes - 1) * (hi - lo) + lo
+                for raw in raws
+            ])
+    return list(zip(*columns))
 
 
 def occurrence_stats(spec: EncodingSpec, dim: int = 0) -> OccurrenceStats:
@@ -178,38 +180,7 @@ def state_value_distance(spec: EncodingSpec, dim: int = 0) -> float:
 def random_genome(rng: np.random.Generator, spec: EncodingSpec) -> BitGenome:
     """Uniform random genome of the encoding's full bit length."""
     bits = rng.integers(0, 2, size=spec.genome_length)
-    return BitGenome(tuple(int(b) for b in bits))
-
-
-def mutate(genome: BitGenome, rng: np.random.Generator) -> BitGenome:
-    """Flip exactly one uniformly chosen bit; the input genome is untouched."""
-    if len(genome) == 0:
-        raise ContractViolationError("cannot mutate an empty genome")
-    index = int(rng.integers(len(genome)))
-    bits = list(genome.bits)
-    bits[index] = 1 - bits[index]
-    return BitGenome(tuple(bits))
-
-
-def crossover(parent_a: BitGenome, parent_b: BitGenome, rng: np.random.Generator) -> BitGenome:
-    """Single-point crossover producing one child.
-
-    The cut is interior (never 0 or the full length), so the child always
-    carries material from both parents when they differ.
-    """
-    if len(parent_a) != len(parent_b):
-        raise ContractViolationError(
-            f"crossover parents differ in length: {len(parent_a)} vs {len(parent_b)}"
-        )
-    if len(parent_a) < 2:
-        raise ContractViolationError("crossover needs genomes of length at least 2")
-    cut = int(rng.integers(1, len(parent_a)))
-    return BitGenome(parent_a.bits[:cut] + parent_b.bits[cut:])
-
-
-def _as_int(genome: BitGenome) -> int:
-    """The whole genome read as one integer, most-significant bit first."""
-    return int(bytes(genome.bits).translate(_DIGITS), 2)
+    return BitGenome(int("".join(map(str, bits.tolist())), 2), spec.genome_length)
 
 
 def _check_genome(genome: BitGenome, spec: EncodingSpec) -> None:

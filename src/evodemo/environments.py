@@ -20,17 +20,17 @@ determine the successor and the reward.
 Each spec class is the one place that answers questions about its
 environment, so the search, scoring, export and CLI code never switch on the
 spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
-``state_count``, ``grid_shape``, ``encoding_spec``,
-``initial_state_from_vector``, ``search_defaults``, ``policy_kind`` and
-``check_policy``.  ``rollouts(policy, starts)`` is the only way an episode
-is produced: it first checks that the policy fits (``check_policy``), then
-runs the fixed policy from each start and records the episode as a
-``Trajectory``.  A ``GridSpec`` also answers, built once per layout and
-indexed by cell ``row * width + col``: ``transitions``, the dynamics that
-``rollouts`` and the Q-learning trainer walk, and ``positions``, the
-coordinates ``rollouts`` records for each cell.  A grid rollout walks
-``transitions`` side by side with the tabular policy's ``decisions``, which
-use the same indexing.
+``state_count``, ``grid_shape``, ``encoding_spec``, ``starts_from_vectors``,
+``search_defaults``, ``policy_kind`` and ``check_policy``.
+``rollouts(policy, starts)`` is the only way an episode is produced: it first
+checks that the policy fits (``check_policy``), then runs the fixed policy
+from each start and records the episode as a ``Trajectory``.  A ``GridSpec``
+also answers, built once per layout and indexed by cell ``row * width + col``:
+``transitions``, the dynamics that ``rollouts`` and the Q-learning trainer
+walk, and ``positions``, the coordinates ``rollouts`` records for each cell.
+A grid rollout walks ``transitions`` side by side with the tabular policy's
+``decisions``, which use the same indexing.  Its ``startable`` table, keyed by
+``(row, col)``, is what ``starts_from_vectors`` and ``rollouts`` check starts by.
 """
 
 from __future__ import annotations
@@ -118,10 +118,15 @@ class Trajectory:
         return len(self.states)
 
 
-def _check_starts(spec: EnvSpec, starts: Sequence) -> None:
-    for start in starts:
-        reason = spec.validate_initial(start)
-        if reason is not None:
+def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
+    """Raise for the first start ``flags()`` marks invalid, with ``validate_initial``'s reason."""
+    try:
+        valid = flags()
+    except (AttributeError, TypeError, ValueError):  # not all starts are states of this spec
+        valid = [spec.validate_initial(start) is None for start in starts]
+    for start, ok in zip(starts, valid):
+        if not ok:
+            reason = spec.validate_initial(start)
             raise ContractViolationError(f"cannot start an episode at {start}: {reason}")
 
 
@@ -196,6 +201,12 @@ class GridSpec:
         return tuple((float(r), float(c)) for r in range(self.height) for c in range(self.width))
 
     @cached_property
+    def startable(self) -> dict[tuple[int, int], GridState]:
+        """The start state of every cell ``validate_initial`` accepts, keyed by ``(row, col)``."""
+        states = (GridState(r, c) for r in range(self.height) for c in range(self.width))
+        return {(s.row, s.col): s for s in states if self.validate_initial(s) is None}
+
+    @cached_property
     def canonical_start(self) -> GridState:
         """First floor cell in row-major order; training episodes begin here."""
         for r in range(self.height):
@@ -242,7 +253,7 @@ class GridSpec:
         invalid one is a contract violation.
         """
         self.check_policy(policy)
-        _check_starts(self, starts)
+        _check_starts(self, starts, lambda: [(s.row, s.col) in self.startable for s in starts])
         width, transitions, positions = self.width, self.transitions, self.positions
         decisions = policy.decisions
         target = self.target_cell[0] * width + self.target_cell[1]
@@ -289,11 +300,10 @@ class GridSpec:
         except ContractViolationError as exc:
             raise ConfigurationError(f"bits_per_dimension {bits_per_dim!r}: {exc}") from exc
 
-    def initial_state_from_vector(self, values: tuple[float, ...]) -> GridState:
-        """Assemble a decoded (row, col) vector into a state."""
-        if len(values) != 2:
-            raise ContractViolationError(f"grid states need 2 values, got {len(values)}")
-        return GridState(int(values[0]), int(values[1]))
+    def starts_from_vectors(self, vectors: Sequence[tuple[int, int]]) -> list[GridState | None]:
+        """The start state each decoded ``(row, col)`` vector stands for, ``None``
+        where ``validate_initial`` would reject it; one ``startable`` lookup each."""
+        return list(map(self.startable.get, vectors))
 
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a Q table of this grid's size."""
@@ -379,7 +389,7 @@ class ReachSpec:
         invalid one is a contract violation.
         """
         self.check_policy(policy)
-        _check_starts(self, starts)
+        _check_starts(self, starts, lambda: self._inside([(s.effector, s.target) for s in starts]))
         if not starts:
             return []
         # the controller always acts at its own Gaussian mean: every step has a
@@ -444,13 +454,18 @@ class ReachSpec:
             kind=CONTINUOUS,
         )
 
-    def initial_state_from_vector(self, values: tuple[float, ...]) -> ReachState:
-        """Assemble a decoded (effector, target) vector into a state."""
-        if len(values) != 2 * self.dims:
-            raise ContractViolationError(
-                f"reach states need {2 * self.dims} values, got {len(values)}"
-            )
-        return ReachState(tuple(values[: self.dims]), tuple(values[self.dims:]))
+    def starts_from_vectors(self, vectors: Sequence[tuple[float, ...]]) -> list[ReachState | None]:
+        """The start state each decoded (effector, target) vector stands for,
+        ``None`` where a coordinate lies outside the bounds."""
+        d, inside = self.dims, self._inside(vectors)
+        return [ReachState(v[:d], v[d:]) if ok else None for v, ok in zip(vectors, inside)]
+
+    def _inside(self, starts: Sequence) -> list[bool]:
+        """Whether every coordinate of each start, its effector's then its target's,
+        lies within the bounds, as ``validate_initial`` asks; one array comparison."""
+        points = np.array(starts, dtype=float).reshape(len(starts), 2, self.dims)
+        lo, hi = np.array(self.bounds, dtype=float).T
+        return ((lo <= points) & (points <= hi)).all(axis=(1, 2)).tolist()
 
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a reach controller."""

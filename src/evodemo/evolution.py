@@ -11,9 +11,12 @@ population identical.
 Per generation, ``ceil(n * crossover_probability)`` children come from
 tournament-selected parent pairs and ``ceil(n * mutation_probability)``
 single-bit mutants come from uniformly chosen parents (parents stay in the
-population).  Offspring whose genome decodes to an invalid start state are
-dropped without replacement.  Survivor selection keeps the top ``n`` by
-stored score, ties resolved toward older individuals.
+population).  One ``rng.integers`` call draws, per child, the contenders of
+its two tournaments and then its cut, and per mutant its parent and then its
+bit; a tournament's winner is its contender with the best stored score.
+Offspring whose genome decodes to an invalid start state are dropped without
+replacement.  Survivor selection keeps the top ``n`` by stored score.  Both
+resolve score ties toward older individuals.
 
 Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
@@ -33,9 +36,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import BitGenome, EncodingSpec, crossover, decode, mutate, random_genome
+from .encoding import BitGenome, EncodingSpec, decode, decode_values, random_genome
 from .environments import EnvSpec, Trajectory
-from .errors import ConfigurationError, is_finite_number, is_int
+from .errors import ConfigurationError, ContractViolationError, is_finite_number, is_int
 from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
 from .policy import Policy
 
@@ -69,6 +72,8 @@ class EvolutionConfig:
             raise ConfigurationError("tournament_size must be at least 1")
         if self.bits_per_dimension < 1:
             raise ConfigurationError("bits_per_dimension must be at least 1")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,8 @@ def init_population(
     for index in range(config.population_size):
         for _ in range(MAX_SAMPLING_ATTEMPTS):
             genome = random_genome(rng, encoding_spec)
-            state = env_spec.initial_state_from_vector(decode(genome, encoding_spec))
-            if env_spec.validate_initial(state) is None:
+            (state,) = env_spec.starts_from_vectors([decode(genome, encoding_spec)])
+            if state is not None:
                 break
         else:
             raise ConfigurationError(
@@ -157,28 +162,38 @@ def make_offspring(
 ) -> list[Candidate]:
     """Create this generation's unevaluated offspring, children before mutants.
 
-    The RNG is consumed in a fixed order (two tournaments plus a cut per
-    child, then a parent index plus a bit index per mutant), which keeps runs
-    reproducible; validity filtering afterwards consumes no randomness.
+    One ``rng.integers`` call (none when no offspring are due) draws, per child,
+    ``tournament_size`` indices into ``population`` for each of two tournaments
+    and then a cut in ``[1, L)``; per mutant, a parent index and then a bit in
+    ``[0, L)``, counted from the most significant.  A tournament's winner is the
+    contender first in ``_rank`` order, whatever order ``population`` is in.
+    All offspring are decoded and checked in one pass, which draws nothing.
     """
-    genomes: list[BitGenome] = []
-    for _ in range(math.ceil(config.population_size * config.crossover_probability)):
-        parent_a = _tournament_pick(population, config, rng)
-        parent_b = _tournament_pick(population, config, rng)
-        genomes.append(crossover(parent_a.genome, parent_b.genome, rng))
-    for _ in range(math.ceil(config.population_size * config.mutation_probability)):
-        parent = population[int(rng.integers(len(population)))]
-        genomes.append(mutate(parent.genome, rng))
+    children = math.ceil(config.population_size * config.crossover_probability)
+    mutants = math.ceil(config.population_size * config.mutation_probability)
+    n, t, length = len(population), config.tournament_size, encoding_spec.genome_length
+    if children and length < 2:
+        raise ContractViolationError("crossover needs genomes of length at least 2")
+    lows = ([0] * (2 * t) + [1]) * children + [0, 0] * mutants
+    if not lows:
+        return []
+    highs = ([n] * (2 * t) + [length]) * children + [n, length] * mutants
+    draws = rng.integers(lows, highs).tolist()
 
-    candidates: list[Candidate] = []
-    next_id = first_id
-    for genome in genomes:
-        state = env_spec.initial_state_from_vector(decode(genome, encoding_spec))
-        if env_spec.validate_initial(state) is not None:
-            continue
-        candidates.append(Candidate(next_id, genome, state, generation))
-        next_id += 1
-    return candidates
+    rank = list(map(_rank, population))
+    values = []
+    for at in range(0, children * (2 * t + 1), 2 * t + 1):
+        first = population[min(draws[at:at + t], key=rank.__getitem__)].genome.value
+        second = population[min(draws[at + t:at + 2 * t], key=rank.__getitem__)].genome.value
+        tail = (1 << (length - draws[at + 2 * t])) - 1  # the bits after the cut
+        values.append((first & ~tail) | (second & tail))
+    for at in range(children * (2 * t + 1), len(draws), 2):
+        values.append(population[draws[at]].genome.value ^ (1 << (length - 1 - draws[at + 1])))
+
+    states = env_spec.starts_from_vectors(decode_values(values, encoding_spec))
+    kept = [(value, state) for value, state in zip(values, states) if state is not None]
+    return [Candidate(first_id + k, BitGenome(value, length), state, generation)
+            for k, (value, state) in enumerate(kept)]
 
 
 def migrate(
@@ -308,17 +323,12 @@ def evaluate_offspring(
     return individuals
 
 
-def _tournament_pick(
-    population: list[Individual], config: EvolutionConfig, rng: np.random.Generator
-) -> Individual:
-    contenders = [
-        population[int(rng.integers(len(population)))] for _ in range(config.tournament_size)
-    ]
-    return max(contenders, key=lambda ind: (ind.fitness.joint, -ind.id))
+def _rank(individual: Individual) -> tuple[float, int]:
+    return (-individual.fitness.joint, individual.id)  # best stored score first, then oldest
 
 
 def _sorted_population(individuals: list[Individual]) -> list[Individual]:
-    return sorted(individuals, key=lambda ind: (-ind.fitness.joint, ind.id))
+    return sorted(individuals, key=_rank)
 
 
 def _generation_stats(

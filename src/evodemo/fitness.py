@@ -95,7 +95,8 @@ class DemonstrationSet:
     """
 
     def __init__(self) -> None:
-        self._entries: list[DemoEntry] = []
+        self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
+        self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._by_states: dict[tuple, list[DemoEntry]] = {}
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
 
@@ -103,10 +104,10 @@ class DemonstrationSet:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[DemoEntry]:
-        return iter(self._entries)
+        return iter(self._entries.values())
 
     def trajectories(self) -> tuple[Trajectory, ...]:
-        return tuple(e.trajectory for e in self._entries)
+        return tuple(e.trajectory for e in self._entries.values())
 
     def other_profiles(self, trajectory: Trajectory) -> list[tuple[float, float]]:
         """Distinct (D_l, C) pairs of the members other than ``trajectory`` itself."""
@@ -122,25 +123,27 @@ class DemonstrationSet:
         group = self._by_states.get(trajectory.states)
         if group is None:
             points = _points(trajectory)
-            if self._entries and points.shape[1] != self._entries[0].points.shape[1]:
+            if self._entries and points.shape[1] != next(iter(self)).points.shape[1]:
                 raise ContractViolationError("members must share one position dimensionality")
             group = self._by_states[trajectory.states] = []
         else:
             points = group[0].points
         entry = DemoEntry(trajectory, points, float(local_diversity), float(certainty))
-        self._entries.append(entry)
+        self._entries[id(entry)] = entry
+        self._entries_of.setdefault(id(trajectory), []).append(entry)
         group.append(entry)
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] = self._profiles.get(pair, 0) + 1
 
     def discard(self, trajectory: Trajectory) -> None:
         # identity-based: value-equal duplicates from other individuals survive
-        for index, entry in enumerate(self._entries):
-            if entry.trajectory is trajectory:
-                break
-        else:
+        entries = self._entries_of.get(id(trajectory))
+        if entries is None:
             raise ContractViolationError("trajectory is not a member of this demonstration set")
-        del self._entries[index]
+        entry = entries.pop(0)
+        if not entries:
+            del self._entries_of[id(trajectory)]
+        del self._entries[id(entry)]
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] -= 1
         if not self._profiles[pair]:

@@ -1,15 +1,21 @@
 """Test-side constructors and accessors the library does not ship.
 
 Each is a thin composition of public library names, kept here because only
-tests need it.
+tests need it.  The tuple-of-bits variation operators and
+``reference_offspring`` are the per-candidate offspring path that
+``evolution.make_offspring`` replaces with one batch pass; tests hold the
+batch pass equal to it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from evodemo.encoding import BitGenome
-from evodemo.environments import N_ACTIONS, GridSpec
+from evodemo.encoding import BitGenome, decode
+from evodemo.environments import N_ACTIONS, GridSpec, GridState, ReachState
+from evodemo.evolution import Candidate
 from evodemo.fitness import DemonstrationSet, local_diversity, trajectory_certainty
 from evodemo.policy import TabularPolicy
 from evodemo.report import BoxplotStats
@@ -34,7 +40,59 @@ def demo_set(trajectories, env_spec) -> DemonstrationSet:
 
 def genome_from_string(text: str) -> BitGenome:
     """Inverse of ``BitGenome.as_string``."""
-    return BitGenome(tuple(int(c) for c in text))
+    return BitGenome(int(text, 2), len(text))
+
+
+def genome_bits(genome: BitGenome) -> tuple[int, ...]:
+    """The genome's bits, most significant first."""
+    return tuple(int(c) for c in genome.as_string())
+
+
+def mutate(bits: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    """Flip exactly one uniformly chosen bit."""
+    index = int(rng.integers(len(bits)))
+    flipped = list(bits)
+    flipped[index] = 1 - flipped[index]
+    return tuple(flipped)
+
+
+def crossover(bits_a, bits_b, rng: np.random.Generator) -> tuple[int, ...]:
+    """Single-point crossover producing one child; the cut is interior."""
+    cut = int(rng.integers(1, len(bits_a)))
+    return bits_a[:cut] + bits_b[cut:]
+
+
+def tournament_pick(population, tournament_size: int, rng: np.random.Generator):
+    """The best of ``tournament_size`` uniformly drawn contenders, ties toward the older."""
+    contenders = [population[int(rng.integers(len(population)))] for _ in range(tournament_size)]
+    return max(contenders, key=lambda ind: (ind.fitness.joint, -ind.id))
+
+
+def state_from_vector(env_spec, values):
+    """The start state a decoded vector stands for, valid or not."""
+    if isinstance(env_spec, GridSpec):
+        return GridState(int(values[0]), int(values[1]))
+    return ReachState(tuple(values[:env_spec.dims]), tuple(values[env_spec.dims:]))
+
+
+def reference_offspring(population, config, encoding_spec, env_spec, rng, generation, first_id):
+    """``make_offspring`` one scalar draw, one genome, one decode and one
+    ``validate_initial`` call at a time."""
+    genomes = []
+    for _ in range(math.ceil(config.population_size * config.crossover_probability)):
+        parent_a = tournament_pick(population, config.tournament_size, rng)
+        parent_b = tournament_pick(population, config.tournament_size, rng)
+        genomes.append(crossover(genome_bits(parent_a.genome), genome_bits(parent_b.genome), rng))
+    for _ in range(math.ceil(config.population_size * config.mutation_probability)):
+        parent = population[int(rng.integers(len(population)))]
+        genomes.append(mutate(genome_bits(parent.genome), rng))
+    candidates = []
+    for bits in genomes:
+        genome = genome_from_string("".join(map(str, bits)))
+        state = state_from_vector(env_spec, decode(genome, encoding_spec))
+        if env_spec.validate_initial(state) is None:
+            candidates.append(Candidate(first_id + len(candidates), genome, state, generation))
+    return candidates
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:

@@ -237,6 +237,22 @@ def test_bad_search_values_exit_one_naming_the_field(tmp_path, capsys, setting, 
 
 
 @pytest.mark.parametrize(
+    ("setting", "flags"),
+    [("seeds: [0, -1]", []), ("seeds: [0]", ["--seed", "0", "--seed", "-1"])],
+)
+def test_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, setting, flags):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: FlatGrid11\npolicy: {{train: {{steps: 100}}}}\n"
+        f"output: {tmp_path / 'runs'}\n{setting}\n",
+    )
+    assert main(["evolve", config, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "-1" in err
+    assert not (tmp_path / "runs").exists()  # checked before seed 0 runs
+
+
+@pytest.mark.parametrize(
     ("environment", "policy", "parameter"),
     [
         ("PointReach", "{gaussian_controller: {gain: x}}", "gain"),

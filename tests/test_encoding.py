@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from helpers import genome_from_string
 from evodemo.encoding import (
+    BitGenome,
     EncodingSpec,
-    crossover,
     decode,
-    mutate,
+    decode_values,
     occurrence_stats,
     random_genome,
     state_value_distance,
-    sub_encoding_value,
 )
 from evodemo.errors import ContractViolationError
 
@@ -25,10 +24,11 @@ def spec_1d(bits, low, high, kind="discrete"):
 
 
 def test_sub_encoding_is_msb_first():
-    spec = spec_1d(4, 0, 8)
-    assert sub_encoding_value(genome_from_string("1000"), spec, 0) == 8
-    assert sub_encoding_value(genome_from_string("0001"), spec, 0) == 1
-    assert sub_encoding_value(genome_from_string("1111"), spec, 0) == 15
+    # over [0, 15] the 16 codes of 4 bits decode to themselves
+    spec = spec_1d(4, 0, 15)
+    assert decode(genome_from_string("1000"), spec) == (8,)
+    assert decode(genome_from_string("0001"), spec) == (1,)
+    assert decode(genome_from_string("1111"), spec) == (15,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -46,15 +46,50 @@ def test_each_dimension_reads_its_own_bit_slice(data):
             low = data.draw(st.floats(-10, 10))
             bounds.append((low, low + data.draw(st.floats(0.01, 10))))
     spec = EncodingSpec(dims=dims, bits_per_dim=bits, bounds=tuple(bounds), kind=kind)
+    # a discrete range of 2**bits values starting at 0 decodes each code to itself
+    identity = EncodingSpec(dims=dims, bits_per_dim=bits, bounds=((0, 2**bits - 1),) * dims)
     text = data.draw(st.text("01", min_size=dims * bits, max_size=dims * bits))
     genome = genome_from_string(text)
     values = decode(genome, spec)
+    pieces = [text[dim * bits:(dim + 1) * bits] for dim in range(dims)]
+    assert decode(genome, identity) == tuple(int(piece, 2) for piece in pieces)
     for dim, (low, high) in enumerate(bounds):
-        piece = text[dim * bits:(dim + 1) * bits]
-        assert sub_encoding_value(genome, spec, dim) == int(piece, 2)
         one_dim = EncodingSpec(dims=1, bits_per_dim=bits, bounds=((low, high),), kind=kind)
-        assert values[dim] == decode(genome_from_string(piece), one_dim)[0]
+        assert values[dim] == decode(genome_from_string(pieces[dim]), one_dim)[0]
     assert genome.as_string() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_batch_decodes_as_its_genomes_do_one_by_one(data):
+    dims = data.draw(st.integers(1, 6))
+    bits = data.draw(st.integers(1, 80))
+    kind = data.draw(st.sampled_from(["discrete", "continuous"]))
+    if kind == "discrete":
+        bounds = ((-3, 5),) * dims if 2**bits >= 9 else ((0, 2**bits - 1),) * dims
+    else:
+        bounds = ((-0.15, 0.15),) * dims
+    spec = EncodingSpec(dims=dims, bits_per_dim=bits, bounds=bounds, kind=kind)
+    top = 2**spec.genome_length - 1
+    values = data.draw(st.lists(st.sampled_from([0, top]) | st.integers(0, top), max_size=8))
+    expected = [decode(BitGenome(value, spec.genome_length), spec) for value in values]
+    assert decode_values(values, spec) == expected
+
+
+@pytest.mark.parametrize(
+    "value,length",
+    [(1.0, 3), (True, 3), (-1, 3), (8, 3), (2**80, 80), (np.int64(1), 3),
+     (1, 3.0), (1, True), (0, 0)],
+)
+def test_genome_takes_only_an_exact_int_that_fits_its_length(value, length):
+    with pytest.raises(ContractViolationError):
+        BitGenome(value, length)
+
+
+def test_genome_string_is_its_value_in_binary():
+    assert BitGenome(5, 6).as_string() == "000101"
+    assert BitGenome(2**80 - 1, 80).as_string() == "1" * 80
+    assert len(BitGenome(0, 80)) == 80
 
 
 def test_discrete_decode_matches_enumeration_oracle():
@@ -86,7 +121,7 @@ def test_discrete_decode_every_code_agrees_with_oracle():
             spec = spec_1d(bits, low, high)
             for e in range(2**bits):
                 genome = genome_from_string(format(e, f"0{bits}b"))
-                assert decode(genome, spec)[0] == bf.decode_discrete(genome.bits, low, high)
+                assert decode(genome, spec)[0] == bf.decode_discrete(genome.as_string(), low, high)
 
 
 def test_continuous_decode_endpoints_are_exact():
@@ -148,25 +183,13 @@ def test_random_genome_is_seed_deterministic():
     a = random_genome(np.random.default_rng(7), spec)
     b = random_genome(np.random.default_rng(7), spec)
     assert a == b
-    assert len(a.bits) == spec.genome_length
+    assert len(a) == spec.genome_length
 
 
-def test_mutation_flips_exactly_one_bit():
-    spec = spec_1d(8, 0, 8)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        genome = random_genome(rng, spec)
-        child = mutate(genome, rng)
-        flips = sum(a != b for a, b in zip(genome.bits, child.bits))
-        assert flips == 1
-
-
-def test_crossover_single_cut_preserves_segments():
-    rng = np.random.default_rng(5)
-    a = genome_from_string("11111111")
-    b = genome_from_string("00000000")
-    for _ in range(50):
-        bits = crossover(a, b, rng).as_string()
-        # ones then zeros, with at least one of each: a single interior cut
-        assert "01" not in bits
-        assert "1" in bits and "0" in bits
+@pytest.mark.parametrize("bits", [1, 6, 80])
+def test_random_genome_packs_one_draw_of_bits_msb_first(bits):
+    spec = EncodingSpec(dims=3, bits_per_dim=bits, bounds=((0.0, 1.0),) * 3, kind="continuous")
+    rng = np.random.default_rng(11)
+    genome = random_genome(rng, spec)
+    drawn = np.random.default_rng(11).integers(0, 2, size=spec.genome_length)
+    assert genome.as_string() == "".join(map(str, drawn.tolist()))

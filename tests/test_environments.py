@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 import qlearning_reference as reference
@@ -158,6 +159,8 @@ def test_grid_rejects_bad_resets_and_policies(flat_spec, holey_spec):
                         (holey_spec, GridState(5, 1))):  # hole
         with pytest.raises(ContractViolationError):
             spec.rollouts(constant_policy(spec, RIGHT), [GridState(1, 1), start])
+    with pytest.raises(ContractViolationError, match="expected GridState, got ReachState"):
+        flat_spec.rollouts(constant_policy(flat_spec, RIGHT), [ReachState((0.0,) * 3, (0.0,) * 3)])
     # a grid rollout reads the tabular policy's decision table, which
     # act/certainty alone do not provide
     duck_typed = SimpleNamespace(act=lambda state: RIGHT, certainty=lambda state, action: 1.0)
@@ -276,10 +279,60 @@ def test_default_encodings_cover_disturbable_coordinates(flat_spec, reach_spec):
     assert reach_enc.kind == "continuous"
 
 
-def test_initial_state_from_vector_round_trips(flat_spec, reach_spec):
-    assert flat_spec.initial_state_from_vector((4.0, 5.0)) == GridState(4, 5)
-    state = reach_spec.initial_state_from_vector((0.1, 0.0, -0.1, 0.05, 0.0, 0.0))
-    assert state == ReachState((0.1, 0.0, -0.1), (0.05, 0.0, 0.0))
+def test_starts_from_vectors_assemble_states(flat_spec, holey_spec, reach_spec):
+    assert flat_spec.starts_from_vectors([(4, 5), (9, 9), (1, 1)]) == [
+        GridState(4, 5), None, GridState(1, 1),  # (9, 9) is the target
+    ]
+    assert holey_spec.starts_from_vectors([(5, 2)]) == [None]  # a hole
+    assert flat_spec.starts_from_vectors([]) == []
+    assert reach_spec.starts_from_vectors([
+        (0.1, 0.0, -0.1, 0.05, 0.0, 0.0), (0.1, 0.0, -0.1, 0.05, 0.0, 0.2),
+    ]) == [ReachState((0.1, 0.0, -0.1), (0.05, 0.0, 0.0)), None]
+    assert reach_spec.starts_from_vectors([]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=reference.grid_layouts())
+def test_grid_start_table_agrees_with_validate_initial(spec):
+    for r in range(spec.height):
+        for c in range(spec.width):
+            valid = spec.validate_initial(GridState(r, c)) is None
+            (state,) = spec.starts_from_vectors([(r, c)])
+            assert state == (GridState(r, c) if valid else None)
+            policy = constant_policy(spec, UP)
+            if valid:
+                spec.rollouts(policy, [GridState(r, c)])
+            else:
+                with pytest.raises(ContractViolationError, match="cannot start an episode"):
+                    spec.rollouts(policy, [spec.canonical_start, GridState(r, c)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector=st.lists(
+    st.sampled_from([-0.15, 0.15, -0.0, 0.1500001, -0.2, math.nan, math.inf])
+    | st.floats(-0.2, 0.2),
+    min_size=6, max_size=6,
+))
+def test_reach_start_check_agrees_with_validate_initial(reach_spec, reach_controller, vector):
+    state = ReachState(tuple(vector[:3]), tuple(vector[3:]))
+    valid = reach_spec.validate_initial(state) is None
+    assert reach_spec.starts_from_vectors([tuple(vector)]) == [state if valid else None]
+    if valid:
+        reach_spec.rollouts(reach_controller, [state])
+    else:
+        with pytest.raises(ContractViolationError, match="coordinate outside bounds"):
+            reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3), state])
+
+
+@pytest.mark.parametrize("start,reason", [
+    (ReachState((0.0, 0.0), (0.0, 0.0, 0.0)), "wrong dimensionality"),
+    (ReachState((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)), "wrong dimensionality"),
+    (ReachState((0.0,) * 3, (0.0,) * 4), "wrong dimensionality"),
+    (GridState(1, 1), "expected ReachState"),
+])
+def test_reach_rollouts_reject_starts_of_another_shape(reach_spec, reach_controller, start, reason):
+    with pytest.raises(ContractViolationError, match=reason):
+        reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3), start])
 
 
 def test_reach_spec_defaults():

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_offspring
 from evodemo import evolution, fitness
-from evodemo.encoding import BitGenome
+from evodemo.encoding import BitGenome, EncodingSpec, random_genome
 from evodemo.environments import GridSpec, GridState, ReachSpec, parse_layout
-from evodemo.errors import ConfigurationError
+from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import (
     Candidate,
     EvolutionConfig,
+    Individual,
     baseline,
     evaluate_offspring,
     init_population,
@@ -55,10 +57,14 @@ def test_config_defaults_match_grid_profile():
         {"mutation_probability": -0.1},
         {"tournament_size": 0},
         {"bits_per_dimension": 0},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "0"},
     ],
 )
 def test_config_rejects_out_of_range_values(kwargs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
         EvolutionConfig(**kwargs)
 
 
@@ -132,6 +138,130 @@ def test_offspring_ids_skip_filtered_candidates(holey_spec, well_trained_policy)
         )
         assert [c.id for c in candidates] == list(range(100, 100 + len(candidates)))
         assert len(candidates) <= math.ceil(10 * 0.75) + math.ceil(10 * 0.5)
+
+
+def _population(values, length, joints, ids):
+    """Unevaluated stand-ins: make_offspring reads only genomes, ids and stored joints."""
+    return [
+        Individual(id=i, genome=BitGenome(value, length), initial_state=None, trajectory=None,
+                   fitness=FitnessComponents(0.0, 0.0, 0.0, 0.0, joint), birth_generation=0)
+        for value, joint, i in zip(values, joints, ids)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), preset=st.sampled_from(["FlatGrid11", "HoleyGrid11", "PointReach"]),
+       n=st.integers(2, 12), tournament_size=st.integers(1, 4),
+       crossover_probability=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+       mutation_probability=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_make_offspring_matches_the_per_candidate_path(
+    flat_spec, holey_spec, reach_spec, data, preset, n, seed, **fields
+):
+    spec = {"FlatGrid11": flat_spec, "HoleyGrid11": holey_spec, "PointReach": reach_spec}[preset]
+    # a grid needs 4 bits to cover its 9 interior rows
+    least = 1 if spec is reach_spec else 4
+    bits = data.draw(st.sampled_from([least, 6, 9, 80]) | st.integers(least, 80))
+    config = EvolutionConfig(population_size=n, bits_per_dimension=bits, **fields)
+    encoding = spec.encoding_spec(bits)
+    length = encoding.genome_length
+    values = data.draw(st.lists(st.integers(0, 2**length - 1), min_size=n, max_size=n))
+    # few distinct scores, so tournaments often tie and the id decides
+    joints = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n))
+    ids = data.draw(st.lists(st.integers(0, 10 * n), min_size=n, max_size=n, unique=True))
+    population = _population(values, length, joints, ids)  # in no particular order
+
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    made = make_offspring(population, config, encoding, spec, rng, 7, first_id=50)
+    expected = reference_offspring(population, config, encoding, spec, reference_rng, 7, 50)
+    assert made == expected
+    assert [c.genome.as_string() for c in made] == [c.genome.as_string() for c in expected]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), tournament_size=st.integers(1, 5), length=st.integers(2, 500),
+       crossover_probability=st.sampled_from([0.0, 0.1, 0.75, 1.0]),
+       mutation_probability=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**63))
+def test_one_broadcast_draw_equals_the_scalar_draws(
+    n, tournament_size, length, crossover_probability, mutation_probability, seed
+):
+    # make_offspring relies on numpy drawing an array of bounds element by
+    # element, exactly as the scalar calls of the per-candidate path did
+    children = math.ceil(n * crossover_probability)
+    mutants = math.ceil(n * mutation_probability)
+    lows = ([0] * (2 * tournament_size) + [1]) * children + [0, 0] * mutants
+    highs = ([n] * (2 * tournament_size) + [length]) * children + [n, length] * mutants
+    batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = batch.integers(lows, highs).tolist() if lows else []
+    expected = []
+    for _ in range(children):
+        expected += [int(scalar.integers(n)) for _ in range(2 * tournament_size)]
+        expected.append(int(scalar.integers(1, length)))
+    for _ in range(mutants):
+        expected += [int(scalar.integers(n)), int(scalar.integers(length))]
+    assert drawn == expected
+    # and the generator is left in the same state
+    encoding = EncodingSpec(dims=1, bits_per_dim=length, bounds=((0.0, 1.0),), kind="continuous")
+    assert random_genome(batch, encoding) == random_genome(scalar, encoding)
+    assert batch.random() == scalar.random()
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("crossover_probability,mutation_probability,calls", [
+    (0.75, 0.5, 1), (1.0, 0.0, 1), (0.0, 0.5, 1), (0.0, 0.0, 0),
+])
+def test_make_offspring_draws_once_per_generation(
+    reach_spec, crossover_probability, mutation_probability, calls
+):
+    config = EvolutionConfig(population_size=30, bits_per_dimension=9,
+                             crossover_probability=crossover_probability,
+                             mutation_probability=mutation_probability)
+    encoding = reach_spec.encoding_spec(9)
+    rng = CountingRng(0)
+    values = [int(v) for v in np.random.default_rng(1).integers(0, 2**54, size=30)]
+    population = _population(values, 54, [0.5] * 30, range(30))
+    offspring = make_offspring(population, config, encoding, reach_spec, rng, 1, first_id=30)
+    assert rng.calls == calls
+    due = math.ceil(30 * crossover_probability) + math.ceil(30 * mutation_probability)
+    assert len(offspring) <= due
+    if not calls:
+        assert offspring == []
+
+
+def test_crossover_needs_genomes_of_two_bits(flat_spec):
+    encoding = EncodingSpec(dims=1, bits_per_dim=1, bounds=((0, 1),))
+    population = _population([0, 1], 1, [0.0, 1.0], [0, 1])
+    mutants_only = EvolutionConfig(crossover_probability=0.0, mutation_probability=1.0)
+    rng = np.random.default_rng(0)
+    # one-dimensional vectors are no grid cell: every mutant is dropped, none raises
+    assert make_offspring(population, mutants_only, encoding, flat_spec, rng, 1, 2) == []
+    with pytest.raises(ContractViolationError, match="length at least 2"):
+        make_offspring(population, EvolutionConfig(), encoding, flat_spec, rng, 1, 2)
+
+
+def test_the_search_checks_no_start_one_at_a_time(flat_spec, reach_spec, monkeypatch):
+    grid = parse_layout("\n".join(flat_spec.cells))
+    grid.startable  # built once per layout, from validate_initial
+
+    def forbidden(self, state):
+        raise AssertionError("validate_initial called inside the search")
+
+    monkeypatch.setattr(GridSpec, "validate_initial", forbidden)
+    monkeypatch.setattr(ReachSpec, "validate_initial", forbidden)
+    q = np.random.default_rng(0).normal(size=(grid.height, grid.width, 4))
+    run(grid, TabularPolicy(q), EvolutionConfig(generations=5))
+    controller = GaussianControllerPolicy(step_size=reach_spec.step_size)
+    run(reach_spec, controller, EvolutionConfig(population_size=8, generations=5))
 
 
 def test_evaluated_offspring_join_the_demo_set(flat_spec, well_trained_policy):

@@ -171,6 +171,23 @@ def test_discard_of_a_non_member_raises(flat_spec):
         demos.discard(make_traj([(3.0, 3.0)]))
 
 
+def test_discard_keeps_the_order_of_the_rest(flat_spec):
+    first, second = make_traj([(3.0, 3.0)]), make_traj([(4.0, 4.0)])
+    twin = dataclasses.replace(first)
+    demos = demo_set([first, second, twin, first], flat_spec)  # first is a member twice
+    with pytest.raises(ContractViolationError):
+        demos.discard(dataclasses.replace(first))  # equal to members, but none of them
+    assert [id(t) for t in demos.trajectories()] == [id(first), id(second), id(twin), id(first)]
+    demos.discard(first)  # its older entry
+    assert [id(t) for t in demos.trajectories()] == [id(second), id(twin), id(first)]
+    demos.discard(first)
+    assert [id(t) for t in demos.trajectories()] == [id(second), id(twin)]
+    with pytest.raises(ContractViolationError):
+        demos.discard(first)
+    assert [entry.trajectory for entry in demos] == [second, twin]
+    assert demos.nearest_distances([twin]) == [pytest.approx(math.sqrt(2.0))]
+
+
 def test_entries_cache_profiles(flat_spec):
     a = make_traj([(1.0, 1.0), (2.0, 1.0)], certainties=(0.25, 0.75), raw_length=2)
     demos = demo_set([a], flat_spec)
