@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -84,7 +84,13 @@ class TabularPolicy:
         self.q_values = q
         self.temperature = float(temperature)
         # the per-cell softmax exp(q / t - max) / sum, over every cell at once
-        scaled = q / self.temperature
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            scaled = q / self.temperature
+        if not np.isfinite(scaled).all():
+            raise ContractViolationError(
+                f"softmax temperature {temperature!r} is too small for these Q values: "
+                "Q / temperature overflows"
+            )
         shifted = np.exp(scaled - scaled.max(axis=2, keepdims=True))
         probabilities = (shifted / shifted.sum(axis=2, keepdims=True)).reshape(-1, N_ACTIONS)
         self._probabilities = probabilities.tolist()
@@ -181,6 +187,34 @@ class QLearningResult:
     checkpoints: dict[int, TabularPolicy]
 
 
+# Training reads this many raw words from the generator, and works out this many
+# steps' epsilons, per numpy call.
+_BLOCK = 1024
+# Generator.random() is the top 53 bits of one raw word, times this
+_DOUBLE_UNIT = 2.0**-53
+
+
+def _raw_words(bit_generator) -> Iterator[int]:
+    """The bit generator's 64-bit outputs in order, drawn ``_BLOCK`` at a time."""
+    while True:
+        yield from bit_generator.random_raw(_BLOCK).tolist()
+
+
+def _epsilons(first: int, stop: int, epsilon_start: float, epsilon_end: float,
+              decay_steps: int) -> list[float]:
+    """``epsilon_start + (epsilon_end - epsilon_start) * min(step / decay_steps, 1.0)``
+    for each step in ``range(first, stop)``.
+
+    numpy runs the same float64 operations as that Python expression (a step
+    below 2**53 converts to float exactly), so the values are the same; where
+    the difference overflowed, inf * 0 is NaN as in Python, without a warning.
+    """
+    span = epsilon_end - epsilon_start
+    with np.errstate(invalid="ignore"):
+        ratios = np.minimum(np.arange(first, stop) / decay_steps, 1.0)
+        return (epsilon_start + span * ratios).tolist()
+
+
 def train_q_learning(
     spec: GridSpec,
     steps: int,
@@ -203,6 +237,17 @@ def train_q_learning(
     Snapshots of the table are taken after each step count listed in
     ``checkpoint_steps``; they are what deliberately under-trained policies
     are taken from.
+
+    Each step draws what ``rng.random() < epsilon`` and, when it explores,
+    ``rng.integers(4)`` would draw from ``np.random.default_rng(seed)``, but
+    the draws are made in Python from blocks of the generator's raw 64-bit
+    words, converted the way numpy converts them: ``random()`` is one whole
+    word, ``(word >> 11) * 2**-53``; ``integers(4)`` is the top 2 bits of a
+    32-bit half, the low half of a fresh word whose high half is kept for the
+    next call, or else the half kept from before (PCG64 buffers its spare 32
+    bits, and ``random()`` leaves them alone; Lemire's method never rejects
+    for a power-of-two range).  So the tables are the ones the scalar calls
+    give, bit for bit.
     """
     if not (is_int(steps) and steps >= 1):
         raise ContractViolationError("steps must be a positive integer")
@@ -223,9 +268,10 @@ def train_q_learning(
         raise ContractViolationError("checkpoint_steps must be integers in [1, steps]")
     wanted = set(checkpoint_steps)
 
-    rng = np.random.default_rng(seed)
+    draw = _raw_words(np.random.default_rng(seed).bit_generator).__next__
     transitions = spec.transitions
     start = spec.canonical_start.row * spec.width + spec.canonical_start.col
+    max_steps = spec.max_steps
     # plain float rows: Python floats are IEEE float64, so the bits match a numpy table's
     q = [[0.0] * N_ACTIONS for _ in transitions]
     shape = (spec.height, spec.width, N_ACTIONS)
@@ -233,23 +279,34 @@ def train_q_learning(
     checkpoints: dict[int, TabularPolicy] = {}
     decay_steps = max(1, int(round(steps * epsilon_decay_fraction)))
     cell, episode_steps = start, 0
-    for step in range(steps):
-        epsilon = epsilon_start + (epsilon_end - epsilon_start) * min(step / decay_steps, 1.0)
-        values = q[cell]
-        if rng.random() < epsilon:
-            action = int(rng.integers(N_ACTIONS))
-        else:
-            action = values.index(max(values))  # the first maximum, as np.argmax picks
-        nxt, reward, terminated = transitions[cell][action]
-        bootstrap = 0.0 if terminated else gamma * max(q[nxt])
-        values[action] += alpha * (reward + bootstrap - values[action])
-        episode_steps += 1
-        if terminated or episode_steps >= spec.max_steps:
-            cell, episode_steps = start, 0
-        else:
-            cell = nxt
-        if step + 1 in wanted:
-            checkpoints[step + 1] = TabularPolicy(np.reshape(q, shape), temperature)
+    spare = None  # a word whose high 32 bits integers() has yet to use
+    first = 0
+    # stop at every checkpoint, and at least every _BLOCK steps to bound the epsilons held
+    for stop in sorted(wanted.union(range(_BLOCK, steps, _BLOCK), (steps,))):
+        for epsilon in _epsilons(first, stop, epsilon_start, epsilon_end, decay_steps):
+            values = q[cell]
+            if (draw() >> 11) * _DOUBLE_UNIT < epsilon:
+                # integers(4): the top 2 bits of a fresh word's low half, or of the high half
+                # kept from the last such word
+                if spare is None:
+                    spare = draw()
+                    action = (spare >> 30) & 3
+                else:
+                    action = spare >> 62
+                    spare = None
+            else:
+                action = values.index(max(values))  # the first maximum, as np.argmax picks
+            nxt, reward, terminated = transitions[cell][action]
+            bootstrap = 0.0 if terminated else gamma * max(q[nxt])
+            values[action] += alpha * (reward + bootstrap - values[action])
+            episode_steps += 1
+            if terminated or episode_steps >= max_steps:
+                cell, episode_steps = start, 0
+            else:
+                cell = nxt
+        if stop in wanted:
+            checkpoints[stop] = TabularPolicy(np.reshape(q, shape), temperature)
+        first = stop
     return QLearningResult(TabularPolicy(np.reshape(q, shape), temperature), checkpoints)
 
 

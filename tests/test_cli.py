@@ -236,6 +236,19 @@ def test_bad_search_values_exit_one_naming_the_field(tmp_path, capsys, setting, 
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_training_temperature_that_overflows_exits_one_naming_it(tmp_path, capsys):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        "environment: FlatGrid11\n"
+        "policy: {train: {steps: 2000, seed: 0, temperature: 1.0e-310}}\n"
+        f"output: {tmp_path / 'runs'}\n",
+    )
+    assert main(["evolve", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "temperature" in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     ("setting", "flags"),
     [("seeds: [0, -1]", []), ("seeds: [0]", ["--seed", "0", "--seed", "-1"])],

@@ -1,13 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 import qlearning_reference as reference
+from evodemo import policy as policy_module
 from evodemo.environments import HOLE, GridState, ReachState
 from evodemo.errors import ContractViolationError, PolicyFormatError
 from evodemo.policy import (
@@ -126,6 +128,13 @@ def test_tabular_validation():
             TabularPolicy(np.zeros((3, 3, 4)), temperature=temperature)
 
 
+def test_a_temperature_that_overflows_the_scaled_table_is_refused():
+    # 1e-310 is positive and finite, but 1 / 1e-310 is not a float: the softmax would be NaN
+    with pytest.raises(ContractViolationError, match="temperature"):
+        tabular_for(temperature=1e-310, cells={(1, 1): np.array([1.0, 0.0, 0.0, 0.0])})
+    assert tabular_for(temperature=1e-310).certainty(GridState(0, 0), 0) == 0.25  # all zeros
+
+
 # ---------------------------------------------------------------------------
 # gaussian controller
 
@@ -234,12 +243,65 @@ unit = st.floats(0.0, 1.0)
     epsilon_decay_fraction=st.floats(0.0, 1.0, exclude_min=True),
     temperature=st.floats(0.1, 10.0),
 )
-def test_training_matches_the_reference_trainer(spec, data, steps, **params):
+@pytest.mark.parametrize("block", [None, 1, 2, 3, 5])  # None: the module's own block length
+def test_training_matches_the_reference_trainer(block, spec, data, steps, **params):
     checkpoints = tuple(data.draw(st.sets(st.integers(1, steps), max_size=8)))
+    with mock.patch.object(policy_module, "_BLOCK", block or policy_module._BLOCK):
+        result = train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params)
     assert_same_training(
-        train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params),
-        reference.train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params),
+        result, reference.train_q_learning(spec, steps, checkpoint_steps=checkpoints, **params)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon_start=st.floats(allow_nan=False, allow_infinity=False),
+    epsilon_end=st.floats(allow_nan=False, allow_infinity=False),
+    first=st.integers(0, 10**7),
+    length=st.integers(1, 2000),
+    decay_steps=st.integers(1, 10**7),
+)
+@example(epsilon_start=-1e308, epsilon_end=1e308, first=0, length=3, decay_steps=2)  # inf * 0
+def test_the_epsilon_schedule_is_the_python_expression(
+    epsilon_start, epsilon_end, first, length, decay_steps
+):
+    expected = [
+        epsilon_start + (epsilon_end - epsilon_start) * min(step / decay_steps, 1.0)
+        for step in range(first, first + length)
+    ]
+    schedule = policy_module._epsilons(
+        first, first + length, epsilon_start, epsilon_end, decay_steps
+    )
+    assert [value.hex() for value in schedule] == [value.hex() for value in expected]
+
+
+def emulated_draws(seed, calls):
+    """``calls`` answered from the raw words the way ``train_q_learning`` reads them."""
+    words = policy_module._raw_words(np.random.default_rng(seed).bit_generator)
+    spare, drawn = None, []
+    for call in calls:
+        if call == "random":
+            drawn.append((next(words) >> 11) * 2.0**-53)
+        elif spare is None:
+            spare = next(words)
+            drawn.append((spare >> 30) & 3)
+        else:
+            drawn.append(spare >> 62)
+            spare = None
+    return drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    calls=st.lists(st.sampled_from(["random", "integers"]), max_size=40),
+    block=st.sampled_from([1, 2, 3, 5, 1024]),
+)
+def test_raw_word_draws_equal_numpys_scalar_calls(seed, calls, block):
+    rng = np.random.default_rng(seed)
+    expected = [rng.random() if call == "random" else int(rng.integers(4)) for call in calls]
+    with mock.patch.object(policy_module, "_BLOCK", block):
+        assert emulated_draws(seed, calls) == expected
 
 
 def test_trained_policy_is_shortest_path_optimal_everywhere(flat_spec, well_trained_policy):
@@ -272,6 +334,8 @@ def test_training_rejects_bad_parameters(flat_spec):
                          ("seed", -1), ("temperature", math.inf), ("epsilon_end", None)):
         with pytest.raises(ContractViolationError, match=field):
             train_q_learning(flat_spec, 100, **{field: value})
+    with pytest.raises(ContractViolationError, match="temperature"):
+        train_q_learning(flat_spec, 2000, seed=0, temperature=1e-310)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +394,17 @@ def test_load_policy_rejects_broken_entries(tmp_path, flat_spec):
     path.write_text(json.dumps(payload))
     with pytest.raises(PolicyFormatError, match="entr"):
         load_policy(path)
+
+
+def test_load_policy_refuses_a_temperature_that_overflows_naming_the_file(tmp_path):
+    path = tmp_path / "policy.json"
+    save_policy(TabularPolicy(np.arange(16, dtype=float).reshape(2, 2, 4)), path)
+    payload = json.loads(path.read_text())
+    payload["temperature"] = 1e-310
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFormatError, match="temperature") as caught:
+        load_policy(path)
+    assert str(path) in str(caught.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
