@@ -382,19 +382,18 @@ class ReachSpec:
     def rollouts(self, policy, starts: Sequence[ReachState]) -> list[Trajectory]:
         """Gaussian-controller episodes, one per start, stepped together as ``(B, dims)`` arrays.
 
-        Bit-identical to stepping each start alone with ``policy.act``: the
-        arrays go through the same elementwise formulas,
-        ``policy.mean_actions`` and the clipped move.  A policy that does not
-        fit is a configuration error; every start must be valid, and an
-        invalid one is a contract violation.
+        Reads the controller through ``policy.mean_actions``, once per step
+        for the whole batch, and ``policy.step_certainty``, once per call.
+        The arrays go through the same elementwise formulas as stepping each
+        start alone in plain Python, so the bits are the same.  A policy that
+        does not fit is a configuration error; every start must be valid, and
+        an invalid one is a contract violation.
         """
         self.check_policy(policy)
         _check_starts(self, starts, lambda: self._inside([(s.effector, s.target) for s in starts]))
         if not starts:
             return []
-        # the controller always acts at its own Gaussian mean: every step has a
-        # zero offset on every axis and therefore the same certainty mass
-        certainties = (float(policy.certainty(starts[0], policy.act(starts[0]))),) * self.horizon
+        certainties = (policy.step_certainty(self.dims),) * self.horizon
 
         lo, hi = np.array(self.bounds, dtype=float).T
         target = np.array([start.target for start in starts], dtype=float)

@@ -7,8 +7,6 @@ that broke an operation's precondition and is a bug in the caller.
 
 import math
 
-import numpy as np
-
 
 class ContractViolationError(ValueError):
     """An operation was invoked outside its documented contract."""
@@ -25,14 +23,6 @@ class PolicyFormatError(ConfigurationError):
 def is_int(value) -> bool:
     # true/false (JSON, YAML) load as bool, a subclass of int that numpy reads as a mask
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_index(value) -> bool:
-    # numpy integers index like ints; a bool would index as 0 or 1. Plain ints,
-    # the common case on hot paths, are answered by the first test alone
-    return type(value) is int or (
-        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    )
 
 
 def is_finite_number(value) -> bool:

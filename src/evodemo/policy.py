@@ -4,22 +4,20 @@ Two concrete policies are provided: a tabular policy backed by a dense Q table
 (trained here with Q-learning on the gridworlds) and a proportional controller
 with a Gaussian action model for the point-reach task.
 
-Both expose the same two-method surface:
+A policy is the tables its environment's rollouts read, not a per-state
+surface; each spec's ``rollouts`` reads what it needs, in batches:
 
-* ``act(state)`` is deterministic; demonstrations must be exact functions of
-  the start state, so rollouts never sample.
-* ``certainty(state, action)`` is a probability in [0, 1] describing how
-  strongly the policy is committed to ``action`` in ``state``.  Tabular
-  policies use a softmax over Q values; the controller uses the probability
-  mass its Gaussian action model puts within a window around the action
+* ``GridSpec.rollouts`` walks a tabular policy's ``decisions``, worked out
+  once from a read-only copy of its Q table: one (greedy action, softmax
+  probability of that action) pair per cell ``row * width + col``.
+* ``ReachSpec.rollouts`` asks the controller for ``mean_actions`` over the
+  whole batch's arrays and for one ``step_certainty``, the probability mass
+  its Gaussian action model puts within a window around the action it takes
   (densities are unbounded in continuous action spaces, masses are not).
 
-A tabular policy is built once and never changes: it keeps a read-only copy
-of its Q table and works out every cell's greedy action and softmax
-probabilities up front, so ``act`` and ``certainty`` are table lookups.  Its
-``decisions`` table, one (greedy action, probability) pair per cell
-``row * width + col``, is what ``GridSpec.rollouts`` walks; ``act`` and
-``certainty`` remain for callers that hold a single state.
+Policies are deterministic: demonstrations must be exact functions of the
+start state, so rollouts never sample.  A certainty is a probability in
+[0, 1] describing how strongly the policy is committed to the action it takes.
 
 Policy files are versioned JSON.  Tabular files list every (row, col, action,
 value) entry explicitly so a table can be written or audited by hand.
@@ -36,10 +34,9 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .environments import (
-    ACTION_NAMES, KIND_CONTROLLER, KIND_TABULAR, N_ACTIONS, GridSpec, GridState, ReachState,
-    clip_like_python,
+    ACTION_NAMES, KIND_CONTROLLER, KIND_TABULAR, N_ACTIONS, GridSpec, clip_like_python,
 )
-from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_index, is_int
+from .errors import ContractViolationError, PolicyFormatError, is_finite_number, is_int
 from .jsonfile import write_json
 
 POLICY_FORMAT = "evodemo-policy"
@@ -49,10 +46,6 @@ POLICY_VERSION = 1
 class Policy(Protocol):
     kind: str  # the ``policy_kind`` of the environments it runs in
 
-    def act(self, state): ...
-
-    def certainty(self, state, action) -> float: ...
-
 
 class TabularPolicy:
     """Greedy policy over a dense Q table with softmax certainties.
@@ -60,12 +53,10 @@ class TabularPolicy:
     Ties in the Q values resolve to the first action in (up, right, down,
     left) order, so acting is deterministic even on an untrained table.
 
-    It keeps a read-only copy of the table it is given and builds every
-    cell's greedy action and softmax probabilities from it once, so ``act``
-    and ``certainty`` are lookups that cannot disagree with ``q_values``.
-    ``decisions`` holds each cell's greedy action and that action's
-    probability, indexed by cell ``row * width + col`` like
-    ``GridSpec.transitions``.
+    It keeps a read-only copy of the table it is given as ``q_values`` and
+    builds ``decisions`` from it once, so the two cannot disagree:
+    each cell's greedy action and that action's softmax probability, indexed
+    by cell ``row * width + col`` like ``GridSpec.transitions``.
     """
 
     kind = KIND_TABULAR
@@ -91,31 +82,11 @@ class TabularPolicy:
                 f"softmax temperature {temperature!r} is too small for these Q values: "
                 "Q / temperature overflows"
             )
-        shifted = np.exp(scaled - scaled.max(axis=2, keepdims=True))
+        with np.errstate(over="ignore"):  # a shift below the float range is -inf; exp gives 0
+            shifted = np.exp(scaled - scaled.max(axis=2, keepdims=True))
         probabilities = (shifted / shifted.sum(axis=2, keepdims=True)).reshape(-1, N_ACTIONS)
-        self._probabilities = probabilities.tolist()
         actions = np.argmax(q, axis=2).ravel().tolist()
-        self.decisions = tuple((a, p[a]) for a, p in zip(actions, self._probabilities))
-
-    def _cell(self, state: GridState) -> int:
-        row, col = getattr(state, "row", None), getattr(state, "col", None)
-        height, width, _ = self.q_values.shape
-        # a negative index would silently read the table from its far end
-        if not (is_index(row) and is_index(col) and 0 <= row < height and 0 <= col < width):
-            raise ContractViolationError(
-                f"state {state!r} is not a cell of the {height}x{width} Q table"
-            )
-        return row * width + col
-
-    def act(self, state: GridState) -> int:
-        return self.decisions[self._cell(state)][0]
-
-    def certainty(self, state: GridState, action: int) -> float:
-        if not (is_index(action) and 0 <= action < N_ACTIONS):
-            raise ContractViolationError(
-                f"action {action!r} must be an integer in [0, {N_ACTIONS})"
-            )
-        return self._probabilities[self._cell(state)][action]
+        self.decisions = tuple((a, p[a]) for a, p in zip(actions, probabilities.tolist()))
 
 
 class GaussianControllerPolicy:
@@ -124,8 +95,7 @@ class GaussianControllerPolicy:
     The deterministic action steers the effector straight at the target
     (gain-scaled, saturated at the unit action range).  Certainty multiplies,
     over axes, the probability mass a Gaussian centered on that action places
-    within ``window`` of the queried action; ``noise_scale`` 0 degenerates to
-    a point mass.
+    within ``window`` of it; ``noise_scale`` 0 degenerates to a point mass.
     """
 
     kind = KIND_CONTROLLER
@@ -153,27 +123,20 @@ class GaussianControllerPolicy:
         """
         return clip_like_python(self.gain * (target - effector) / self.step_size, -1.0, 1.0)
 
-    def mean_action(self, state: ReachState) -> tuple[float, ...]:
-        effector = np.array(state.effector, dtype=float)
-        target = np.array(state.target, dtype=float)
-        return tuple(self.mean_actions(effector, target).tolist())
+    def step_certainty(self, dims: int) -> float:
+        """The certainty of every step over ``dims`` axes, the same in every state.
 
-    def act(self, state: ReachState) -> tuple[float, ...]:
-        return self.mean_action(state)
-
-    def certainty(self, state: ReachState, action) -> float:
-        mean = self.mean_action(state)
-        if len(action) != len(mean):
-            raise ContractViolationError("action dimensionality mismatch")
+        The controller always acts at its own Gaussian mean, so the offset is
+        zero on each axis, and each multiplies in the mass within ``window``
+        of the mean (1 for a point mass).
+        """
+        per_axis = 1.0
+        if self.noise_scale != 0.0:
+            bound = self.window / self.noise_scale
+            per_axis = _normal_cdf(bound) - _normal_cdf(-bound)
         mass = 1.0
-        for a, m in zip(action, mean):
-            if self.noise_scale == 0.0:
-                mass *= 1.0 if abs(a - m) <= self.window else 0.0
-            else:
-                offset = a - m
-                mass *= _normal_cdf((offset + self.window) / self.noise_scale) - _normal_cdf(
-                    (offset - self.window) / self.noise_scale
-                )
+        for _ in range(dims):  # a product per axis: per_axis ** dims may differ in the last bit
+            mass *= per_axis
         return min(max(mass, 0.0), 1.0)
 
 

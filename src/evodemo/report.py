@@ -224,12 +224,21 @@ def load_bundle(path: str | Path) -> BundleData:
     with _malformed(path / "generations.csv"):
         generations = [
             {key: (int(row[key]) if key in ("id", "generation") else float(row[key])) for key in row}
-            for row in _read_csv(path / "generations.csv")
+            for row in _read_csv(path / "generations.csv", GENERATION_COLUMNS)
         ]
     with _malformed(path / "trajectories.json"):
         individuals = trajectories["individuals"]
         for ind in individuals:
             _check_individual(ind)
+        if not individuals:
+            raise ValueError("no individuals")
+    # both tables hold one row per individual of the final population
+    for name, rows in (("returns.csv", returns), ("lengths.csv", lengths)):
+        if len(rows) != len(individuals):
+            raise ConfigurationError(
+                f"{path / name}: malformed bundle file ({len(rows)} rows for the "
+                f"{len(individuals)} individuals of trajectories.json)"
+            )
     return BundleData(path, config, manifest, returns, lengths, histogram, generations, individuals)
 
 
@@ -281,6 +290,13 @@ def write_comparison_report(
         raise ConfigurationError(
             f"refusing to mix bundles from different environments: {sorted(map(str, environments))}"
         )
+    with_histogram = [b for b in search + base if b.histogram is not None]
+    for previous, bundle in zip(with_histogram, with_histogram[1:]):
+        if bundle.histogram.shape != previous.histogram.shape:
+            raise ConfigurationError(
+                f"{bundle.path}: its histogram.csv has shape {bundle.histogram.shape}, but "
+                f"{previous.path}'s has {previous.histogram.shape}; refusing to sum them"
+            )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -384,8 +400,16 @@ def _read_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path, columns: Sequence[str] = ()) -> list[dict]:
+    """The rows of ``path`` keyed by its header; a ValueError unless the header
+    names each of ``columns`` and every row has one cell per header column."""
     header, *rows = _read_rows(path)
+    for column in columns:
+        if column not in header:
+            raise ValueError(f"no column {column!r}")
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"line {number} has {len(row)} cells for {len(header)} columns")
     return [dict(zip(header, row)) for row in rows]
 
 
@@ -395,4 +419,7 @@ def _write_histogram(path: Path, histogram: np.ndarray) -> Path:
 
 
 def _read_histogram(path: Path) -> np.ndarray:
-    return np.array([[int(cell) for cell in row] for row in _read_rows(path)[1:]], dtype=int)
+    histogram = np.array([[int(cell) for cell in row] for row in _read_rows(path)[1:]], dtype=int)
+    if histogram.ndim != 2:  # a header with no rows under it
+        raise ValueError(f"histogram rows do not form a table: shape {histogram.shape}")
+    return histogram

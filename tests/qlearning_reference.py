@@ -10,8 +10,9 @@ array.  ``if_chain_step`` is the if-chain ``GridEnv.step`` used before it read
 the same table.  ``evodemo.policy.train_q_learning`` must produce the same
 final table and checkpoints bit for bit, and ``GridEnv.step`` the same moves.
 ``tabular_decision`` is the per-cell argmax and softmax ``TabularPolicy``
-computed on every call before it built its tables once; its ``act`` and
-``certainty`` must equal it (``==``) on the tables ``q_tables`` generates.
+computed on every call before it built its tables once; its ``decisions``
+must equal it (``==``) on the tables ``q_tables`` generates, and
+``stepped_rollout`` decides each step by it from the policy's Q table.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class GridEnv:
 
 
 def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Trajectory:
-    """One episode stepped through ``GridEnv`` with per-state act/certainty calls."""
+    """One episode stepped through ``GridEnv``, deciding each state by ``tabular_decision``."""
     env = GridEnv(spec)
     state = env.reset(initial_state)
     positions = [(float(state.row), float(state.col))]
@@ -77,8 +78,10 @@ def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Traject
     while not (terminated or truncated):
         decision = decisions.get(state)
         if decision is None:
-            action = policy.act(state)
-            decision = decisions[state] = (action, float(policy.certainty(state, action)))
+            action, probabilities = tabular_decision(
+                policy.q_values, policy.temperature, state.row, state.col
+            )
+            decision = decisions[state] = (action, probabilities[action])
         action, certainty = decision
         certainties.append(certainty)
         state, reward, terminated, truncated = env.step(action)

@@ -361,6 +361,24 @@ output: {tmp_path / 'out'}
     assert "trajectories.json: malformed" in capsys.readouterr().err
 
 
+def test_report_refuses_histograms_of_different_shapes_naming_the_bundle(
+    tmp_path, evolve_config, capsys,
+):
+    assert main(["evolve", evolve_config]) == 0
+    histogram = tmp_path / "runs" / "seed_1" / "histogram.csv"
+    header, *rows = histogram.read_text().splitlines()
+    widened = [f"{header},col_{len(header.split(','))}"] + [f"{row},0" for row in rows]
+    histogram.write_text("\n".join(widened) + "\n")
+    code = main(["report", "--search", str(tmp_path / "runs" / "seed_0"),
+                 str(tmp_path / "runs" / "seed_1"), "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(tmp_path / "runs" / "seed_1") in err
+    assert "(11, 12)" in err
+    assert not (tmp_path / "cmp").exists()  # refused before anything is written
+
+
 def test_layout_path_resolves_relative_to_config(tmp_path):
     (tmp_path / "maps").mkdir()
     (tmp_path / "maps" / "tiny.map").write_text("#####\n#...#\n#.T.#\n#####\n")

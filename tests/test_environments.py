@@ -161,8 +161,8 @@ def test_grid_rejects_bad_resets_and_policies(flat_spec, holey_spec):
             spec.rollouts(constant_policy(spec, RIGHT), [GridState(1, 1), start])
     with pytest.raises(ContractViolationError, match="expected GridState, got ReachState"):
         flat_spec.rollouts(constant_policy(flat_spec, RIGHT), [ReachState((0.0,) * 3, (0.0,) * 3)])
-    # a grid rollout reads the tabular policy's decision table, which
-    # act/certainty alone do not provide
+    # a grid rollout reads a tabular policy's decision table; an object that
+    # answers per state instead is refused
     duck_typed = SimpleNamespace(act=lambda state: RIGHT, certainty=lambda state, action: 1.0)
     for policy, name in ((duck_typed, "SimpleNamespace"),
                          (GaussianControllerPolicy(), "GaussianControllerPolicy")):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 import qlearning_reference as reference
 from evodemo import policy as policy_module
-from evodemo.environments import HOLE, GridState, ReachState
+from evodemo.environments import HOLE, GridState
 from evodemo.errors import ContractViolationError, PolicyFormatError
 from evodemo.policy import (
     GaussianControllerPolicy,
@@ -30,8 +30,9 @@ def tabular_for(rows=3, cols=3, fill=0.0, temperature=1.0, cells=None):
     return TabularPolicy(q, temperature=temperature)
 
 
-def probabilities(policy, state):
-    return np.array([policy.certainty(state, a) for a in range(4)])
+def decision(policy, row, col):
+    """The (greedy action, its softmax probability) pair ``policy`` holds for one cell."""
+    return policy.decisions[row * policy.q_values.shape[1] + col]
 
 
 # ---------------------------------------------------------------------------
@@ -41,36 +42,37 @@ def probabilities(policy, state):
 def test_softmax_probabilities_match_direct_formula():
     q = np.array([1.0, 2.0, 3.0, 0.0])
     policy = tabular_for(cells={(1, 1): q})
-    probs = probabilities(policy, GridState(1, 1))
-    expected = np.exp(q) / np.exp(q).sum()
-    assert np.allclose(probs, expected, atol=1e-15)
-    assert probs.sum() == pytest.approx(1.0)
+    action, probability = decision(policy, 1, 1)
+    assert action == 2
+    assert probability == pytest.approx(np.exp(3.0) / np.exp(q).sum(), abs=1e-15)
+    assert decision(policy, 0, 0) == (0, 0.25)  # an all-zero cell: uniform
 
 
 def test_temperature_sharpens_and_flattens():
     q = np.array([1.0, 2.0, 3.0, 0.0])
     cold = tabular_for(temperature=0.1, cells={(0, 0): q})
     hot = tabular_for(temperature=10.0, cells={(0, 0): q})
-    assert cold.certainty(GridState(0, 0), 2) > hot.certainty(GridState(0, 0), 2)
+    assert decision(cold, 0, 0)[1] > decision(hot, 0, 0)[1]
 
 
 def test_act_breaks_ties_in_fixed_action_order():
-    assert tabular_for().act(GridState(0, 0)) == 0  # all equal: up wins
+    assert decision(tabular_for(), 0, 0)[0] == 0  # all equal: up wins
     policy = tabular_for(cells={(0, 0): np.array([0.0, 5.0, 5.0, 0.0])})
-    assert policy.act(GridState(0, 0)) == 1  # right before down
+    assert decision(policy, 0, 0)[0] == 1  # right before down
 
 
-def test_certainty_is_probability_of_queried_action():
+def test_certainty_is_probability_of_the_greedy_action():
     policy = tabular_for(cells={(2, 2): np.array([0.0, 0.0, 0.0, 10.0])})
-    assert policy.certainty(GridState(2, 2), 3) > 0.99
-    assert policy.certainty(GridState(2, 2), 0) < 0.01
+    action, probability = decision(policy, 2, 2)
+    assert action == 3
+    assert probability > 0.99
 
 
 def test_softmax_is_stable_for_large_values():
     policy = tabular_for(cells={(0, 1): np.array([1e4, 0.0, 0.0, 0.0])})
-    probs = probabilities(policy, GridState(0, 1))
-    assert np.isfinite(probs).all()
-    assert probs[0] == pytest.approx(1.0)
+    assert decision(policy, 0, 1) == (0, pytest.approx(1.0))
+    # the shift of -1e308 by -1e308 overflows to -inf, whose exp is exactly 0
+    assert TabularPolicy(np.array([[[1e308, -1e308, 0.0, 0.0]]])).decisions == ((0, 1.0),)
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,46 +80,24 @@ def test_softmax_is_stable_for_large_values():
 def test_lookups_equal_the_per_cell_formula(table, temperature):
     policy = TabularPolicy(table, temperature)
     height, width, _ = table.shape
+    assert len(policy.decisions) == height * width
     for row in range(height):
         for col in range(width):
-            state = GridState(row, col)
-            expected = reference.tabular_decision(table, temperature, row, col)
-            assert policy.act(state) == expected[0]
-            assert [policy.certainty(state, a) for a in range(4)] == expected[1]
+            action, probabilities = reference.tabular_decision(table, temperature, row, col)
+            assert decision(policy, row, col) == (action, probabilities[action])
 
 
 def test_the_table_cannot_change_under_the_policy():
     q = np.zeros((3, 3, 4))
     q[1, 1] = (0.0, 2.0, 1.0, 0.0)
     policy = TabularPolicy(q)
-    state = GridState(1, 1)
-    before = policy.act(state), probabilities(policy, state).tolist()
+    before = policy.decisions
     q[1, 1] = (9.0, 0.0, 0.0, 0.0)  # the caller's array
     with pytest.raises(ValueError):
         policy.q_values[1, 1, 0] = 9.0
     assert policy.q_values[1, 1].tolist() == [0.0, 2.0, 1.0, 0.0]
-    assert (policy.act(state), probabilities(policy, state).tolist()) == before
-    assert before[0] == 1
-
-
-@pytest.mark.parametrize("call, culprit", [
-    (lambda p: p.certainty(GridState(1, 1), True), "action True"),
-    (lambda p: p.certainty(GridState(1, 1), 1.0), "action 1.0"),
-    (lambda p: p.certainty(GridState(1, 1), "1"), "action '1'"),
-    (lambda p: p.certainty(GridState(1, 1), None), "action None"),
-    (lambda p: p.certainty(GridState(1, 1), 4), "action 4"),
-    (lambda p: p.certainty(GridState(1, 1), -1), "action -1"),
-    (lambda p: p.act(GridState(-1, 0)), r"GridState\(row=-1, col=0\)"),
-    (lambda p: p.act(GridState(0, -1)), r"GridState\(row=0, col=-1\)"),
-    (lambda p: p.act(GridState(5, 5)), r"GridState\(row=5, col=5\)"),
-    (lambda p: p.act(GridState(3, 0)), r"GridState\(row=3, col=0\)"),
-    (lambda p: p.act(GridState(1.0, 1)), r"GridState\(row=1.0, col=1\)"),
-    (lambda p: p.certainty(GridState(0, 3), 0), r"GridState\(row=0, col=3\)"),
-    (lambda p: p.act(ReachState((0.0,) * 3, (0.0,) * 3)), "ReachState"),
-])
-def test_tabular_lookups_reject_bad_inputs_naming_them(call, culprit):
-    with pytest.raises(ContractViolationError, match=culprit):
-        call(tabular_for())
+    assert policy.decisions == before
+    assert decision(policy, 1, 1)[0] == 1
 
 
 def test_tabular_validation():
@@ -132,7 +112,7 @@ def test_a_temperature_that_overflows_the_scaled_table_is_refused():
     # 1e-310 is positive and finite, but 1 / 1e-310 is not a float: the softmax would be NaN
     with pytest.raises(ContractViolationError, match="temperature"):
         tabular_for(temperature=1e-310, cells={(1, 1): np.array([1.0, 0.0, 0.0, 0.0])})
-    assert tabular_for(temperature=1e-310).certainty(GridState(0, 0), 0) == 0.25  # all zeros
+    assert decision(tabular_for(temperature=1e-310), 0, 0) == (0, 0.25)  # all zeros
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +121,7 @@ def test_a_temperature_that_overflows_the_scaled_table_is_refused():
 
 def test_mean_action_points_at_target_and_clips():
     policy = GaussianControllerPolicy(gain=1.0, step_size=0.05)
-    state = ReachState((0.0, 0.0, 0.0), (0.02, -0.01, 0.15))
-    action = policy.mean_action(state)
+    action = policy.mean_actions(np.array([0.0, 0.0, 0.0]), np.array([0.02, -0.01, 0.15]))
     assert action[0] == pytest.approx(0.4)  # 0.02 / 0.05
     assert action[1] == pytest.approx(-0.2)
     assert action[2] == 1.0  # 0.15 / 0.05 = 3, clipped
@@ -150,25 +129,20 @@ def test_mean_action_points_at_target_and_clips():
 
 def test_certainty_is_gaussian_mass_in_window():
     policy = GaussianControllerPolicy(noise_scale=0.1, window=0.1)
-    state = ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    mean = policy.mean_action(state)  # (0, 0, 0)
     per_axis = math.erf(0.1 / (0.1 * math.sqrt(2.0)))
-    assert policy.certainty(state, mean) == pytest.approx(per_axis**3, abs=1e-12)
+    assert policy.step_certainty(3) == pytest.approx(per_axis**3, abs=1e-12)
 
 
-def test_certainty_drops_away_from_mean_action():
-    policy = GaussianControllerPolicy(noise_scale=0.1, window=0.1)
-    state = ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    near = policy.certainty(state, (0.0, 0.0, 0.0))
-    far = policy.certainty(state, (0.9, 0.0, 0.0))
-    assert far < near
+def test_certainty_grows_with_the_window():
+    narrow = GaussianControllerPolicy(noise_scale=0.1, window=0.05)
+    wide = GaussianControllerPolicy(noise_scale=0.1, window=0.2)
+    assert 0.0 < narrow.step_certainty(3) < wide.step_certainty(3) < 1.0
 
 
 def test_zero_noise_certainty_is_an_indicator():
+    # a point mass at the action taken: all of it lies within any window
     policy = GaussianControllerPolicy(noise_scale=0.0, window=0.1)
-    state = ReachState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    assert policy.certainty(state, (0.05, 0.0, 0.0)) == 1.0
-    assert policy.certainty(state, (0.2, 0.0, 0.0)) == 0.0
+    assert [policy.step_certainty(dims) for dims in (1, 3, 5)] == [1.0, 1.0, 1.0]
 
 
 def test_controller_validation():

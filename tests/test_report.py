@@ -246,11 +246,23 @@ def test_load_bundle_checks_the_manifest_header(tmp_path, flat_result, field, va
         load_bundle(tmp_path)
 
 
+GENERATIONS_HEADER = "id,generation,local_diversity,certainty,global_diversity,local_distance,joint_fitness\n"
+
+
 @pytest.mark.parametrize("name, text", [
     ("returns.csv", "id,episode_return\n0,lots\n"),
+    ("returns.csv", "id,episode_return\n"),
+    ("lengths.csv", "id,final_length\n"),
+    ("lengths.csv", "id,final_length\n0,3\n"),
     ("generations.csv", ""),
+    ("generations.csv", "id,generation,certainty,joint_fitness\n0,0,0.5,0.5\n"),
+    ("generations.csv", GENERATIONS_HEADER + "0,0,0.5\n"),
+    ("histogram.csv", "col_0,col_1\n"),
+    ("histogram.csv", "col_0,col_1\n0,1\n2\n"),
     ("trajectories.json", '{"format": "evodemo-bundle"}'),
-])
+], ids=["text return", "no returns", "no lengths", "one length for ten individuals",
+        "empty generations", "no score columns", "short generations row",
+        "no histogram rows", "ragged histogram", "no individuals key"])
 def test_load_bundle_names_a_malformed_table(tmp_path, flat_result, name, text):
     export_bundle(flat_result, tmp_path)
     (tmp_path / name).write_text(text)
@@ -292,7 +304,7 @@ def test_load_bundle_names_malformed_individuals(tmp_path, flat_result, edit):
         load_bundle(tmp_path)
 
 
-@pytest.mark.parametrize("individuals", [[5], 3], ids=["not an object", "not a list"])
+@pytest.mark.parametrize("individuals", [[5], 3, []], ids=["not an object", "not a list", "empty"])
 def test_load_bundle_names_malformed_individual_lists(tmp_path, flat_result, individuals):
     export_bundle(flat_result, tmp_path)
     payload = json.loads((tmp_path / "trajectories.json").read_text())
@@ -418,6 +430,22 @@ def test_comparison_refuses_mixed_environments(tmp_path, flat_result, reach_resu
     export_bundle(reach_result, b, {"environment": "PointReach"})
     with pytest.raises(ConfigurationError, match="different environments"):
         write_comparison_report([a], [b], tmp_path / "cmp")
+
+
+@pytest.mark.parametrize("extra_column", [True, False], ids=["column", "row"])
+def test_comparison_refuses_histograms_of_different_shapes(tmp_path, flat_result, extra_column):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for bundle in (a, b):
+        export_bundle(flat_result, bundle, {"environment": "FlatGrid11"})
+    header, *rows = (b / "histogram.csv").read_text().splitlines()
+    if extra_column:
+        header, rows = header + ",col_11", [row + ",0" for row in rows]
+    else:
+        rows.append(rows[-1])
+    (b / "histogram.csv").write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ConfigurationError, match=f"{b}: its histogram.csv has shape"):
+        write_comparison_report([a], [b], tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_comparison_requires_some_input(tmp_path):

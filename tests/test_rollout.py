@@ -193,14 +193,40 @@ def test_library_rollouts_reject_a_policy_that_does_not_fit(name, policy, start,
 # reach rollouts in lockstep
 
 
+def normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def controller_action(policy, state):
+    """The controller's action in one state, in plain Python: a gain-scaled step
+    straight at the target, saturated to [-1, 1] on each axis."""
+    return tuple(min(max(policy.gain * (t - x) / policy.step_size, -1.0), 1.0)
+                 for x, t in zip(state.effector, state.target))
+
+
+def controller_certainty(policy, state, action):
+    """The mass the controller's Gaussian action model, centred on its own action in
+    ``state``, puts within ``window`` of ``action`` on each axis, multiplied over axes."""
+    mass = 1.0
+    for a, m in zip(action, controller_action(policy, state)):
+        if policy.noise_scale == 0.0:
+            mass *= 1.0 if abs(a - m) <= policy.window else 0.0
+        else:
+            offset = a - m
+            mass *= normal_cdf((offset + policy.window) / policy.noise_scale) - normal_cdf(
+                (offset - policy.window) / policy.noise_scale
+            )
+    return min(max(mass, 0.0), 1.0)
+
+
 def reference_reach_rollout(spec, policy, start):
-    """One episode in plain Python, with per-step act/certainty calls."""
+    """One episode in plain Python, deciding and scoring each step by the scalar controller."""
     state = start
     positions = [tuple(float(x) for x in state.effector)]
     actions, rewards, certainties = [], [], []
     while len(actions) < spec.horizon:
-        action = policy.act(state)
-        certainties.append(float(policy.certainty(state, action)))
+        action = controller_action(policy, state)
+        certainties.append(controller_certainty(policy, state, action))
         effector = tuple(min(max(x + spec.step_size * a, lo), hi)
                          for x, a, (lo, hi) in zip(state.effector, action, spec.bounds))
         state = ReachState(effector, state.target)
@@ -236,7 +262,7 @@ reach_starts = starts_in(BOX)
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    box=st.sampled_from([BOX, SKEWED_BOX]),
+    box=st.sampled_from([BOX, SKEWED_BOX, BOX[:1], SKEWED_BOX + BOX[:2]]),  # 3, 1 and 5 axes
     gain=st.sampled_from([1.0, 0.7, 2.0, 3.3]),  # 2.0 and up overshoot and never settle
     step_size=st.sampled_from([0.05, 0.03]),
     horizon=st.sampled_from([1, 7, 50]),
@@ -317,4 +343,21 @@ def test_array_formulas_equal_the_scalar_ones_bit_for_bit(x, t, gain, step_size,
 def test_controller_certainty_is_constant(start):
     # the controller acts at its own mean, so the offset is zero on every axis
     policy = GaussianControllerPolicy()
-    assert policy.certainty(start, policy.act(start)) == 0.31817763901728086
+    certainty = controller_certainty(policy, start, controller_action(policy, start))
+    assert certainty == policy.step_certainty(3) == 0.31817763901728086
+
+
+positive = st.floats(0.0, 1e6, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 5), gain=positive, step_size=positive,
+       noise_scale=st.sampled_from([0.0, 0.1]) | positive, window=st.just(0.1) | positive)
+def test_step_certainty_is_the_scalar_certainty_of_the_action_taken(
+    data, dims, gain, step_size, noise_scale, window,
+):
+    point = st.tuples(*[coordinate(-1.0, 1.0)] * dims)
+    state = ReachState(data.draw(point), data.draw(point))
+    policy = GaussianControllerPolicy(gain, noise_scale, window, step_size)
+    expected = controller_certainty(policy, state, controller_action(policy, state))
+    assert policy.step_certainty(dims).hex() == expected.hex()
