@@ -206,6 +206,10 @@ def cmd_sweep(args) -> int:
     if not cells:
         print("[sweep] empty parameter grid, nothing to run")
         return 0
+    cell_names = [
+        "__".join(f"{key}={_cell_value(value)}" for key, value in cell.items()) for cell in cells
+    ]
+    _require_distinct(cell_names, "sweep cell")
 
     env_name, env_spec = _build_env(config, base_dir)
     policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
@@ -215,12 +219,11 @@ def cmd_sweep(args) -> int:
 
     snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
                 "output": str(out), "mode": "evolve"}
-    for cell in cells:
+    for cell, cell_name in zip(cells, cell_names):
         try:
             cell_config = replace(base_config, **cell)
         except (TypeError, ConfigurationError) as exc:
             raise ConfigurationError(f"invalid sweep cell {cell}: {exc}") from exc
-        cell_name = "__".join(f"{key}={_cell_value(value)}" for key, value in cell.items())
         _export_seeds(env_spec, policy, cell_config, seeds, out / cell_name, "evolve",
                       {**snapshot, "sweep_cell": dict(cell)})
     return 0
@@ -299,12 +302,20 @@ def _output_dir(config: dict, args) -> Path:
 
 
 def _seed_list(config: dict, args) -> list[int]:
-    if args.seed is not None:
-        return [int(s) for s in args.seed]
-    seeds = config.get("seeds", [0])
+    seeds = args.seed if args.seed is not None else config.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(is_int(s) for s in seeds):
         raise ConfigurationError("'seeds' must be a non-empty list of integers")
+    _require_distinct(seeds, "seed")
     return seeds
+
+
+def _require_distinct(names: list, what: str) -> None:
+    """Refuse a repeated seed or sweep cell, which would run again into the same directory."""
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ConfigurationError(
+                f"{what} {name} is listed twice; each {what} writes its own directory"
+            )
 
 
 def _training_section(section, seed_override=None) -> dict:

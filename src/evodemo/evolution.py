@@ -20,8 +20,9 @@ resolve score ties toward older individuals.
 
 Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
-evaluated this generation) takes over that individual's rollout instead of
-running its own.  Only live individuals are looked up, so memory stays
+evaluated this generation) is a twin: it takes over that individual's
+rollout instead of running its own, and its nearest distance is 0 with no
+distance work.  Only live individuals are looked up, so memory stays
 bounded by the population.  The distinct starts no live individual holds are
 rolled out together, in one ``env_spec.rollouts`` call per batch, before any
 candidate of the batch is scored.
@@ -285,7 +286,10 @@ def evaluate_offspring(
     """Evaluate offspring strictly in creation order; the set grows in between.
 
     An offspring whose start equals that of an individual of ``population``,
-    or of an offspring evaluated before it, takes over that rollout.
+    or of an offspring evaluated before it, is a twin: it takes over that
+    rollout and is scored at distance 0 without entering the distance pass.
+    Precondition: every trajectory of ``population`` is a member of
+    ``demos``; a twin's distance of 0 relies on it.
     """
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
@@ -295,21 +299,20 @@ def evaluate_offspring(
         candidate.initial_state for candidate in candidates if candidate.initial_state not in held
     ))
     fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, fresh_starts)))
-    trajectories = []
+    # the set each fresh rollout is scored against is known before any is
+    # scored, so one pass does their distance work; a twin scored in between
+    # adds only positions the set holds already, which moves no minimum
+    nearest = iter(demos.nearest_distances(list(fresh.values())))
+    individuals = []
     for candidate in candidates:
         twin = held.get(candidate.initial_state)
         if twin is None:
-            held[candidate.initial_state] = fresh[candidate.initial_state]
-            trajectories.append(fresh[candidate.initial_state])
+            trajectory = held[candidate.initial_state] = fresh[candidate.initial_state]
+            distance = next(nearest)
         else:
             # a distinct object sharing the twin's tuples: the set discards and
             # excludes members by identity
-            trajectories.append(dataclasses.replace(twin))
-    # the set each candidate is scored against is known before any is scored,
-    # so the distance work for the whole batch is done in one pass
-    nearest = demos.nearest_distances(trajectories)
-    individuals = []
-    for candidate, trajectory, distance in zip(candidates, trajectories, nearest):
+            trajectory, distance = dataclasses.replace(twin), 0.0
         components = joint_fitness(trajectory, demos, env_spec, distance)
         demos.add(trajectory, components.local_diversity, components.certainty)
         individuals.append(Individual(

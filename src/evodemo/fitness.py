@@ -27,11 +27,12 @@ an identical twin contributed by someone else.
 
 The demonstration set caches each member's position array and (local
 diversity, certainty) pair; scoring a candidate never re-derives members.
-Members at equal positions share one array, and the set counts its members
-per distinct profile, so the profile term is a minimum over distinct pairs.
-A trajectory whose positions another member holds is at distance exactly 0
-without any distance work, so a value-equal copy of a member scores 0 on
-both context terms.
+The set counts its members per distinct profile, so the profile term is a
+minimum over distinct pairs.  It keeps no index by value: a value-equal copy
+of a member is at distance exactly 0 because every point-to-point distance
+between equal positions is 0, so it scores 0 on both context terms.  The
+search never sends such a copy to the distance pass; it sets the copy's
+distance to 0 itself (``evolution.evaluate_offspring``).
 
 ``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
 for a whole batch of trajectories at once, each against the set as it will
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,15 +90,14 @@ class DemoEntry:
 class DemonstrationSet:
     """Alive demonstrations with cached positions and (D_l, C) profiles.
 
-    Members are grouped by their trajectory's states; the members of a group
-    share one position array, which is one column block of the distance
-    matrix ``nearest_distances`` builds.
+    Members are kept in insertion order, keyed by identity; each member's
+    position array is one column block of the distance matrix
+    ``nearest_distances`` builds, even where members are value-equal.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
-        self._by_states: dict[tuple, list[DemoEntry]] = {}
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
 
     def __len__(self) -> int:
@@ -112,26 +112,19 @@ class DemonstrationSet:
     def other_profiles(self, trajectory: Trajectory) -> list[tuple[float, float]]:
         """Distinct (D_l, C) pairs of the members other than ``trajectory`` itself."""
         own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
-        for e in self._by_states.get(trajectory.states, ()):
-            if e.trajectory is trajectory:
-                pair = (e.local_diversity, e.certainty)
-                own[pair] = own.get(pair, 0) + 1
+        for e in self._entries_of.get(id(trajectory), ()):
+            pair = (e.local_diversity, e.certainty)
+            own[pair] = own.get(pair, 0) + 1
         # an own pair stays while another member holds it too
         return [pair for pair, count in self._profiles.items() if count > own.get(pair, 0)]
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
-        group = self._by_states.get(trajectory.states)
-        if group is None:
-            points = _points(trajectory)
-            if self._entries and points.shape[1] != next(iter(self)).points.shape[1]:
-                raise ContractViolationError("members must share one position dimensionality")
-            group = self._by_states[trajectory.states] = []
-        else:
-            points = group[0].points
+        points = _points(trajectory)
+        if self._entries and points.shape[1] != next(iter(self)).points.shape[1]:
+            raise ContractViolationError("members must share one position dimensionality")
         entry = DemoEntry(trajectory, points, float(local_diversity), float(certainty))
         self._entries[id(entry)] = entry
         self._entries_of.setdefault(id(trajectory), []).append(entry)
-        group.append(entry)
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] = self._profiles.get(pair, 0) + 1
 
@@ -148,10 +141,6 @@ class DemonstrationSet:
         self._profiles[pair] -= 1
         if not self._profiles[pair]:
             del self._profiles[pair]
-        # re-key the group by a member still alive, so no dropped trajectory is kept
-        group = [e for e in self._by_states.pop(trajectory.states) if e is not entry]
-        if group:
-            self._by_states[group[0].trajectory.states] = group
 
     def nearest_distances(self, trajectories: Sequence[Trajectory]) -> list[float]:
         """One-way distance from each trajectory to its nearest other demonstration.
@@ -159,86 +148,52 @@ class DemonstrationSet:
         Trajectory ``k`` is compared with every member and every one of
         ``trajectories[:k]`` but itself (by identity), as though each joined
         the set right after it was scored; ``inf`` when there is nothing to
-        compare with.  A trajectory whose positions another of those already
-        holds is at distance 0 with no distance work.  Every other one is a
-        row block of one distance matrix over the distinct position arrays,
-        masked to the column blocks it may see, and split into consecutive
-        chunks of rows whose matrix holds at most ``MAX_MATRIX_ELEMENTS``
-        elements.
+        compare with.  A value-equal copy of any of those is at distance 0,
+        worked out like any other.  The column blocks are the members'
+        position arrays in insertion order, then the batch's; trajectory
+        ``k`` is a row block of one distance matrix, masked to the column
+        blocks before its own that belong to other objects.  The rows are
+        split into consecutive chunks whose matrix holds at most
+        ``MAX_MATRIX_ELEMENTS`` elements.
         """
-        groups = list(self._by_states.values())
-        blocks = [group[0].points for group in groups]
-        # the one object at each block's positions, None once distinct objects are
-        holders = [
-            group[0].trajectory if all(e.trajectory is group[0].trajectory for e in group)
-            else None
-            for group in groups
-        ]
-        block_of = {states: index for index, states in enumerate(self._by_states)}
-        nearest = [math.inf] * len(trajectories)
-        rows: list[_Row] = []
-        for k, trajectory in enumerate(trajectories):
-            block = block_of.get(trajectory.states)
-            if block is None:
-                points = _points(trajectory)
-                rows.append(_Row(k, points, len(blocks), -1))
-                block_of[trajectory.states] = len(blocks)
-                blocks.append(points)
-                holders.append(trajectory)
-            elif holders[block] is trajectory:  # alone at its positions but for itself
-                rows.append(_Row(k, blocks[block], len(blocks), block))
-            else:
-                nearest[k] = 0.0
-                holders[block] = None
-        if not rows:
-            return nearest
+        if not trajectories:
+            return []
+        blocks = [e.points for e in self] + [_points(t) for t in trajectories]
         if len({points.shape[1] for points in blocks}) > 1:
             raise ContractViolationError("demonstrations must share one position dimensionality")
+        # each block's owner object by id, which is identity while the members
+        # and the batch are alive
+        owners = np.array([id(e.trajectory) for e in self] + list(map(id, trajectories)),
+                          dtype=np.uint64)
         lengths = np.array([len(points) for points in blocks])
         column_ends = np.concatenate([[0], np.cumsum(lengths)])  # columns of the first v blocks
         columns = np.ascontiguousarray(np.concatenate(blocks).T)
-        begin = 0
-        while begin < len(rows):
-            end, height = begin + 1, len(rows[begin].points)
-            while end < len(rows):
-                height += len(rows[end].points)
-                if height * column_ends[rows[end].visible] > MAX_MATRIX_ELEMENTS:
+        # trajectory k is row block v = len(self) + k and sees blocks 0 .. v - 1
+        nearest: list[float] = []
+        begin = len(self)
+        if not begin:  # the first trajectory ever scored has nothing to compare with
+            nearest, begin = [math.inf], 1
+        while begin < len(blocks):
+            end, height = begin + 1, lengths[begin]
+            while end < len(blocks):
+                height += lengths[end]
+                if height * column_ends[end] > MAX_MATRIX_ELEMENTS:
                     break
                 end += 1
-            chunk = rows[begin:end]
-            distances = _nearest_in_chunk(chunk, columns, column_ends, lengths)
-            for row, distance in zip(chunk, distances):
-                nearest[row.index] = distance
+            visible = end - 1  # the blocks the chunk's last row sees
+            distances = _one_way_matrix(
+                np.concatenate(blocks[begin:end]),
+                lengths[begin:end],
+                columns[:, : column_ends[visible]],
+                lengths[:visible],
+            )
+            # a row sees no block from its own on, and no block of its own object
+            hidden = np.arange(visible) >= np.arange(begin, end)[:, None]
+            hidden |= owners[:visible] == owners[begin:end, None]
+            distances[hidden] = math.inf
+            nearest += distances.min(axis=1).tolist()
             begin = end
         return nearest
-
-
-class _Row(NamedTuple):
-    """A trajectory that needs distance work in ``nearest_distances``."""
-
-    index: int  # in the batch
-    points: np.ndarray
-    visible: int  # it sees column blocks 0 .. visible - 1,
-    own: int  # except its own block when it is a member alone there (else -1)
-
-
-def _nearest_in_chunk(
-    chunk: list[_Row], columns: np.ndarray, column_ends: np.ndarray, lengths: np.ndarray
-) -> list[float]:
-    visible = chunk[-1].visible
-    if not visible:  # the first trajectory ever scored
-        return [math.inf] * len(chunk)
-    distances = _one_way_matrix(
-        np.concatenate([row.points for row in chunk]),
-        np.array([len(row.points) for row in chunk]),
-        columns[:, : column_ends[visible]],
-        lengths[:visible],
-    )
-    block = np.arange(visible)
-    seen = np.array([row.visible for row in chunk])[:, None]
-    own = np.array([row.own for row in chunk])[:, None]
-    distances[(block >= seen) | (block == own)] = math.inf
-    return distances.min(axis=1).tolist()
 
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:

@@ -266,6 +266,48 @@ def test_negative_seed_exits_one_naming_the_seed(tmp_path, capsys, setting, flag
 
 
 @pytest.mark.parametrize(
+    ("command", "setting", "flags"),
+    [
+        ("evolve", "seeds: [3, 3]", []),
+        ("baseline", "seeds: [0]", ["--seed", "3", "--seed", "3"]),
+        ("sweep", "seeds: [3, 4, 3]\nsweep: {population_size: [4]}", []),
+    ],
+)
+def test_a_repeated_seed_exits_one_naming_it(tmp_path, capsys, command, setting, flags):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: PointReach\npolicy: {{gaussian_controller: {{}}}}\n"
+        f"output: {tmp_path / 'runs'}\n{setting}\n",
+    )
+    assert main([command, config, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed 3 " in err
+    assert not (tmp_path / "runs").exists()  # refused before the first search
+
+
+@pytest.mark.parametrize(
+    ("axes", "cell"),
+    [
+        ("{population_size: [4, 4]}", "population_size=4"),
+        # the tuple axis sets generations again, so both cells are the same
+        ('{generations: [2, 3], "generations,population_size": [[2, 4]]}',
+         "generations=2__population_size=4"),
+    ],
+)
+def test_a_repeated_sweep_cell_exits_one_naming_it(tmp_path, capsys, axes, cell):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: PointReach\npolicy: {{gaussian_controller: {{}}}}\n"
+        f"evolution: {{generations: 2}}\nseeds: [0]\noutput: {tmp_path / 'sweep'}\n"
+        f"sweep: {axes}\n",
+    )
+    assert main(["sweep", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"sweep cell {cell} " in err
+    assert not (tmp_path / "sweep").exists()  # refused before the first search
+
+
+@pytest.mark.parametrize(
     ("environment", "policy", "parameter"),
     [
         ("PointReach", "{gaussian_controller: {gain: x}}", "gain"),

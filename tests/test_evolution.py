@@ -498,25 +498,85 @@ def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
     reach_spec, reach_controller, monkeypatch
 ):
     config = EvolutionConfig(population_size=8, generations=5, bits_per_dimension=2, seed=5)
-    passes, scored = [], []
+    rolled, passes, scored, offspring = [], [], [], []
+    original_rollouts = ReachSpec.rollouts
+    original_pass = fitness.DemonstrationSet.nearest_distances
+    original_score = evolution.joint_fitness
+    original_make_offspring = evolution.make_offspring
+
+    def rollouts(env_spec, policy, starts):
+        trajectories = original_rollouts(env_spec, policy, starts)
+        rolled.append(trajectories)
+        return trajectories
+
+    def nearest_distances(demos, trajectories):
+        passes.append(list(trajectories))
+        return original_pass(demos, trajectories)
+
+    def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
+        assert nearest_distance is not None  # the batch pass or the twin rule answered it
+        scored.append(trajectory)
+        return original_score(trajectory, demos, env_spec, nearest_distance)
+
+    def make_offspring(*args):
+        candidates = original_make_offspring(*args)
+        offspring.append(len(candidates))
+        return candidates
+
+    monkeypatch.setattr(ReachSpec, "rollouts", rollouts)
+    monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
+    monkeypatch.setattr(evolution, "make_offspring", make_offspring)
+    run(reach_spec, reach_controller, config)
+    assert len(passes) == len(rolled) == config.generations + 1
+    for batch, fresh in zip(passes, rolled):
+        # each pass holds exactly the batch's fresh rollouts, in creation order
+        assert list(map(id, batch)) == list(map(id, fresh))
+    assert len(scored) == config.population_size + sum(offspring)
+    assert len(scored) > sum(map(len, passes))  # twins were scored outside the pass
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    reach=st.booleans(),
+    population_size=st.integers(2, 8),
+    generations=st.integers(1, 4),
+    bits_per_dimension=st.integers(2, 7),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_distance_pass_gets_no_twin_and_every_twin_scores_at_distance_zero(
+    flat_spec, reach_spec, reach, seed, **fields
+):
+    # few bits leave few starts, so offspring often repeat a live start; a grid
+    # has only 81 interior cells, and its 9 rows need at least 4 bits
+    if reach:
+        spec, policy = reach_spec, GaussianControllerPolicy(step_size=reach_spec.step_size)
+    else:
+        q = np.random.default_rng(seed).normal(size=(flat_spec.height, flat_spec.width, 4))
+        spec, policy = flat_spec, TabularPolicy(q)
+        fields["bits_per_dimension"] = max(fields["bits_per_dimension"], 4)
+    passed = {}  # every trajectory a pass received, by id; held, so no id is reused
     original_pass = fitness.DemonstrationSet.nearest_distances
     original_score = evolution.joint_fitness
 
     def nearest_distances(demos, trajectories):
-        passes.append(len(trajectories))
+        seen = {trajectory.states for trajectory in demos.trajectories()}
+        for trajectory in trajectories:
+            assert trajectory.states not in seen  # equal to no member nor earlier row
+            seen.add(trajectory.states)
+            passed[id(trajectory)] = trajectory
         return original_pass(demos, trajectories)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
-        assert nearest_distance is not None  # the batch pass answered it
-        scored.append(trajectory)
+        if id(trajectory) not in passed:  # a twin
+            assert nearest_distance == 0.0
+            assert trajectory.states in {t.states for t in demos.trajectories()}
         return original_score(trajectory, demos, env_spec, nearest_distance)
 
-    monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
-    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
-    run(reach_spec, reach_controller, config)
-    assert len(passes) == config.generations + 1  # each batch passes all its candidates
-    assert passes[0] == config.population_size
-    assert len(scored) == sum(passes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+        patch.setattr(evolution, "joint_fitness", joint_fitness)
+        run(spec, policy, EvolutionConfig(seed=seed, **fields))
 
 
 # ---------------------------------------------------------------------------
