@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands read a YAML (or JSON) config file; only the seed list and the output
-directory can be overridden on the command line.  Exit codes: 0 success,
-1 configuration error, 2 runtime error.
+directory can be overridden on the command line (for ``train``, ``--seed`` sets
+the training seed).  Exit codes: 0 success, 1 configuration error, 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import yaml
@@ -34,18 +35,6 @@ from .policy import (
     train_q_learning,
 )
 
-_TRAIN_KEYS = {
-    "steps",
-    "checkpoints",
-    "alpha",
-    "gamma",
-    "epsilon_start",
-    "epsilon_end",
-    "epsilon_decay_fraction",
-    "temperature",
-    "seed",
-    "select",
-}
 _TRAIN_DEFAULTS = {
     "checkpoints": [],
     "alpha": 0.1,
@@ -57,14 +46,10 @@ _TRAIN_DEFAULTS = {
     "seed": 0,
     "select": "final",
 }
+_TRAIN_KEYS = {"steps", *_TRAIN_DEFAULTS}
 _CONTROLLER_KEYS = {"gain", "noise_scale", "window", "step_size"}
-_EVOLUTION_KEYS = {
-    "population_size",
-    "generations",
-    "crossover_probability",
-    "mutation_probability",
-    "tournament_size",
-}
+# the seed comes from the seed list, the bit width from 'encoding:'
+_EVOLUTION_KEYS = {field.name for field in fields(EvolutionConfig)} - {"seed", "bits_per_dimension"}
 _SWEEPABLE_KEYS = _EVOLUTION_KEYS | {"bits_per_dimension"}
 
 
@@ -122,7 +107,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         action="append",
         default=None,
-        help="override the config's seed list (repeatable)",
+        help="override the config's seed list (repeatable); for train, the training seed",
     )
 
 
@@ -155,30 +140,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    return _run_search(args, baseline_mode=False)
+    return _run_search(args, "evolve")
 
 
 def cmd_baseline(args) -> int:
-    return _run_search(args, baseline_mode=True)
-
-
-def _run_search(args, baseline_mode: bool) -> int:
-    config, base_dir = _load_config_file(args.config)
-    _check_keys(
-        config, {"environment", "policy", "evolution", "encoding", "seeds", "output"}, "config"
-    )
-    env_name, env_spec = _build_env(config, base_dir)
-    policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
-    evo_config = _evolution_config(config, env_spec)
-    seeds = _seed_list(config, args)
-    out = _output_dir(config, args)
-    mode = "baseline" if baseline_mode else "evolve"
-
-    snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
-                "output": str(out), "mode": mode}
-    bundles = _export_seeds(env_spec, policy, evo_config, seeds, out, mode, snapshot)
-    report.write_run_manifest(out, mode, env_name, seeds, bundles)
-    return 0
+    return _run_search(args, "baseline")
 
 
 def cmd_report(args) -> int:
@@ -191,18 +157,23 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    return _run_search(args, "sweep")
+
+
+def _run_search(args, command: str) -> int:
+    """Plan every search ``command`` asks for, then run and export them in turn.
+
+    ``evolve`` and ``baseline`` are a sweep of the single empty cell: their
+    bundles go into the output directory itself, next to a run manifest.
+    ``sweep`` writes ``out/<cell>/seed_<n>``.  Every cell and seed is checked,
+    and each cell's genome encoding built, before the first search runs or any
+    directory is made.
+    """
     config, base_dir = _load_config_file(args.config)
-    _check_keys(
-        config,
-        {"environment", "policy", "evolution", "encoding", "seeds", "output", "sweep"},
-        "config",
-    )
-    grid = config.get("sweep")
-    if grid is None:
-        raise ConfigurationError("sweep config needs a 'sweep' mapping")
-    if not isinstance(grid, dict):
-        raise ConfigurationError("'sweep' must map parameter names to value lists")
-    cells = _sweep_cells(grid)
+    sweeping = command == "sweep"
+    allowed = {"environment", "policy", "evolution", "encoding", "seeds", "output"}
+    _check_keys(config, allowed | {"sweep"} if sweeping else allowed, "config")
+    cells = _sweep_cells(config.get("sweep")) if sweeping else [{}]
     if not cells:
         print("[sweep] empty parameter grid, nothing to run")
         return 0
@@ -212,48 +183,55 @@ def cmd_sweep(args) -> int:
     _require_distinct(cell_names, "sweep cell")
 
     env_name, env_spec = _build_env(config, base_dir)
-    policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
     base_config = _evolution_config(config, env_spec)
     seeds = _seed_list(config, args)
     out = _output_dir(config, args)
-
-    snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
-                "output": str(out), "mode": "evolve"}
+    jobs = []
     for cell, cell_name in zip(cells, cell_names):
         try:
             cell_config = replace(base_config, **cell)
-        except (TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(f"invalid sweep cell {cell}: {exc}") from exc
-        _export_seeds(env_spec, policy, cell_config, seeds, out / cell_name, "evolve",
-                      {**snapshot, "sweep_cell": dict(cell)})
+            env_spec.encoding_spec(cell_config.bits_per_dimension)
+        except ConfigurationError as exc:
+            if not cell:
+                raise
+            raise ConfigurationError(f"invalid sweep cell {cell_name}: {exc}") from exc
+        # a bad seed is reported as itself, not as a fault of the cell
+        jobs += [(cell, out / cell_name, replace(cell_config, seed=seed)) for seed in seeds]
+
+    policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
+    mode = "baseline" if command == "baseline" else "evolve"
+    snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
+                "output": str(out), "mode": mode}
+    bundles = [
+        _export_seed(env_spec, policy, seeded, cell_out, mode,
+                     {**snapshot, "sweep_cell": dict(cell)} if sweeping else snapshot)
+        for cell, cell_out, seeded in jobs
+    ]
+    if not sweeping:
+        report.write_run_manifest(out, mode, env_name, seeds, bundles)
     return 0
 
 
-def _export_seeds(env_spec: EnvSpec, policy: Policy, config: EvolutionConfig, seeds: list[int],
-                  out: Path, mode: str, snapshot: dict) -> list[str]:
-    """Run one search per seed and export it to ``out/seed_<seed>``; returns the bundle names.
+def _export_seed(env_spec: EnvSpec, policy: Policy, seeded: EvolutionConfig, out: Path,
+                 mode: str, snapshot: dict) -> str:
+    """Run one search and export it to ``out/seed_<seed>``; returns the bundle name.
 
-    Each bundle's ``config.json`` is ``snapshot`` plus the seed and the search
+    The bundle's ``config.json`` is ``snapshot`` plus the seed and the search
     settings, with the genome's bit width under ``encoding``.
     """
     search = evolution.baseline if mode == "baseline" else evolution.run
-    bundles = []
-    # every seed is checked before the first search runs
-    for seeded in [replace(config, seed=seed) for seed in seeds]:
-        seed = seeded.seed
-        result = search(env_spec, policy, seeded)
-        settings = asdict(seeded)
-        del settings["seed"]
-        encoding = {"bits_per_dimension": settings.pop("bits_per_dimension")}
-        bundle = out / f"seed_{seed}"
-        config_json = {**snapshot, "evolution": settings, "encoding": encoding, "seed": seed}
-        report.export_bundle(result, bundle, config_json, mode=mode)
-        bundles.append(bundle.name)
-        print(
-            f"[{mode}] seed {seed}: {len(result.population)} demonstrations, "
-            f"best joint fitness {result.population[0].fitness.joint:.4f} -> {bundle}"
-        )
-    return bundles
+    result = search(env_spec, policy, seeded)
+    settings = asdict(seeded)
+    seed = settings.pop("seed")
+    encoding = {"bits_per_dimension": settings.pop("bits_per_dimension")}
+    bundle = out / f"seed_{seed}"
+    config_json = {**snapshot, "evolution": settings, "encoding": encoding, "seed": seed}
+    report.export_bundle(result, bundle, config_json, mode=mode)
+    print(
+        f"[{mode}] seed {seed}: {len(result.population)} demonstrations, "
+        f"best joint fitness {result.population[0].fitness.joint:.4f} -> {bundle}"
+    )
+    return bundle.name
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +304,9 @@ def _training_section(section, seed_override=None) -> dict:
         raise ConfigurationError("training needs 'steps'")
     resolved = dict(_TRAIN_DEFAULTS)
     resolved.update(section)
-    if seed_override:
+    if seed_override:  # train's --seed flags
+        if len(seed_override) > 1:
+            raise ConfigurationError(f"train takes at most one --seed, got {seed_override}")
         resolved["seed"] = seed_override[0]
     if not is_int(resolved["steps"]) or resolved["steps"] < 1:
         raise ConfigurationError("training 'steps' must be a positive integer")
@@ -437,12 +417,16 @@ def _evolution_config(config: dict, env_spec: EnvSpec) -> EvolutionConfig:
     return EvolutionConfig(**values)
 
 
-def _sweep_cells(grid: dict) -> list[dict]:
-    """Cartesian product over the sweep axes.
+def _sweep_cells(grid) -> list[dict]:
+    """Cartesian product over the axes of a config's ``sweep`` mapping.
 
     A key may name several comma-separated parameters whose values are given
     as tuples, e.g. ``crossover_probability,mutation_probability: [[0.9, 0.25], ...]``.
     """
+    if grid is None:
+        raise ConfigurationError("sweep config needs a 'sweep' mapping")
+    if not isinstance(grid, dict):
+        raise ConfigurationError("'sweep' must map parameter names to value lists")
     if not grid:
         return []
     axes: list[list[dict]] = []
@@ -455,17 +439,13 @@ def _sweep_cells(grid: dict) -> list[dict]:
             )
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"sweep axis {key!r} needs a non-empty value list")
-        points = []
-        for value in values:
-            if len(names) == 1:
-                points.append({names[0]: value})
-            else:
-                if not isinstance(value, list) or len(value) != len(names):
-                    raise ConfigurationError(
-                        f"sweep axis {key!r} needs {len(names)}-element value tuples"
-                    )
-                points.append(dict(zip(names, value)))
-        axes.append(points)
+        points = [[value] for value in values] if len(names) == 1 else values
+        for point in points:
+            if not isinstance(point, list) or len(point) != len(names):
+                raise ConfigurationError(
+                    f"sweep axis {key!r} needs {len(names)}-element value tuples"
+                )
+        axes.append([dict(zip(names, point)) for point in points])
     return [
         {name: value for point in combo for name, value in point.items()}
         for combo in itertools.product(*axes)

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evodemo.cli import main
 
@@ -333,6 +341,39 @@ def test_bad_policy_parameters_exit_one_naming_the_parameter(
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_refuses_more_than_one_seed_naming_them(tmp_path, train_config, capsys):
+    assert main(["train", train_config, "--seed", "1", "--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--seed" in err
+    assert "[1, 2]" in err
+    assert not (tmp_path / "policies").exists()
+
+
+def test_train_seed_flag_sets_the_training_seed(tmp_path, train_config):
+    assert main(["train", train_config, "--seed", "3", "--out", str(tmp_path / "s3")]) == 0
+    assert main(["train", train_config, "--out", str(tmp_path / "s0")]) == 0
+    policy_3 = (tmp_path / "s3" / "policy_2000.json").read_text()
+    assert policy_3 != (tmp_path / "s0" / "policy_2000.json").read_text()
+
+
+@pytest.mark.parametrize(
+    ("axis", "cell"),
+    [("population_size: [4, 1]", "population_size=1"),
+     ("bits_per_dimension: [6, 2]", "bits_per_dimension=2")],  # 9 interior rows need 4 bits
+)
+def test_a_bad_sweep_cell_is_refused_before_any_cell_runs(tmp_path, capsys, axis, cell):
+    config = write_yaml(
+        tmp_path / "bad.yaml",
+        f"environment: FlatGrid11\npolicy: {{train: {{steps: 100}}}}\n"
+        f"evolution: {{generations: 1}}\nseeds: [0]\noutput: {tmp_path / 'sweep'}\n"
+        f"sweep: {{{axis}}}\n",
+    )
+    assert main(["sweep", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"sweep cell {cell}:" in err
+    assert not (tmp_path / "sweep").exists()  # the valid first cell did not run either
+
+
 def test_invalid_flag_exits_one(tmp_path, capsys):
     assert main(["evolve", "--bogus"]) == 1
 
@@ -443,3 +484,88 @@ output: {tmp_path / 'tiny_runs'}
     )
     assert main(["evolve", config]) == 0
     assert (tmp_path / "tiny_runs" / "seed_0" / "returns.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# generated sweep and seed inputs
+
+SWEEPABLE = ("population_size", "generations", "crossover_probability",
+             "mutation_probability", "tournament_size", "bits_per_dimension")
+UNKNOWN = ("seed", "seeds", "gain", "steps", "")
+VALID = {
+    "population_size": st.integers(2, 4),
+    "generations": st.integers(1, 2),
+    "crossover_probability": st.floats(0, 1) | st.sampled_from([0, 1]),
+    "mutation_probability": st.floats(0, 1) | st.sampled_from([0, 1]),
+    "tournament_size": st.integers(1, 4),
+    "bits_per_dimension": st.integers(1, 12),  # FlatGrid11 needs 4 or more
+}
+# on or past the edge of the valid ranges, and values of the wrong type
+EDGE_VALUES = st.sampled_from([-1, 0, 1, 1.25])
+ODD_VALUES = (st.booleans() | st.floats() | st.text(max_size=3)
+              | st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def sweeps(draw):
+    """A ``sweep`` mapping of one or two axes, each a parameter or a comma-joined
+    pair, and a seed list.  Each example draws at most one kind of fault (bad
+    values, unknown names, misshapen axes or bad seeds) and takes it at about
+    every other choice of that kind; cells may also repeat, and a bit width may
+    be too narrow for the grid."""
+    fault = draw(st.sampled_from([None, "value", "value", "name", "shape", "seeds"]))
+
+    def off_path(kind):
+        return fault == kind and draw(st.booleans())
+
+    def value(name):
+        if name in VALID and not off_path("value"):
+            return draw(VALID[name])
+        return draw(EDGE_VALUES | ODD_VALUES)
+
+    def axis():
+        names = [draw(st.sampled_from(UNKNOWN if off_path("name") else SWEEPABLE))
+                 for _ in range(draw(st.integers(1, 2)))]
+
+        def point():
+            if len(names) == 1:
+                return value(names[0])
+            return draw(ODD_VALUES) if off_path("shape") else [value(name) for name in names]
+
+        count = 0 if off_path("shape") else draw(st.integers(1, 2))
+        return ",".join(names), [point() for _ in range(count)]
+
+    grid = dict(axis() for _ in range(draw(st.integers(1, 2))))
+    seeds = draw(st.lists(st.integers(-1, 2), max_size=3) if fault == "seeds"
+                 else st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+    return grid, seeds
+
+
+SEARCHES = st.sampled_from([
+    {"environment": "PointReach", "policy": {"gaussian_controller": {}}},
+    {"environment": "FlatGrid11", "policy": {"train": {"steps": 100}}},
+])
+
+
+@settings(max_examples=30, deadline=None)
+@given(search=SEARCHES, population=st.integers(2, 4), sweep=sweeps())
+def test_a_sweep_runs_every_cell_and_seed_or_writes_nothing(search, population, sweep):
+    grid, seeds = sweep
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory) / "sweep"
+        config = {**search, "evolution": {"population_size": population, "generations": 1},
+                  "seeds": seeds, "output": str(out), "sweep": grid}
+        path = Path(directory) / "sweep.yaml"
+        path.write_text(yaml.safe_dump(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", str(path)])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("config error:")
+            assert not out.exists()
+            return
+        bundles = sorted(p.parent.relative_to(out) for p in out.rglob("manifest.json"))
+        cells = {bundle.parent for bundle in bundles}
+        assert len(cells) == math.prod(len(values) for values in grid.values())
+        assert bundles == sorted(cell / f"seed_{seed}" for cell in cells for seed in seeds)
