@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import sys
 from dataclasses import asdict, fields, replace
@@ -28,6 +29,7 @@ from .environments import (
 from .errors import ConfigurationError, ContractViolationError, is_int
 from .evolution import EvolutionConfig
 from .policy import (
+    CONTROLLER_PARAMETERS,
     GaussianControllerPolicy,
     Policy,
     load_policy,
@@ -35,19 +37,14 @@ from .policy import (
     train_q_learning,
 )
 
-_TRAIN_DEFAULTS = {
-    "checkpoints": [],
-    "alpha": 0.1,
-    "gamma": 0.99,
-    "epsilon_start": 1.0,
-    "epsilon_end": 0.05,
-    "epsilon_decay_fraction": 0.8,
-    "temperature": 1.0,
-    "seed": 0,
-    "select": "final",
+# train_q_learning's keyword parameters and defaults, but for 'checkpoint_steps',
+# which a config lists as 'checkpoints'
+_TRAINER_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(train_q_learning).parameters.items()
+    if parameter.kind is parameter.KEYWORD_ONLY and name != "checkpoint_steps"
 }
-_TRAIN_KEYS = {"steps", *_TRAIN_DEFAULTS}
-_CONTROLLER_KEYS = {"gain", "noise_scale", "window", "step_size"}
+_TRAIN_KEYS = {"steps", "checkpoints", *_TRAINER_DEFAULTS}
 # the seed comes from the seed list, the bit width from 'encoding:'
 _EVOLUTION_KEYS = {field.name for field in fields(EvolutionConfig)} - {"seed", "bits_per_dimension"}
 _SWEEPABLE_KEYS = _EVOLUTION_KEYS | {"bits_per_dimension"}
@@ -119,7 +116,7 @@ def cmd_train(args) -> int:
     config, base_dir = _load_config_file(args.config)
     _check_keys(config, {"environment", "training", "output"}, "config")
     env_name, env_spec = _build_env(config, base_dir)
-    training = _training_section(config.get("training"), seed_override=args.seed)
+    training = _training_section(config.get("training"), _TRAIN_KEYS, seed_override=args.seed)
     out = _output_dir(config, args)
 
     result = _train(env_spec, training)
@@ -276,6 +273,8 @@ def _output_dir(config: dict, args) -> Path:
     out = args.out if args.out is not None else config.get("output")
     if not out:
         raise ConfigurationError("an output directory is required (config 'output' or --out)")
+    if not isinstance(out, str):
+        raise ConfigurationError(f"'output' must be a directory path, got {out!r}")
     return Path(out)
 
 
@@ -296,26 +295,21 @@ def _require_distinct(names: list, what: str) -> None:
             )
 
 
-def _training_section(section, seed_override=None) -> dict:
+def _training_section(section, keys: set[str], seed_override=None) -> dict:
+    """A ``training`` mapping with ``keys`` allowed, completed with the defaults;
+    the trainer checks the values."""
     if not isinstance(section, dict):
         raise ConfigurationError("config needs a 'training' mapping")
-    _check_keys(section, _TRAIN_KEYS, "training")
+    _check_keys(section, keys, "training")
     if "steps" not in section:
         raise ConfigurationError("training needs 'steps'")
-    resolved = dict(_TRAIN_DEFAULTS)
-    resolved.update(section)
+    resolved = {**_TRAINER_DEFAULTS, "checkpoints": [], **section}
     if seed_override:  # train's --seed flags
         if len(seed_override) > 1:
             raise ConfigurationError(f"train takes at most one --seed, got {seed_override}")
         resolved["seed"] = seed_override[0]
-    if not is_int(resolved["steps"]) or resolved["steps"] < 1:
-        raise ConfigurationError("training 'steps' must be a positive integer")
     if not isinstance(resolved["checkpoints"], list):
         raise ConfigurationError("training 'checkpoints' must be a list of step counts")
-    if resolved["select"] not in ("final", "earliest_success"):
-        raise ConfigurationError("training 'select' must be 'final' or 'earliest_success'")
-    if resolved["select"] == "earliest_success" and not resolved["checkpoints"]:
-        raise ConfigurationError("'earliest_success' needs a non-empty 'checkpoints' list")
     return resolved
 
 
@@ -329,13 +323,7 @@ def _train(env_spec: EnvSpec, training: dict):
         return train_q_learning(
             env_spec,
             training["steps"],
-            alpha=training["alpha"],
-            gamma=training["gamma"],
-            epsilon_start=training["epsilon_start"],
-            epsilon_end=training["epsilon_end"],
-            epsilon_decay_fraction=training["epsilon_decay_fraction"],
-            temperature=training["temperature"],
-            seed=training["seed"],
+            **{name: training[name] for name in _TRAINER_DEFAULTS},
             checkpoint_steps=tuple(training["checkpoints"]),
         )
     except ContractViolationError as exc:
@@ -353,6 +341,8 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
         )
     key, value = next(iter(section.items()))
     if key == "path":
+        if not isinstance(value, str):
+            raise ConfigurationError(f"the policy path must be a file path, got {value!r}")
         path = Path(value)
         if not path.is_absolute():
             path = base_dir / path
@@ -363,7 +353,12 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
             raise ConfigurationError(f"{path}: {exc}") from exc
         return policy, {"path": str(path)}
     if key == "train":
-        training = _training_section(value)
+        # a policy trained for the search also takes the rule that picks its snapshot
+        training = {"select": "final", **_training_section(value, _TRAIN_KEYS | {"select"})}
+        if training["select"] not in ("final", "earliest_success"):
+            raise ConfigurationError("training 'select' must be 'final' or 'earliest_success'")
+        if training["select"] == "earliest_success" and not training["checkpoints"]:
+            raise ConfigurationError("'earliest_success' needs a non-empty 'checkpoints' list")
         result = _train(env_spec, training)
         policy, selected = _select_policy(result, training, env_spec)
         snapshot = dict(training)
@@ -374,7 +369,7 @@ def _resolve_policy(section, env_spec: EnvSpec, base_dir: Path) -> tuple[Policy,
             raise ConfigurationError("'gaussian_controller' needs the PointReach environment")
         if not isinstance(value, dict):
             raise ConfigurationError("'gaussian_controller' must be a mapping")
-        _check_keys(value, _CONTROLLER_KEYS, "gaussian_controller")
+        _check_keys(value, set(CONTROLLER_PARAMETERS), "gaussian_controller")
         kwargs = {"step_size": env_spec.step_size}
         kwargs.update(value)
         try:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -407,34 +406,20 @@ class ReachSpec:
                 # repeats this one exactly: its records are copied, not computed
                 break
         repeats = self.horizon - len(actions)
-        path = np.stack(path)  # (steps + 1, B, dims)
 
-        offset = path[1:] - target
-        distance = np.sqrt((offset * offset).sum(axis=2))
-        inside = distance <= self.goal_radius
-        # the numpy norm may differ from math.dist in the last bit: a distance
-        # that is not finite or lies within a relative 1e-9 of the radius is
-        # decided by math.dist on Python floats, as the reward is defined
-        unsure = ~np.isfinite(distance) | (
-            np.abs(distance - self.goal_radius) <= 1e-9 * self.goal_radius + 1e-150
-        )
-        paths = path.transpose(1, 0, 2).tolist()
-        targets = target.tolist()
-        for step, row in zip(*np.nonzero(unsure)):
-            inside[step, row] = math.dist(paths[row][step + 1], targets[row]) <= self.goal_radius
-
-        # a position is kept unless it equals the one before it
-        keep = np.ones((len(starts), len(path)), dtype=bool)
-        keep[:, 1:] = (path[1:] != path[:-1]).any(axis=2).T
         trajectories = []
-        for points, kept, steps, rewards in zip(
-            paths, keep.tolist(), np.stack(actions, axis=1).tolist(),
-            np.where(inside, 0.0, -1.0).T.tolist(),
+        for points, goal, steps in zip(
+            np.stack(path, axis=1).tolist(), target.tolist(), np.stack(actions, axis=1).tolist(),
         ):
-            steps = list(map(tuple, steps))
+            # each reward by math.dist on Python floats, as the reward is defined
+            rewards = [0.0 if math.dist(point, goal) <= self.goal_radius else -1.0
+                       for point in points[1:]]
             rewards += rewards[-1:] * repeats
+            steps = list(map(tuple, steps))
+            # a position is kept unless it equals the one before it
+            states = [points[0]] + [now for before, now in zip(points, points[1:]) if now != before]
             trajectories.append(Trajectory(
-                states=tuple(map(tuple, compress(points, kept))),
+                states=tuple(map(tuple, states)),
                 actions=tuple(steps + steps[-1:] * repeats),
                 rewards=tuple(rewards),
                 certainties=certainties,

@@ -25,6 +25,7 @@ value) entry explicitly so a table can be written or audited by hand.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -138,6 +139,10 @@ class GaussianControllerPolicy:
         for _ in range(dims):  # a product per axis: per_axis ** dims may differ in the last bit
             mass *= per_axis
         return min(max(mass, 0.0), 1.0)
+
+
+# the controller's parameters, which its policy files store by name
+CONTROLLER_PARAMETERS = tuple(inspect.signature(GaussianControllerPolicy).parameters)
 
 
 def _normal_cdf(x: float) -> float:
@@ -298,10 +303,7 @@ def save_policy(policy: Policy, path: str | Path) -> None:
             "format": POLICY_FORMAT,
             "version": POLICY_VERSION,
             "kind": KIND_CONTROLLER,
-            "gain": policy.gain,
-            "noise_scale": policy.noise_scale,
-            "window": policy.window,
-            "step_size": policy.step_size,
+            **{name: getattr(policy, name) for name in CONTROLLER_PARAMETERS},
         }
     else:
         raise ContractViolationError(f"cannot serialize policy type {type(policy).__name__}")
@@ -385,7 +387,7 @@ def _load_tabular(path: Path, payload: dict) -> TabularPolicy:
 
 def _load_controller(path: Path, payload: dict) -> GaussianControllerPolicy:
     kwargs = {}
-    for field in ("gain", "noise_scale", "window", "step_size"):
+    for field in CONTROLLER_PARAMETERS:
         value = _require(path, payload, field)
         if not is_finite_number(value):
             raise PolicyFormatError(f"{path}: field {field!r} must be a finite number")

@@ -35,6 +35,7 @@ import numpy as np
 from .environments import EnvSpec
 from .errors import ConfigurationError, ContractViolationError
 from .evolution import RunResult
+from .fitness import FitnessComponents
 from .jsonfile import write_json
 from .rollout import Trajectory, trajectory_to_dict
 
@@ -50,7 +51,7 @@ GENERATION_COLUMNS = (
     "local_distance",
     "joint_fitness",
 )
-FITNESS_KEYS = ("local_diversity", "certainty", "global_diversity", "local_distance", "joint")
+FITNESS_KEYS = tuple(field.name for field in fields(FitnessComponents))
 SCORE_COLUMNS = GENERATION_COLUMNS[2:]  # the FITNESS_KEYS fields as bundle CSVs name them
 
 
@@ -137,20 +138,11 @@ def export_bundle(
     }
     written.append(write_json(out / "trajectories.json", trajectories))
 
-    generation_rows = []
-    for stats in result.history:
-        for snap in stats.individuals:
-            generation_rows.append(
-                [
-                    snap.id,
-                    stats.generation,
-                    snap.fitness.local_diversity,
-                    snap.fitness.certainty,
-                    snap.fitness.global_diversity,
-                    snap.fitness.local_distance,
-                    snap.fitness.joint,
-                ]
-            )
+    generation_rows = [
+        [snap.id, stats.generation, *(getattr(snap.fitness, key) for key in FITNESS_KEYS)]
+        for stats in result.history
+        for snap in stats.individuals
+    ]
     written.append(_write_csv(out / "generations.csv", GENERATION_COLUMNS, generation_rows))
 
     snapshot = dict(config_snapshot) if config_snapshot else {}

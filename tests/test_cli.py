@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -10,7 +11,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evodemo import cli
 from evodemo.cli import main
+from evodemo.policy import CONTROLLER_PARAMETERS, load_policy, save_policy
 
 
 def write_yaml(path, text):
@@ -327,6 +330,8 @@ def test_a_repeated_sweep_cell_exits_one_naming_it(tmp_path, capsys, axes, cell)
         ("FlatGrid11", "{train: {steps: 100, epsilon_end: x}}", "epsilon_end"),
         ("FlatGrid11", "{train: {steps: 100, seed: -1}}", "seed"),
         ("FlatGrid11", "{train: {steps: 100, seed: 1.5}}", "seed"),
+        ("FlatGrid11", "{path: 5}", "policy path"),
+        ("FlatGrid11", "{path: [a]}", "policy path"),
     ],
 )
 def test_bad_policy_parameters_exit_one_naming_the_parameter(
@@ -354,6 +359,96 @@ def test_train_seed_flag_sets_the_training_seed(tmp_path, train_config):
     assert main(["train", train_config, "--out", str(tmp_path / "s0")]) == 0
     policy_3 = (tmp_path / "s3" / "policy_2000.json").read_text()
     assert policy_3 != (tmp_path / "s0" / "policy_2000.json").read_text()
+
+
+@pytest.mark.parametrize("output", ["5", "[1]", "true"])
+@pytest.mark.parametrize(
+    ("command", "setting"),
+    [("evolve", "environment: PointReach\npolicy: {gaussian_controller: {}}"),
+     ("train", "environment: FlatGrid11\ntraining: {steps: 100}")],
+    ids=["evolve", "train"],
+)
+def test_an_output_that_is_not_a_path_exits_one_naming_it(
+    tmp_path, capsys, monkeypatch, command, setting, output,
+):
+    monkeypatch.chdir(tmp_path)  # a relative directory would be made here
+    config = write_yaml(tmp_path / "bad.yaml", f"{setting}\noutput: {output}\n")
+    assert main([command, config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'output'" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.yaml"]
+
+
+def test_train_refuses_select_as_an_unknown_training_key(tmp_path, capsys):
+    config = write_yaml(
+        tmp_path / "train.yaml",
+        "environment: FlatGrid11\n"
+        "training: {steps: 100, checkpoints: [50], select: earliest_success}\n"
+        f"output: {tmp_path / 'policies'}\n",
+    )
+    assert main(["train", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "select" in err
+    assert not (tmp_path / "policies").exists()
+
+
+def test_every_training_key_reaches_the_trainer_under_its_parameter_name(
+    tmp_path, monkeypatch,
+):
+    train = cli.train_q_learning
+    trainer = inspect.signature(train)
+    calls = []
+
+    def recording_trainer(*args, **kwargs):
+        calls.append(trainer.bind(*args, **kwargs).arguments)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_q_learning", recording_trainer)
+    training = {"steps": 40, "checkpoints": [10, 20], "alpha": 0.5, "gamma": 0.9,
+                "epsilon_start": 0.9, "epsilon_end": 0.2, "epsilon_decay_fraction": 0.5,
+                "temperature": 2.0, "seed": 7}
+    config = write_yaml(
+        tmp_path / "train.yaml",
+        yaml.safe_dump({"environment": "FlatGrid11", "training": training,
+                        "output": str(tmp_path / "policies")}),
+    )
+    assert main(["train", config]) == 0
+    [arguments] = calls
+    expected = {name: value for name, value in training.items() if name != "checkpoints"}
+    expected["checkpoint_steps"] = (10, 20)
+    assert {name: arguments[name] for name in expected} == expected
+    # every parameter but the environment is set, and none to its default
+    assert set(arguments) == set(trainer.parameters) == {"spec", *expected}
+    for name, value in expected.items():
+        assert value != trainer.parameters[name].default, name
+
+
+def test_every_controller_parameter_reaches_the_policy_and_the_bundle(tmp_path, monkeypatch):
+    controller = {"gain": 2.0, "noise_scale": 0.2, "window": 0.3, "step_size": 0.04}
+    assert set(controller) == set(CONTROLLER_PARAMETERS)
+    search = cli.evolution.run
+    policies = []
+
+    def recording_run(env_spec, policy, config):
+        policies.append(policy)
+        return search(env_spec, policy, config)
+
+    monkeypatch.setattr(cli.evolution, "run", recording_run)
+    config = write_yaml(
+        tmp_path / "evolve.yaml",
+        yaml.safe_dump({"environment": "PointReach",
+                        "policy": {"gaussian_controller": controller},
+                        "evolution": {"population_size": 4, "generations": 1},
+                        "seeds": [0], "output": str(tmp_path / "runs")}),
+    )
+    assert main(["evolve", config]) == 0
+    [policy] = policies
+    assert {name: getattr(policy, name) for name in CONTROLLER_PARAMETERS} == controller
+    snapshot = json.loads((tmp_path / "runs" / "seed_0" / "config.json").read_text())
+    assert snapshot["policy"] == {"gaussian_controller": controller}
+    save_policy(policy, tmp_path / "controller.json")
+    loaded = load_policy(tmp_path / "controller.json")
+    assert {name: getattr(loaded, name) for name in CONTROLLER_PARAMETERS} == controller
 
 
 @pytest.mark.parametrize(
