@@ -21,10 +21,15 @@ Each spec class is the one place that answers questions about its
 environment, so the search, scoring, export and CLI code never switch on the
 spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
 ``state_count``, ``grid_shape``, ``encoding_spec``, ``starts_from_vectors``,
-``search_defaults``, ``policy_kind`` and ``check_policy``.
+``search_defaults``, ``policy_kind``, ``check_policy`` and
+``rollout_table``.
 ``rollouts(policy, starts)`` is the only way an episode is produced: it first
 checks that the policy fits (``check_policy``), then runs the fixed policy
-from each start and records the episode as a ``Trajectory``.  A ``GridSpec``
+from each start and records the episode as a ``Trajectory``.
+``rollout_table(policy)`` is what the search may remember per policy: a
+``GridSpec`` keeps a ``RolloutTable`` of each cell's episode and of the
+distances scored between them, while ``ReachSpec``, whose starts rarely
+repeat, answers ``None`` and remembers nothing.  A ``GridSpec``
 also answers, built once per layout and indexed by cell ``row * width + col``:
 ``transitions``, the dynamics that ``rollouts`` and the Q-learning trainer
 walk, and ``positions``, the coordinates ``rollouts`` records for each cell.
@@ -36,6 +41,7 @@ A grid rollout walks ``transitions`` side by side with the tabular policy's
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -117,6 +123,15 @@ class Trajectory:
         return len(self.states)
 
 
+def _shallow_copy(trajectory: Trajectory) -> Trajectory:
+    """A new object holding ``trajectory``'s field values, as ``copy.copy``
+    makes it, without that function's dispatch; ``__post_init__`` checked
+    the values when ``trajectory`` was made."""
+    twin = object.__new__(Trajectory)
+    twin.__dict__.update(trajectory.__dict__)
+    return twin
+
+
 def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
     """Raise for the first start ``flags()`` marks invalid, with ``validate_initial``'s reason."""
     try:
@@ -127,6 +142,42 @@ def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
         if not ok:
             reason = spec.validate_initial(start)
             raise ContractViolationError(f"cannot start an episode at {start}: {reason}")
+
+
+class RolloutTable:
+    """What one tabular policy does on one layout, kept while both live.
+
+    On a grid an episode depends only on the policy's ``decisions`` and its
+    start cell, and so does the one-way distance between two episodes.
+    ``GridSpec.rollout_table`` keeps one table per policy and fills it lazily:
+
+    * ``trajectories``: the episode from each cell ``row * width + col`` that
+      ``rollouts`` was asked for, walked once;
+    * ``cells``: the cell of each of those episodes, by the identity of its
+      ``states`` tuple, which every trajectory ``rollouts`` returns from that
+      cell shares;
+    * ``distances``: the one-way distance between the episodes of two cells
+      ``low <= high``, keyed ``low * size + high``, for each pair
+      ``fitness.DemonstrationSet.nearest_distances`` has scored.
+
+    Its memory grows with the cells walked and the pairs scored, never with
+    the square of the layout area.
+    """
+
+    def __init__(self, decisions, size: int) -> None:
+        self.decisions = decisions  # held, so an identity check against it is sound
+        self.size = size
+        self.trajectories: dict[int, Trajectory] = {}
+        self.cells: dict[int, int] = {}  # by id(trajectory.states)
+        self.distances: dict[int, float] = {}
+
+    def add(self, cell: int, trajectory: Trajectory) -> None:
+        self.trajectories[cell] = trajectory
+        self.cells[id(trajectory.states)] = cell
+
+    def cell(self, trajectory: Trajectory) -> int | None:
+        """The cell ``trajectory`` starts from, or ``None`` unless it shares this table's tuples."""
+        return self.cells.get(id(trajectory.states))
 
 
 @dataclass(frozen=True)
@@ -249,43 +300,83 @@ class GridSpec:
         it enters the target (``reached_target``) or a hole (``failed``), or
         has taken ``max_steps`` steps (``truncated``).  A policy that does not
         fit is a configuration error; every start must be valid, and an
-        invalid one is a contract violation.
+        invalid one is a contract violation.  The episode from each cell is
+        walked once per policy and kept in its ``rollout_table``; each call
+        returns new ``Trajectory`` objects that share the table's tuples.
         """
         self.check_policy(policy)
         _check_starts(self, starts, lambda: [(s.row, s.col) in self.startable for s in starts])
-        width, transitions, positions = self.width, self.transitions, self.positions
-        decisions = policy.decisions
-        target = self.target_cell[0] * width + self.target_cell[1]
+        table = self.rollout_table(policy)
+        walked = table.trajectories
         trajectories = []
         for start in starts:
-            cell = start.row * width + start.col
-            cells = [cell]
-            actions: list = []
-            rewards: list[float] = []
-            certainties: list[float] = []
-            terminated = False
-            while not terminated and len(actions) < self.max_steps:
-                action, certainty = decisions[cell]
-                cell, reward, terminated = transitions[cell][action]
-                actions.append(action)
-                rewards.append(float(reward))
-                certainties.append(certainty)
-                if cell != cells[-1]:
-                    cells.append(cell)
-            if not terminated:
-                outcome = OUTCOME_TRUNCATED
-            else:
-                outcome = OUTCOME_REACHED if cell == target else OUTCOME_FAILED
-            trajectories.append(Trajectory(
-                states=tuple(positions[c] for c in cells),
-                actions=tuple(actions),
-                rewards=tuple(rewards),
-                certainties=tuple(certainties),
-                raw_length=len(actions),
-                episode_return=float(sum(rewards)),
-                outcome=outcome,
-            ))
+            cell = start.row * self.width + start.col
+            if cell not in walked:
+                table.add(cell, self._walk(table.decisions, cell))
+            # a new object per start and call, sharing the table's tuples: the
+            # demonstration set tells members apart by identity
+            trajectories.append(_shallow_copy(walked[cell]))
         return trajectories
+
+    def _walk(self, decisions, cell: int) -> Trajectory:
+        """The episode from ``cell`` under ``decisions``, as ``rollouts`` describes it."""
+        transitions, positions = self.transitions, self.positions
+        target = self.target_cell[0] * self.width + self.target_cell[1]
+        cells = [cell]
+        actions: list = []
+        rewards: list[float] = []
+        certainties: list[float] = []
+        terminated = False
+        while not terminated and len(actions) < self.max_steps:
+            action, certainty = decisions[cell]
+            cell, reward, terminated = transitions[cell][action]
+            actions.append(action)
+            rewards.append(float(reward))
+            certainties.append(certainty)
+            if cell != cells[-1]:
+                cells.append(cell)
+        if not terminated:
+            outcome = OUTCOME_TRUNCATED
+        else:
+            outcome = OUTCOME_REACHED if cell == target else OUTCOME_FAILED
+        return Trajectory(
+            states=tuple(positions[c] for c in cells),
+            actions=tuple(actions),
+            rewards=tuple(rewards),
+            certainties=tuple(certainties),
+            raw_length=len(actions),
+            episode_return=float(sum(rewards)),
+            outcome=outcome,
+        )
+
+    @cached_property
+    def _rollout_tables(self) -> dict[int, tuple[weakref.ref, RolloutTable]]:
+        return {}  # by id(policy): a weak reference to the policy, and its table
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled layout starts without tables: they hold weak
+        # references, and serve the policies of this process only
+        return {name: value for name, value in self.__dict__.items() if name != "_rollout_tables"}
+
+    def rollout_table(self, policy) -> RolloutTable:
+        """The ``RolloutTable`` of ``policy`` on this layout, made on first use.
+
+        The layout keeps it while ``policy`` lives, holding the policy only by
+        a weak reference, and serves it only while the policy's ``decisions``
+        are the object the table was made for.  A policy that no weak
+        reference can hold gets a new, empty table on every call.
+        """
+        tables = self._rollout_tables
+        held = tables.get(id(policy))
+        if held is not None and held[0]() is policy and held[1].decisions is policy.decisions:
+            return held[1]
+        table = RolloutTable(policy.decisions, self.state_count)
+        try:
+            ref = weakref.ref(policy, lambda _, key=id(policy): tables.pop(key, None))
+        except TypeError:
+            return table
+        tables[id(policy)] = (ref, table)
+        return table
 
     def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
         """Encoding over the agent cell within the interior (walls excluded by construction)."""
@@ -428,6 +519,11 @@ class ReachSpec:
                 outcome=OUTCOME_TRUNCATED,
             ))
         return trajectories
+
+    def rollout_table(self, policy) -> None:
+        """No table: continuous starts rarely repeat, so one would only hold
+        memory (README, "How the search works")."""
+        return None
 
     def encoding_spec(self, bits_per_dim: int) -> EncodingSpec:
         """Encoding over effector and target jointly."""

@@ -22,10 +22,14 @@ Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
 evaluated this generation) is a twin: it takes over that individual's
 rollout instead of running its own, and its nearest distance is 0 with no
-distance work.  Only live individuals are looked up, so memory stays
-bounded by the population.  The distinct starts no live individual holds are
-rolled out together, in one ``env_spec.rollouts`` call per batch, before any
-candidate of the batch is scored.
+distance work.  Only live individuals are looked up for twins, so that
+lookup stays bounded by the population.  The distinct starts no live
+individual holds are rolled out together, in one ``env_spec.rollouts`` call
+per batch, before any candidate of the batch is scored, and their distances
+come from one ``nearest_distances`` pass, given the spec's
+``rollout_table`` for the policy: a grid remembers each cell's rollout and
+each scored pair's distance for as long as the policy lives, across seeds
+and searches; the reach task has no table.
 """
 
 from __future__ import annotations
@@ -302,7 +306,7 @@ def evaluate_offspring(
     # the set each fresh rollout is scored against is known before any is
     # scored, so one pass does their distance work; a twin scored in between
     # adds only positions the set holds already, which moves no minimum
-    nearest = iter(demos.nearest_distances(list(fresh.values())))
+    nearest = iter(demos.nearest_distances(list(fresh.values()), env_spec.rollout_table(policy)))
     individuals = []
     for candidate in candidates:
         twin = held.get(candidate.initial_state)

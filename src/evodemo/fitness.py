@@ -38,17 +38,27 @@ distance to 0 itself (``evolution.evaluate_offspring``).
 for a whole batch of trajectories at once, each against the set as it will
 stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
 called alone, asks it for a batch of one.
+
+On a grid a rollout depends only on the policy and the start cell, so the
+search also passes the spec's ``rollout_table`` for the policy.  When every
+member and every trajectory of the batch shares that table's tuples, the
+pass reads each pair's distance from the table, working out only the pairs
+it lacks with the same kernel and storing them there.  A table entry is
+therefore the distance the kernel gives, and a search scores the same
+whatever the table held before it.  ``ReachSpec`` answers no table.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .environments import EnvSpec, Trajectory
+from .environments import EnvSpec, RolloutTable, Trajectory
 from .errors import ContractViolationError
 
 EMPTY_SET_GLOBAL_DIVERSITY = 1.0
@@ -142,7 +152,9 @@ class DemonstrationSet:
         if not self._profiles[pair]:
             del self._profiles[pair]
 
-    def nearest_distances(self, trajectories: Sequence[Trajectory]) -> list[float]:
+    def nearest_distances(
+        self, trajectories: Sequence[Trajectory], table: RolloutTable | None = None
+    ) -> list[float]:
         """One-way distance from each trajectory to its nearest other demonstration.
 
         Trajectory ``k`` is compared with every member and every one of
@@ -155,44 +167,46 @@ class DemonstrationSet:
         blocks before its own that belong to other objects.  The rows are
         split into consecutive chunks whose matrix holds at most
         ``MAX_MATRIX_ELEMENTS`` elements.
+
+        ``table`` is the spec's ``rollout_table`` for the policy that rolled
+        the trajectories out, if it has one.  When every member and every
+        trajectory has a cell in it, each distance is read from the table
+        instead, after the pairs it lacks are worked out in one such pass
+        and stored in it.
         """
         if not trajectories:
             return []
-        blocks = [e.points for e in self] + [_points(t) for t in trajectories]
-        if len({points.shape[1] for points in blocks}) > 1:
-            raise ContractViolationError("demonstrations must share one position dimensionality")
+        members = list(self._entries.values())
+        first_row = len(members)
         # each block's owner object by id, which is identity while the members
         # and the batch are alive
-        owners = np.array([id(e.trajectory) for e in self] + list(map(id, trajectories)),
+        owners = np.array([id(e.trajectory) for e in members] + list(map(id, trajectories)),
                           dtype=np.uint64)
-        lengths = np.array([len(points) for points in blocks])
-        column_ends = np.concatenate([[0], np.cumsum(lengths)])  # columns of the first v blocks
-        columns = np.ascontiguousarray(np.concatenate(blocks).T)
-        # trajectory k is row block v = len(self) + k and sees blocks 0 .. v - 1
-        nearest: list[float] = []
-        begin = len(self)
-        if not begin:  # the first trajectory ever scored has nothing to compare with
-            nearest, begin = [math.inf], 1
-        while begin < len(blocks):
-            end, height = begin + 1, lengths[begin]
-            while end < len(blocks):
-                height += lengths[end]
-                if height * column_ends[end] > MAX_MATRIX_ELEMENTS:
-                    break
-                end += 1
-            visible = end - 1  # the blocks the chunk's last row sees
-            distances = _one_way_matrix(
-                np.concatenate(blocks[begin:end]),
-                lengths[begin:end],
-                columns[:, : column_ends[visible]],
-                lengths[:visible],
-            )
-            # a row sees no block from its own on, and no block of its own object
-            hidden = np.arange(visible) >= np.arange(begin, end)[:, None]
-            hidden |= owners[:visible] == owners[begin:end, None]
-            distances[hidden] = math.inf
-            nearest += distances.min(axis=1).tolist()
-            begin = end
+        # a row sees no block from its own on, and no block of its own object
+        hidden = np.arange(len(owners)) >= np.arange(first_row, len(owners))[:, None]
+        hidden |= owners == owners[first_row:, None]
+        if table is not None:
+            cells = [table.cell(e.trajectory) for e in members] + list(map(table.cell, trajectories))
+            if None not in cells:
+                @functools.cache  # a batch trajectory can be both a row and a column
+                def points(block: int) -> np.ndarray:
+                    if block < first_row:
+                        return members[block].points
+                    return _points(trajectories[block - first_row])
+
+                distances = _table_distances(table, np.array(cells), ~hidden, points)
+                return distances.min(axis=1).tolist()
+        blocks = [e.points for e in members] + [_points(t) for t in trajectories]
+        if len({points.shape[1] for points in blocks}) > 1:
+            raise ContractViolationError("demonstrations must share one position dimensionality")
+        # row k sees blocks 0 .. first_row + k - 1, so the first trajectory
+        # ever scored has nothing to compare with
+        skip = 0 if first_row else 1
+        nearest = [math.inf] * skip
+        sees = range(first_row + skip, len(blocks))
+        for begin, end, chunk in _one_way_chunks(blocks[first_row + skip:], blocks, sees):
+            chunk[hidden[skip + begin : skip + end, : chunk.shape[1]]] = math.inf
+            nearest += chunk.min(axis=1).tolist()
         return nearest
 
 
@@ -245,6 +259,88 @@ def joint_fitness(
 
 def _points(trajectory: Trajectory) -> np.ndarray:
     return np.asarray(trajectory.states, dtype=float)
+
+
+def _table_distances(
+    table: RolloutTable, cells: np.ndarray, visible: np.ndarray, points: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """The one-way distance of each batch row to each block it sees, ``inf``
+    where it sees none, read from ``table``.
+
+    ``cells`` holds every block's cell, the batch's last, ``visible`` is
+    (batch rows, blocks), and ``points(block)`` is a block's position array.
+    The pairs the table lacks are worked out in one ``_one_way_chunks`` pass
+    and stored: its rows are the batch rows that lack a pair, in order, and
+    its columns the cells they lack, in the order of their first block.
+    Every block a row sees comes before it, so each row needs only a prefix
+    of the columns.
+    """
+    first_row = len(cells) - len(visible)
+    rows = cells[first_row:, None]
+    low = np.minimum(rows, cells)
+    # one key per unordered pair: the one-way distance is symmetric bit for bit,
+    # as the sum of the same two block sums
+    keys = low * table.size + (rows + cells - low)
+    distances = np.full(visible.shape, math.inf)
+    distances[visible] = list(map(table.distances.get, keys[visible].tolist()))  # None is NaN
+    lacking = np.isnan(distances)
+    if not lacking.any():
+        return distances
+    pass_rows = np.flatnonzero(lacking.any(axis=1)).tolist()
+    cell_list = cells.tolist()
+    column_of: dict[int, int] = {}
+    firsts = []  # each column's first block
+    for block in np.flatnonzero(lacking.any(axis=0)).tolist():
+        if cell_list[block] not in column_of:
+            column_of[cell_list[block]] = len(firsts)
+            firsts.append(block)
+    # by batch row and column; NaN outside the rows and prefixes the pass works out
+    matrix = np.full((len(visible), len(firsts)), math.nan)
+    for begin, end, chunk in _one_way_chunks(
+        [points(first_row + row) for row in pass_rows],
+        list(map(points, firsts)),
+        [bisect.bisect_left(firsts, first_row + row) for row in pass_rows],
+    ):
+        matrix[pass_rows[begin:end], : chunk.shape[1]] = chunk
+    found = matrix[:, [column_of.get(cell, 0) for cell in cell_list]][lacking]
+    table.distances.update(zip(keys[lacking].tolist(), found.tolist()))
+    distances[lacking] = found
+    return distances
+
+
+def _one_way_chunks(
+    rows: Sequence[np.ndarray], columns: Sequence[np.ndarray], sees: Sequence[int]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """One-way distances of the row blocks ``rows`` to the column blocks
+    ``columns``, by ``_one_way_matrix`` over consecutive chunks of rows.
+
+    Row block ``k`` needs the first ``sees[k]`` column blocks: at least one,
+    and no fewer than the row block before it.  Each chunk yields
+    ``(begin, end, distances)`` for ``rows[begin:end]`` against the first
+    ``sees[end - 1]`` column blocks.  Row blocks join a chunk while its
+    matrix holds at most ``MAX_MATRIX_ELEMENTS`` elements; a chunk holds at
+    least one, however long.
+    """
+    row_lengths = np.array([len(points) for points in rows])
+    column_lengths = np.array([len(points) for points in columns])
+    column_ends = np.concatenate([[0], np.cumsum(column_lengths)])  # columns of the first v blocks
+    stacked = np.ascontiguousarray(np.concatenate(columns).T)
+    begin = 0
+    while begin < len(rows):
+        end, height = begin + 1, row_lengths[begin]
+        while end < len(rows):
+            height += row_lengths[end]
+            if height * column_ends[sees[end]] > MAX_MATRIX_ELEMENTS:
+                break
+            end += 1
+        visible = sees[end - 1]
+        yield begin, end, _one_way_matrix(
+            np.concatenate(rows[begin:end]),
+            row_lengths[begin:end],
+            stacked[:, : column_ends[visible]],
+            column_lengths[:visible],
+        )
+        begin = end
 
 
 def _one_way_matrix(

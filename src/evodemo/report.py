@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .environments import EnvSpec
+from .environments import PRESET_NAMES, EnvSpec, preset
 from .errors import ConfigurationError, ContractViolationError
 from .evolution import RunResult
 from .fitness import FitnessComponents
@@ -213,6 +213,16 @@ def load_bundle(path: str | Path) -> BundleData:
     if (path / "histogram.csv").is_file():
         with _malformed(path / "histogram.csv"):
             histogram = _read_histogram(path / "histogram.csv")
+        # a preset fixes the grid; a layout path was resolved against a config
+        # the report does not have, so such bundles are only held to one
+        # shape among themselves (write_comparison_report)
+        environment = config.get("environment")
+        if environment in PRESET_NAMES and histogram.shape != preset(environment).grid_shape:
+            grid = preset(environment).grid_shape
+            raise ConfigurationError(
+                f"{path}: its histogram.csv has shape {histogram.shape}, but config.json names "
+                f"{environment}, " + (f"whose grid is {grid[0]}x{grid[1]}" if grid else "which has no grid")
+            )
     with _malformed(path / "generations.csv"):
         generations = [
             {key: (int(row[key]) if key in ("id", "generation") else float(row[key])) for key in row}

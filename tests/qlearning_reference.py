@@ -110,10 +110,13 @@ def stepped_rollout(spec: GridSpec, policy, initial_state: GridState) -> Traject
 
 
 @st.composite
-def grid_layouts(draw) -> GridSpec:
-    """Walled layouts up to 7x8 with walls, holes, a target anywhere inside and
-    at least one floor cell; reward constants and ``max_steps`` are drawn too."""
-    height, width = draw(st.integers(3, 7)), draw(st.integers(4, 8))
+def grid_layouts(draw, max_height: int = 7, max_width: int = 8, max_steps: int = 40) -> GridSpec:
+    """Walled layouts of 3 to ``max_height`` rows and 4 to ``max_width``
+    columns (3 when there are more than 3 rows) with walls, holes, a target
+    anywhere inside and at least one floor cell; reward constants and
+    ``max_steps`` (up to the given one) are drawn too."""
+    height = draw(st.integers(3, max_height))
+    width = draw(st.integers(4 if height == 3 else 3, max_width))
     interior = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
     rows = [[WALL] * width for _ in range(height)]
     for r, c in interior:
@@ -125,7 +128,7 @@ def grid_layouts(draw) -> GridSpec:
     return parse_layout(
         "\n".join("".join(row) for row in rows),
         step_cost=draw(reward), target_reward=draw(reward), hole_penalty=draw(reward),
-        max_steps=draw(st.integers(1, 40)),
+        max_steps=draw(st.integers(1, max_steps)),
     )
 
 

@@ -557,6 +557,24 @@ def test_report_refuses_histograms_of_different_shapes_naming_the_bundle(
     assert not (tmp_path / "cmp").exists()  # refused before anything is written
 
 
+def test_report_refuses_histograms_that_do_not_fit_the_preset_grid(tmp_path, evolve_config, capsys):
+    # both bundles widened to 11x12 still match each other; FlatGrid11 is 11x11
+    assert main(["evolve", evolve_config]) == 0
+    for seed in (0, 1):
+        histogram = tmp_path / "runs" / f"seed_{seed}" / "histogram.csv"
+        header, *rows = histogram.read_text().splitlines()
+        widened = [f"{header},col_{len(header.split(','))}"] + [f"{row},0" for row in rows]
+        histogram.write_text("\n".join(widened) + "\n")
+    code = main(["report", "--search", str(tmp_path / "runs" / "seed_0"),
+                 str(tmp_path / "runs" / "seed_1"), "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{tmp_path / 'runs' / 'seed_0'}: its histogram.csv has shape (11, 12)" in err
+    assert "FlatGrid11, whose grid is 11x11" in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_layout_path_resolves_relative_to_config(tmp_path):
     (tmp_path / "maps").mkdir()
     (tmp_path / "maps" / "tiny.map").write_text("#####\n#...#\n#.T.#\n#####\n")

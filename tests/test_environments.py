@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import gc
 import math
+import pickle
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +24,7 @@ from evodemo.environments import (
     parse_layout,
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
-from evodemo.policy import GaussianControllerPolicy
+from evodemo.policy import GaussianControllerPolicy, TabularPolicy
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 
@@ -168,6 +172,62 @@ def test_grid_rejects_bad_resets_and_policies(flat_spec, holey_spec):
                          (GaussianControllerPolicy(), "GaussianControllerPolicy")):
         with pytest.raises(ConfigurationError, match=f"need a tabular policy, not {name}"):
             flat_spec.rollouts(policy, [GridState(1, 1)])
+
+
+def test_a_rollout_table_serves_one_policy_on_one_layout(flat_spec, holey_spec):
+    # the shared fixture specs may hold tables already; a new spec object of the
+    # same layout starts empty, so it walks every episode afresh
+    down = constant_policy(flat_spec, DOWN)
+    q = down.q_values.copy()
+    q[3, 1] = (0.0, 1.0, 0.0, 0.0)  # one cell turns right
+    turning = TabularPolicy(q)
+    starts = [GridState(1, 1), GridState(2, 1), GridState(4, 1)]
+    fresh = {name: parse_layout("\n".join(spec.cells)) for name, spec in
+             (("flat", flat_spec), ("holey", holey_spec))}
+    by_down = flat_spec.rollouts(down, starts)
+    by_turning = flat_spec.rollouts(turning, starts)
+    assert by_down == fresh["flat"].rollouts(down, starts)
+    assert by_turning == fresh["flat"].rollouts(turning, starts)
+    assert by_turning[:2] != by_down[:2]  # both pass the turning cell
+    assert by_turning[2] == by_down[2]
+    assert flat_spec.rollout_table(down) is not flat_spec.rollout_table(turning)
+    # two 11x11 layouts, one policy: down column 1 crosses a hole only on HoleyGrid11
+    on_holey = holey_spec.rollouts(down, starts)
+    assert on_holey == fresh["holey"].rollouts(down, starts)
+    assert [t.outcome for t in on_holey] == ["failed"] * 3
+    assert {t.outcome for t in by_down} == {"truncated"}
+    assert holey_spec.rollout_table(down) is not flat_spec.rollout_table(down)
+    # a policy whose decisions are replaced gets a new table
+    down.decisions = turning.decisions
+    assert flat_spec.rollouts(down, starts) == by_turning
+    # the layout holds the policy only weakly: the table goes with it
+    table = weakref.ref(flat_spec.rollout_table(turning))
+    del down, turning
+    gc.collect()
+    assert table() is None
+
+
+def test_rollouts_are_new_objects_sharing_the_tables_tuples(flat_spec):
+    policy = constant_policy(flat_spec, RIGHT)
+    first, again = flat_spec.rollouts(policy, [GridState(2, 2), GridState(2, 2)])
+    (later,) = flat_spec.rollouts(policy, [GridState(2, 2)])
+    assert len({id(first), id(again), id(later)}) == 3
+    assert first.states is again.states is later.states
+    table = flat_spec.rollout_table(policy)
+    assert list(table.trajectories) == [2 * 11 + 2]
+    assert table.cell(later) == 2 * 11 + 2
+    # an equal trajectory that does not share the table's tuples has no cell
+    assert table.cell(dataclasses.replace(later, states=tuple(list(later.states)))) is None
+
+
+def test_a_layout_pickles_and_copies_without_its_rollout_tables(flat_spec):
+    policy = constant_policy(flat_spec, RIGHT)
+    (walked,) = flat_spec.rollouts(policy, [GridState(3, 3)])
+    for twin in (pickle.loads(pickle.dumps(flat_spec)), copy.copy(flat_spec)):
+        assert twin == flat_spec
+        assert twin.rollout_table(policy).trajectories == {}
+        assert twin.rollouts(policy, [GridState(3, 3)]) == [walked]
+    assert flat_spec.rollout_table(policy).trajectories  # the original keeps its own
 
 
 def assert_steps_like_the_if_chain(spec):

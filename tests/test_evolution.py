@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import math
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -509,9 +511,9 @@ def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
         rolled.append(trajectories)
         return trajectories
 
-    def nearest_distances(demos, trajectories):
+    def nearest_distances(demos, trajectories, table=None):
         passes.append(list(trajectories))
-        return original_pass(demos, trajectories)
+        return original_pass(demos, trajectories, table)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         assert nearest_distance is not None  # the batch pass or the twin rule answered it
@@ -559,13 +561,13 @@ def test_the_distance_pass_gets_no_twin_and_every_twin_scores_at_distance_zero(
     original_pass = fitness.DemonstrationSet.nearest_distances
     original_score = evolution.joint_fitness
 
-    def nearest_distances(demos, trajectories):
+    def nearest_distances(demos, trajectories, table=None):
         seen = {trajectory.states for trajectory in demos.trajectories()}
         for trajectory in trajectories:
             assert trajectory.states not in seen  # equal to no member nor earlier row
             seen.add(trajectory.states)
             passed[id(trajectory)] = trajectory
-        return original_pass(demos, trajectories)
+        return original_pass(demos, trajectories, table)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         if id(trajectory) not in passed:  # a twin
@@ -577,6 +579,75 @@ def test_the_distance_pass_gets_no_twin_and_every_twin_scores_at_distance_zero(
         patch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
         patch.setattr(evolution, "joint_fitness", joint_fitness)
         run(spec, policy, EvolutionConfig(seed=seed, **fields))
+
+
+# ---------------------------------------------------------------------------
+# the grid's rollout table
+
+
+def test_a_search_does_not_depend_on_what_the_rollout_table_holds(
+    tmp_path, holey_spec, just_converged_holey_policy
+):
+    q, temperature = just_converged_holey_policy.q_values, just_converged_holey_policy.temperature
+    config = EvolutionConfig(seed=3)
+    cold = run(holey_spec, TabularPolicy(q, temperature), config)
+    policy = TabularPolicy(q, temperature)
+    for seed in range(3):
+        run(holey_spec, policy, dataclasses.replace(config, seed=seed))
+        baseline(holey_spec, policy, dataclasses.replace(config, seed=seed))
+    run(holey_spec, policy, dataclasses.replace(config, bits_per_dimension=5))  # another sweep cell
+    table = holey_spec.rollout_table(policy)
+    walked, scored = len(table.trajectories), len(table.distances)
+    assert walked and scored
+    warm = run(holey_spec, policy, config)
+    assert holey_spec.rollout_table(policy) is table and len(table.distances) > scored
+    assert warm == cold
+    for name, result in (("cold", cold), ("warm", warm)):
+        export_bundle(result, tmp_path / name, {"environment": "HoleyGrid11", "seed": 3})
+    files = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in files:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkeypatch):
+    # 101x101: a dense table over cell pairs would be about 800 MB
+    rows = ["#" * 101] + ["#" + "." * 99 + "#"] * 99 + ["#" * 101]
+    rows[50] = "#" + "." * 49 + "T" + "." * 49 + "#"
+    spec = parse_layout("\n".join(rows))
+    policy = TabularPolicy(np.random.default_rng(0).normal(size=(101, 101, 4)))
+    asked, scored = set(), set()
+    original_rollouts = GridSpec.rollouts
+    original_pass = fitness.DemonstrationSet.nearest_distances
+
+    def rollouts(env_spec, policy, starts):
+        asked.update(start.row * 101 + start.col for start in starts)
+        return original_rollouts(env_spec, policy, starts)
+
+    def nearest_distances(demos, trajectories, table=None):
+        assert table is spec.rollout_table(policy)
+        blocks = list(demos.trajectories()) + list(trajectories)
+        cells = [table.cell(block) for block in blocks]
+        for row in range(len(blocks) - len(trajectories), len(blocks)):
+            for column in range(row):  # every earlier block of another object
+                if blocks[column] is not blocks[row]:
+                    low, high = sorted((cells[row], cells[column]))
+                    scored.add(low * table.size + high)
+        return original_pass(demos, trajectories, table)
+
+    monkeypatch.setattr(GridSpec, "rollouts", rollouts)
+    monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+    tracemalloc.start()
+    try:
+        run(spec, policy, EvolutionConfig(generations=2, bits_per_dimension=7, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = spec.rollout_table(policy)
+    assert set(table.trajectories) == asked  # one rollout per cell asked for
+    assert set(table.distances) == scored  # one distance per pair scored
+    assert len(scored) < 1000
+    assert peak < 40 * 2**20  # no array of cells x cells (10,201**2 bytes is 99 MiB)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import pairwise
+import qlearning_reference as reference
 from helpers import demo_set
 from evodemo import fitness
 from evodemo.environments import ReachSpec, parse_layout
@@ -22,6 +23,7 @@ from evodemo.fitness import (
     local_diversity,
     trajectory_certainty,
 )
+from evodemo.policy import TabularPolicy
 from evodemo.rollout import Trajectory
 
 SMALL_GRID = parse_layout("#####\n#...#\n#.T.#\n#...#\n#####")  # 5x5, 25 states
@@ -349,6 +351,61 @@ def test_batch_scoring_equals_sequential_reference(
             for member in live[:3]:  # scored alone while a member
                 expected = pairwise.joint_fitness(member, demos, env_spec)
                 assert joint_fitness(member, demos, env_spec) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=reference.grid_layouts(max_height=15, max_width=15, max_steps=100),
+    seed=st.integers(0, 2**32 - 1),
+    batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=4),
+    bound=st.sampled_from([1, 300, fitness.MAX_MATRIX_ELEMENTS]),
+)
+def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_sizes, bound):
+    # few actions and rounded Q values make many starts share their paths
+    q = np.round(np.random.default_rng(seed).normal(size=(spec.height, spec.width, 4)))
+    policy = TabularPolicy(q)
+    table = spec.rollout_table(policy)
+    starts = list(spec.startable.values())
+    kernel_calls = []
+    kernel = fitness._one_way_matrix
+
+    def counting(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(fitness, "MAX_MATRIX_ELEMENTS", bound), \
+            mock.patch.object(fitness, "_one_way_matrix", counting):
+        for warm in (False, True):  # the same batches, the second time from a full table
+            kernel_calls.clear()
+            rng = np.random.default_rng(seed)
+            demos, live = DemonstrationSet(), []
+            for size in batch_sizes:
+                picks = rng.integers(len(starts), size=size).tolist()
+                batch = spec.rollouts(policy, [starts[i] for i in picks])
+                if batch and rng.random() < 0.5:  # the same object again, or a live member
+                    pool = live + batch
+                    batch.append(pool[int(rng.integers(len(pool)))])
+                nearest = demos.nearest_distances(batch, table)
+                others = [entry.trajectory for entry in demos]
+                for trajectory, distance in zip(batch, nearest):
+                    expected = min((pairwise.one_way(pairwise.points(trajectory),
+                                                     pairwise.points(other))
+                                    for other in others if other is not trajectory),
+                                   default=math.inf)
+                    assert distance == expected
+                    others.append(trajectory)
+                for trajectory in batch:
+                    demos.add(trajectory, local_diversity(trajectory, spec),
+                              trajectory_certainty(trajectory))
+                    live.append(trajectory)
+                for _ in range(int(rng.integers(0, len(live) // 2 + 1))):
+                    demos.discard(live.pop(int(rng.integers(len(live)))))
+            if warm:
+                assert kernel_calls == []  # every distance came from the table
+    # each entry is its two cells' distance, whichever episode is the row
+    for key, distance in table.distances.items():
+        u, v = (pairwise.points(table.trajectories[cell]) for cell in divmod(key, table.size))
+        assert distance == pairwise.one_way(u, v) == pairwise.one_way(v, u)
 
 
 def test_a_batch_is_split_into_bounded_chunks(monkeypatch):

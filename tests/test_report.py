@@ -448,6 +448,47 @@ def test_comparison_refuses_histograms_of_different_shapes(tmp_path, flat_result
     assert not (tmp_path / "cmp").exists()
 
 
+def _widen(bundle):
+    """Append a column of zeros to the bundle's histogram.csv: 11x11 becomes 11x12."""
+    histogram = bundle / "histogram.csv"
+    header, *rows = histogram.read_text().splitlines()
+    widened = [f"{header},col_{len(header.split(','))}"] + [f"{row},0" for row in rows]
+    histogram.write_text("\n".join(widened) + "\n")
+
+
+@pytest.mark.parametrize("environment, grid", [
+    ("FlatGrid11", "whose grid is 11x11"), ("HoleyGrid11", "whose grid is 11x11"),
+    ("PointReach", "which has no grid"),
+])
+def test_comparison_refuses_a_histogram_that_does_not_fit_the_named_preset(
+    tmp_path, flat_result, environment, grid
+):
+    # both bundles are widened alike, so only the preset's grid can tell
+    a, b = tmp_path / "a", tmp_path / "b"
+    for bundle in (a, b):
+        export_bundle(flat_result, bundle, {"environment": environment})
+        _widen(bundle)
+    message = f"{a}: its histogram.csv has shape \\(11, 12\\), but config.json names {environment}, {grid}"
+    with pytest.raises(ConfigurationError, match=message):
+        write_comparison_report([a], [b], tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_bundles_naming_a_layout_path_are_held_to_one_histogram_shape(tmp_path, flat_result):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for bundle in (a, b):
+        export_bundle(flat_result, bundle, {"environment": "maps/flat.map"})
+        _widen(bundle)
+    write_comparison_report([a], [b], tmp_path / "cmp")
+    assert (tmp_path / "cmp" / "histogram_search.csv").read_text().startswith("col_0,")
+    assert np.loadtxt(tmp_path / "cmp" / "histogram_search.csv", delimiter=",",
+                      skiprows=1).shape == (11, 12)
+    _widen(b)
+    with pytest.raises(ConfigurationError, match=f"{b}: its histogram.csv has shape \\(11, 13\\)"):
+        write_comparison_report([a], [b], tmp_path / "cmp2")
+    assert not (tmp_path / "cmp2").exists()
+
+
 def test_comparison_requires_some_input(tmp_path):
     with pytest.raises(ConfigurationError):
         write_comparison_report([], [], tmp_path / "cmp")
