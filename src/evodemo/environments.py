@@ -122,14 +122,13 @@ class Trajectory:
         """Number of states after collapsing consecutive duplicates."""
         return len(self.states)
 
-
-def _shallow_copy(trajectory: Trajectory) -> Trajectory:
-    """A new object holding ``trajectory``'s field values, as ``copy.copy``
-    makes it, without that function's dispatch; ``__post_init__`` checked
-    the values when ``trajectory`` was made."""
-    twin = object.__new__(Trajectory)
-    twin.__dict__.update(trajectory.__dict__)
-    return twin
+    def copy(self) -> Trajectory:
+        """A new object holding these field values, as ``copy.copy`` makes
+        it, without that function's dispatch or a second ``__post_init__``,
+        which checked the values when this trajectory was made."""
+        twin = object.__new__(Trajectory)
+        twin.__dict__.update(self.__dict__)
+        return twin
 
 
 def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
@@ -315,7 +314,7 @@ class GridSpec:
                 table.add(cell, self._walk(table.decisions, cell))
             # a new object per start and call, sharing the table's tuples: the
             # demonstration set tells members apart by identity
-            trajectories.append(_shallow_copy(walked[cell]))
+            trajectories.append(walked[cell].copy())
         return trajectories
 
     def _walk(self, decisions, cell: int) -> Trajectory:

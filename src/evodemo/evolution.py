@@ -30,11 +30,25 @@ come from one ``nearest_distances`` pass, given the spec's
 ``rollout_table`` for the policy: a grid remembers each cell's rollout and
 each scored pair's distance for as long as the policy lives, across seeds
 and searches; the reach task has no table.
+
+Without a table, most offspring of a generation are worked out only far
+enough to show that they cannot survive.  Every member is older than every
+offspring, and ties go to the older, so an offspring whose stored joint is
+at most the population's weakest stored joint ``T`` is dropped by
+``migrate``.  ``DemonstrationSet.joint_bounds`` bounds each fresh rollout's
+joint from above: its distance to one member (the one whose first and last
+positions lie nearest its own), which is at least its nearest distance, and
+its profile distance to the members alone, which the offspring scored
+before it can only lower.  A rollout whose bound is at most ``T`` skips the
+exact pass and is scored, still once and in creation order, at its bound
+distance; that score is at most ``T`` as well, so ``migrate`` drops it and
+no result, history entry or observer call sees it.  Until then it stays in
+the set, as columns for later rows and as a profile, exactly as it would
+at its exact score.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -292,8 +306,13 @@ def evaluate_offspring(
     An offspring whose start equals that of an individual of ``population``,
     or of an offspring evaluated before it, is a twin: it takes over that
     rollout and is scored at distance 0 without entering the distance pass.
-    Precondition: every trajectory of ``population`` is a member of
-    ``demos``; a twin's distance of 0 relies on it.
+    Without a rollout table, a fresh offspring whose joint bound is at most
+    the weakest stored joint of ``population`` is scored at its bound
+    distance instead of its nearest: its stored score is then an upper-bound
+    score, at most that weakest joint, and ``migrate`` against
+    ``population`` drops it.  Precondition: every trajectory of
+    ``population`` is a member of ``demos``; a twin's distance of 0 and
+    the bound rely on it.
     """
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
@@ -303,20 +322,34 @@ def evaluate_offspring(
         candidate.initial_state for candidate in candidates if candidate.initial_state not in held
     ))
     fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, fresh_starts)))
+    rows = list(fresh.values())
+    table = env_spec.rollout_table(policy)
+    # rows whose bound shows they cannot survive skip the exact pass (see the
+    # module docstring); a table already makes an exact distance a lookup
+    bound: list[float | None] = [None] * len(rows)
+    asked = None  # the rows the exact pass works out; None for all
+    if population and rows and table is None:
+        floor = min(individual.fitness.joint for individual in population)
+        partners = _nearest_members(rows, population)
+        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, partners, env_spec)):
+            if joint <= floor:
+                bound[row] = distance
+        asked = [row for row, distance in enumerate(bound) if distance is None]
     # the set each fresh rollout is scored against is known before any is
     # scored, so one pass does their distance work; a twin scored in between
     # adds only positions the set holds already, which moves no minimum
-    nearest = iter(demos.nearest_distances(list(fresh.values()), env_spec.rollout_table(policy)))
+    exact = iter(demos.nearest_distances(rows, table, asked))
+    distances = iter([next(exact) if distance is None else distance for distance in bound])
     individuals = []
     for candidate in candidates:
         twin = held.get(candidate.initial_state)
         if twin is None:
             trajectory = held[candidate.initial_state] = fresh[candidate.initial_state]
-            distance = next(nearest)
+            distance = next(distances)
         else:
             # a distinct object sharing the twin's tuples: the set discards and
             # excludes members by identity
-            trajectory, distance = dataclasses.replace(twin), 0.0
+            trajectory, distance = twin.copy(), 0.0
         components = joint_fitness(trajectory, demos, env_spec, distance)
         demos.add(trajectory, components.local_diversity, components.certainty)
         individuals.append(Individual(
@@ -328,6 +361,21 @@ def evaluate_offspring(
             birth_generation=candidate.birth_generation,
         ))
     return individuals
+
+
+def _nearest_members(
+    trajectories: Sequence[Trajectory], population: Sequence[Individual]
+) -> list[Trajectory]:
+    """For each trajectory, the member trajectory whose first and last
+    positions lie nearest its own (squared Euclidean, the first on a tie)."""
+    def ends(trajectory: Trajectory) -> tuple[float, ...]:
+        return trajectory.states[0] + trajectory.states[-1]
+
+    keys = np.array(list(map(ends, trajectories)))
+    members = [individual.trajectory for individual in population]
+    offsets = keys[:, None, :] - np.array(list(map(ends, members)))
+    nearest = np.einsum("rmk,rmk->rm", offsets, offsets).argmin(axis=1)
+    return [members[index] for index in nearest.tolist()]
 
 
 def _rank(individual: Individual) -> tuple[float, int]:

@@ -25,8 +25,9 @@ Members being compared against are excluded by object identity, never by
 value equality, so an individual's own stored demonstration does not shadow
 an identical twin contributed by someone else.
 
-The demonstration set caches each member's position array and (local
-diversity, certainty) pair; scoring a candidate never re-derives members.
+The demonstration set caches each member's (local diversity, certainty)
+pair, and its position array from the first time a distance pass reads it;
+scoring a candidate never re-derives members.
 The set counts its members per distinct profile, so the profile term is a
 minimum over distinct pairs.  It keeps no index by value: a value-equal copy
 of a member is at distance exactly 0 because every point-to-point distance
@@ -37,7 +38,14 @@ distance to 0 itself (``evolution.evaluate_offspring``).
 ``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
 for a whole batch of trajectories at once, each against the set as it will
 stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
-called alone, asks it for a batch of one.
+called alone, asks it for a batch of one.  Asked for some rows only, the
+pass works out just those, each still against every column before it.
+``DemonstrationSet.joint_bounds`` gives the search a cheap upper bound on
+each joint score of a batch: the one-way distance to a single member,
+bit for bit the entry the pass would give that pair (``_paired_one_way``),
+and the profile term over the members alone.  ``joint_fitness`` at that
+distance scores no higher than the bound, which is what lets the search
+skip the exact pass for offspring that cannot survive.
 
 On a grid a rollout depends only on the policy and the start cell, so the
 search also passes the spec's ``rollout_table`` for the policy.  When every
@@ -67,6 +75,9 @@ EMPTY_SET_LOCAL_DISTANCE = math.sqrt(2.0)
 # float64, and the kernel holds two at once); a chunk holds at least one
 # trajectory's rows, however long
 MAX_MATRIX_ELEMENTS = 2**16
+# numpy sums up to this many values strictly left to right; from 8 on its
+# pairwise summation adds them in another order
+SEQUENTIAL_SUM_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,13 @@ def empty_set_components(local_diversity: float, certainty: float) -> FitnessCom
 @dataclass(frozen=True)
 class DemoEntry:
     trajectory: Trajectory
-    points: np.ndarray
     local_diversity: float
     certainty: float
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The member's position array, built when a distance pass first reads it."""
+        return _points(self.trajectory)
 
 
 class DemonstrationSet:
@@ -102,13 +117,19 @@ class DemonstrationSet:
 
     Members are kept in insertion order, keyed by identity; each member's
     position array is one column block of the distance matrix
-    ``nearest_distances`` builds, even where members are value-equal.
+    ``nearest_distances`` builds, even where members are value-equal.  A
+    batch call (``nearest_distances``, ``joint_bounds``) keeps the arrays it
+    builds for its trajectories, and ``add`` hands a trajectory's array to
+    its entry; any other member's array is built when a pass first reads it.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
+        # arrays built for the latest batch call's trajectories, by id, each
+        # held with its trajectory so that no id is reused while it waits
+        self._batch_points: dict[int, tuple[Trajectory, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,10 +150,12 @@ class DemonstrationSet:
         return [pair for pair, count in self._profiles.items() if count > own.get(pair, 0)]
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
-        points = _points(trajectory)
-        if self._entries and points.shape[1] != next(iter(self)).points.shape[1]:
+        if self._entries and len(trajectory.states[0]) != len(next(iter(self)).trajectory.states[0]):
             raise ContractViolationError("members must share one position dimensionality")
-        entry = DemoEntry(trajectory, points, float(local_diversity), float(certainty))
+        entry = DemoEntry(trajectory, float(local_diversity), float(certainty))
+        built = self._batch_points.pop(id(trajectory), None)
+        if built is not None:
+            entry.__dict__["points"] = built[1]  # where the cached property keeps it
         self._entries[id(entry)] = entry
         self._entries_of.setdefault(id(trajectory), []).append(entry)
         pair = (entry.local_diversity, entry.certainty)
@@ -152,21 +175,55 @@ class DemonstrationSet:
         if not self._profiles[pair]:
             del self._profiles[pair]
 
+    def joint_bounds(
+        self, trajectories: Sequence[Trajectory], partners: Sequence[Trajectory], env_spec: EnvSpec
+    ) -> list[tuple[float, float]]:
+        """An upper bound on each trajectory's joint score in a batch scored in
+        order, as ``(distance, joint)``: the score at ``distance``.
+
+        ``partners[k]`` is a member; the distance is the one-way distance
+        from trajectory ``k`` to it, bit for bit the entry of that pair in
+        ``nearest_distances``, so never below the nearest distance.  The
+        profile term is the minimum over the members as they stand, and the
+        batch's earlier trajectories can only lower the exact one.  So
+        ``joint_fitness`` at ``distance`` scores no higher than the bound,
+        and at the nearest distance no higher than that.
+        """
+        self._keep_batch_points(trajectories)
+        distances = _paired_one_way(
+            list(map(self._batch_array, trajectories)),
+            [self._entries_of[id(partner)][0].points for partner in partners],
+        )
+        profiles = list(self._profiles)
+        bounds = []
+        for trajectory, distance in zip(trajectories, distances):
+            d_g, local_distance = _context_terms(
+                local_diversity(trajectory, env_spec), trajectory_certainty(trajectory),
+                profiles, distance, env_spec,
+            )
+            bounds.append((distance, d_g + local_distance))
+        return bounds
+
     def nearest_distances(
-        self, trajectories: Sequence[Trajectory], table: RolloutTable | None = None
+        self,
+        trajectories: Sequence[Trajectory],
+        table: RolloutTable | None = None,
+        rows: Sequence[int] | None = None,
     ) -> list[float]:
         """One-way distance from each trajectory to its nearest other demonstration.
 
         Trajectory ``k`` is compared with every member and every one of
         ``trajectories[:k]`` but itself (by identity), as though each joined
         the set right after it was scored; ``inf`` when there is nothing to
-        compare with.  A value-equal copy of any of those is at distance 0,
-        worked out like any other.  The column blocks are the members'
-        position arrays in insertion order, then the batch's; trajectory
-        ``k`` is a row block of one distance matrix, masked to the column
-        blocks before its own that belong to other objects.  The rows are
-        split into consecutive chunks whose matrix holds at most
-        ``MAX_MATRIX_ELEMENTS`` elements.
+        compare with.  ``rows``, increasing indices into ``trajectories``,
+        asks for those trajectories' distances only, each still against
+        everything before it; left out, it asks for all.  A value-equal copy
+        of any of those is at distance 0, worked out like any other.  The
+        column blocks are the members' position arrays in insertion order,
+        then the batch's; each asked trajectory is a row block of one
+        distance matrix, masked to the column blocks before its own that
+        belong to other objects.  The rows are split into consecutive chunks
+        whose matrix holds at most ``MAX_MATRIX_ELEMENTS`` elements.
 
         ``table`` is the spec's ``rollout_table`` for the policy that rolled
         the trajectories out, if it has one.  When every member and every
@@ -174,40 +231,58 @@ class DemonstrationSet:
         instead, after the pairs it lacks are worked out in one such pass
         and stored in it.
         """
-        if not trajectories:
+        if rows is None:
+            rows = range(len(trajectories))
+        if not rows:
             return []
+        self._keep_batch_points(trajectories)
         members = list(self._entries.values())
         first_row = len(members)
+        at = first_row + np.asarray(rows)  # each asked row's block
         # each block's owner object by id, which is identity while the members
         # and the batch are alive
         owners = np.array([id(e.trajectory) for e in members] + list(map(id, trajectories)),
                           dtype=np.uint64)
         # a row sees no block from its own on, and no block of its own object
-        hidden = np.arange(len(owners)) >= np.arange(first_row, len(owners))[:, None]
-        hidden |= owners == owners[first_row:, None]
+        hidden = np.arange(len(owners)) >= at[:, None]
+        hidden |= owners == owners[at, None]
         if table is not None:
             cells = [table.cell(e.trajectory) for e in members] + list(map(table.cell, trajectories))
             if None not in cells:
-                @functools.cache  # a batch trajectory can be both a row and a column
                 def points(block: int) -> np.ndarray:
                     if block < first_row:
                         return members[block].points
-                    return _points(trajectories[block - first_row])
+                    return self._batch_array(trajectories[block - first_row])
 
-                distances = _table_distances(table, np.array(cells), ~hidden, points)
+                distances = _table_distances(table, np.array(cells), at, ~hidden, points)
                 return distances.min(axis=1).tolist()
-        blocks = [e.points for e in members] + [_points(t) for t in trajectories]
+        blocks = [e.points for e in members]
+        blocks += map(self._batch_array, trajectories[: rows[-1] + 1])
         if len({points.shape[1] for points in blocks}) > 1:
             raise ContractViolationError("demonstrations must share one position dimensionality")
-        # row k sees blocks 0 .. first_row + k - 1, so the first trajectory
-        # ever scored has nothing to compare with
-        skip = 0 if first_row else 1
+        # only the first trajectory ever scored sits at block 0, with nothing
+        # to compare with
+        skip = int(at[0] == 0)
         nearest = [math.inf] * skip
-        sees = range(first_row + skip, len(blocks))
-        for begin, end, chunk in _one_way_chunks(blocks[first_row + skip:], blocks, sees):
+        sees = at[skip:].tolist()
+        if not sees:
+            return nearest
+        row_blocks = [blocks[block] for block in sees]
+        for begin, end, chunk in _one_way_chunks(row_blocks, blocks[: sees[-1]], sees):
             chunk[hidden[skip + begin : skip + end, : chunk.shape[1]]] = math.inf
             nearest += chunk.min(axis=1).tolist()
         return nearest
+
+    def _keep_batch_points(self, trajectories: Sequence[Trajectory]) -> None:
+        """Forget the arrays of trajectories other than ``trajectories``."""
+        kept = set(map(id, trajectories))
+        self._batch_points = {key: held for key, held in self._batch_points.items() if key in kept}
+
+    def _batch_array(self, trajectory: Trajectory) -> np.ndarray:
+        held = self._batch_points.get(id(trajectory))
+        if held is None:
+            held = self._batch_points[id(trajectory)] = (trajectory, _points(trajectory))
+        return held[1]
 
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
@@ -244,10 +319,7 @@ def joint_fitness(
         return empty_set_components(d_l, certainty)
     if nearest_distance is None:
         (nearest_distance,) = demos.nearest_distances([trajectory])
-    d_g = float(nearest_distance) / env_spec.max_state_distance
-    # math.hypot per pair, not np.hypot: the two differ in the last bit on
-    # some inputs, and stored scores must not move
-    local_distance = min(math.hypot(d_l - other_d_l, certainty - c) for other_d_l, c in profiles)
+    d_g, local_distance = _context_terms(d_l, certainty, profiles, nearest_distance, env_spec)
     return FitnessComponents(
         local_diversity=d_l,
         certainty=certainty,
@@ -257,26 +329,47 @@ def joint_fitness(
     )
 
 
+def _context_terms(
+    d_l: float,
+    certainty: float,
+    profiles: Sequence[tuple[float, float]],
+    nearest_distance: float,
+    env_spec: EnvSpec,
+) -> tuple[float, float]:
+    """Global diversity at ``nearest_distance`` and the local distance to the
+    nearest of the (D_l, C) pairs ``profiles``; neither falls when the
+    distance grows or a pair leaves ``profiles``, and nor does their sum."""
+    d_g = float(nearest_distance) / env_spec.max_state_distance
+    # math.hypot per pair, not np.hypot: the two differ in the last bit on
+    # some inputs, and stored scores must not move
+    local_distance = min(math.hypot(d_l - other_d_l, certainty - c) for other_d_l, c in profiles)
+    return d_g, local_distance
+
+
 def _points(trajectory: Trajectory) -> np.ndarray:
     return np.asarray(trajectory.states, dtype=float)
 
 
 def _table_distances(
-    table: RolloutTable, cells: np.ndarray, visible: np.ndarray, points: Callable[[int], np.ndarray]
+    table: RolloutTable,
+    cells: np.ndarray,
+    at: np.ndarray,
+    visible: np.ndarray,
+    points: Callable[[int], np.ndarray],
 ) -> np.ndarray:
     """The one-way distance of each batch row to each block it sees, ``inf``
     where it sees none, read from ``table``.
 
-    ``cells`` holds every block's cell, the batch's last, ``visible`` is
-    (batch rows, blocks), and ``points(block)`` is a block's position array.
+    ``cells`` holds every block's cell, ``at`` each row's own block, in
+    increasing order, ``visible`` is (rows, blocks), and ``points(block)``
+    is a block's position array.
     The pairs the table lacks are worked out in one ``_one_way_chunks`` pass
     and stored: its rows are the batch rows that lack a pair, in order, and
     its columns the cells they lack, in the order of their first block.
     Every block a row sees comes before it, so each row needs only a prefix
     of the columns.
     """
-    first_row = len(cells) - len(visible)
-    rows = cells[first_row:, None]
+    rows = cells[at, None]
     low = np.minimum(rows, cells)
     # one key per unordered pair: the one-way distance is symmetric bit for bit,
     # as the sum of the same two block sums
@@ -296,16 +389,66 @@ def _table_distances(
             firsts.append(block)
     # by batch row and column; NaN outside the rows and prefixes the pass works out
     matrix = np.full((len(visible), len(firsts)), math.nan)
+    blocks = at[pass_rows].tolist()
     for begin, end, chunk in _one_way_chunks(
-        [points(first_row + row) for row in pass_rows],
+        list(map(points, blocks)),
         list(map(points, firsts)),
-        [bisect.bisect_left(firsts, first_row + row) for row in pass_rows],
+        [bisect.bisect_left(firsts, block) for block in blocks],
     ):
         matrix[pass_rows[begin:end], : chunk.shape[1]] = chunk
     found = matrix[:, [column_of.get(cell, 0) for cell in cell_list]][lacking]
     table.distances.update(zip(keys[lacking].tolist(), found.tolist()))
     distances[lacking] = found
     return distances
+
+
+def _paired_one_way(rows: Sequence[np.ndarray], columns: Sequence[np.ndarray]) -> list[float]:
+    """The one-way distance of each pair of blocks ``rows[k]``, ``columns[k]``,
+    bit for bit the entry ``_one_way_matrix`` gives that pair.
+
+    Pairs whose blocks both hold at most ``SEQUENTIAL_SUM_MAX`` points are
+    worked out together, pair by pair along the last axis.  Each block is
+    padded to the longest by repeating its last point, which moves no
+    minimum; the padded minima are zeroed, and each sum runs left to right
+    by ``np.cumsum``, the order numpy sums so few values in, since adding
+    +0.0 to a sum of non-negative distances leaves its bits.  Any other pair
+    gets its own ``_one_way_matrix``.
+    """
+    distances = [0.0] * len(rows)
+    short = []
+    for k, (u, v) in enumerate(zip(rows, columns)):
+        if max(len(u), len(v)) <= SEQUENTIAL_SUM_MAX:
+            short.append(k)
+        else:
+            distances[k] = float(_one_way_matrix(u, np.array([len(u)]), v.T, np.array([len(v)]))[0, 0])
+    if not short:
+        return distances
+    u, u_lengths = _padded([rows[k] for k in short])
+    v, v_lengths = _padded([columns[k] for k in short])
+    # (axes, row points, column points, pairs); the squares are summed over
+    # the axes left to right, as _one_way_matrix sums them
+    squares = u[:, :, None] - v[:, None]
+    squares *= squares
+    dist = squares[0]
+    for axis_sq in squares[1:]:
+        dist += axis_sq
+    np.sqrt(dist, out=dist)
+    row_minima = dist.min(axis=1)
+    column_minima = dist.min(axis=0)
+    row_minima[np.arange(len(row_minima))[:, None] >= u_lengths] = 0.0
+    column_minima[np.arange(len(column_minima))[:, None] >= v_lengths] = 0.0
+    sums = np.cumsum(row_minima, axis=0)[-1] + np.cumsum(column_minima, axis=0)[-1]
+    for k, distance in zip(short, (sums / (u_lengths + v_lengths)).tolist()):
+        distances[k] = distance
+    return distances
+
+
+def _padded(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``blocks`` as one (axes, longest, blocks) array, each padded by
+    repeating its last point, and their lengths."""
+    lengths = np.fromiter(map(len, blocks), int, len(blocks))
+    at = np.cumsum(lengths) - lengths + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)
+    return np.concatenate(blocks).T[:, at], lengths
 
 
 def _one_way_chunks(

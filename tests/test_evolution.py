@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_offspring
@@ -511,9 +511,9 @@ def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
         rolled.append(trajectories)
         return trajectories
 
-    def nearest_distances(demos, trajectories, table=None):
+    def nearest_distances(demos, trajectories, table=None, rows=None):
         passes.append(list(trajectories))
-        return original_pass(demos, trajectories, table)
+        return original_pass(demos, trajectories, table, rows)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         assert nearest_distance is not None  # the batch pass or the twin rule answered it
@@ -561,13 +561,13 @@ def test_the_distance_pass_gets_no_twin_and_every_twin_scores_at_distance_zero(
     original_pass = fitness.DemonstrationSet.nearest_distances
     original_score = evolution.joint_fitness
 
-    def nearest_distances(demos, trajectories, table=None):
+    def nearest_distances(demos, trajectories, table=None, rows=None):
         seen = {trajectory.states for trajectory in demos.trajectories()}
         for trajectory in trajectories:
             assert trajectory.states not in seen  # equal to no member nor earlier row
             seen.add(trajectory.states)
             passed[id(trajectory)] = trajectory
-        return original_pass(demos, trajectories, table)
+        return original_pass(demos, trajectories, table, rows)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         if id(trajectory) not in passed:  # a twin
@@ -624,8 +624,9 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
         asked.update(start.row * 101 + start.col for start in starts)
         return original_rollouts(env_spec, policy, starts)
 
-    def nearest_distances(demos, trajectories, table=None):
+    def nearest_distances(demos, trajectories, table=None, rows=None):
         assert table is spec.rollout_table(policy)
+        assert rows is None  # a grid works out every row through its table
         blocks = list(demos.trajectories()) + list(trajectories)
         cells = [table.cell(block) for block in blocks]
         for row in range(len(blocks) - len(trajectories), len(blocks)):
@@ -633,7 +634,7 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
                 if blocks[column] is not blocks[row]:
                     low, high = sorted((cells[row], cells[column]))
                     scored.add(low * table.size + high)
-        return original_pass(demos, trajectories, table)
+        return original_pass(demos, trajectories, table, rows)
 
     monkeypatch.setattr(GridSpec, "rollouts", rollouts)
     monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
@@ -688,3 +689,134 @@ def test_search_invariants_hold_for_generated_configs(flat_spec, reach_spec, rea
             export_bundle(run(spec, policy, config, observer if rerun == 0 else None), out)
             bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert bundles[0] == bundles[1]
+
+
+# ---------------------------------------------------------------------------
+# offspring that provably cannot survive skip the exact distance pass
+
+
+class _Untabled:
+    """The wrapped spec answering no rollout table, so the search bounds its
+    offspring as it does on a spec that has none; all else is the spec's."""
+
+    def __init__(self, spec):
+        self._spec = spec
+
+    def __getattr__(self, name):
+        return getattr(self._spec, name)
+
+    def rollout_table(self, policy):
+        return None
+
+
+@st.composite
+def reach_cases(draw):
+    """A PointReach-like spec and its controller: a gain below 1 or a small step
+    in a wide box makes collapsed trajectories longer than 7 states."""
+    dims = draw(st.integers(1, 3))
+    bounds = tuple(
+        (low, low + width)
+        for low, width in draw(st.lists(
+            st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 1.5)), min_size=dims, max_size=dims,
+        ))
+    )
+    step_size = draw(st.floats(0.01, 0.2))
+    spec = ReachSpec(bounds=bounds, goal_radius=draw(st.floats(0.005, 0.5)),
+                     horizon=draw(st.integers(1, 40)), step_size=step_size)
+    return spec, GaussianControllerPolicy(gain=draw(st.sampled_from([0.3, 0.5, 1.0, 2.0])),
+                                          step_size=step_size)
+
+
+LONG_REACH = ReachSpec(bounds=((-0.5, 0.5),) * 3, horizon=40, step_size=0.02)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.one_of(st.none(), reach_cases()),  # None: FlatGrid11 without its table
+    population_size=st.integers(2, 8),
+    generations=st.integers(1, 6),
+    bits_per_dimension=st.integers(2, 7),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(  # most of its trajectories collapse to 20 to 40 states
+    case=(LONG_REACH, GaussianControllerPolicy(gain=0.5, step_size=LONG_REACH.step_size)),
+    population_size=8, generations=6, bits_per_dimension=6, seed=1,
+)
+def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **fields):
+    if case is None:
+        q = np.random.default_rng(seed).normal(size=(flat_spec.height, flat_spec.width, 4))
+        spec, policy = _Untabled(flat_spec), TabularPolicy(q)
+        fields["bits_per_dimension"] = max(fields["bits_per_dimension"], 4)
+    else:
+        spec, policy = case
+    config = EvolutionConfig(seed=seed, **fields)
+    original_pass = fitness.DemonstrationSet.nearest_distances
+    original_evaluate = evolution.evaluate_offspring
+    original_migrate = evolution.migrate
+
+    def search(pruning):
+        calls, pruned, floors = [], set(), {}
+
+        def nearest_distances(demos, trajectories, table=None, rows=None):
+            if rows is not None:
+                pruned.update(id(t) for k, t in enumerate(trajectories) if k not in rows)
+            return original_pass(demos, trajectories, table, rows)
+
+        def evaluate_offspring(candidates, demos, env_spec, policy, population):
+            offspring = original_evaluate(candidates, demos, env_spec, policy, population)
+            for individual in offspring:
+                if id(individual.trajectory) in pruned:
+                    # its one score, at the bound distance, is at most the floor
+                    floor = min(i.fitness.joint for i in population)
+                    assert individual.fitness.joint <= floor
+                    floors[individual.id] = floor
+            return offspring
+
+        def migrate(population, offspring, population_size, demos):
+            kept = original_migrate(population, offspring, population_size, demos)
+            assert not {i.id for i in kept} & set(floors)  # every pruned offspring is dropped
+            return kept
+
+        def observer(generation, population, demos):
+            profiles = [(e.local_diversity, e.certainty) for e in demos]
+            calls.append((generation, tuple(population), demos.trajectories(), profiles))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+            patch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
+            patch.setattr(evolution, "migrate", migrate)
+            if not pruning:  # no bound is low enough: every row goes through the exact pass
+                patch.setattr(fitness.DemonstrationSet, "joint_bounds",
+                              lambda demos, rows, partners, env_spec: [(0.0, math.inf)] * len(rows))
+            result = run(spec, policy, config, observer)
+        if not pruning:
+            assert not pruned
+        return result, calls
+
+    (exact, exact_calls), (pruned, pruned_calls) = search(False), search(True)
+    assert pruned.population == exact.population
+    assert pruned.history == exact.history
+    assert pruned_calls == exact_calls
+    with tempfile.TemporaryDirectory() as directory:
+        bundles = []
+        for name, result in (("exact", exact), ("pruned", pruned)):
+            export_bundle(result, Path(directory) / name)
+            bundles.append({p.name: p.read_bytes() for p in sorted((Path(directory) / name).iterdir())})
+    assert bundles[0] == bundles[1]
+
+
+def test_most_reach_offspring_skip_the_exact_distance_pass(reach_spec, reach_controller, monkeypatch):
+    rows = [0, 0]  # fresh rows of the bounded batches, and those the exact pass worked out
+    original_pass = fitness.DemonstrationSet.nearest_distances
+
+    def nearest_distances(demos, trajectories, table=None, rows_asked=None):
+        if rows_asked is not None:
+            rows[0] += len(trajectories)
+            rows[1] += len(rows_asked)
+        return original_pass(demos, trajectories, table, rows_asked)
+
+    monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+    for seed in range(2):
+        config = EvolutionConfig(population_size=30, generations=10, bits_per_dimension=9, seed=seed)
+        run(reach_spec, reach_controller, config)
+    assert rows[1] < rows[0] / 2

@@ -460,3 +460,73 @@ def test_nearest_distance_is_infinite_with_nothing_to_compare():
     assert DemonstrationSet().nearest_distances([alone]) == [math.inf]
     assert demo_set([alone], SMALL_GRID).nearest_distances([alone]) == [math.inf]
     assert DemonstrationSet().nearest_distances([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the search's bound: one member's distance per row, and rows asked by index
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@pytest.mark.parametrize("lengths", [(1, 8), (9, 20), (129, 140)])
+def test_the_paired_kernel_equals_the_pairwise_reference(lengths, lattice):
+    # blocks of up to 7 points take the padded path, longer ones their own
+    # matrix, and each call mixes both; lattice points repeat within and
+    # across blocks, so minima tie, and some pairs are one block twice
+    rng = np.random.default_rng(lengths[0] + lattice)
+    for dims in (2, 3):
+        rows, columns = [], []
+        for _ in range(40):
+            u_length, v_length = (
+                int(rng.integers(1, 8)) if rng.random() < 0.3
+                else int(rng.integers(*lengths, endpoint=True))
+                for _ in range(2)
+            )
+            if lattice:
+                u, v = (rng.integers(0, 3, size=(n, dims)) / 2.0 for n in (u_length, v_length))
+            else:
+                scale = 10.0 ** rng.integers(-3, 3)
+                u, v = (rng.normal(size=(n, dims)) * scale for n in (u_length, v_length))
+            rows.append(u)
+            columns.append(u.copy() if rng.random() < 0.15 else v)
+        expected = [pairwise.one_way(u, v) for u, v in zip(rows, columns)]
+        assert fitness._paired_one_way(rows, columns) == expected
+        assert 0.0 in expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    members=st.integers(0, 5),
+    size=st.integers(1, 8),
+    tabled=st.booleans(),
+)
+def test_the_rows_asked_for_get_their_distances_in_the_whole_pass(
+    flat_spec, seed, members, size, tabled
+):
+    rng = np.random.default_rng(seed)
+    policy = TabularPolicy(np.round(rng.normal(size=(flat_spec.height, flat_spec.width, 4))))
+    starts = list(flat_spec.startable.values())
+    picks = rng.integers(len(starts), size=members + size).tolist()
+    trajectories = flat_spec.rollouts(policy, [starts[i] for i in picks])
+    demos = demo_set(trajectories[:members], flat_spec)
+    batch = trajectories[members:]
+    whole = demos.nearest_distances(batch)
+    rows = sorted(rng.choice(size, int(rng.integers(0, size + 1)), replace=False).tolist())
+    table = flat_spec.rollout_table(policy) if tabled else None
+    assert demos.nearest_distances(batch, table, rows) == [whole[row] for row in rows]
+
+
+def test_a_position_array_is_built_once_and_when_a_pass_first_reads_it(monkeypatch):
+    built = []
+    original = fitness._points
+    monkeypatch.setattr(fitness, "_points", lambda t: built.append(t) or original(t))
+    rng = np.random.default_rng(5)
+    first, second, third, fourth = (random_walk(rng, 3, 6) for _ in range(4))
+    demos = DemonstrationSet()
+    demos.add(first, 0.5, 0.5)
+    assert built == []  # no pass has read it yet
+    for trajectory, profile in ((second, 0.4), (third, 0.3)):
+        demos.nearest_distances([trajectory])
+        demos.add(trajectory, profile, 0.5)  # takes over the array the pass built
+    demos.nearest_distances([fourth])
+    assert list(map(id, built)) == list(map(id, (first, second, third, fourth)))
