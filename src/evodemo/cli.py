@@ -162,9 +162,9 @@ def _run_search(args, command: str) -> int:
 
     ``evolve`` and ``baseline`` are a sweep of the single empty cell: their
     bundles go into the output directory itself, next to a run manifest.
-    ``sweep`` writes ``out/<cell>/seed_<n>``.  Every cell and seed is checked,
-    and each cell's genome encoding built, before the first search runs or any
-    directory is made.
+    ``sweep`` writes ``out/<cell>/seed_<n>``.  Every cell and seed and the
+    output path are checked, and each cell's genome encoding built, before the
+    first search runs or any directory is made.
     """
     config, base_dir = _load_config_file(args.config)
     sweeping = command == "sweep"
@@ -275,7 +275,14 @@ def _output_dir(config: dict, args) -> Path:
         raise ConfigurationError("an output directory is required (config 'output' or --out)")
     if not isinstance(out, str):
         raise ConfigurationError(f"'output' must be a directory path, got {out!r}")
-    return Path(out)
+    out = Path(out)
+    # the nearest part of the path that exists is where the directories are made
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(
+            f"output directory {out} cannot be made: {existing} is not a directory"
+        )
+    return out
 
 
 def _seed_list(config: dict, args) -> list[int]:

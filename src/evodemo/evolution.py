@@ -45,10 +45,15 @@ distance; that score is at most ``T`` as well, so ``migrate`` drops it and
 no result, history entry or observer call sees it.  Until then it stays in
 the set, as columns for later rows and as a profile, exactly as it would
 at its exact score.
+
+What an individual contributes to each generation it lives through is made
+once, on first use, and kept on it: its ``IndividualSnapshot`` for the
+history and its first-and-last-position key for ``_nearest_members``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -113,6 +118,16 @@ class Individual:
     trajectory: Trajectory
     fitness: FitnessComponents
     birth_generation: int
+
+    @functools.cached_property
+    def snapshot(self) -> IndividualSnapshot:
+        """Its record in each generation it lives through, made once."""
+        return IndividualSnapshot(id=self.id, fitness=self.fitness)
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """Its trajectory's ``_ends`` key as an array, made once."""
+        return np.array(_ends(self.trajectory))
 
 
 @dataclass(frozen=True)
@@ -363,19 +378,20 @@ def evaluate_offspring(
     return individuals
 
 
+def _ends(trajectory: Trajectory) -> tuple[float, ...]:
+    """The first and last positions of ``trajectory``, one after the other."""
+    return trajectory.states[0] + trajectory.states[-1]
+
+
 def _nearest_members(
     trajectories: Sequence[Trajectory], population: Sequence[Individual]
 ) -> list[Trajectory]:
     """For each trajectory, the member trajectory whose first and last
     positions lie nearest its own (squared Euclidean, the first on a tie)."""
-    def ends(trajectory: Trajectory) -> tuple[float, ...]:
-        return trajectory.states[0] + trajectory.states[-1]
-
-    keys = np.array(list(map(ends, trajectories)))
-    members = [individual.trajectory for individual in population]
-    offsets = keys[:, None, :] - np.array(list(map(ends, members)))
+    keys = np.array(list(map(_ends, trajectories)))
+    offsets = keys[:, None, :] - np.array([individual.ends for individual in population])
     nearest = np.einsum("rmk,rmk->rm", offsets, offsets).argmin(axis=1)
-    return [members[index] for index in nearest.tolist()]
+    return [population[index].trajectory for index in nearest.tolist()]
 
 
 def _rank(individual: Individual) -> tuple[float, int]:
@@ -390,13 +406,9 @@ def _generation_stats(
     generation: int, population: list[Individual], admitted: tuple[int, ...]
 ) -> GenerationStats:
     joints = [individual.fitness.joint for individual in population]
-    snapshots = tuple(
-        IndividualSnapshot(id=individual.id, fitness=individual.fitness)
-        for individual in population
-    )
     return GenerationStats(
         generation=generation,
-        individuals=snapshots,
+        individuals=tuple(individual.snapshot for individual in population),
         mean_joint=sum(joints) / len(joints),
         max_joint=max(joints),
         admitted_ids=admitted,

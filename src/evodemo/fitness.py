@@ -28,12 +28,16 @@ an identical twin contributed by someone else.
 The demonstration set caches each member's (local diversity, certainty)
 pair, and its position array from the first time a distance pass reads it;
 scoring a candidate never re-derives members.
-The set counts its members per distinct profile, so the profile term is a
-minimum over distinct pairs.  It keeps no index by value: a value-equal copy
-of a member is at distance exactly 0 because every point-to-point distance
-between equal positions is 0, so it scores 0 on both context terms.  The
-search never sends such a copy to the distance pass; it sets the copy's
-distance to 0 itself (``evolution.evaluate_offspring``).
+The set counts its members per distinct profile, so the profile term
+(``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and
+``joint_bounds``) is a minimum over distinct pairs, or one lookup when
+another member holds the candidate's own pair, as it does for most
+candidates; the term is then exactly 0.  The set keeps no index of
+trajectories by value: a value-equal copy of a member is at distance
+exactly 0 because every point-to-point distance between equal positions is
+0, so it scores 0 on both context terms.  The search never sends such a
+copy to the distance pass; it sets the copy's distance to 0 itself
+(``evolution.evaluate_offspring``).
 
 ``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
 for a whole batch of trajectories at once, each against the set as it will
@@ -43,8 +47,8 @@ pass works out just those, each still against every column before it.
 ``DemonstrationSet.joint_bounds`` gives the search a cheap upper bound on
 each joint score of a batch: the one-way distance to a single member,
 bit for bit the entry the pass would give that pair (``_paired_one_way``),
-and the profile term over the members alone.  ``joint_fitness`` at that
-distance scores no higher than the bound, which is what lets the search
+and the profile term over the members as they stand.  ``joint_fitness`` at
+that distance scores no higher than the bound, which is what lets the search
 skip the exact pass for offspring that cannot survive.
 
 On a grid a rollout depends only on the policy and the start cell, so the
@@ -140,14 +144,32 @@ class DemonstrationSet:
     def trajectories(self) -> tuple[Trajectory, ...]:
         return tuple(e.trajectory for e in self._entries.values())
 
-    def other_profiles(self, trajectory: Trajectory) -> list[tuple[float, float]]:
-        """Distinct (D_l, C) pairs of the members other than ``trajectory`` itself."""
+    def local_distance(self, trajectory: Trajectory, d_l: float, certainty: float) -> float | None:
+        """Euclidean distance from ``(d_l, certainty)`` to the nearest (D_l, C)
+        pair of a member other than ``trajectory`` itself; ``None`` when there
+        is no other member.
+
+        When a member other than ``trajectory`` holds the pair itself, the
+        answer is ``0.0`` from one lookup, which is what the scan over
+        distinct pairs gives: that pair's term is ``math.hypot(0.0, 0.0)``,
+        ``0.0``, and no term is negative.
+        """
         own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
         for e in self._entries_of.get(id(trajectory), ()):
             pair = (e.local_diversity, e.certainty)
             own[pair] = own.get(pair, 0) + 1
-        # an own pair stays while another member holds it too
-        return [pair for pair, count in self._profiles.items() if count > own.get(pair, 0)]
+        pair = (d_l, certainty)
+        if self._profiles.get(pair, 0) > own.get(pair, 0):
+            return 0.0
+        # math.hypot per pair, not np.hypot: the two differ in the last bit on
+        # some inputs, and stored scores must not move; an own pair stays
+        # while another member holds it too
+        return min(
+            (math.hypot(d_l - other_d_l, certainty - c)
+             for (other_d_l, c), count in self._profiles.items()
+             if count > own.get((other_d_l, c), 0)),
+            default=None,
+        )
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
         if self._entries and len(trajectory.states[0]) != len(next(iter(self)).trajectory.states[0]):
@@ -184,24 +206,22 @@ class DemonstrationSet:
         ``partners[k]`` is a member; the distance is the one-way distance
         from trajectory ``k`` to it, bit for bit the entry of that pair in
         ``nearest_distances``, so never below the nearest distance.  The
-        profile term is the minimum over the members as they stand, and the
-        batch's earlier trajectories can only lower the exact one.  So
-        ``joint_fitness`` at ``distance`` scores no higher than the bound,
-        and at the nearest distance no higher than that.
+        profile term is ``local_distance`` over the members as they stand,
+        and the batch's earlier trajectories, joining the set before
+        trajectory ``k`` is scored, can only lower it.  So ``joint_fitness``
+        at ``distance`` scores no higher than the bound, and at the nearest
+        distance no higher than that.
         """
         self._keep_batch_points(trajectories)
         distances = _paired_one_way(
             list(map(self._batch_array, trajectories)),
             [self._entries_of[id(partner)][0].points for partner in partners],
         )
-        profiles = list(self._profiles)
         bounds = []
         for trajectory, distance in zip(trajectories, distances):
-            d_g, local_distance = _context_terms(
-                local_diversity(trajectory, env_spec), trajectory_certainty(trajectory),
-                profiles, distance, env_spec,
-            )
-            bounds.append((distance, d_g + local_distance))
+            d_l, certainty = local_diversity(trajectory, env_spec), trajectory_certainty(trajectory)
+            profile = self.local_distance(trajectory, d_l, certainty)
+            bounds.append((distance, distance / env_spec.max_state_distance + profile))
         return bounds
 
     def nearest_distances(
@@ -314,12 +334,12 @@ def joint_fitness(
     """
     d_l = local_diversity(trajectory, env_spec)
     certainty = trajectory_certainty(trajectory)
-    profiles = demos.other_profiles(trajectory)
-    if not profiles:
+    local_distance = demos.local_distance(trajectory, d_l, certainty)
+    if local_distance is None:
         return empty_set_components(d_l, certainty)
     if nearest_distance is None:
         (nearest_distance,) = demos.nearest_distances([trajectory])
-    d_g, local_distance = _context_terms(d_l, certainty, profiles, nearest_distance, env_spec)
+    d_g = float(nearest_distance) / env_spec.max_state_distance
     return FitnessComponents(
         local_diversity=d_l,
         certainty=certainty,
@@ -327,23 +347,6 @@ def joint_fitness(
         local_distance=local_distance,
         joint=d_g + local_distance,
     )
-
-
-def _context_terms(
-    d_l: float,
-    certainty: float,
-    profiles: Sequence[tuple[float, float]],
-    nearest_distance: float,
-    env_spec: EnvSpec,
-) -> tuple[float, float]:
-    """Global diversity at ``nearest_distance`` and the local distance to the
-    nearest of the (D_l, C) pairs ``profiles``; neither falls when the
-    distance grows or a pair leaves ``profiles``, and nor does their sum."""
-    d_g = float(nearest_distance) / env_spec.max_state_distance
-    # math.hypot per pair, not np.hypot: the two differ in the last bit on
-    # some inputs, and stored scores must not move
-    local_distance = min(math.hypot(d_l - other_d_l, certainty - c) for other_d_l, c in profiles)
-    return d_g, local_distance
 
 
 def _points(trajectory: Trajectory) -> np.ndarray:

@@ -8,8 +8,11 @@ step per token; ``dumps`` builds the same text by joining strings instead:
 * a list of floats, or of rows of floats (trajectory states and actions), is
   one ``str.join`` over ``float.__repr__``, which is how ``json`` formats a
   float; the joined text is kept only if it holds no ``n``, so NaN and the
-  infinities still print as ``NaN`` / ``Infinity``.  A list of ints is one
-  join over ``int.__repr__``;
+  infinities still print as ``NaN`` / ``Infinity``.  Each distinct float or
+  row object of such a list is formatted once (a trajectory repeats the same
+  reward, certainty and action objects from step to step), told apart by
+  identity, never by value, since ``0.0 == -0.0`` and ``nan != nan``.  A
+  list of ints is one join over ``int.__repr__``;
 * strings go through ``json.encoder.encode_basestring_ascii``;
 * anything else (a dict with non-string keys, a type ``json`` rejects) goes to
   ``json.dumps`` itself, re-indented to its depth.  That is exact at any depth,
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable
 
 # float.__repr__ text that json spells differently (json ignores a NaN's sign)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -78,7 +82,7 @@ def _items(values, inner: str) -> str:
     separator = "," + inner
     types = set(map(type, values))
     if types == _FLOATS:
-        text = separator.join(map(float.__repr__, values))
+        text = separator.join(_once(float.__repr__, values))
         if "n" not in text:
             return text
     elif types == _INTS:
@@ -87,14 +91,29 @@ def _items(values, inner: str) -> str:
         # rows of floats: every row is one join, and the rows are joined again
         row_inner = inner + "  "
         row_separator = "," + row_inner
+
+        def row_text(row) -> str:
+            return "[" + row_inner + row_separator.join(map(float.__repr__, row)) + inner + "]"
+
         try:
-            text = separator.join([
-                "[" + row_inner + row_separator.join(map(float.__repr__, row)) + inner + "]"
-                for row in values
-            ])
+            text = separator.join(_once(row_text, values))
         except TypeError:  # a row holds something other than floats
             pass
         else:
             if "n" not in text:
                 return text
     return separator.join([_encode(v, inner) for v in values])
+
+
+def _once(format, values) -> Iterable[str]:
+    """``format`` of each of ``values``, called once per distinct object.
+
+    Objects are told apart by identity, never by value: ``0.0 == -0.0``
+    with equal hashes, and ``nan != nan``.  Every id is that of an object
+    ``values`` holds, so none is reused while this runs.
+    """
+    distinct = dict(zip(map(id, values), values))
+    if len(distinct) == len(values):
+        return map(format, values)
+    texts = dict(zip(distinct, map(format, distinct.values())))
+    return map(texts.__getitem__, map(id, values))

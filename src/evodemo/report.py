@@ -19,11 +19,15 @@ Exports are deterministic: re-running the same seed rewrites every file
 byte-identically.  Every JSON file is exactly
 ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, produced by the
 package's own writer (``jsonfile``) without ``json``'s slow indenting encoder.
+Every CSV file is written in one write, each cell by one rule
+(``_csv_line``); ``generations.csv`` formats the score cells of each
+``FitnessComponents`` object once, however many generations repeat it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -34,7 +38,7 @@ import numpy as np
 
 from .environments import PRESET_NAMES, EnvSpec, preset
 from .errors import ConfigurationError, ContractViolationError
-from .evolution import RunResult
+from .evolution import GenerationStats, RunResult
 from .fitness import FitnessComponents
 from .jsonfile import write_json
 from .rollout import Trajectory, trajectory_to_dict
@@ -138,12 +142,7 @@ def export_bundle(
     }
     written.append(write_json(out / "trajectories.json", trajectories))
 
-    generation_rows = [
-        [snap.id, stats.generation, *(getattr(snap.fitness, key) for key in FITNESS_KEYS)]
-        for stats in result.history
-        for snap in stats.individuals
-    ]
-    written.append(_write_csv(out / "generations.csv", GENERATION_COLUMNS, generation_rows))
+    written.append(_write_generations(out / "generations.csv", result.history))
 
     snapshot = dict(config_snapshot) if config_snapshot else {}
     snapshot.setdefault("evolution", _fields(result.config))
@@ -385,16 +384,47 @@ def _format_cell(value) -> str:
 _NUMBERS = frozenset((int, float))
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if _NUMBERS.issuperset(map(type, row)):
-                handle.write(",".join(map(repr, row)) + "\n")
-            else:  # a bool, a numpy scalar or a string: the cell-by-cell path
-                writer.writerow([_format_cell(cell) for cell in row])
+def _csv_line(row: Sequence) -> str:
+    """The CSV text of ``row``, without its line end.
+
+    Each cell is ``_format_cell`` of it, quoted by the csv module where it
+    needs quoting, so a cell's text does not depend on the cells beside it.
+    """
+    if _NUMBERS.issuperset(map(type, row)):
+        return ",".join(map(repr, row))
+    # a bool, a numpy scalar or a string: the cell-by-cell path
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([_format_cell(cell) for cell in row])
+    return line.getvalue()[:-1]
+
+
+def _write_lines(path: Path, lines: list[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     return path
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    return _write_lines(path, [_csv_line(header), *map(_csv_line, rows)])
+
+
+def _write_generations(path: Path, history: Sequence[GenerationStats]) -> Path:
+    """``generations.csv``: one row per individual per generation, as
+    ``_write_csv`` writes them, with each ``FitnessComponents`` object's
+    score cells formatted once.
+
+    An individual keeps its object from generation to generation; objects are
+    keyed by identity, which ``history`` holds for as long as this runs.
+    """
+    scores: dict[int, str] = {}
+    lines = [_csv_line(GENERATION_COLUMNS)]
+    for stats in history:
+        for snap in stats.individuals:
+            text = scores.get(id(snap.fitness))
+            if text is None:
+                cells = [getattr(snap.fitness, key) for key in FITNESS_KEYS]
+                text = scores[id(snap.fitness)] = _csv_line(cells)
+            lines.append(_csv_line((snap.id, stats.generation)) + "," + text)
+    return _write_lines(path, lines)
 
 
 def _read_rows(path: Path) -> list[list[str]]:

@@ -48,7 +48,13 @@ def joint_fitness(trajectory, demos, env_spec) -> FitnessComponents:
     if not others:
         return empty_set_components(d_l, certainty)
     d_g = global_diversity(trajectory, demos, env_spec)
-    local_distance = min(
-        math.hypot(d_l - e.local_diversity, certainty - e.certainty) for e in others
+    profile_distance = local_distance(trajectory, d_l, certainty, demos)
+    return FitnessComponents(d_l, certainty, d_g, profile_distance, d_g + profile_distance)
+
+
+def local_distance(trajectory, d_l, certainty, demos) -> float:
+    """The profile term by a scan over every member other than ``trajectory``."""
+    return min(
+        math.hypot(d_l - e.local_diversity, certainty - e.certainty)
+        for e in demos if e.trajectory is not trajectory
     )
-    return FitnessComponents(d_l, certainty, d_g, local_distance, d_g + local_distance)

@@ -379,6 +379,37 @@ def test_an_output_that_is_not_a_path_exits_one_naming_it(
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.yaml"]
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("below", ["", "runs"], ids=["the file", "under the file"])
+@pytest.mark.parametrize("command", ["evolve", "baseline", "sweep", "train"])
+def test_an_output_path_through_a_file_exits_one_before_any_search(
+    tmp_path, capsys, monkeypatch, command, below, where,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search or training ran")
+
+    for name in ("run", "baseline"):
+        monkeypatch.setattr(cli.evolution, name, refuse)
+    monkeypatch.setattr(cli, "train_q_learning", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    setting = ("environment: FlatGrid11\ntraining: {steps: 100}\n" if command == "train" else
+               "environment: PointReach\npolicy: {gaussian_controller: {}}\nseeds: [0]\n")
+    if command == "sweep":
+        setting += "sweep: {population_size: [4, 5]}\n"
+    if where == "config":
+        config, flags = write_yaml(tmp_path / "c.yaml", f"{setting}output: {out}\n"), []
+    else:
+        config, flags = write_yaml(tmp_path / "c.yaml", setting), ["--out", str(out)]
+    assert main([command, config, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{blocker} is not a directory" in err
+    assert str(out) in err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.yaml", blocker]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_train_refuses_select_as_an_unknown_training_key(tmp_path, capsys):
     config = write_yaml(
         tmp_path / "train.yaml",

@@ -755,11 +755,13 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
     original_migrate = evolution.migrate
 
     def search(pruning):
-        calls, pruned, floors = [], set(), {}
+        # pruned trajectories by id, each held so that its id is not reused
+        # by a later trajectory once the search has dropped it
+        calls, pruned, floors = [], {}, {}
 
         def nearest_distances(demos, trajectories, table=None, rows=None):
             if rows is not None:
-                pruned.update(id(t) for k, t in enumerate(trajectories) if k not in rows)
+                pruned.update((id(t), t) for k, t in enumerate(trajectories) if k not in rows)
             return original_pass(demos, trajectories, table, rows)
 
         def evaluate_offspring(candidates, demos, env_spec, policy, population):

@@ -298,6 +298,66 @@ def test_a_value_equal_copy_scores_zero_on_both_context_terms(flat_spec):
     assert components == pairwise.joint_fitness(copy, demos, flat_spec)
 
 
+def _profile_walk(states, certainties, row):
+    """A walk of ``states`` positions over three steps: on ``REACH``, a
+    continuous space, its D_l is ``states / 4``, so few distinct pairs arise."""
+    return make_traj([(float(row), float(col)) for col in range(states)],
+                     certainties=certainties, raw_length=3)
+
+
+profile_walks = st.builds(
+    _profile_walk,
+    st.integers(1, 4),
+    st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    walks=st.lists(profile_walks, min_size=1, max_size=5),
+    fresh=profile_walks,
+    # (walk, action): add it with its own pair, add it with -0.0 for a zero
+    # certainty, or discard it if it is a member
+    actions=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["add", "add -0.0", "discard"])),
+                     max_size=14),
+)
+def test_the_profile_term_equals_the_scan_over_the_other_members(walks, fresh, actions):
+    demos, live = DemonstrationSet(), []
+    for index, action in actions:
+        walk = walks[index % len(walks)]
+        if action == "discard":
+            owned = [k for k, member in enumerate(live) if member is walk]
+            if owned:
+                demos.discard(walk)
+                del live[owned[0]]
+            continue
+        d_l, certainty = local_diversity(walk, REACH), trajectory_certainty(walk)
+        if action == "add -0.0" and certainty == 0.0:
+            certainty = -0.0  # equal to the scored walk's 0.0, with the same hash
+        demos.add(walk, d_l, certainty)  # a walk may be a member more than once
+        live.append(walk)
+    if not live:
+        return
+    members = list({id(walk): walk for walk in live}.values())
+    # members scored against themselves, a walk from outside and a value-equal twin
+    scored = members + [fresh, dataclasses.replace(members[0])]
+    for trajectory in scored:
+        expected = pairwise.joint_fitness(trajectory, demos, REACH)
+        assert joint_fitness(trajectory, demos, REACH) == expected
+    if len(members) == 1:  # a lone member has no other member to be bounded by
+        scored = scored[1:]
+    partners = [members[-1] if trajectory is members[0] else members[0] for trajectory in scored]
+    expected = []
+    for trajectory, partner in zip(scored, partners):
+        distance = pairwise.one_way(pairwise.points(trajectory), pairwise.points(partner))
+        profile = pairwise.local_distance(
+            trajectory, local_diversity(trajectory, REACH), trajectory_certainty(trajectory), demos
+        )
+        expected.append((distance, distance / REACH.max_state_distance + profile))
+    assert demos.joint_bounds(scored, partners, REACH) == expected
+
+
 # ---------------------------------------------------------------------------
 # batch scoring: one pass per batch, equal to scoring each in turn
 

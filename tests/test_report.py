@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from helpers import iqr, trajectory_from_dict
 from evodemo.errors import ConfigurationError, ContractViolationError
-from evodemo.evolution import EvolutionConfig, baseline, run
+from evodemo.evolution import EvolutionConfig, GenerationStats, IndividualSnapshot, baseline, run
+from evodemo.fitness import FitnessComponents
 from evodemo.jsonfile import dumps
 from evodemo.report import (
+    FITNESS_KEYS,
     GENERATION_COLUMNS,
     _format_cell,
     _write_csv,
+    _write_generations,
     boxplot_stats,
     export_bundle,
     load_bundle,
@@ -86,6 +89,17 @@ def test_visit_histogram_rejects_continuous_spaces(reach_spec, reach_result):
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1]
 json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS) | st.floats().map(np.float64)
 json_strings = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'))
+
+
+def repeating(objects):
+    """Lists whose entries are drawn from a few ``objects``, so that one
+    object stands at several places (as a trajectory repeats a state)."""
+    return st.lists(objects, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=8)
+    )
+
+
+json_rows = st.lists(json_floats, max_size=4).map(tuple)
 json_scalars = (
     json_floats
     | st.integers(-(2**70), 2**70)
@@ -95,7 +109,13 @@ json_scalars = (
     # the shapes the writer joins in one go: lists of floats or ints, rows of floats
     | st.lists(json_floats)
     | st.lists(st.integers(-(2**70), 2**70))
-    | st.lists(st.lists(json_floats, max_size=4).map(tuple), max_size=6)
+    | st.lists(json_rows, max_size=6)
+    # the same shapes with repeated objects: the writer formats each distinct
+    # object once, and 0.0 and -0.0 are equal, with equal hashes, but print apart
+    | repeating(json_floats)
+    | repeating(json_rows)
+    | st.lists(st.sampled_from([0.0, -0.0, math.nan]))
+    | repeating(st.lists(st.sampled_from([0.0, -0.0, math.nan]), max_size=3).map(tuple))
 )
 json_values = st.recursive(
     json_scalars,
@@ -146,6 +166,53 @@ def test_csv_rows_match_format_cell_and_csv_writer(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     _write_csv(path, ("id", "value"), rows)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def row_by_row_generations(history) -> bytes:
+    """``generations.csv`` built one row at a time under ``_write_csv``'s rule:
+    a row of exact ints and floats is its cells' reprs, any other row goes
+    through ``_format_cell`` and the csv module."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(GENERATION_COLUMNS)
+    for stats in history:
+        for snap in stats.individuals:
+            row = [snap.id, stats.generation, *(getattr(snap.fitness, key) for key in FITNESS_KEYS)]
+            if {int, float}.issuperset(map(type, row)):
+                text.write(",".join(map(repr, row)) + "\n")
+            else:
+                writer.writerow([_format_cell(cell) for cell in row])
+    return text.getvalue().encode("utf-8")
+
+
+score_cells = st.sampled_from([0.0, -0.0, math.nan, 0.25]) | csv_cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generations_csv_equals_the_row_by_row_writer(tmp_path_factory, data):
+    # a few score objects, shared by several snapshots, each snapshot standing
+    # in several generations, as the search keeps them
+    scores = data.draw(st.lists(st.builds(FitnessComponents, *[score_cells] * 5),
+                                min_size=1, max_size=4))
+    # twins equal to them, with equal hashes, whose zeros print with the other sign
+    scores += [
+        FitnessComponents(*[-cell if cell == 0 else cell
+                            for cell in (getattr(score, key) for key in FITNESS_KEYS)])
+        for score in scores
+    ]
+    ids = st.integers(0, 10**6) | st.integers(0, 2**40).map(np.int64) | st.sampled_from(["", 'a,"b"'])
+    snapshots = data.draw(st.lists(st.builds(IndividualSnapshot, ids, st.sampled_from(scores)),
+                                   min_size=1, max_size=5))
+    history = [
+        GenerationStats(generation, tuple(individuals), 0.0, 0.0, ())
+        for generation, individuals in enumerate(data.draw(
+            st.lists(st.lists(st.sampled_from(snapshots), max_size=6), max_size=5)
+        ))
+    ]
+    path = tmp_path_factory.mktemp("generations") / "generations.csv"
+    _write_generations(path, history)
+    assert path.read_bytes() == row_by_row_generations(history)
 
 
 # ---------------------------------------------------------------------------
