@@ -162,9 +162,9 @@ def _run_search(args, command: str) -> int:
 
     ``evolve`` and ``baseline`` are a sweep of the single empty cell: their
     bundles go into the output directory itself, next to a run manifest.
-    ``sweep`` writes ``out/<cell>/seed_<n>``.  Every cell and seed and the
-    output path are checked, and each cell's genome encoding built, before the
-    first search runs or any directory is made.
+    ``sweep`` writes ``out/<cell>/seed_<n>``.  Every cell and seed, the
+    output path and every bundle path are checked, and each cell's genome
+    encoding built, before the first search runs or any directory is made.
     """
     config, base_dir = _load_config_file(args.config)
     sweeping = command == "sweep"
@@ -193,25 +193,28 @@ def _run_search(args, command: str) -> int:
                 raise
             raise ConfigurationError(f"invalid sweep cell {cell_name}: {exc}") from exc
         # a bad seed is reported as itself, not as a fault of the cell
-        jobs += [(cell, out / cell_name, replace(cell_config, seed=seed)) for seed in seeds]
+        jobs += [(cell, out / cell_name / f"seed_{seed}", replace(cell_config, seed=seed))
+                 for seed in seeds]
+    for _, bundle, _ in jobs:
+        _check_makeable(bundle, "bundle directory")
 
     policy, policy_snapshot = _resolve_policy(config.get("policy"), env_spec, base_dir)
     mode = "baseline" if command == "baseline" else "evolve"
     snapshot = {"environment": env_name, "policy": policy_snapshot, "seeds": seeds,
                 "output": str(out), "mode": mode}
     bundles = [
-        _export_seed(env_spec, policy, seeded, cell_out, mode,
+        _export_seed(env_spec, policy, seeded, bundle, mode,
                      {**snapshot, "sweep_cell": dict(cell)} if sweeping else snapshot)
-        for cell, cell_out, seeded in jobs
+        for cell, bundle, seeded in jobs
     ]
     if not sweeping:
         report.write_run_manifest(out, mode, env_name, seeds, bundles)
     return 0
 
 
-def _export_seed(env_spec: EnvSpec, policy: Policy, seeded: EvolutionConfig, out: Path,
+def _export_seed(env_spec: EnvSpec, policy: Policy, seeded: EvolutionConfig, bundle: Path,
                  mode: str, snapshot: dict) -> str:
-    """Run one search and export it to ``out/seed_<seed>``; returns the bundle name.
+    """Run one search and export it to ``bundle``; returns the bundle name.
 
     The bundle's ``config.json`` is ``snapshot`` plus the seed and the search
     settings, with the genome's bit width under ``encoding``.
@@ -221,7 +224,6 @@ def _export_seed(env_spec: EnvSpec, policy: Policy, seeded: EvolutionConfig, out
     settings = asdict(seeded)
     seed = settings.pop("seed")
     encoding = {"bits_per_dimension": settings.pop("bits_per_dimension")}
-    bundle = out / f"seed_{seed}"
     config_json = {**snapshot, "evolution": settings, "encoding": encoding, "seed": seed}
     report.export_bundle(result, bundle, config_json, mode=mode)
     print(
@@ -276,13 +278,16 @@ def _output_dir(config: dict, args) -> Path:
     if not isinstance(out, str):
         raise ConfigurationError(f"'output' must be a directory path, got {out!r}")
     out = Path(out)
-    # the nearest part of the path that exists is where the directories are made
-    existing = next(path for path in (out, *out.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigurationError(
-            f"output directory {out} cannot be made: {existing} is not a directory"
-        )
+    _check_makeable(out, "output directory")
     return out
+
+
+def _check_makeable(path: Path, what: str) -> None:
+    """Refuse ``path`` unless the nearest part of it that exists, where its
+    directories would be made, is a directory."""
+    existing = next(part for part in (path, *path.parents) if part.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"{what} {path} cannot be made: {existing} is not a directory")
 
 
 def _seed_list(config: dict, args) -> list[int]:

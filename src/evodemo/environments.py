@@ -36,13 +36,25 @@ walk, and ``positions``, the coordinates ``rollouts`` records for each cell.
 A grid rollout walks ``transitions`` side by side with the tabular policy's
 ``decisions``, which use the same indexing.  Its ``startable`` table, keyed by
 ``(row, col)``, is what ``starts_from_vectors`` and ``rollouts`` check starts by.
+
+Every trajectory carries its positions as an array, ``Trajectory.points``,
+which is what the search reads.  A grid builds it once per walked cell, and
+the copies ``rollouts`` returns share it.  ``ReachSpec.rollouts`` steps a
+batch as arrays and keeps it so: each trajectory starts out as its row's
+collapsed positions, and builds ``states``, ``actions``, ``rewards`` and
+``episode_return`` from the batch the first time one of them is read.  The
+search reads positions, certainties and step counts only, so the records of
+the many offspring it drops are never built; export, an observer or a caller
+that reads a trajectory builds them.  That laziness lives in this module
+alone: no other module makes a ``Trajectory`` field by field or reads its
+instance dict.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -88,6 +100,10 @@ class ReachState:
     target: tuple[float, float, float]
 
 
+# the per-step records a reach batch builds only for a trajectory someone reads
+_RECORDS = frozenset(("states", "actions", "rewards", "episode_return"))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One deterministic policy demonstration.
@@ -97,6 +113,17 @@ class Trajectory:
     wall does not stretch its path), while ``actions``, ``rewards``, and
     ``certainties`` keep one entry per executed step.  Return and mean certainty
     therefore still account for steps whose states were collapsed.
+
+    ``points`` is ``states`` as a read-only float array, the form the search
+    reads positions in; it is built on first read, or up front by the spec
+    that rolled the episode out.  A trajectory from ``ReachSpec.rollouts``
+    starts out as that array, its actions and its target: ``states``,
+    ``actions``, ``rewards`` and ``episode_return`` are built from them the
+    first time one of them is read, once, with the values an eager
+    construction gives.  Equality, hashing, ``repr``,
+    ``dataclasses.replace`` and pickling read the fields, and ``copy``
+    shares the row, so a lazy trajectory behaves as an eager one with the
+    same values; a pickle holds the field values only.
     """
 
     states: tuple[tuple[float, ...], ...]
@@ -117,18 +144,79 @@ class Trajectory:
         if self.outcome not in OUTCOMES:
             raise ContractViolationError(f"unknown outcome {self.outcome!r}")
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the records of a
+        # reach trajectory nobody has read yet, built by its batch
+        source = self.__dict__.get("_source") if name in _RECORDS else None
+        if source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        batch, row = source
+        self.__dict__.update(batch.records(row))
+        del self.__dict__["_source"]  # the batch is no longer needed for this one
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in _FIELDS}
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """``states`` as a read-only ``(final_length, dims)`` float array."""
+        points = np.array(self.states, dtype=float)
+        points.flags.writeable = False
+        return points
+
     @property
     def final_length(self) -> int:
         """Number of states after collapsing consecutive duplicates."""
-        return len(self.states)
+        return len(self.points)
 
     def copy(self) -> Trajectory:
         """A new object holding these field values, as ``copy.copy`` makes
         it, without that function's dispatch or a second ``__post_init__``,
-        which checked the values when this trajectory was made."""
+        which checked the values when this trajectory was made.  It shares
+        this trajectory's tuples and ``points``, and records not built yet
+        are built once for both."""
         twin = object.__new__(Trajectory)
         twin.__dict__.update(self.__dict__)
         return twin
+
+
+_FIELDS = tuple(field.name for field in fields(Trajectory))
+
+
+class _ReachRecords:
+    """The per-step records of one ``ReachSpec.rollouts`` batch, built per
+    row when a trajectory of that row is first read, and kept for its copies."""
+
+    def __init__(self, goal_radius: float, path: np.ndarray, actions: np.ndarray,
+                 target: np.ndarray, repeats: int, points: list[np.ndarray]) -> None:
+        self.goal_radius = goal_radius
+        self.path = path  # (rows, steps + 1, dims): every position, start included
+        self.actions = actions  # (rows, steps, dims)
+        self.target = target  # (rows, dims)
+        self.repeats = repeats  # steps after the batch settled, which repeat the last
+        self.points = points  # each row's positions, consecutive duplicates collapsed
+        self.built: dict[int, dict] = {}
+
+    def records(self, row: int) -> dict:
+        built = self.built.get(row)
+        if built is None:
+            built = self.built[row] = self._build(row)
+        return built
+
+    def _build(self, row: int) -> dict:
+        goal = self.target[row].tolist()
+        # each reward by math.dist on Python floats, as the reward is defined
+        rewards = [0.0 if math.dist(point, goal) <= self.goal_radius else -1.0
+                   for point in self.path[row, 1:].tolist()]
+        rewards += rewards[-1:] * self.repeats
+        steps = list(map(tuple, self.actions[row].tolist()))
+        return {
+            "states": tuple(map(tuple, self.points[row].tolist())),
+            "actions": tuple(steps + steps[-1:] * self.repeats),
+            "rewards": tuple(rewards),
+            "episode_return": float(sum(rewards)),
+        }
 
 
 def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
@@ -338,7 +426,7 @@ class GridSpec:
             outcome = OUTCOME_TRUNCATED
         else:
             outcome = OUTCOME_REACHED if cell == target else OUTCOME_FAILED
-        return Trajectory(
+        trajectory = Trajectory(
             states=tuple(positions[c] for c in cells),
             actions=tuple(actions),
             rewards=tuple(rewards),
@@ -347,6 +435,8 @@ class GridSpec:
             episode_return=float(sum(rewards)),
             outcome=outcome,
         )
+        trajectory.points  # built before the first copy, so that every copy shares it
+        return trajectory
 
     @cached_property
     def _rollout_tables(self) -> dict[int, tuple[weakref.ref, RolloutTable]]:
@@ -474,9 +564,11 @@ class ReachSpec:
         Reads the controller through ``policy.mean_actions``, once per step
         for the whole batch, and ``policy.step_certainty``, once per call.
         The arrays go through the same elementwise formulas as stepping each
-        start alone in plain Python, so the bits are the same.  A policy that
-        does not fit is a configuration error; every start must be valid, and
-        an invalid one is a contract violation.
+        start alone in plain Python, so the bits are the same.  Each
+        trajectory holds its row's collapsed positions as ``points``, and
+        builds its per-step records from the batch when they are first read.
+        A policy that does not fit is a configuration error; every start must
+        be valid, and an invalid one is a contract violation.
         """
         self.check_policy(policy)
         _check_starts(self, starts, lambda: self._inside([(s.effector, s.target) for s in starts]))
@@ -497,26 +589,24 @@ class ReachSpec:
                 break
         repeats = self.horizon - len(actions)
 
+        path = np.stack(path, axis=1)
+        # a position is kept unless it equals the one before it
+        kept = np.ones(path.shape[:2], dtype=bool)
+        kept[:, 1:] = (path[:, 1:] != path[:, :-1]).any(axis=2)
+        collapsed = path[kept]
+        collapsed.flags.writeable = False
+        ends = np.cumsum(kept.sum(axis=1)).tolist()
+        points = [collapsed[begin:end] for begin, end in zip([0] + ends, ends)]
+        records = _ReachRecords(
+            self.goal_radius, path, np.stack(actions, axis=1), target, repeats, points
+        )
+        fixed = {"certainties": certainties, "raw_length": self.horizon,
+                 "outcome": OUTCOME_TRUNCATED}
         trajectories = []
-        for points, goal, steps in zip(
-            np.stack(path, axis=1).tolist(), target.tolist(), np.stack(actions, axis=1).tolist(),
-        ):
-            # each reward by math.dist on Python floats, as the reward is defined
-            rewards = [0.0 if math.dist(point, goal) <= self.goal_radius else -1.0
-                       for point in points[1:]]
-            rewards += rewards[-1:] * repeats
-            steps = list(map(tuple, steps))
-            # a position is kept unless it equals the one before it
-            states = [points[0]] + [now for before, now in zip(points, points[1:]) if now != before]
-            trajectories.append(Trajectory(
-                states=tuple(map(tuple, states)),
-                actions=tuple(steps + steps[-1:] * repeats),
-                rewards=tuple(rewards),
-                certainties=certainties,
-                raw_length=self.horizon,
-                episode_return=float(sum(rewards)),
-                outcome=OUTCOME_TRUNCATED,
-            ))
+        for row, row_points in enumerate(points):
+            trajectory = object.__new__(Trajectory)
+            trajectory.__dict__.update(fixed, points=row_points, _source=(records, row))
+            trajectories.append(trajectory)
         return trajectories
 
     def rollout_table(self, policy) -> None:

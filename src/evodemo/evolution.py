@@ -49,6 +49,12 @@ at its exact score.
 What an individual contributes to each generation it lives through is made
 once, on first use, and kept on it: its ``IndividualSnapshot`` for the
 history and its first-and-last-position key for ``_nearest_members``.
+
+The search reads a trajectory's positions (``Trajectory.points``), its
+certainties and its step count, never its states, actions or rewards.  A
+reach rollout builds those per-step records only when they are first read,
+so the offspring ``migrate`` drops never build them: only the trajectories
+an observer, an export or a caller reads do.
 """
 
 from __future__ import annotations
@@ -126,8 +132,8 @@ class Individual:
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
-        """Its trajectory's ``_ends`` key as an array, made once."""
-        return np.array(_ends(self.trajectory))
+        """Its trajectory's ``_ends`` key, made once."""
+        return _ends([self.trajectory])[0]
 
 
 @dataclass(frozen=True)
@@ -378,9 +384,12 @@ def evaluate_offspring(
     return individuals
 
 
-def _ends(trajectory: Trajectory) -> tuple[float, ...]:
-    """The first and last positions of ``trajectory``, one after the other."""
-    return trajectory.states[0] + trajectory.states[-1]
+def _ends(trajectories: Sequence[Trajectory]) -> np.ndarray:
+    """Each trajectory's first and last positions, one after the other, as a row."""
+    points = [trajectory.points for trajectory in trajectories]
+    return np.concatenate(
+        (np.array([each[0] for each in points]), np.array([each[-1] for each in points])), axis=1
+    )
 
 
 def _nearest_members(
@@ -388,8 +397,7 @@ def _nearest_members(
 ) -> list[Trajectory]:
     """For each trajectory, the member trajectory whose first and last
     positions lie nearest its own (squared Euclidean, the first on a tie)."""
-    keys = np.array(list(map(_ends, trajectories)))
-    offsets = keys[:, None, :] - np.array([individual.ends for individual in population])
+    offsets = _ends(trajectories)[:, None, :] - np.array([ind.ends for ind in population])
     nearest = np.einsum("rmk,rmk->rm", offsets, offsets).argmin(axis=1)
     return [population[index].trajectory for index in nearest.tolist()]
 

@@ -25,9 +25,10 @@ Members being compared against are excluded by object identity, never by
 value equality, so an individual's own stored demonstration does not shadow
 an identical twin contributed by someone else.
 
-The demonstration set caches each member's (local diversity, certainty)
-pair, and its position array from the first time a distance pass reads it;
-scoring a candidate never re-derives members.
+Positions are read as arrays, from each trajectory's ``points``, which a
+rollout batch builds up front; no pass builds a trajectory's per-step
+records.  The demonstration set caches each member's (local diversity,
+certainty) pair; scoring a candidate never re-derives members.
 The set counts its members per distinct profile, so the profile term
 (``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and
 ``joint_bounds``) is a minimum over distinct pairs, or one lookup when
@@ -63,7 +64,6 @@ whatever the table held before it.  ``ReachSpec`` answers no table.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -110,30 +110,20 @@ class DemoEntry:
     local_diversity: float
     certainty: float
 
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        """The member's position array, built when a distance pass first reads it."""
-        return _points(self.trajectory)
-
 
 class DemonstrationSet:
-    """Alive demonstrations with cached positions and (D_l, C) profiles.
+    """Alive demonstrations with cached (D_l, C) profiles.
 
     Members are kept in insertion order, keyed by identity; each member's
-    position array is one column block of the distance matrix
-    ``nearest_distances`` builds, even where members are value-equal.  A
-    batch call (``nearest_distances``, ``joint_bounds``) keeps the arrays it
-    builds for its trajectories, and ``add`` hands a trajectory's array to
-    its entry; any other member's array is built when a pass first reads it.
+    position array (``Trajectory.points``) is one column block of the
+    distance matrix ``nearest_distances`` builds, even where members are
+    value-equal.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
-        # arrays built for the latest batch call's trajectories, by id, each
-        # held with its trajectory so that no id is reused while it waits
-        self._batch_points: dict[int, tuple[Trajectory, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -172,12 +162,11 @@ class DemonstrationSet:
         )
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
-        if self._entries and len(trajectory.states[0]) != len(next(iter(self)).trajectory.states[0]):
+        if self._entries and (
+            trajectory.points.shape[1] != next(iter(self)).trajectory.points.shape[1]
+        ):
             raise ContractViolationError("members must share one position dimensionality")
         entry = DemoEntry(trajectory, float(local_diversity), float(certainty))
-        built = self._batch_points.pop(id(trajectory), None)
-        if built is not None:
-            entry.__dict__["points"] = built[1]  # where the cached property keeps it
         self._entries[id(entry)] = entry
         self._entries_of.setdefault(id(trajectory), []).append(entry)
         pair = (entry.local_diversity, entry.certainty)
@@ -212,10 +201,9 @@ class DemonstrationSet:
         at ``distance`` scores no higher than the bound, and at the nearest
         distance no higher than that.
         """
-        self._keep_batch_points(trajectories)
         distances = _paired_one_way(
-            list(map(self._batch_array, trajectories)),
-            [self._entries_of[id(partner)][0].points for partner in partners],
+            [trajectory.points for trajectory in trajectories],
+            [partner.points for partner in partners],
         )
         bounds = []
         for trajectory, distance in zip(trajectories, distances):
@@ -255,29 +243,22 @@ class DemonstrationSet:
             rows = range(len(trajectories))
         if not rows:
             return []
-        self._keep_batch_points(trajectories)
-        members = list(self._entries.values())
-        first_row = len(members)
-        at = first_row + np.asarray(rows)  # each asked row's block
-        # each block's owner object by id, which is identity while the members
-        # and the batch are alive
-        owners = np.array([id(e.trajectory) for e in members] + list(map(id, trajectories)),
-                          dtype=np.uint64)
+        # each block's owner, the members in insertion order and then the batch
+        everyone = [e.trajectory for e in self._entries.values()] + list(trajectories)
+        at = len(self._entries) + np.asarray(rows)  # each asked row's block
+        # owners by id, which is identity while the members and the batch are alive
+        owners = np.array(list(map(id, everyone)), dtype=np.uint64)
         # a row sees no block from its own on, and no block of its own object
         hidden = np.arange(len(owners)) >= at[:, None]
         hidden |= owners == owners[at, None]
         if table is not None:
-            cells = [table.cell(e.trajectory) for e in members] + list(map(table.cell, trajectories))
+            cells = list(map(table.cell, everyone))
             if None not in cells:
-                def points(block: int) -> np.ndarray:
-                    if block < first_row:
-                        return members[block].points
-                    return self._batch_array(trajectories[block - first_row])
-
-                distances = _table_distances(table, np.array(cells), at, ~hidden, points)
+                distances = _table_distances(
+                    table, np.array(cells), at, ~hidden, lambda block: everyone[block].points
+                )
                 return distances.min(axis=1).tolist()
-        blocks = [e.points for e in members]
-        blocks += map(self._batch_array, trajectories[: rows[-1] + 1])
+        blocks = [trajectory.points for trajectory in everyone[: at[-1] + 1]]
         if len({points.shape[1] for points in blocks}) > 1:
             raise ContractViolationError("demonstrations must share one position dimensionality")
         # only the first trajectory ever scored sits at block 0, with nothing
@@ -293,23 +274,12 @@ class DemonstrationSet:
             nearest += chunk.min(axis=1).tolist()
         return nearest
 
-    def _keep_batch_points(self, trajectories: Sequence[Trajectory]) -> None:
-        """Forget the arrays of trajectories other than ``trajectories``."""
-        kept = set(map(id, trajectories))
-        self._batch_points = {key: held for key, held in self._batch_points.items() if key in kept}
-
-    def _batch_array(self, trajectory: Trajectory) -> np.ndarray:
-        held = self._batch_points.get(id(trajectory))
-        if held is None:
-            held = self._batch_points[id(trajectory)] = (trajectory, _points(trajectory))
-        return held[1]
-
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
     """Fraction of the state space one trajectory covers on its own."""
     count = env_spec.state_count
     if count is None:
-        return len(trajectory.states) / (trajectory.raw_length + 1)
+        return trajectory.final_length / (trajectory.raw_length + 1)
     return len(set(trajectory.states)) / count
 
 
@@ -347,10 +317,6 @@ def joint_fitness(
         local_distance=local_distance,
         joint=d_g + local_distance,
     )
-
-
-def _points(trajectory: Trajectory) -> np.ndarray:
-    return np.asarray(trajectory.states, dtype=float)
 
 
 def _table_distances(

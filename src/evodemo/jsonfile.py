@@ -8,11 +8,12 @@ step per token; ``dumps`` builds the same text by joining strings instead:
 * a list of floats, or of rows of floats (trajectory states and actions), is
   one ``str.join`` over ``float.__repr__``, which is how ``json`` formats a
   float; the joined text is kept only if it holds no ``n``, so NaN and the
-  infinities still print as ``NaN`` / ``Infinity``.  Each distinct float or
-  row object of such a list is formatted once (a trajectory repeats the same
-  reward, certainty and action objects from step to step), told apart by
-  identity, never by value, since ``0.0 == -0.0`` and ``nan != nan``.  A
-  list of ints is one join over ``int.__repr__``;
+  infinities still print as ``NaN`` / ``Infinity``.  When the last object of
+  such a list occurs earlier in it (a trajectory repeats the same reward,
+  certainty and action objects from step to step), each distinct object is
+  formatted once, told apart by identity, never by value, since
+  ``0.0 == -0.0`` and ``nan != nan``.  A list of ints is one join over
+  ``int.__repr__``;
 * strings go through ``json.encoder.encode_basestring_ascii``;
 * anything else (a dict with non-string keys, a type ``json`` rejects) goes to
   ``json.dumps`` itself, re-indented to its depth.  That is exact at any depth,
@@ -23,6 +24,8 @@ step per token; ``dumps`` builds the same text by joining strings instead:
 from __future__ import annotations
 
 import json
+import operator
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -110,10 +113,16 @@ def _once(format, values) -> Iterable[str]:
 
     Objects are told apart by identity, never by value: ``0.0 == -0.0``
     with equal hashes, and ``nan != nan``.  Every id is that of an object
-    ``values`` holds, so none is reused while this runs.
+    ``values`` holds, so none is reused while this runs.  The memo of texts
+    by id is built only when the last object of ``values`` occurs earlier
+    in it: the repeats a bundle holds are runs and loops that last to the
+    end of an episode (a settled reach tail, a grid walk caught in a cycle,
+    a constant certainty or reward), and on a list of distinct objects the
+    memo only costs.
     """
-    distinct = dict(zip(map(id, values), values))
-    if len(distinct) == len(values):
+    last = values[-1]
+    if not any(map(operator.is_, values, repeat(last, len(values) - 1))):
         return map(format, values)
+    distinct = dict(zip(map(id, values), values))
     texts = dict(zip(distinct, map(format, distinct.values())))
     return map(texts.__getitem__, map(id, values))

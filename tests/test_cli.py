@@ -410,6 +410,38 @@ def test_an_output_path_through_a_file_exits_one_before_any_search(
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(("command", "blocked", "named"), [
+    ("evolve", "seed_1", "seed_1"),
+    ("baseline", "seed_1", "seed_1"),
+    ("sweep", "population_size=5/seed_1", "population_size=5/seed_1"),
+    # the cell's directory itself: its first bundle is named
+    ("sweep", "population_size=5", "population_size=5/seed_0"),
+])
+def test_a_bundle_path_through_a_file_exits_one_before_any_search(
+    tmp_path, capsys, monkeypatch, command, blocked, named,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    for name in ("run", "baseline"):
+        monkeypatch.setattr(cli.evolution, name, refuse)
+    out = tmp_path / "out"
+    blocker = out / blocked
+    blocker.parent.mkdir(parents=True)
+    blocker.write_text("kept\n")
+    setting = "environment: PointReach\npolicy: {gaussian_controller: {}}\nseeds: [0, 1]\n"
+    if command == "sweep":
+        setting += "sweep: {population_size: [4, 5]}\n"
+    config = write_yaml(tmp_path / "c.yaml", f"{setting}output: {out}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, config]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: bundle directory {out / named} cannot be made: "
+                   f"{blocker} is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
+
+
 def test_train_refuses_select_as_an_unknown_training_key(tmp_path, capsys):
     config = write_yaml(
         tmp_path / "train.yaml",

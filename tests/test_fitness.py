@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from unittest import mock
 
@@ -578,8 +579,10 @@ def test_the_rows_asked_for_get_their_distances_in_the_whole_pass(
 
 def test_a_position_array_is_built_once_and_when_a_pass_first_reads_it(monkeypatch):
     built = []
-    original = fitness._points
-    monkeypatch.setattr(fitness, "_points", lambda t: built.append(t) or original(t))
+    original = Trajectory.points.func
+    counting = functools.cached_property(lambda t: built.append(t) or original(t))
+    counting.__set_name__(Trajectory, "points")
+    monkeypatch.setattr(Trajectory, "points", counting)
     rng = np.random.default_rng(5)
     first, second, third, fourth = (random_walk(rng, 3, 6) for _ in range(4))
     demos = DemonstrationSet()
@@ -587,6 +590,6 @@ def test_a_position_array_is_built_once_and_when_a_pass_first_reads_it(monkeypat
     assert built == []  # no pass has read it yet
     for trajectory, profile in ((second, 0.4), (third, 0.3)):
         demos.nearest_distances([trajectory])
-        demos.add(trajectory, profile, 0.5)  # takes over the array the pass built
+        demos.add(trajectory, profile, 0.5)  # reads the array the pass built
     demos.nearest_distances([fourth])
     assert list(map(id, built)) == list(map(id, (first, second, third, fourth)))

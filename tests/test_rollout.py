@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlearning_reference as reference
@@ -12,8 +15,10 @@ from evodemo.environments import (
     FLOOR, N_ACTIONS, GridState, ReachSpec, ReachState, clip_like_python, preset,
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
+from evodemo import evolution
 from evodemo.evolution import EvolutionConfig, baseline, run
 from evodemo.policy import GaussianControllerPolicy, TabularPolicy
+from evodemo.report import export_bundle
 from evodemo.rollout import (
     OUTCOME_FAILED,
     OUTCOME_REACHED,
@@ -248,7 +253,8 @@ SKEWED_BOX = ((0.0, 0.5), (-0.5, -0.0), (-1.0, 0.0))
 
 def coordinate(lo, hi):
     # bounds and zeros are drawn often: clipping and settling meet there
-    return st.one_of(st.sampled_from([lo, hi, 0.0, -0.0]), st.floats(lo, hi))
+    zeros = [zero for zero in (0.0, -0.0) if lo <= zero <= hi]
+    return st.one_of(st.sampled_from([lo, hi, *zeros]), st.floats(lo, hi))
 
 
 def starts_in(box):
@@ -276,6 +282,132 @@ def test_lockstep_matches_the_step_loop(data, box, gain, step_size, horizon):
     expected = [reference_reach_rollout(spec, policy, start) for start in starts]
     assert same_bits(spec.rollouts(policy, starts), expected)
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
+
+
+@st.composite
+def reach_boxes(draw):
+    """Boxes of 1 to 4 axes, some with signed-zero bounds."""
+    box = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.sampled_from([-0.15, -1.0, 0.0, -0.0]) | st.floats(-1.0, 1.0))
+        width = draw(st.sampled_from([0.3, 0.01, 2.0]) | st.floats(1e-3, 2.0))
+        box.append((lo, lo + width))
+    return tuple(box)
+
+
+def first_reads(trajectory, eager):
+    """Whether each way of reading a trajectory for the first time gives what
+    it gives on ``eager``, by name; each is tried on a fresh ``trajectory()``."""
+    def copied(t, e):
+        twin = t.copy()
+        return (same_bits([twin], [e]) and same_bits([t], [e])
+                # records built through one are built once for both
+                and all(getattr(twin, name) is getattr(t, name)
+                        for name in ("states", "actions", "rewards")))
+
+    def pickled(t, e):
+        blob = pickle.dumps(t)
+        # the field values alone, as an eager trajectory with those values pickles
+        return same_bits([pickle.loads(blob)], [e]) and blob == pickle.dumps(dataclasses.replace(t))
+
+    def replaced(t, e):
+        return (same_bits([dataclasses.replace(t)], [e])
+                and dataclasses.replace(t, outcome=OUTCOME_FAILED)
+                == dataclasses.replace(e, outcome=OUTCOME_FAILED))
+
+    reads = {
+        "==": lambda t, e: t == e and e == t,
+        "hash": lambda t, e: hash(t) == hash(e),
+        "repr": lambda t, e: repr(t) == repr(e),
+        "pickle": pickled,
+        "copy.copy": lambda t, e: same_bits([copy.copy(t)], [e]),
+        "copy": copied,
+        "replace": replaced,
+        "export": lambda t, e: same_bits([t], [e]),
+        "field": lambda t, e: t.episode_return == e.episode_return and t.rewards == e.rewards,
+    }
+    return {name: read(trajectory(), eager) for name, read in reads.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    box=st.sampled_from([BOX, SKEWED_BOX]) | reach_boxes(),
+    radius=st.sampled_from([0.05, 1e-9]) | st.floats(1e-6, 3.0),
+    horizon=st.sampled_from([1, 50]) | st.integers(1, 60),
+    step_size=st.sampled_from([0.05, 0.03]) | st.floats(1e-3, 1.0),
+    # a gain of 2.0 and up overshoots: such a path never settles and runs to the horizon
+    gain=st.sampled_from([1.0, 2.0, 3.3]) | st.floats(0.1, 5.0),
+)
+@example(data=None, box=BOX, radius=0.05, horizon=50, step_size=0.05, gain=2.0)
+def test_a_reach_trajectory_read_first_in_any_way_reads_as_the_step_loop(
+    data, box, radius, horizon, step_size, gain,
+):
+    if data is None:  # the explicit example: starts whose paths never settle
+        starts = [ReachState((0.0, 0.0, 0.0), (0.01, 0.02, 0.03)),
+                  ReachState((0.1, -0.07, 0.02), (-0.03, 0.04, -0.09)),
+                  ReachState((0.01, 0.01, 0.01), (0.0, 0.0, 0.0))]
+    else:
+        starts = data.draw(st.lists(starts_in(box), min_size=1, max_size=5).flatmap(
+            lambda starts: st.permutations(starts + starts[:2])  # duplicates in one batch
+        ))
+    spec = ReachSpec(bounds=box, goal_radius=radius, horizon=horizon, step_size=step_size)
+    policy = GaussianControllerPolicy(gain=gain, step_size=step_size)
+    expected = [reference_reach_rollout(spec, policy, start) for start in starts]
+    for row, (lazy, eager) in enumerate(zip(spec.rollouts(policy, starts), expected)):
+        # the search's reads: positions and their count, before any record is built
+        points = np.array(eager.states, dtype=float)
+        assert (lazy.points.shape, lazy.points.tobytes()) == (points.shape, points.tobytes())
+        assert lazy.final_length == eager.final_length
+        assert not lazy.points.flags.writeable
+        reads = first_reads(lambda: spec.rollouts(policy, starts)[row], eager)
+        assert reads == dict.fromkeys(reads, True)
+    if data is None:  # none of these settles: each position differs from the one before
+        assert [trajectory.final_length for trajectory in expected] == [horizon + 1] * 3
+
+
+def test_a_reach_search_builds_records_only_for_trajectories_someone_reads(
+    tmp_path, monkeypatch,
+):
+    built = {}  # trajectories whose records were built, by id, held so no id is reused
+    build = Trajectory.__getattr__
+
+    def recording(trajectory, name):
+        value = build(trajectory, name)
+        built[id(trajectory)] = trajectory
+        return value
+
+    monkeypatch.setattr(Trajectory, "__getattr__", recording)
+    dropped = []  # offspring that migrate drops in the generation they are made
+    migrate = evolution.migrate
+
+    def migrate_and_keep(population, offspring, size, demos):
+        kept = migrate(population, offspring, size, demos)
+        ids = set(map(id, kept))
+        dropped.extend(individual for individual in offspring if id(individual) not in ids)
+        return kept
+
+    observed = {}
+
+    def observer(generation, population, demos):
+        if generation % 2:  # an observer reads the weakest member's return
+            observed[id(population[-1].trajectory)] = population[-1].trajectory
+            assert population[-1].trajectory.episode_return <= 0.0
+
+    monkeypatch.setattr(evolution, "migrate", migrate_and_keep)
+    spec, policy = ReachSpec(), GaussianControllerPolicy()
+    config = EvolutionConfig(population_size=10, generations=8, bits_per_dimension=6, seed=4)
+    result = run(spec, policy, config, observer)
+    assert len(dropped) > 50 and observed
+    assert built.keys() <= observed.keys()  # the search itself builds no record
+    export_bundle(result, tmp_path / "bundle")
+    population = {id(individual.trajectory) for individual in result.population}
+    assert built.keys() <= observed.keys() | population
+    assert not built.keys() & {id(individual.trajectory) for individual in dropped}
+    # a public caller's first read of a dropped offspring builds its records
+    for individual in dropped[:10]:
+        assert same_bits([individual.trajectory],
+                         [reference_reach_rollout(spec, policy, individual.initial_state)])
 
 
 @settings(max_examples=40, deadline=None)
