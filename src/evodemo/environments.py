@@ -38,8 +38,9 @@ A grid rollout walks ``transitions`` side by side with the tabular policy's
 ``(row, col)``, is what ``starts_from_vectors`` and ``rollouts`` check starts by.
 
 Every trajectory carries its positions as an array, ``Trajectory.points``,
-which is what the search reads.  A grid builds it once per walked cell, and
-the copies ``rollouts`` returns share it.  ``ReachSpec.rollouts`` steps a
+which is what the search reads.  A grid builds it, with the distinct points
+and the mean certainty that scoring reads, once per walked cell, and the
+copies ``rollouts`` returns share them.  ``ReachSpec.rollouts`` steps a
 batch as arrays and keeps it so: each trajectory starts out as its row's
 collapsed positions, and builds ``states``, ``actions``, ``rewards`` and
 ``episode_return`` from the batch the first time one of them is read.  The
@@ -93,11 +94,17 @@ class GridState:
     row: int
     col: int
 
+    def __post_init__(self) -> None:  # a plain tuple, hashed in place of the state
+        object.__setattr__(self, "key", (self.row, self.col))
+
 
 @dataclass(frozen=True)
 class ReachState:
     effector: tuple[float, float, float]
     target: tuple[float, float, float]
+
+    def __post_init__(self) -> None:  # a plain tuple, hashed in place of the state
+        object.__setattr__(self, "key", tuple(self.effector) + tuple(self.target))
 
 
 # the per-step records a reach batch builds only for a trajectory someone reads
@@ -116,8 +123,10 @@ class Trajectory:
 
     ``points`` is ``states`` as a read-only float array, the form the search
     reads positions in; it is built on first read, or up front by the spec
-    that rolled the episode out.  A trajectory from ``ReachSpec.rollouts``
-    starts out as that array, its actions and its target: ``states``,
+    that rolled the episode out, and so are ``distinct_points`` and
+    ``mean_certainty``, which scoring reads; a ``copy`` made after shares
+    them.  A trajectory from ``ReachSpec.rollouts`` starts out as that
+    array, its actions and its target: ``states``,
     ``actions``, ``rewards`` and ``episode_return`` are built from them the
     first time one of them is read, once, with the values an eager
     construction gives.  Equality, hashing, ``repr``,
@@ -164,6 +173,20 @@ class Trajectory:
         points = np.array(self.states, dtype=float)
         points.flags.writeable = False
         return points
+
+    @cached_property
+    def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """``points`` without repeats, in order of first visit, and each point's row there."""
+        rows: dict[tuple[float, ...], int] = {}
+        inverse = [rows.setdefault(point, len(rows)) for point in map(tuple, self.points.tolist())]
+        return np.array(list(rows)), np.array(inverse, dtype=np.intp)
+
+    @cached_property
+    def mean_certainty(self) -> float:
+        """Mean of ``certainties``, worked out once."""
+        if not self.certainties:
+            raise ContractViolationError("trajectory has no executed actions")
+        return sum(self.certainties) / len(self.certainties)
 
     @property
     def final_length(self) -> int:
@@ -245,7 +268,8 @@ class RolloutTable:
       cell shares;
     * ``distances``: the one-way distance between the episodes of two cells
       ``low <= high``, keyed ``low * size + high``, for each pair
-      ``fitness.DemonstrationSet.nearest_distances`` has scored.
+      ``fitness.DemonstrationSet.nearest_distances`` has scored;
+    * ``blocks``: the walked episodes' positions as ``fitness`` pads them.
 
     Its memory grows with the cells walked and the pairs scored, never with
     the square of the layout area.
@@ -257,6 +281,7 @@ class RolloutTable:
         self.trajectories: dict[int, Trajectory] = {}
         self.cells: dict[int, int] = {}  # by id(trajectory.states)
         self.distances: dict[int, float] = {}
+        self.blocks = None  # made by fitness when a pair is first worked out
 
     def add(self, cell: int, trajectory: Trajectory) -> None:
         self.trajectories[cell] = trajectory
@@ -435,7 +460,7 @@ class GridSpec:
             episode_return=float(sum(rewards)),
             outcome=outcome,
         )
-        trajectory.points  # built before the first copy, so that every copy shares it
+        trajectory.points, trajectory.distinct_points, trajectory.mean_certainty  # for every copy
         return trajectory
 
     @cached_property
@@ -607,6 +632,7 @@ class ReachSpec:
             trajectory = object.__new__(Trajectory)
             trajectory.__dict__.update(fixed, points=row_points, _source=(records, row))
             trajectories.append(trajectory)
+            fixed["mean_certainty"] = trajectory.mean_certainty  # one certainties tuple for all
         return trajectories
 
     def rollout_table(self, policy) -> None:

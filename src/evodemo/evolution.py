@@ -22,23 +22,22 @@ Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
 evaluated this generation) is a twin: it takes over that individual's
 rollout instead of running its own, and its nearest distance is 0 with no
-distance work.  Only live individuals are looked up for twins, so that
-lookup stays bounded by the population.  The distinct starts no live
-individual holds are rolled out together, in one ``env_spec.rollouts`` call
-per batch, before any candidate of the batch is scored, and their distances
-come from one ``nearest_distances`` pass, given the spec's
-``rollout_table`` for the policy: a grid remembers each cell's rollout and
-each scored pair's distance for as long as the policy lives, across seeds
-and searches; the reach task has no table.
+distance work.  Starts are told apart by their ``key``, a plain tuple made
+once per start, never by hashing the start itself.  The distinct starts no
+live individual holds are rolled out together, in one ``env_spec.rollouts``
+call per batch, and their distances come from one ``nearest_distances``
+pass, given the spec's ``rollout_table`` for the policy: a grid remembers
+each cell's rollout and each scored pair's distance for as long as the
+policy lives; the reach task has no table.
 
 Without a table, most offspring of a generation are worked out only far
 enough to show that they cannot survive.  Every member is older than every
 offspring, and ties go to the older, so an offspring whose stored joint is
 at most the population's weakest stored joint ``T`` is dropped by
 ``migrate``.  ``DemonstrationSet.joint_bounds`` bounds each fresh rollout's
-joint from above: its distance to one member (the one whose first and last
-positions lie nearest its own), which is at least its nearest distance, and
-its profile distance to the members alone, which the offspring scored
+joint from above: its distance to the member the set finds with the
+nearest first and last positions, which is at least its nearest distance,
+and its profile distance to the members alone, which the offspring scored
 before it can only lower.  A rollout whose bound is at most ``T`` skips the
 exact pass and is scored, still once and in creation order, at its bound
 distance; that score is at most ``T`` as well, so ``migrate`` drops it and
@@ -46,15 +45,12 @@ no result, history entry or observer call sees it.  Until then it stays in
 the set, as columns for later rows and as a profile, exactly as it would
 at its exact score.
 
-What an individual contributes to each generation it lives through is made
-once, on first use, and kept on it: its ``IndividualSnapshot`` for the
-history and its first-and-last-position key for ``_nearest_members``.
-
-The search reads a trajectory's positions (``Trajectory.points``), its
-certainties and its step count, never its states, actions or rewards.  A
-reach rollout builds those per-step records only when they are first read,
-so the offspring ``migrate`` drops never build them: only the trajectories
-an observer, an export or a caller reads do.
+Work is done once: an individual's ``IndividualSnapshot`` for the history
+on first use, and a rollout's local diversity and mean certainty, which the
+bound and the score share (``Trajectory.distinct_points``,
+``Trajectory.mean_certainty``).  The search reads a trajectory's positions,
+certainties and step count, never its per-step records, which a reach
+rollout builds only when an observer, an export or a caller reads them.
 """
 
 from __future__ import annotations
@@ -129,11 +125,6 @@ class Individual:
     def snapshot(self) -> IndividualSnapshot:
         """Its record in each generation it lives through, made once."""
         return IndividualSnapshot(id=self.id, fitness=self.fitness)
-
-    @functools.cached_property
-    def ends(self) -> np.ndarray:
-        """Its trajectory's ``_ends`` key, made once."""
-        return _ends([self.trajectory])[0]
 
 
 @dataclass(frozen=True)
@@ -338,11 +329,12 @@ def evaluate_offspring(
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
     # depends on (and extends) the demonstration set, in creation order
-    held = {individual.initial_state: individual.trajectory for individual in population}
-    fresh_starts = list(dict.fromkeys(
-        candidate.initial_state for candidate in candidates if candidate.initial_state not in held
-    ))
-    fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, fresh_starts)))
+    held = {individual.initial_state.key: individual.trajectory for individual in population}
+    fresh_starts: dict[tuple, object] = {}
+    for candidate in candidates:
+        if candidate.initial_state.key not in held:
+            fresh_starts.setdefault(candidate.initial_state.key, candidate.initial_state)
+    fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, list(fresh_starts.values()))))
     rows = list(fresh.values())
     table = env_spec.rollout_table(policy)
     # rows whose bound shows they cannot survive skip the exact pass (see the
@@ -351,8 +343,7 @@ def evaluate_offspring(
     asked = None  # the rows the exact pass works out; None for all
     if population and rows and table is None:
         floor = min(individual.fitness.joint for individual in population)
-        partners = _nearest_members(rows, population)
-        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, partners, env_spec)):
+        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, None, env_spec)):
             if joint <= floor:
                 bound[row] = distance
         asked = [row for row, distance in enumerate(bound) if distance is None]
@@ -363,9 +354,10 @@ def evaluate_offspring(
     distances = iter([next(exact) if distance is None else distance for distance in bound])
     individuals = []
     for candidate in candidates:
-        twin = held.get(candidate.initial_state)
+        key = candidate.initial_state.key
+        twin = held.get(key)
         if twin is None:
-            trajectory = held[candidate.initial_state] = fresh[candidate.initial_state]
+            trajectory = held[key] = fresh[key]
             distance = next(distances)
         else:
             # a distinct object sharing the twin's tuples: the set discards and
@@ -382,24 +374,6 @@ def evaluate_offspring(
             birth_generation=candidate.birth_generation,
         ))
     return individuals
-
-
-def _ends(trajectories: Sequence[Trajectory]) -> np.ndarray:
-    """Each trajectory's first and last positions, one after the other, as a row."""
-    points = [trajectory.points for trajectory in trajectories]
-    return np.concatenate(
-        (np.array([each[0] for each in points]), np.array([each[-1] for each in points])), axis=1
-    )
-
-
-def _nearest_members(
-    trajectories: Sequence[Trajectory], population: Sequence[Individual]
-) -> list[Trajectory]:
-    """For each trajectory, the member trajectory whose first and last
-    positions lie nearest its own (squared Euclidean, the first on a tie)."""
-    offsets = _ends(trajectories)[:, None, :] - np.array([ind.ends for ind in population])
-    nearest = np.einsum("rmk,rmk->rm", offsets, offsets).argmin(axis=1)
-    return [population[index].trajectory for index in nearest.tolist()]
 
 
 def _rank(individual: Individual) -> tuple[float, int]:

@@ -20,53 +20,41 @@ demonstration set ``T``:
 
 Scoring against an empty demonstration set maxes out both context terms
 (1 and sqrt(2)); that sentinel lives in ``empty_set_components`` only.
-
 Members being compared against are excluded by object identity, never by
 value equality, so an individual's own stored demonstration does not shadow
 an identical twin contributed by someone else.
 
-Positions are read as arrays, from each trajectory's ``points``, which a
-rollout batch builds up front; no pass builds a trajectory's per-step
-records.  The demonstration set caches each member's (local diversity,
-certainty) pair; scoring a candidate never re-derives members.
-The set counts its members per distinct profile, so the profile term
+The demonstration set caches each member's (local diversity, certainty)
+pair and counts its members per distinct pair, so the profile term
 (``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and
-``joint_bounds``) is a minimum over distinct pairs, or one lookup when
-another member holds the candidate's own pair, as it does for most
-candidates; the term is then exactly 0.  The set keeps no index of
-trajectories by value: a value-equal copy of a member is at distance
-exactly 0 because every point-to-point distance between equal positions is
-0, so it scores 0 on both context terms.  The search never sends such a
-copy to the distance pass; it sets the copy's distance to 0 itself
-(``evolution.evaluate_offspring``).
+``joint_bounds``) is a minimum over distinct pairs, or exactly 0 from one
+lookup when another member holds the candidate's own pair.  A value-equal
+copy of a member is at distance exactly 0; the search sets such a copy's
+distance itself (``evolution.evaluate_offspring``).
 
 ``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
-for a whole batch of trajectories at once, each against the set as it will
-stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
-called alone, asks it for a batch of one.  Asked for some rows only, the
-pass works out just those, each still against every column before it.
-``DemonstrationSet.joint_bounds`` gives the search a cheap upper bound on
-each joint score of a batch: the one-way distance to a single member,
-bit for bit the entry the pass would give that pair (``_paired_one_way``),
-and the profile term over the members as they stand.  ``joint_fitness`` at
-that distance scores no higher than the bound, which is what lets the search
-skip the exact pass for offspring that cannot survive.
-
-On a grid a rollout depends only on the policy and the start cell, so the
-search also passes the spec's ``rollout_table`` for the policy.  When every
-member and every trajectory of the batch shares that table's tuples, the
-pass reads each pair's distance from the table, working out only the pairs
-it lacks with the same kernel and storing them there.  A table entry is
-therefore the distance the kernel gives, and a search scores the same
-whatever the table held before it.  ``ReachSpec`` answers no table.
+for a whole batch, each trajectory against the set as it will stand when
+it is scored.  ``DemonstrationSet.joint_bounds`` bounds each joint score
+from above with the distance to a single member, which lets the search
+skip the exact pass for offspring that cannot survive.  Both ask one
+kernel, ``_Blocks.one_way``, for exactly the pairs of position blocks they
+need: the set keeps its members' blocks in one persistent buffer and
+writes a batch's after them, so a batch's own pairs are the triangle a row
+can see.  Every block's minima are summed in the order ``_ordered_sums``
+states, numpy's pairwise summation, so every distance is bit for bit what
+numpy gives the pair alone (``tests/pairwise.py``).  On a grid, when every
+trajectory shares the tuples of the policy's ``rollout_table``, distances
+are read from the table, and the pairs it lacks are worked out once, over
+blocks the table keeps of its walked cells; so a search scores the same
+whatever the table held before it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,13 +63,12 @@ from .errors import ContractViolationError
 
 EMPTY_SET_GLOBAL_DIVERSITY = 1.0
 EMPTY_SET_LOCAL_DISTANCE = math.sqrt(2.0)
-# cap on the elements of one rows-by-columns distance matrix (512 KiB of
-# float64, and the kernel holds two at once); a chunk holds at least one
-# trajectory's rows, however long
-MAX_MATRIX_ELEMENTS = 2**16
-# numpy sums up to this many values strictly left to right; from 8 on its
-# pairwise summation adds them in another order
-SEQUENTIAL_SUM_MAX = 7
+# cap on the point pairs one kernel chunk holds (512 KiB of float64, and the
+# kernel holds two such arrays at once); a chunk holds at least one pair
+MAX_PAIR_ELEMENTS = 2**16
+# blocks of up to this many points are padded to one another in the kernel,
+# and longer ones up to 128 points are stored as their distinct points
+SHORT_BLOCK = 31
 
 
 @dataclass(frozen=True)
@@ -114,16 +101,20 @@ class DemoEntry:
 class DemonstrationSet:
     """Alive demonstrations with cached (D_l, C) profiles.
 
-    Members are kept in insertion order, keyed by identity; each member's
-    position array (``Trajectory.points``) is one column block of the
-    distance matrix ``nearest_distances`` builds, even where members are
-    value-equal.
+    Members are kept in insertion order, keyed by identity; slot ``k`` of
+    ``_blocks`` holds the ``k``-th member's positions.  The first read after
+    members come or go brings it up to date (``_sync``), in one compaction
+    and one write, so the offspring ``migrate`` drops are never written.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
+        self._blocks = _Blocks()
+        self._slots: dict[int, int] = {}  # by id(entry): the slot of each member it holds
+        self._stale = False  # members came or went since the buffer was written
+        self._staged: tuple[Trajectory, ...] = ()  # the batch in the slots after them
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -137,12 +128,8 @@ class DemonstrationSet:
     def local_distance(self, trajectory: Trajectory, d_l: float, certainty: float) -> float | None:
         """Euclidean distance from ``(d_l, certainty)`` to the nearest (D_l, C)
         pair of a member other than ``trajectory`` itself; ``None`` when there
-        is no other member.
-
-        When a member other than ``trajectory`` holds the pair itself, the
-        answer is ``0.0`` from one lookup, which is what the scan over
-        distinct pairs gives: that pair's term is ``math.hypot(0.0, 0.0)``,
-        ``0.0``, and no term is negative.
+        is no other member.  When another member holds the pair itself, it is
+        ``0.0`` from one lookup, as the scan would give: ``math.hypot(0.0, 0.0)``.
         """
         own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
         for e in self._entries_of.get(id(trajectory), ()):
@@ -171,6 +158,7 @@ class DemonstrationSet:
         self._entries_of.setdefault(id(trajectory), []).append(entry)
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] = self._profiles.get(pair, 0) + 1
+        self._stale, self._staged = True, ()
 
     def discard(self, trajectory: Trajectory) -> None:
         # identity-based: value-equal duplicates from other individuals survive
@@ -185,26 +173,37 @@ class DemonstrationSet:
         self._profiles[pair] -= 1
         if not self._profiles[pair]:
             del self._profiles[pair]
+        self._slots.pop(id(entry), None)
+        # the set holds no reference to what left it
+        self._stale, self._staged = True, ()
 
     def joint_bounds(
-        self, trajectories: Sequence[Trajectory], partners: Sequence[Trajectory], env_spec: EnvSpec
+        self,
+        trajectories: Sequence[Trajectory],
+        partners: Sequence[Trajectory] | None,
+        env_spec: EnvSpec,
     ) -> list[tuple[float, float]]:
         """An upper bound on each trajectory's joint score in a batch scored in
         order, as ``(distance, joint)``: the score at ``distance``.
 
-        ``partners[k]`` is a member; the distance is the one-way distance
-        from trajectory ``k`` to it, bit for bit the entry of that pair in
-        ``nearest_distances``, so never below the nearest distance.  The
+        The distance is to ``partners[k]``, a member, or with ``None`` to the
+        member whose first and last positions lie nearest (the oldest on a
+        tie), bit for bit that pair's entry in ``nearest_distances``.  The
         profile term is ``local_distance`` over the members as they stand,
-        and the batch's earlier trajectories, joining the set before
-        trajectory ``k`` is scored, can only lower it.  So ``joint_fitness``
-        at ``distance`` scores no higher than the bound, and at the nearest
-        distance no higher than that.
+        which the batch's earlier trajectories can only lower.
         """
-        distances = _paired_one_way(
-            [trajectory.points for trajectory in trajectories],
-            [partner.points for partner in partners],
-        )
+        members = self._stage(trajectories)
+        rows = np.arange(members, members + len(trajectories))
+        if partners is None:  # each slot's first and last positions
+            blocks, slots = self._blocks, np.arange(rows[-1] + 1)
+            last = blocks.points[:, blocks.rows[blocks.lengths[slots] - 1, slots], slots]
+            ends = np.concatenate((blocks.points[:, 0, slots], last))
+            offsets = ends[:, rows, None] - ends[:, None, :members]
+            columns = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
+        else:
+            columns = np.array([self._slots[id(self._entries_of[id(partner)][0])]
+                                for partner in partners], dtype=np.intp)
+        distances = self._blocks.one_way(rows, columns, rows[-1] + 1).tolist()
         bounds = []
         for trajectory, distance in zip(trajectories, distances):
             d_l, certainty = local_diversity(trajectory, env_spec), trajectory_certainty(trajectory)
@@ -223,56 +222,154 @@ class DemonstrationSet:
         Trajectory ``k`` is compared with every member and every one of
         ``trajectories[:k]`` but itself (by identity), as though each joined
         the set right after it was scored; ``inf`` when there is nothing to
-        compare with.  ``rows``, increasing indices into ``trajectories``,
-        asks for those trajectories' distances only, each still against
-        everything before it; left out, it asks for all.  A value-equal copy
-        of any of those is at distance 0, worked out like any other.  The
-        column blocks are the members' position arrays in insertion order,
-        then the batch's; each asked trajectory is a row block of one
-        distance matrix, masked to the column blocks before its own that
-        belong to other objects.  The rows are split into consecutive chunks
-        whose matrix holds at most ``MAX_MATRIX_ELEMENTS`` elements.
-
-        ``table`` is the spec's ``rollout_table`` for the policy that rolled
-        the trajectories out, if it has one.  When every member and every
-        trajectory has a cell in it, each distance is read from the table
-        instead, after the pairs it lacks are worked out in one such pass
-        and stored in it.
+        compare with.  ``rows``, increasing indices, asks for those
+        trajectories only; left out, for all.  ``table`` is the policy's
+        ``rollout_table``, if it has one: when every member and trajectory
+        has a cell in it, each distance is read from it instead.
         """
         if rows is None:
             rows = range(len(trajectories))
         if not rows:
             return []
-        # each block's owner, the members in insertion order and then the batch
-        everyone = [e.trajectory for e in self._entries.values()] + list(trajectories)
-        at = len(self._entries) + np.asarray(rows)  # each asked row's block
-        # owners by id, which is identity while the members and the batch are alive
-        owners = np.array(list(map(id, everyone)), dtype=np.uint64)
-        # a row sees no block from its own on, and no block of its own object
-        hidden = np.arange(len(owners)) >= at[:, None]
-        hidden |= owners == owners[at, None]
-        if table is not None:
-            cells = list(map(table.cell, everyone))
-            if None not in cells:
-                distances = _table_distances(
-                    table, np.array(cells), at, ~hidden, lambda block: everyone[block].points
-                )
-                return distances.min(axis=1).tolist()
-        blocks = [trajectory.points for trajectory in everyone[: at[-1] + 1]]
-        if len({points.shape[1] for points in blocks}) > 1:
+        batch = trajectories[: rows[-1] + 1]
+        at = len(self._entries) + np.asarray(rows)  # each asked row's slot, once staged
+        if not at[-1]:  # the first trajectory ever scored, with nothing to compare with
+            return [math.inf]
+        visible = np.arange(at[-1]) < at[:, None]
+        ids = list(map(id, batch))
+        if len(set(ids)) < len(ids) or not self._entries_of.keys().isdisjoint(ids):
+            owners = self.trajectories() + tuple(batch)  # a row sees no slot of its own object
+            for asked, slot in enumerate(at.tolist()):
+                visible[asked, [k for k in range(slot) if owners[k] is owners[slot]]] = False
+        cells = list(map(table.cell, self.trajectories() + tuple(batch))) if table else [None]
+        if None not in cells:
+            return _table_distances(table, np.array(cells), at, visible).min(axis=1).tolist()
+        self._stage(batch)
+        distances = np.full(visible.shape, math.inf)
+        asked, slots = np.nonzero(visible)
+        distances[asked, slots] = self._blocks.one_way(at[asked], slots, at[-1] + 1)
+        return distances.min(axis=1).tolist()
+
+    def _sync(self) -> int:
+        """Bring the buffer up to date with the members; return their count."""
+        if self._stale:
+            entries = list(self._entries.values())
+            kept = len(self._slots)  # the held members come first in insertion order
+            self._blocks.keep([self._slots[id(entry)] for entry in entries[:kept]])
+            if len(entries) > kept:
+                self._blocks.write(kept, [entry.trajectory for entry in entries[kept:]])
+            self._slots = {id(entry): slot for slot, entry in enumerate(entries)}
+            self._stale = False
+        return len(self._slots)
+
+    def _stage(self, trajectories: Sequence[Trajectory]) -> int:
+        """Write ``trajectories``' blocks into the slots after the members' and
+        return the members' count; the batch the last read staged is kept."""
+        members, staged = self._sync(), self._staged
+        if trajectories and not (
+            len(trajectories) <= len(staged) and all(map(operator.is_, trajectories, staged))
+        ):
+            self._blocks.write(members, trajectories)
+            self._staged = tuple(trajectories)
+        return members
+
+
+class _Blocks:
+    """Position blocks in one padded buffer, one slot each, for ``one_way``.
+
+    Slot ``k`` holds a block of ``lengths[k]`` points, of which ``points``
+    (axes, width, slots) stores ``counts[k]``, padded by repeating the last;
+    ``rows`` (width, slots) gives each point's row among them.  A block of
+    more than ``SHORT_BLOCK`` and at most 128 points is stored as its distinct
+    points (a looping grid path has few); ``slot_of`` maps table cells to slots.
+    """
+
+    def __init__(self) -> None:
+        self.points = np.empty((0, 0, 0))
+        self.rows = np.empty((0, 0), dtype=np.intp)
+        self.counts, self.lengths = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        self.distinct = False  # some block was stored as its distinct points
+        self.slot_of: dict[int, int] = {}
+
+    def keep(self, slots: list[int]) -> None:
+        """Move ``slots``, in order, to the front."""
+        for array in (self.points, self.rows, self.counts, self.lengths):
+            array[..., : len(slots)] = array[..., slots]
+
+    def write(self, start: int, trajectories: Sequence[Trajectory]) -> None:
+        """Write ``trajectories``' blocks into the slots from ``start`` on; the
+        buffer grows to hold them, keeping the slots before ``start``."""
+        blocks = [trajectory.points for trajectory in trajectories]
+        lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
+        rows = np.minimum(np.arange(max(len(self.rows), lengths.max()))[:, None], lengths - 1)
+        for k in np.flatnonzero((SHORT_BLOCK < lengths) & (lengths <= 128)).tolist():
+            blocks[k], rows[: lengths[k], k] = trajectories[k].distinct_points
+            rows[lengths[k]:, k], self.distinct = rows[lengths[k] - 1, k], True
+        axes, old = {points.shape[1] for points in blocks}, self.points
+        if len(axes) > 1 or (start and axes != {len(old)}):
             raise ContractViolationError("demonstrations must share one position dimensionality")
-        # only the first trajectory ever scored sits at block 0, with nothing
-        # to compare with
-        skip = int(at[0] == 0)
-        nearest = [math.inf] * skip
-        sees = at[skip:].tolist()
-        if not sees:
-            return nearest
-        row_blocks = [blocks[block] for block in sees]
-        for begin, end, chunk in _one_way_chunks(row_blocks, blocks[: sees[-1]], sees):
-            chunk[hidden[skip + begin : skip + end, : chunk.shape[1]]] = math.inf
-            nearest += chunk.min(axis=1).tolist()
-        return nearest
+        counts = np.fromiter(map(len, blocks), np.intp, len(blocks))
+        width, end = max(old.shape[1], int(counts.max())), start + len(blocks)
+        if (axes != {len(old)} or width > old.shape[1] or len(rows) > len(self.rows)
+                or end > len(self.counts)):
+            slots = max(end, 2 * len(self.counts))
+            self.points = _grown(old, (axes.pop(), width, slots), start)
+            self.rows = _grown(self.rows, (len(rows), slots), start)
+            self.counts, self.lengths = np.resize(self.counts, slots), np.resize(self.lengths, slots)
+        # each block's stored points, then its last again up to the width
+        at = np.cumsum(counts) - counts + np.minimum(np.arange(width)[:, None], counts - 1)
+        self.points[:, :, start:end] = np.concatenate(blocks)[at].transpose(2, 0, 1)
+        self.rows[:, start:end], self.counts[start:end], self.lengths[start:end] = rows, counts, lengths
+
+    def one_way(self, left: np.ndarray, right: np.ndarray, end: int) -> np.ndarray:
+        """The one-way distance of the blocks of slots ``left[k]`` and
+        ``right[k]``, all before ``end``, for each ``k``.
+
+        Stored blocks of up to ``SHORT_BLOCK`` points are one size, and each
+        longer count its own.  A pair is turned smaller block first (the
+        distance is symmetric bit for bit) and worked out with the pairs of
+        its sizes, in chunks of at most ``MAX_PAIR_ELEMENTS`` point pairs,
+        each side padded to its longest stored block.
+        """
+        counts, lengths = self.counts[:end], self.lengths[:end]
+        distances = np.empty(len(left))
+        if not len(left):
+            return distances
+        if counts.max() <= SHORT_BLOCK:  # one size, as on reach and most grid calls
+            groups = [(None, left, right)]
+        else:
+            sizes = np.where(counts <= SHORT_BLOCK, SHORT_BLOCK, counts)
+            turned = sizes[left] > sizes[right]
+            left, right = np.where(turned, right, left), np.where(turned, left, right)
+            keys = sizes[left] * (int(sizes.max()) + 1) + sizes[right]
+            groups = [(pairs, left[pairs], right[pairs])
+                      for pairs in (np.flatnonzero(keys == key) for key in sorted(set(keys.tolist())))]
+        for pairs, u_slots, v_slots in groups:
+            u_width, v_width = int(counts[u_slots].max()), int(counts[v_slots].max())
+            step = max(1, MAX_PAIR_ELEMENTS // (u_width * v_width))
+            for begin in range(0, len(u_slots), step):
+                u, v = u_slots[begin : begin + step], v_slots[begin : begin + step]
+                minima = _chunk_minima(self.points[:, :u_width].take(u, axis=2),
+                                       self.points[:, :v_width].take(v, axis=2))
+                if self.distinct:
+                    minima = [np.take_along_axis(side, self.rows[: lengths[slots].max(), slots], 0)
+                              for side, slots in zip(minima, (u, v))]
+                # both sides' minima side by side, as columns of one pass
+                values = np.zeros((max(map(len, minima)), 2 * len(u)))
+                values[: len(minima[0]), : len(u)], values[: len(minima[1]), len(u) :] = minima
+                sums = _ordered_sums(values, np.concatenate((lengths[u], lengths[v])))
+                at = slice(begin, begin + step) if pairs is None else pairs[begin : begin + step]
+                distances[at] = (sums[: len(u)] + sums[len(u) :]) / (lengths[u] + lengths[v])
+        return distances
+
+
+def _grown(old: np.ndarray, shape: tuple[int, ...], start: int) -> np.ndarray:
+    """``old``'s first ``start`` slots in a new (..., width, slots) array, padded by repeating."""
+    new = np.empty(shape, dtype=old.dtype)
+    if start:
+        new[..., : old.shape[-2], :start] = old[..., :start]
+        new[..., old.shape[-2] :, :start] = old[..., -1:, :start]
+    return new
 
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
@@ -280,14 +377,12 @@ def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
     count = env_spec.state_count
     if count is None:
         return trajectory.final_length / (trajectory.raw_length + 1)
-    return len(set(trajectory.states)) / count
+    return len(trajectory.distinct_points[0]) / count
 
 
 def trajectory_certainty(trajectory: Trajectory) -> float:
     """Mean policy commitment over every executed step, collapsed or not."""
-    if not trajectory.certainties:
-        raise ContractViolationError("trajectory has no executed actions")
-    return sum(trajectory.certainties) / len(trajectory.certainties)
+    return trajectory.mean_certainty
 
 
 def joint_fitness(
@@ -298,9 +393,8 @@ def joint_fitness(
 ) -> FitnessComponents:
     """Full scoring of one trajectory against the current demonstration set.
 
-    ``nearest_distance`` is the trajectory's entry of
-    ``demos.nearest_distances`` for a batch scored in order; left out, it is
-    computed here for a batch of one.
+    ``nearest_distance`` is its entry of ``demos.nearest_distances`` for a
+    batch scored in order; left out, it is worked out for a batch of one.
     """
     d_l = local_diversity(trajectory, env_spec)
     certainty = trajectory_certainty(trajectory)
@@ -320,189 +414,94 @@ def joint_fitness(
 
 
 def _table_distances(
-    table: RolloutTable,
-    cells: np.ndarray,
-    at: np.ndarray,
-    visible: np.ndarray,
-    points: Callable[[int], np.ndarray],
+    table: RolloutTable, cells: np.ndarray, at: np.ndarray, visible: np.ndarray
 ) -> np.ndarray:
-    """The one-way distance of each batch row to each block it sees, ``inf``
-    where it sees none, read from ``table``.
-
-    ``cells`` holds every block's cell, ``at`` each row's own block, in
-    increasing order, ``visible`` is (rows, blocks), and ``points(block)``
-    is a block's position array.
-    The pairs the table lacks are worked out in one ``_one_way_chunks`` pass
-    and stored: its rows are the batch rows that lack a pair, in order, and
-    its columns the cells they lack, in the order of their first block.
-    Every block a row sees comes before it, so each row needs only a prefix
-    of the columns.
+    """The one-way distance of each asked row to each slot it sees, ``inf``
+    where it sees none, read from ``table``; ``cells`` holds every slot's
+    cell, ``at`` each row's own slot.  Each pair of cells the table lacks is
+    worked out once, over its blocks of the walked cells, and stored.
     """
     rows = cells[at, None]
-    low = np.minimum(rows, cells)
+    columns = cells[: visible.shape[1]]
+    low = np.minimum(rows, columns)
     # one key per unordered pair: the one-way distance is symmetric bit for bit,
     # as the sum of the same two block sums
-    keys = low * table.size + (rows + cells - low)
+    keys = low * table.size + (rows + columns - low)
     distances = np.full(visible.shape, math.inf)
     distances[visible] = list(map(table.distances.get, keys[visible].tolist()))  # None is NaN
     lacking = np.isnan(distances)
-    if not lacking.any():
-        return distances
-    pass_rows = np.flatnonzero(lacking.any(axis=1)).tolist()
-    cell_list = cells.tolist()
-    column_of: dict[int, int] = {}
-    firsts = []  # each column's first block
-    for block in np.flatnonzero(lacking.any(axis=0)).tolist():
-        if cell_list[block] not in column_of:
-            column_of[cell_list[block]] = len(firsts)
-            firsts.append(block)
-    # by batch row and column; NaN outside the rows and prefixes the pass works out
-    matrix = np.full((len(visible), len(firsts)), math.nan)
-    blocks = at[pass_rows].tolist()
-    for begin, end, chunk in _one_way_chunks(
-        list(map(points, blocks)),
-        list(map(points, firsts)),
-        [bisect.bisect_left(firsts, block) for block in blocks],
-    ):
-        matrix[pass_rows[begin:end], : chunk.shape[1]] = chunk
-    found = matrix[:, [column_of.get(cell, 0) for cell in cell_list]][lacking]
-    table.distances.update(zip(keys[lacking].tolist(), found.tolist()))
-    distances[lacking] = found
+    if lacking.any():
+        lacking_keys = keys[lacking].tolist()
+        pairs = np.array([divmod(key, table.size) for key in dict.fromkeys(lacking_keys)]).T
+        blocks = table.blocks = table.blocks or _Blocks()
+        new = [cell for cell in dict.fromkeys(pairs.ravel().tolist()) if cell not in blocks.slot_of]
+        if new:
+            blocks.write(len(blocks.slot_of), [table.trajectories[cell] for cell in new])
+            blocks.slot_of.update((cell, len(blocks.slot_of)) for cell in new)
+        slots = np.array([[blocks.slot_of[cell] for cell in side] for side in pairs.tolist()])
+        found = blocks.one_way(*slots, len(blocks.slot_of)).tolist()
+        table.distances.update(zip(dict.fromkeys(lacking_keys), found))
+        distances[lacking] = list(map(table.distances.__getitem__, lacking_keys))
     return distances
 
 
-def _paired_one_way(rows: Sequence[np.ndarray], columns: Sequence[np.ndarray]) -> list[float]:
-    """The one-way distance of each pair of blocks ``rows[k]``, ``columns[k]``,
-    bit for bit the entry ``_one_way_matrix`` gives that pair.
-
-    Pairs whose blocks both hold at most ``SEQUENTIAL_SUM_MAX`` points are
-    worked out together, pair by pair along the last axis.  Each block is
-    padded to the longest by repeating its last point, which moves no
-    minimum; the padded minima are zeroed, and each sum runs left to right
-    by ``np.cumsum``, the order numpy sums so few values in, since adding
-    +0.0 to a sum of non-negative distances leaves its bits.  Any other pair
-    gets its own ``_one_way_matrix``.
-    """
-    distances = [0.0] * len(rows)
-    short = []
-    for k, (u, v) in enumerate(zip(rows, columns)):
-        if max(len(u), len(v)) <= SEQUENTIAL_SUM_MAX:
-            short.append(k)
-        else:
-            distances[k] = float(_one_way_matrix(u, np.array([len(u)]), v.T, np.array([len(v)]))[0, 0])
-    if not short:
-        return distances
-    u, u_lengths = _padded([rows[k] for k in short])
-    v, v_lengths = _padded([columns[k] for k in short])
-    # (axes, row points, column points, pairs); the squares are summed over
-    # the axes left to right, as _one_way_matrix sums them
-    squares = u[:, :, None] - v[:, None]
-    squares *= squares
-    dist = squares[0]
-    for axis_sq in squares[1:]:
-        dist += axis_sq
-    np.sqrt(dist, out=dist)
-    row_minima = dist.min(axis=1)
-    column_minima = dist.min(axis=0)
-    row_minima[np.arange(len(row_minima))[:, None] >= u_lengths] = 0.0
-    column_minima[np.arange(len(column_minima))[:, None] >= v_lengths] = 0.0
-    sums = np.cumsum(row_minima, axis=0)[-1] + np.cumsum(column_minima, axis=0)[-1]
-    for k, distance in zip(short, (sums / (u_lengths + v_lengths)).tolist()):
-        distances[k] = distance
-    return distances
-
-
-def _padded(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``blocks`` as one (axes, longest, blocks) array, each padded by
-    repeating its last point, and their lengths."""
-    lengths = np.fromiter(map(len, blocks), int, len(blocks))
-    at = np.cumsum(lengths) - lengths + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)
-    return np.concatenate(blocks).T[:, at], lengths
-
-
-def _one_way_chunks(
-    rows: Sequence[np.ndarray], columns: Sequence[np.ndarray], sees: Sequence[int]
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """One-way distances of the row blocks ``rows`` to the column blocks
-    ``columns``, by ``_one_way_matrix`` over consecutive chunks of rows.
-
-    Row block ``k`` needs the first ``sees[k]`` column blocks: at least one,
-    and no fewer than the row block before it.  Each chunk yields
-    ``(begin, end, distances)`` for ``rows[begin:end]`` against the first
-    ``sees[end - 1]`` column blocks.  Row blocks join a chunk while its
-    matrix holds at most ``MAX_MATRIX_ELEMENTS`` elements; a chunk holds at
-    least one, however long.
-    """
-    row_lengths = np.array([len(points) for points in rows])
-    column_lengths = np.array([len(points) for points in columns])
-    column_ends = np.concatenate([[0], np.cumsum(column_lengths)])  # columns of the first v blocks
-    stacked = np.ascontiguousarray(np.concatenate(columns).T)
-    begin = 0
-    while begin < len(rows):
-        end, height = begin + 1, row_lengths[begin]
-        while end < len(rows):
-            height += row_lengths[end]
-            if height * column_ends[sees[end]] > MAX_MATRIX_ELEMENTS:
-                break
-            end += 1
-        visible = sees[end - 1]
-        yield begin, end, _one_way_matrix(
-            np.concatenate(rows[begin:end]),
-            row_lengths[begin:end],
-            stacked[:, : column_ends[visible]],
-            column_lengths[:visible],
-        )
-        begin = end
-
-
-def _one_way_matrix(
-    rows: np.ndarray, row_lengths: np.ndarray, columns: np.ndarray, column_lengths: np.ndarray
-) -> np.ndarray:
-    """One-way distances between the row blocks of ``rows`` (R, dims) and the
-    column blocks of ``columns`` (dims, C), as a (row blocks, column blocks) array.
-
-    Each entry is bit-identical to giving its two blocks their own distance
-    matrix reduced in numpy's default order, as ``tests/pairwise.py`` does;
-    the comments give the order each step keeps.
-    """
+def _chunk_minima(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair of padded blocks ``u[:, :, k]`` and ``v[:, :, k]``
+    (axes, width, pairs), each point's distance to the nearest point of the
+    other block: (u width, pairs) and (v width, pairs)."""
     # squared distances summed over axes left to right, (dx² + dy²) + dz², the
-    # order of (diff * diff).sum(axis=2); per-axis (R, C) arrays updated in
-    # place keep the peak memory at two such matrices
-    dist = np.subtract.outer(rows[:, 0], columns[0])
-    dist *= dist
-    if len(columns) > 1:
-        axis_sq = np.empty_like(dist)
-        for axis in range(1, len(columns)):
-            np.subtract.outer(rows[:, axis], columns[axis], out=axis_sq)
-            axis_sq *= axis_sq
-            dist += axis_sq
-        del axis_sq  # freed before the reductions below allocate theirs
-    np.sqrt(dist, out=dist)
-    row_starts = np.cumsum(row_lengths) - row_lengths
-    column_starts = np.cumsum(column_lengths) - column_lengths
-    # minima are exact in any order, so each is taken the way numpy runs it
-    # fastest on the row-major dist: each row's minimum within each column
-    # block, (column blocks, R), in one reduceat along the rows, and each
-    # column's minimum within each row block, (row blocks, C), one row block
-    # at a time, since a reduceat across rows walks column by column
-    row_minima = np.minimum.reduceat(dist.T, column_starts, axis=0)
-    column_minima = np.empty((len(row_lengths), dist.shape[1]))
-    for block, (start, length) in enumerate(zip(row_starts.tolist(), row_lengths.tolist())):
-        dist[start : start + length].min(axis=0, out=column_minima[block])
-    row_sums = _block_sums(row_minima, row_starts, row_lengths).T
-    column_sums = _block_sums(column_minima, column_starts, column_lengths)
-    return (row_sums + column_sums) / np.add.outer(row_lengths, column_lengths)
+    # order of (diff * diff).sum(axis=2) in tests/pairwise.py, in place
+    squares = u[0][:, None] - v[0][None]
+    squares *= squares
+    axis_sq = np.empty_like(squares)
+    for axis in range(1, len(u)):
+        np.subtract(u[axis][:, None], v[axis][None], out=axis_sq)
+        axis_sq *= axis_sq
+        squares += axis_sq
+    # minima are exact in any order, and a correctly rounded square root keeps
+    # the order of its arguments, so the root of the least square is the least
+    return np.sqrt(squares.min(axis=1)), np.sqrt(squares.min(axis=0))
 
 
-def _block_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum of each block ``values[:, start : start + length]``, one column per block.
+def _ordered_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of the first ``lengths[k]`` values of each column ``k`` of
+    ``values`` (width, columns), in the one order every distance sum runs
+    in: numpy's pairwise summation of ``n`` float64 values in a row.
 
-    Each block of each row of a C-contiguous array is one contiguous run,
-    the layout a one-block ``ndarray.sum()`` reduces, so every sum is
-    bit-identical to it; ``np.add.reduceat`` sums in another order.
+    * Fewer than 8 values are added left to right.
+    * 8 to 128 values go to eight lanes, lane ``j`` adding values ``j``,
+      ``j + 8``, ... left to right over the first ``n - n % 8``; the lanes
+      are added as ``((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))``,
+      and the ``n % 8`` left over are added to that, left to right.
+    * More than 128 values are split after the first ``n // 2`` rounded down
+      to a multiple of 8, and the two parts' sums are added.
+
+    numpy starts from +0.0, which leaves a non-negative sum as it is.
+    Finite values past a column's length count for nothing.
     """
-    values = np.ascontiguousarray(values)
-    sums = np.empty((len(values), len(starts)))
-    for block, (start, length) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        sums[:, block] = values[:, start : start + length].sum(axis=1)
-    return sums
+    width, columns = values.shape
+    if width > 128 and (lengths != width).any():  # a pass per length above 128, one for the rest
+        sums, keys = np.empty(columns), np.where(lengths > 128, lengths, 0)
+        for key in set(keys.tolist()):
+            at = np.flatnonzero(keys == key)
+            sums[at] = _ordered_sums(values[: key or 128, at], lengths[at])
+        return sums
+    if width > 128:
+        half = width // 2 - width // 2 % 8
+        return (_ordered_sums(values[:half], np.full_like(lengths, half))
+                + _ordered_sums(values[half:], lengths - half))
+    at = np.arange(width)[:, None]
+    if width < 8:
+        total, *rest = values * (at < lengths)
+    else:  # lane j adds values j, j + 8, ... of each column's first n - n % 8
+        laned, lanes = lengths - lengths % 8, np.zeros((8, columns))
+        for start in range(0, width - width % 8, 8):
+            lanes += values[start : start + 8] * (start < laned)
+        lanes = lanes[0::2] + lanes[1::2]  # l0 + l1, l2 + l3, l4 + l5, l6 + l7
+        lanes = lanes[0::2] + lanes[1::2]
+        after = laned + at[:7]  # each column's up to 7 values after the lanes
+        total, rest = lanes[0] + lanes[1], values[np.minimum(after, width - 1), range(columns)]
+        rest *= after < lengths
+    for row in rest:  # added one after another; a zero leaves a non-negative sum as it is
+        total = total + row
+    return total

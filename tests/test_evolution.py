@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import tempfile
@@ -11,10 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qlearning_reference as reference
 from helpers import reference_offspring
 from evodemo import evolution, fitness
 from evodemo.encoding import BitGenome, EncodingSpec, random_genome
-from evodemo.environments import GridSpec, GridState, ReachSpec, parse_layout
+from evodemo.environments import (
+    GridSpec,
+    GridState,
+    ReachSpec,
+    ReachState,
+    Trajectory,
+    parse_layout,
+    preset,
+)
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import (
     Candidate,
@@ -822,3 +832,120 @@ def test_most_reach_offspring_skip_the_exact_distance_pass(reach_spec, reach_con
         config = EvolutionConfig(population_size=30, generations=10, bits_per_dimension=9, seed=seed)
         run(reach_spec, reach_controller, config)
     assert rows[1] < rows[0] / 2
+
+
+# ---------------------------------------------------------------------------
+# work a search does once: twin keys, profile values, member blocks
+
+
+@pytest.mark.parametrize("fixtures", [
+    ("flat_spec", "well_trained_policy"),
+    ("holey_spec", "just_converged_holey_policy"),
+    ("reach_spec", "reach_controller"),
+])
+def test_a_search_tells_starts_apart_without_hashing_a_state(fixtures, request, monkeypatch):
+    spec, policy = map(request.getfixturevalue, fixtures)
+    # few bits leave few starts, so offspring often repeat a live start
+    config = EvolutionConfig(population_size=8, generations=6, bits_per_dimension=4, seed=11)
+    expected = run(spec, policy, config)
+
+    def unhashable(state):
+        raise AssertionError(f"a {type(state).__name__} was hashed")
+
+    monkeypatch.setattr(GridState, "__hash__", unhashable)
+    monkeypatch.setattr(ReachState, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="was hashed"):
+        hash(GridState(1, 1))
+    assert run(spec, policy, config) == expected
+
+
+def test_each_rollout_works_out_its_profile_values_once(flat_spec, reach_spec, reach_controller,
+                                                        monkeypatch):
+    computed = {"distinct_points": [], "mean_certainty": []}  # the trajectories each was made for
+    for name, made in computed.items():
+        original = getattr(Trajectory, name).func
+        counting = functools.cached_property(
+            lambda trajectory, made=made, original=original: made.append(trajectory)
+            or original(trajectory)
+        )
+        counting.__set_name__(Trajectory, name)
+        monkeypatch.setattr(Trajectory, name, counting)
+    batches = []
+    original_rollouts = ReachSpec.rollouts
+
+    def rollouts(env_spec, policy, starts):
+        trajectories = original_rollouts(env_spec, policy, starts)
+        batches.append(trajectories)
+        return trajectories
+
+    monkeypatch.setattr(ReachSpec, "rollouts", rollouts)
+    # the reach search bounds its offspring, then scores them: every row of a
+    # batch shares one certainty tuple, so the batch works out its mean once
+    run(reach_spec, reach_controller, EvolutionConfig(population_size=10, generations=5, seed=2))
+    nonempty = [batch for batch in batches if batch]
+    assert len(nonempty) == 6
+    assert list(map(id, computed["mean_certainty"])) == [id(batch[0]) for batch in nonempty]
+    assert computed["distinct_points"] == []  # a continuous space counts no distinct states
+    # a grid works both out once per walked cell, and every copy shares them
+    computed["mean_certainty"].clear()
+    policy = TabularPolicy(np.random.default_rng(4).normal(size=(flat_spec.height, flat_spec.width, 4)))
+    run(flat_spec, policy, EvolutionConfig(generations=8, bits_per_dimension=4, seed=4))
+    walked = list(flat_spec.rollout_table(policy).trajectories.values())
+    for made in computed.values():
+        assert sorted(map(id, made)) == sorted(map(id, walked))
+
+
+def _rounded_policy(spec, seed):
+    """A tabular policy of rounded random Q values: many starts loop."""
+    rng = np.random.default_rng(seed)
+    return TabularPolicy(np.round(rng.normal(size=(spec.height, spec.width, 4))))
+
+
+@st.composite
+def grid_cases(draw):
+    """A generated layout and a tabular policy over it."""
+    spec = draw(reference.grid_layouts(max_height=9, max_width=9, max_steps=80))
+    return spec, _rounded_policy(spec, draw(st.integers(0, 2**32 - 1)))
+
+
+LOOPING_HOLEY = preset("HoleyGrid11")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.one_of(reach_cases(), grid_cases()),
+    population_size=st.integers(2, 8),
+    generations=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(  # most of its trajectories collapse to 20 to 40 states
+    case=(LONG_REACH, GaussianControllerPolicy(gain=0.5, step_size=LONG_REACH.step_size)),
+    population_size=8, generations=4, seed=1,
+)
+@example(  # many of its paths loop over a few cells for 100 steps
+    case=(LOOPING_HOLEY, _rounded_policy(LOOPING_HOLEY, 0)), population_size=8, generations=4, seed=1,
+)
+def test_the_set_buffer_holds_the_members_blocks_in_insertion_order(case, seed, **fields):
+    spec, policy = case
+    checked = []
+
+    def observer(generation, population, demos):
+        members = demos._sync()
+        blocks = demos._blocks
+        assert members == len(demos) == len(population)
+        for slot, entry in enumerate(demos):
+            points = entry.trajectory.points
+            length, count = blocks.lengths[slot], blocks.counts[slot]
+            assert length == len(points)
+            stored = (entry.trajectory.distinct_points[0]
+                      if fitness.SHORT_BLOCK < length <= 128 else points)
+            assert count == len(stored)
+            assert blocks.points[:, :count, slot].T.tobytes() == stored.tobytes()
+            # the padding repeats the last stored point, and each point's row is its own
+            assert (blocks.points[:, count:, slot].T == stored[-1]).all()
+            assert blocks.points[:, blocks.rows[:length, slot], slot].T.tobytes() == points.tobytes()
+        checked.append(generation)
+
+    config = EvolutionConfig(seed=seed, bits_per_dimension=5, **fields)
+    run(spec, policy, config, observer)
+    assert checked == list(range(config.generations + 1))

@@ -386,17 +386,17 @@ def _batch_member(rng, dims, max_length, live, batch):
     dims=st.sampled_from([2, 3]),
     max_length=st.sampled_from([1, 8, 150]),
     batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=3),
-    bound=st.sampled_from([1, 300, 5000, fitness.MAX_MATRIX_ELEMENTS]),
+    bound=st.sampled_from([1, 300, 5000, fitness.MAX_PAIR_ELEMENTS]),
 )
 def test_batch_scoring_equals_sequential_reference(
     flat_spec, seed, dims, max_length, batch_sizes, bound
 ):
     # lengths up to 150 cover sums longer than numpy's 128-element pairwise
-    # block; the smaller element bounds split batches into several chunks
+    # block; the smaller element bounds split the kernel's pairs into several chunks
     env_spec = flat_spec if dims == 2 else REACH
     rng = np.random.default_rng(seed)
     demos, live = DemonstrationSet(), []
-    with mock.patch.object(fitness, "MAX_MATRIX_ELEMENTS", bound):
+    with mock.patch.object(fitness, "MAX_PAIR_ELEMENTS", bound):
         for size in batch_sizes:
             batch = []
             for _ in range(size):
@@ -419,7 +419,7 @@ def test_batch_scoring_equals_sequential_reference(
     spec=reference.grid_layouts(max_height=15, max_width=15, max_steps=100),
     seed=st.integers(0, 2**32 - 1),
     batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=4),
-    bound=st.sampled_from([1, 300, fitness.MAX_MATRIX_ELEMENTS]),
+    bound=st.sampled_from([1, 300, fitness.MAX_PAIR_ELEMENTS]),
 )
 def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_sizes, bound):
     # few actions and rounded Q values make many starts share their paths
@@ -428,14 +428,14 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
     table = spec.rollout_table(policy)
     starts = list(spec.startable.values())
     kernel_calls = []
-    kernel = fitness._one_way_matrix
+    kernel = fitness._Blocks.one_way
 
     def counting(*args):
         kernel_calls.append(args)
         return kernel(*args)
 
-    with mock.patch.object(fitness, "MAX_MATRIX_ELEMENTS", bound), \
-            mock.patch.object(fitness, "_one_way_matrix", counting):
+    with mock.patch.object(fitness, "MAX_PAIR_ELEMENTS", bound), \
+            mock.patch.object(fitness._Blocks, "one_way", counting):
         for warm in (False, True):  # the same batches, the second time from a full table
             kernel_calls.clear()
             rng = np.random.default_rng(seed)
@@ -474,17 +474,19 @@ def test_a_batch_is_split_into_bounded_chunks(monkeypatch):
     members = [random_walk(rng, 3, 150) for _ in range(10)]
     demos = demo_set(members, REACH)
     shapes = []
-    kernel = fitness._one_way_matrix
+    kernel = fitness._chunk_minima
 
-    def recording(rows, row_lengths, columns, column_lengths):
-        shapes.append((len(rows), columns.shape[1]))
-        return kernel(rows, row_lengths, columns, column_lengths)
+    def recording(u, v):
+        shapes.append((u.shape[1] * v.shape[1], u.shape[2]))  # point pairs per pair, pairs
+        return kernel(u, v)
 
-    monkeypatch.setattr(fitness, "_one_way_matrix", recording)
+    monkeypatch.setattr(fitness, "_chunk_minima", recording)
     long_batch = [random_walk(rng, 3, 100) for _ in range(3)]
     short_batch = [random_walk(rng, 3, 3) for _ in range(5)]
-    # 100 rows against 1,500 columns exceed the bound alone; 5 x 3 rows do not
-    for batch, chunks in ((long_batch, 3), (short_batch, 1)):
+    # the long rows' 30 pairs with members, 100 x 150 points each, fit the bound
+    # four at a time, in 8 chunks, and their 3 pairs with each other in one; the
+    # short rows' pairs fit one chunk per pair of block sizes
+    for batch, chunks in ((long_batch, 9), (short_batch, 2)):
         shapes.clear()
         nearest = demos.nearest_distances(batch)
         sequential = demo_set(members, REACH)
@@ -493,7 +495,7 @@ def test_a_batch_is_split_into_bounded_chunks(monkeypatch):
             assert joint_fitness(trajectory, sequential, REACH, distance) == expected
             sequential.add(trajectory, expected.local_diversity, expected.certainty)
         assert len(shapes) == chunks
-    assert shapes[0][0] * shapes[0][1] <= fitness.MAX_MATRIX_ELEMENTS
+        assert all(elements * pairs <= fitness.MAX_PAIR_ELEMENTS for elements, pairs in shapes)
 
 
 def test_a_member_after_its_twin_in_a_batch_is_at_distance_zero(flat_spec):
@@ -527,12 +529,22 @@ def test_nearest_distance_is_infinite_with_nothing_to_compare():
 # the search's bound: one member's distance per row, and rows asked by index
 
 
+def paired_distances(rows, columns):
+    """The bound's one-way distance of each pair of blocks ``rows[k]``,
+    ``columns[k]``, from one ``joint_bounds`` call over a set of the columns."""
+    partners = [make_traj(points.tolist()) for points in columns]
+    bounds = demo_set(partners, REACH).joint_bounds(
+        [make_traj(points.tolist()) for points in rows], partners, REACH
+    )
+    return [distance for distance, _ in bounds]
+
+
 @pytest.mark.parametrize("lattice", [False, True])
 @pytest.mark.parametrize("lengths", [(1, 8), (9, 20), (129, 140)])
 def test_the_paired_kernel_equals_the_pairwise_reference(lengths, lattice):
-    # blocks of up to 7 points take the padded path, longer ones their own
-    # matrix, and each call mixes both; lattice points repeat within and
-    # across blocks, so minima tie, and some pairs are one block twice
+    # blocks of up to 31 points are one size in the kernel and longer ones
+    # sizes of their own, and each call mixes them; lattice points repeat
+    # within and across blocks, so minima tie, and some pairs are one block twice
     rng = np.random.default_rng(lengths[0] + lattice)
     for dims in (2, 3):
         rows, columns = [], []
@@ -550,8 +562,51 @@ def test_the_paired_kernel_equals_the_pairwise_reference(lengths, lattice):
             rows.append(u)
             columns.append(u.copy() if rng.random() < 0.15 else v)
         expected = [pairwise.one_way(u, v) for u, v in zip(rows, columns)]
-        assert fitness._paired_one_way(rows, columns) == expected
+        assert paired_distances(rows, columns) == expected
         assert 0.0 in expected
+
+
+# coordinates from a small lattice repeat within and across blocks and carry
+# both signed zeros; the floats make minima that do not tie
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]),
+                        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def block_pairs(draw):
+    """Two blocks of 1 to 300 points sharing 1 to 3 axes; short blocks are more likely."""
+    axes = draw(st.integers(1, 3))
+    point = st.tuples(*[coordinates] * axes)
+    length = st.one_of(st.integers(1, 9), st.integers(1, 40), st.integers(1, 300))
+    return tuple(draw(st.lists(point, min_size=n, max_size=n)) for n in (draw(length), draw(length)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=block_pairs())
+def test_the_kernel_equals_the_stated_order_in_plain_python(pair):
+    u, v = pair
+    expected = pairwise.one_way_in_order(u, v)
+    assert expected == pairwise.one_way(np.array(u), np.array(v))
+    # the exact pass and the bound, each in both orders
+    for first, second in ((u, v), (v, u)):
+        assert one_way_distance(make_traj(first), make_traj(second)) == expected
+        assert paired_distances([np.array(first)], [np.array(second)]) == [expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.lists(
+    st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=300), min_size=1, max_size=6
+))
+def test_the_ordered_sums_are_the_stated_order(columns):
+    # columns of many lengths share one array, as the kernel sums them; what
+    # lies past a column's length counts for nothing
+    lengths = np.array([len(column) for column in columns])
+    values = np.full((lengths.max(), len(columns)), 7.0)
+    for at, column in enumerate(columns):
+        values[: len(column), at] = column
+    got = fitness._ordered_sums(values, lengths).tolist()
+    assert got == list(map(pairwise.ordered_sum, columns))
+    assert got == [np.array(column).sum() for column in columns]
 
 
 @settings(max_examples=30, deadline=None)
