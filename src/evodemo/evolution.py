@@ -343,7 +343,7 @@ def evaluate_offspring(
     asked = None  # the rows the exact pass works out; None for all
     if population and rows and table is None:
         floor = min(individual.fitness.joint for individual in population)
-        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, None, env_spec)):
+        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, env_spec)):
             if joint <= floor:
                 bound[row] = distance
         asked = [row for row, distance in enumerate(bound) if distance is None]

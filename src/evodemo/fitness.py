@@ -20,39 +20,61 @@ demonstration set ``T``:
 
 Scoring against an empty demonstration set maxes out both context terms
 (1 and sqrt(2)); that sentinel lives in ``empty_set_components`` only.
+
 Members being compared against are excluded by object identity, never by
 value equality, so an individual's own stored demonstration does not shadow
 an identical twin contributed by someone else.
 
-The demonstration set caches each member's (local diversity, certainty)
-pair and counts its members per distinct pair, so the profile term
+Positions are read as arrays, from each trajectory's ``points``, which a
+rollout batch builds up front; no pass builds a trajectory's per-step
+records.  The demonstration set caches each member's (local diversity,
+certainty) pair; scoring a candidate never re-derives members.  The set
+counts its members per distinct profile, so the profile term
 (``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and
-``joint_bounds``) is a minimum over distinct pairs, or exactly 0 from one
-lookup when another member holds the candidate's own pair.  A value-equal
-copy of a member is at distance exactly 0; the search sets such a copy's
-distance itself (``evolution.evaluate_offspring``).
+``joint_bounds``) is a minimum over distinct pairs, or one lookup when
+another member holds the candidate's own pair, as it does for most
+candidates; the term is then exactly 0.  The set keeps no index of
+trajectories by value: a value-equal copy of a member is at distance
+exactly 0 because every point-to-point distance between equal positions is
+0, so it scores 0 on both context terms.  The search never sends such a
+copy to the distance pass; it sets the copy's distance to 0 itself
+(``evolution.evaluate_offspring``).
 
 ``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
-for a whole batch, each trajectory against the set as it will stand when
-it is scored.  ``DemonstrationSet.joint_bounds`` bounds each joint score
-from above with the distance to a single member, which lets the search
-skip the exact pass for offspring that cannot survive.  Both ask one
-kernel, ``_Blocks.one_way``, for exactly the pairs of position blocks they
-need: the set keeps its members' blocks in one persistent buffer and
-writes a batch's after them, so a batch's own pairs are the triangle a row
-can see.  Every block's minima are summed in the order ``_ordered_sums``
+for a whole batch of trajectories at once, each against the set as it will
+stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
+called alone, asks it for a batch of one.  Asked for some rows only, the
+pass works out just those, each still against every member and every row
+before it.  ``DemonstrationSet.joint_bounds`` gives the search a cheap
+upper bound on each joint score of a batch: the one-way distance to a
+single member, the one whose first and last positions lie nearest, bit for
+bit the entry the pass would give that pair, and the profile term over the
+members as they stand.  ``joint_fitness`` at that distance scores no higher
+than the bound, which is what lets the search skip the exact pass for
+offspring that cannot survive.
+
+Both ask one kernel, ``_Blocks.one_way``, for exactly the pairs of position
+blocks they need.  The set keeps its members' blocks in one persistent
+padded buffer, in insertion order, and writes a batch's blocks after them,
+so the pass works out only the pairs a row can see: the members and the
+batch rows before it, a triangle, with no element computed only to be
+masked.  Every block's minima are summed in the order ``_ordered_sums``
 states, numpy's pairwise summation, so every distance is bit for bit what
-numpy gives the pair alone (``tests/pairwise.py``).  On a grid, when every
-trajectory shares the tuples of the policy's ``rollout_table``, distances
-are read from the table, and the pairs it lacks are worked out once, over
-blocks the table keeps of its walked cells; so a search scores the same
-whatever the table held before it.
+numpy gives the pair alone (``tests/pairwise.py``).
+
+On a grid a rollout depends only on the policy and the start cell, so the
+search also passes the spec's ``rollout_table`` for the policy.  When every
+member and every trajectory of the batch shares that table's tuples, the
+pass reads each pair's distance from the table, working out only the pairs
+it lacks, with the same kernel over blocks the table keeps of its walked
+cells, and storing them there.  A table entry is therefore the distance the
+kernel gives, and a search scores the same whatever the table held before
+it.  ``ReachSpec`` answers no table.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -102,9 +124,13 @@ class DemonstrationSet:
     """Alive demonstrations with cached (D_l, C) profiles.
 
     Members are kept in insertion order, keyed by identity; slot ``k`` of
-    ``_blocks`` holds the ``k``-th member's positions.  The first read after
-    members come or go brings it up to date (``_sync``), in one compaction
-    and one write, so the offspring ``migrate`` drops are never written.
+    ``_blocks`` holds the ``k``-th member's positions, and a read writes its
+    batch's blocks into the slots after them (``_stage``).  The first read
+    after members come or go brings the slots up to date (``_sync``), in
+    one gather: a member whose positions a slot holds already, as a row of
+    the batch the last read staged does, is moved, not written again.  So
+    an offspring is written once, when it is scored, and the ones
+    ``migrate`` drops are never moved.
     """
 
     def __init__(self) -> None:
@@ -112,9 +138,10 @@ class DemonstrationSet:
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
         self._blocks = _Blocks()
-        self._slots: dict[int, int] = {}  # by id(entry): the slot of each member it holds
-        self._stale = False  # members came or went since the buffer was written
-        self._staged: tuple[Trajectory, ...] = ()  # the batch in the slots after them
+        # the ``points`` array whose block each slot holds, members' first; it
+        # keeps them alive, so no id among them is reused while they are listed
+        self._written: list[np.ndarray] = []
+        self._stale = False  # members came or went since the slots were brought up to date
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,8 +155,12 @@ class DemonstrationSet:
     def local_distance(self, trajectory: Trajectory, d_l: float, certainty: float) -> float | None:
         """Euclidean distance from ``(d_l, certainty)`` to the nearest (D_l, C)
         pair of a member other than ``trajectory`` itself; ``None`` when there
-        is no other member.  When another member holds the pair itself, it is
-        ``0.0`` from one lookup, as the scan would give: ``math.hypot(0.0, 0.0)``.
+        is no other member.
+
+        When a member other than ``trajectory`` holds the pair itself, the
+        answer is ``0.0`` from one lookup, which is what the scan over
+        distinct pairs gives: that pair's term is ``math.hypot(0.0, 0.0)``,
+        ``0.0``, and no term is negative.
         """
         own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
         for e in self._entries_of.get(id(trajectory), ()):
@@ -158,7 +189,7 @@ class DemonstrationSet:
         self._entries_of.setdefault(id(trajectory), []).append(entry)
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] = self._profiles.get(pair, 0) + 1
-        self._stale, self._staged = True, ()
+        self._stale = True
 
     def discard(self, trajectory: Trajectory) -> None:
         # identity-based: value-equal duplicates from other individuals survive
@@ -173,40 +204,37 @@ class DemonstrationSet:
         self._profiles[pair] -= 1
         if not self._profiles[pair]:
             del self._profiles[pair]
-        self._slots.pop(id(entry), None)
-        # the set holds no reference to what left it
-        self._stale, self._staged = True, ()
+        # the set holds no reference to what left it, only, until the next
+        # read, the positions its slot holds
+        self._stale = True
 
     def joint_bounds(
-        self,
-        trajectories: Sequence[Trajectory],
-        partners: Sequence[Trajectory] | None,
-        env_spec: EnvSpec,
+        self, trajectories: Sequence[Trajectory], env_spec: EnvSpec
     ) -> list[tuple[float, float]]:
         """An upper bound on each trajectory's joint score in a batch scored in
         order, as ``(distance, joint)``: the score at ``distance``.
 
-        The distance is to ``partners[k]``, a member, or with ``None`` to the
-        member whose first and last positions lie nearest (the oldest on a
-        tie), bit for bit that pair's entry in ``nearest_distances``.  The
-        profile term is ``local_distance`` over the members as they stand,
-        which the batch's earlier trajectories can only lower.
+        The distance is to the member whose first and last positions lie
+        nearest (the oldest on a tie), bit for bit that pair's entry in
+        ``nearest_distances``.  The profile term is ``local_distance`` over
+        the members as they stand, which the batch's earlier trajectories can
+        only lower.  Precondition: the set has a member, and no trajectory of
+        the batch is one (a member would be its own partner, at distance 0).
         """
         members = self._stage(trajectories)
-        rows = np.arange(members, members + len(trajectories))
-        if partners is None:  # each slot's first and last positions
-            blocks, slots = self._blocks, np.arange(rows[-1] + 1)
-            last = blocks.points[:, blocks.rows[blocks.lengths[slots] - 1, slots], slots]
-            ends = np.concatenate((blocks.points[:, 0, slots], last))
-            offsets = ends[:, rows, None] - ends[:, None, :members]
-            columns = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
-        else:
-            columns = np.array([self._slots[id(self._entries_of[id(partner)][0])]
-                                for partner in partners], dtype=np.intp)
-        distances = self._blocks.one_way(rows, columns, rows[-1] + 1).tolist()
+        end = members + len(trajectories)
+        blocks = self._blocks
+        slots = np.arange(end)
+        # each slot's first and last positions, side by side
+        last = blocks.points[:, blocks.rows[blocks.lengths[slots] - 1, slots], slots]
+        ends = np.concatenate((blocks.points[:, 0, slots], last))
+        offsets = ends[:, members:, None] - ends[:, None, :members]
+        partners = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
+        distances = blocks.one_way(slots[members:], partners, end).tolist()
         bounds = []
         for trajectory, distance in zip(trajectories, distances):
-            d_l, certainty = local_diversity(trajectory, env_spec), trajectory_certainty(trajectory)
+            d_l = local_diversity(trajectory, env_spec)
+            certainty = trajectory_certainty(trajectory)
             profile = self.local_distance(trajectory, d_l, certainty)
             bounds.append((distance, distance / env_spec.max_state_distance + profile))
         return bounds
@@ -222,10 +250,20 @@ class DemonstrationSet:
         Trajectory ``k`` is compared with every member and every one of
         ``trajectories[:k]`` but itself (by identity), as though each joined
         the set right after it was scored; ``inf`` when there is nothing to
-        compare with.  ``rows``, increasing indices, asks for those
-        trajectories only; left out, for all.  ``table`` is the policy's
-        ``rollout_table``, if it has one: when every member and trajectory
-        has a cell in it, each distance is read from it instead.
+        compare with.  ``rows``, increasing indices into ``trajectories``,
+        asks for those trajectories' distances only, each still against
+        everything before it; left out, it asks for all.  A value-equal copy
+        of any of those is at distance 0, worked out like any other.  The
+        members' blocks fill the buffer's first slots, in insertion order,
+        and the batch's follow; each asked row is paired with every slot
+        before its own that belongs to another object, and the kernel works
+        out those pairs only, in chunks of at most ``MAX_PAIR_ELEMENTS``
+        point pairs.
+
+        ``table`` is the spec's ``rollout_table`` for the policy that rolled
+        the trajectories out, if it has one.  When every member and every
+        trajectory has a cell in it, each distance is read from the table
+        instead, after the pairs it lacks are worked out and stored in it.
         """
         if rows is None:
             rows = range(len(trajectories))
@@ -251,26 +289,36 @@ class DemonstrationSet:
         return distances.min(axis=1).tolist()
 
     def _sync(self) -> int:
-        """Bring the buffer up to date with the members; return their count."""
+        """Bring the first slots up to date with the members, in insertion
+        order; return their count.  Each member's block is gathered from a
+        slot that holds its ``points`` (a twin's copy shares them), and only
+        the blocks no slot holds are written, after every written slot."""
         if self._stale:
             entries = list(self._entries.values())
-            kept = len(self._slots)  # the held members come first in insertion order
-            self._blocks.keep([self._slots[id(entry)] for entry in entries[:kept]])
-            if len(entries) > kept:
-                self._blocks.write(kept, [entry.trajectory for entry in entries[kept:]])
-            self._slots = {id(entry): slot for slot, entry in enumerate(entries)}
+            holding = {id(points): slot for slot, points in enumerate(self._written)}
+            sources = [holding.get(id(entry.trajectory.points)) for entry in entries]
+            missing = [entry.trajectory for entry, slot in zip(entries, sources) if slot is None]
+            if missing:
+                start = len(self._written)
+                self._blocks.write(start, missing)
+                fresh = iter(range(start, start + len(missing)))
+                sources = [next(fresh) if slot is None else slot for slot in sources]
+            self._blocks.keep(sources)
+            self._written = [entry.trajectory.points for entry in entries]
             self._stale = False
-        return len(self._slots)
+        return len(self._entries)
 
     def _stage(self, trajectories: Sequence[Trajectory]) -> int:
         """Write ``trajectories``' blocks into the slots after the members' and
-        return the members' count; the batch the last read staged is kept."""
-        members, staged = self._sync(), self._staged
-        if trajectories and not (
-            len(trajectories) <= len(staged) and all(map(operator.is_, trajectories, staged))
+        return the members' count; slots that hold a row's ``points`` already,
+        as after the bound when the exact pass asks for a prefix, are kept."""
+        members = self._sync()
+        staged = self._written[members:]
+        if len(trajectories) > len(staged) or not all(
+            trajectory.points is held for trajectory, held in zip(trajectories, staged)
         ):
             self._blocks.write(members, trajectories)
-            self._staged = tuple(trajectories)
+            self._written[members:] = [trajectory.points for trajectory in trajectories]
         return members
 
 
@@ -287,12 +335,20 @@ class _Blocks:
     def __init__(self) -> None:
         self.points = np.empty((0, 0, 0))
         self.rows = np.empty((0, 0), dtype=np.intp)
-        self.counts, self.lengths = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        self.counts = np.empty(0, dtype=np.intp)
+        self.lengths = np.empty(0, dtype=np.intp)
         self.distinct = False  # some block was stored as its distinct points
         self.slot_of: dict[int, int] = {}
 
     def keep(self, slots: list[int]) -> None:
-        """Move ``slots``, in order, to the front."""
+        """Gather ``slots``, in order, to the front; a slot may be named more
+        than once, and the buffer grows to hold them all."""
+        extra = len(slots) - len(self.counts)
+        if extra > 0:
+            self.points, self.rows, self.counts, self.lengths = (
+                np.pad(array, [(0, 0)] * (array.ndim - 1) + [(0, extra)])
+                for array in (self.points, self.rows, self.counts, self.lengths)
+            )
         for array in (self.points, self.rows, self.counts, self.lengths):
             array[..., : len(slots)] = array[..., slots]
 
@@ -304,22 +360,28 @@ class _Blocks:
         rows = np.minimum(np.arange(max(len(self.rows), lengths.max()))[:, None], lengths - 1)
         for k in np.flatnonzero((SHORT_BLOCK < lengths) & (lengths <= 128)).tolist():
             blocks[k], rows[: lengths[k], k] = trajectories[k].distinct_points
-            rows[lengths[k]:, k], self.distinct = rows[lengths[k] - 1, k], True
-        axes, old = {points.shape[1] for points in blocks}, self.points
+            rows[lengths[k]:, k] = rows[lengths[k] - 1, k]
+            self.distinct = True
+        axes = {points.shape[1] for points in blocks}
+        old = self.points
         if len(axes) > 1 or (start and axes != {len(old)}):
             raise ContractViolationError("demonstrations must share one position dimensionality")
         counts = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        width, end = max(old.shape[1], int(counts.max())), start + len(blocks)
+        width = max(old.shape[1], int(counts.max()))
+        end = start + len(blocks)
         if (axes != {len(old)} or width > old.shape[1] or len(rows) > len(self.rows)
                 or end > len(self.counts)):
             slots = max(end, 2 * len(self.counts))
             self.points = _grown(old, (axes.pop(), width, slots), start)
             self.rows = _grown(self.rows, (len(rows), slots), start)
-            self.counts, self.lengths = np.resize(self.counts, slots), np.resize(self.lengths, slots)
+            self.counts = np.resize(self.counts, slots)
+            self.lengths = np.resize(self.lengths, slots)
         # each block's stored points, then its last again up to the width
         at = np.cumsum(counts) - counts + np.minimum(np.arange(width)[:, None], counts - 1)
         self.points[:, :, start:end] = np.concatenate(blocks)[at].transpose(2, 0, 1)
-        self.rows[:, start:end], self.counts[start:end], self.lengths[start:end] = rows, counts, lengths
+        self.rows[:, start:end] = rows
+        self.counts[start:end] = counts
+        self.lengths[start:end] = lengths
 
     def one_way(self, left: np.ndarray, right: np.ndarray, end: int) -> np.ndarray:
         """The one-way distance of the blocks of slots ``left[k]`` and
@@ -345,10 +407,12 @@ class _Blocks:
             groups = [(pairs, left[pairs], right[pairs])
                       for pairs in (np.flatnonzero(keys == key) for key in sorted(set(keys.tolist())))]
         for pairs, u_slots, v_slots in groups:
-            u_width, v_width = int(counts[u_slots].max()), int(counts[v_slots].max())
+            u_width = int(counts[u_slots].max())
+            v_width = int(counts[v_slots].max())
             step = max(1, MAX_PAIR_ELEMENTS // (u_width * v_width))
             for begin in range(0, len(u_slots), step):
-                u, v = u_slots[begin : begin + step], v_slots[begin : begin + step]
+                u = u_slots[begin : begin + step]
+                v = v_slots[begin : begin + step]
                 minima = _chunk_minima(self.points[:, :u_width].take(u, axis=2),
                                        self.points[:, :v_width].take(v, axis=2))
                 if self.distinct:
@@ -356,7 +420,8 @@ class _Blocks:
                               for side, slots in zip(minima, (u, v))]
                 # both sides' minima side by side, as columns of one pass
                 values = np.zeros((max(map(len, minima)), 2 * len(u)))
-                values[: len(minima[0]), : len(u)], values[: len(minima[1]), len(u) :] = minima
+                values[: len(minima[0]), : len(u)] = minima[0]
+                values[: len(minima[1]), len(u) :] = minima[1]
                 sums = _ordered_sums(values, np.concatenate((lengths[u], lengths[v])))
                 at = slice(begin, begin + step) if pairs is None else pairs[begin : begin + step]
                 distances[at] = (sums[: len(u)] + sums[len(u) :]) / (lengths[u] + lengths[v])
@@ -417,9 +482,15 @@ def _table_distances(
     table: RolloutTable, cells: np.ndarray, at: np.ndarray, visible: np.ndarray
 ) -> np.ndarray:
     """The one-way distance of each asked row to each slot it sees, ``inf``
-    where it sees none, read from ``table``; ``cells`` holds every slot's
-    cell, ``at`` each row's own slot.  Each pair of cells the table lacks is
-    worked out once, over its blocks of the walked cells, and stored.
+    where it sees none, read from ``table``.
+
+    ``cells`` holds every slot's cell, ``at`` each asked row's own slot, in
+    increasing order, and ``visible`` is (rows, slots).  Each pair of cells
+    the table lacks is worked out once, by one ``_Blocks.one_way`` call over
+    the blocks the table keeps of its walked cells (a cell walked for the
+    first time is written to them first), and stored; a pair is keyed by
+    its unordered cells, so each is worked out once however many rows lack
+    it.
     """
     rows = cells[at, None]
     columns = cells[: visible.shape[1]]
@@ -481,7 +552,8 @@ def _ordered_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     width, columns = values.shape
     if width > 128 and (lengths != width).any():  # a pass per length above 128, one for the rest
-        sums, keys = np.empty(columns), np.where(lengths > 128, lengths, 0)
+        sums = np.empty(columns)
+        keys = np.where(lengths > 128, lengths, 0)
         for key in set(keys.tolist()):
             at = np.flatnonzero(keys == key)
             sums[at] = _ordered_sums(values[: key or 128, at], lengths[at])
@@ -494,13 +566,15 @@ def _ordered_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if width < 8:
         total, *rest = values * (at < lengths)
     else:  # lane j adds values j, j + 8, ... of each column's first n - n % 8
-        laned, lanes = lengths - lengths % 8, np.zeros((8, columns))
+        laned = lengths - lengths % 8
+        lanes = np.zeros((8, columns))
         for start in range(0, width - width % 8, 8):
             lanes += values[start : start + 8] * (start < laned)
         lanes = lanes[0::2] + lanes[1::2]  # l0 + l1, l2 + l3, l4 + l5, l6 + l7
         lanes = lanes[0::2] + lanes[1::2]
         after = laned + at[:7]  # each column's up to 7 values after the lanes
-        total, rest = lanes[0] + lanes[1], values[np.minimum(after, width - 1), range(columns)]
+        total = lanes[0] + lanes[1]
+        rest = values[np.minimum(after, width - 1), range(columns)]
         rest *= after < lengths
     for row in rest:  # added one after another; a zero leaves a non-negative sum as it is
         total = total + row

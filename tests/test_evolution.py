@@ -799,7 +799,7 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
             patch.setattr(evolution, "migrate", migrate)
             if not pruning:  # no bound is low enough: every row goes through the exact pass
                 patch.setattr(fitness.DemonstrationSet, "joint_bounds",
-                              lambda demos, rows, partners, env_spec: [(0.0, math.inf)] * len(rows))
+                              lambda demos, rows, env_spec: [(0.0, math.inf)] * len(rows))
             result = run(spec, policy, config, observer)
         if not pruning:
             assert not pruned

@@ -346,17 +346,25 @@ def test_the_profile_term_equals_the_scan_over_the_other_members(walks, fresh, a
     for trajectory in scored:
         expected = pairwise.joint_fitness(trajectory, demos, REACH)
         assert joint_fitness(trajectory, demos, REACH) == expected
-    if len(members) == 1:  # a lone member has no other member to be bounded by
-        scored = scored[1:]
-    partners = [members[-1] if trajectory is members[0] else members[0] for trajectory in scored]
+    # the bound, for rows that are not members: each is paired with the
+    # member whose first and last positions lie nearest, the oldest on a tie
+    # (lattice walks, so the squared distances are exact in any order)
+    bounded = scored[len(members):]
     expected = []
-    for trajectory, partner in zip(scored, partners):
+    for trajectory in bounded:
+        partner = min(demos, key=lambda e: _ends_squared(trajectory, e.trajectory)).trajectory
         distance = pairwise.one_way(pairwise.points(trajectory), pairwise.points(partner))
         profile = pairwise.local_distance(
             trajectory, local_diversity(trajectory, REACH), trajectory_certainty(trajectory), demos
         )
         expected.append((distance, distance / REACH.max_state_distance + profile))
-    assert demos.joint_bounds(scored, partners, REACH) == expected
+    assert demos.joint_bounds(bounded, REACH) == expected
+
+
+def _ends_squared(u, v):
+    """The squared distance of ``u``'s first and last positions to ``v``'s."""
+    pu, pv = pairwise.points(u), pairwise.points(v)
+    return sum((a - b) ** 2 for a, b in zip((*pu[0], *pu[-1]), (*pv[0], *pv[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +526,28 @@ def test_members_must_share_one_dimensionality(flat_spec):
     assert len(demos) == 1
 
 
+def test_members_sharing_one_position_array_are_gathered_from_its_slot():
+    # a twin's copy shares its original's points, so the buffer brings more
+    # members up to date than it has slots, each from the one slot holding them
+    walk = make_traj([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
+    other = make_traj([(3.0, 1.0), (2.5, 2.5)])
+    demos = demo_set([walk], REACH)
+    assert demos.nearest_distances([other]) == [
+        pairwise.one_way(pairwise.points(other), pairwise.points(walk))
+    ]
+    twins = [walk.copy() for _ in range(4)]
+    for twin in twins:
+        demos.add(twin, local_diversity(twin, REACH), trajectory_certainty(twin))
+    demos.discard(walk)
+    fresh = make_traj([(5.0, 5.0), (4.0, 4.5)])
+    assert demos.nearest_distances([fresh]) == [
+        pairwise.one_way(pairwise.points(fresh), pairwise.points(walk))
+    ]
+    assert demos._sync() == len(twins)
+    for slot in range(len(twins)):
+        assert demos._blocks.points[:, :3, slot].T.tobytes() == walk.points.tobytes()
+
+
 def test_nearest_distance_is_infinite_with_nothing_to_compare():
     alone = make_traj([(1.0, 1.0), (1.0, 2.0)])
     assert DemonstrationSet().nearest_distances([alone]) == [math.inf]
@@ -530,13 +560,12 @@ def test_nearest_distance_is_infinite_with_nothing_to_compare():
 
 
 def paired_distances(rows, columns):
-    """The bound's one-way distance of each pair of blocks ``rows[k]``,
-    ``columns[k]``, from one ``joint_bounds`` call over a set of the columns."""
-    partners = [make_traj(points.tolist()) for points in columns]
-    bounds = demo_set(partners, REACH).joint_bounds(
-        [make_traj(points.tolist()) for points in rows], partners, REACH
-    )
-    return [distance for distance, _ in bounds]
+    """The kernel's one-way distance of each pair of blocks ``rows[k]``,
+    ``columns[k]``, from one ``_Blocks.one_way`` call over a buffer of both."""
+    blocks = fitness._Blocks()
+    blocks.write(0, [make_traj(points.tolist()) for points in (*rows, *columns)])
+    left = np.arange(len(rows))
+    return blocks.one_way(left, left + len(rows), 2 * len(rows)).tolist()
 
 
 @pytest.mark.parametrize("lattice", [False, True])
@@ -591,6 +620,9 @@ def test_the_kernel_equals_the_stated_order_in_plain_python(pair):
     for first, second in ((u, v), (v, u)):
         assert one_way_distance(make_traj(first), make_traj(second)) == expected
         assert paired_distances([np.array(first)], [np.array(second)]) == [expected]
+        # the bound, from a set whose one member is the partner
+        bounds = demo_set([make_traj(second)], REACH).joint_bounds([make_traj(first)], REACH)
+        assert bounds[0][0] == expected
 
 
 @settings(max_examples=100, deadline=None)
