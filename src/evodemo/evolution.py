@@ -1,12 +1,11 @@
 """Population loop evolving disturbed start states into diverse demonstrations.
 
 The demonstration set and the population move in lock-step: every evaluated
-individual appends its trajectory to the set before the next one is scored,
+offspring appends its trajectory to the set before the next one is scored,
 so scores depend on evaluation order by design.  A stored score is never
 recomputed; selection and survival always compare the score an individual
-earned at its own evaluation time.  After survivor selection the trajectories
-of dropped individuals leave the demonstration set again, keeping set and
-population identical.
+earned at its own evaluation time.  Trajectories that do not survive leave
+the set again, keeping set and population identical.
 
 Per generation, ``ceil(n * crossover_probability)`` children come from
 tournament-selected parent pairs and ``ceil(n * mutation_probability)``
@@ -18,36 +17,42 @@ Offspring whose genome decodes to an invalid start state are dropped without
 replacement.  Survivor selection keeps the top ``n`` by stored score.  Both
 resolve score ties toward older individuals.
 
+Offspring stay plain values, ``(id, genome value, start state)``, until they
+are scored, and only those that can survive become ``Individual``s.  Every
+member is older than every offspring, and ties go to the older, so from
+generation 1 on an offspring whose stored joint is at most the population's
+weakest stored joint ``T`` is dropped by ``migrate`` whatever else the
+generation holds, and appears in no result, history entry, observer call or
+bundle.  It is still scored once, in creation order, and stays in the set
+for the offspring after it; then its trajectory leaves the set, and it never
+gets an ``Individual`` or a ``BitGenome``.
+
 Rollouts are pure functions of the start state, so a candidate whose start
 is held by a live individual (the population, or an offspring already
 evaluated this generation) is a twin: it takes over that individual's
 rollout instead of running its own, and its nearest distance is 0 with no
-distance work.  Starts are told apart by their ``key``, a plain tuple made
-once per start, never by hashing the start itself.  The distinct starts no
-live individual holds are rolled out together, in one ``env_spec.rollouts``
-call per batch, and their distances come from one ``nearest_distances``
-pass, given the spec's ``rollout_table`` for the policy: a grid remembers
-each cell's rollout and each scored pair's distance for as long as the
-policy lives; the reach task has no table.
+distance work, so it scores 0, at most ``T``.  Starts are told apart by
+their ``key``, a plain tuple made once per start, never by hashing the start
+itself.  The distinct starts no live individual holds are rolled out
+together, in one ``env_spec.rollouts`` call per batch, and their distances
+come from one ``nearest_distances`` pass, given the spec's
+``rollout_table`` for the policy: a grid remembers each cell's rollout and
+each scored pair's distance for as long as the policy lives; the reach task
+has no table.
 
-Without a table, most offspring of a generation are worked out only far
-enough to show that they cannot survive.  Every member is older than every
-offspring, and ties go to the older, so an offspring whose stored joint is
-at most the population's weakest stored joint ``T`` is dropped by
-``migrate``.  ``DemonstrationSet.joint_bounds`` bounds each fresh rollout's
-joint from above: its distance to the member the set finds with the
-nearest first and last positions, which is at least its nearest distance,
-and its profile distance to the members alone, which the offspring scored
-before it can only lower.  A rollout whose bound is at most ``T`` skips the
-exact pass and is scored, still once and in creation order, at its bound
-distance; that score is at most ``T`` as well, so ``migrate`` drops it and
-no result, history entry or observer call sees it.  Until then it stays in
-the set, as columns for later rows and as a profile, exactly as it would
-at its exact score.
+Without a table, most offspring are worked out only far enough to show that
+they cannot survive.  ``DemonstrationSet.joint_bounds`` bounds each fresh
+rollout's joint from above: its distance to the member the set finds with
+the nearest first and last positions, which is at least its nearest
+distance, and its profile distance to the members alone, which the
+offspring scored before it can only lower.  A rollout whose bound is at
+most ``T`` skips the exact pass and is scored at its bound distance, so its
+score is at most ``T`` too.  Until its batch is scored it stays in the set,
+as columns for later rows and as a profile, as it would at its exact score.
 
 Work is done once: an individual's ``IndividualSnapshot`` for the history
-on first use, and a rollout's local diversity and mean certainty, which the
-bound and the score share (``Trajectory.distinct_points``,
+on first use, a run's draw bounds, and a rollout's local diversity and mean
+certainty, which the bound and the score share (``Trajectory.distinct_points``,
 ``Trajectory.mean_certainty``).  The search reads a trajectory's positions,
 certainties and step count, never its per-step records, which a reach
 rollout builds only when an observer, an export or a caller reads them.
@@ -69,6 +74,16 @@ from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
 from .policy import Policy
 
 MAX_SAMPLING_ATTEMPTS = 10_000
+# a generation draws at most ``population_size * (2 * tournament_size + 3)``
+# numbers, whose bounds are kept for the run: at both caps, two 16 MB arrays
+MAX_POPULATION_SIZE = 10_000
+MAX_TOURNAMENT_SIZE = 100
+_COUNT_RANGES = {  # each integer setting's inclusive range
+    "population_size": (2, MAX_POPULATION_SIZE),
+    "generations": (1, math.inf),
+    "tournament_size": (1, MAX_TOURNAMENT_SIZE),
+    "bits_per_dimension": (1, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -82,34 +97,19 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations", "tournament_size", "bits_per_dimension"):
+        for name, (low, high) in _COUNT_RANGES.items():
             value = getattr(self, name)
             if not is_int(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.population_size < 2:
-            raise ConfigurationError("population_size must be at least 2")
-        if self.generations < 1:
-            raise ConfigurationError("generations must be at least 1")
+            if not low <= value <= high:
+                limit = f"at least {low}" if value < low else f"at most {high}"
+                raise ConfigurationError(f"{name} must be {limit}, got {value!r}")
         for name in ("crossover_probability", "mutation_probability"):
             value = getattr(self, name)
             if not (is_finite_number(value) and 0.0 <= value <= 1.0):
                 raise ConfigurationError(f"{name} must be a number in [0, 1], got {value!r}")
-        if self.tournament_size < 1:
-            raise ConfigurationError("tournament_size must be at least 1")
-        if self.bits_per_dimension < 1:
-            raise ConfigurationError("bits_per_dimension must be at least 1")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """An offspring before evaluation: genome and decoded start state only."""
-
-    id: int
-    genome: BitGenome
-    initial_state: object
-    birth_generation: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def init_population(
     environment whose valid starts are too sparse to hit within
     ``MAX_SAMPLING_ATTEMPTS`` draws is a configuration error.
     """
-    candidates: list[Candidate] = []
+    candidates = []
     for index in range(config.population_size):
         for _ in range(MAX_SAMPLING_ATTEMPTS):
             genome = random_genome(rng, encoding_spec)
@@ -174,57 +174,68 @@ def init_population(
             if state is not None:
                 break
         else:
-            raise ConfigurationError(
-                f"no valid start state found in {MAX_SAMPLING_ATTEMPTS} attempts"
-            )
-        candidates.append(Candidate(index, genome, state, birth_generation=0))
+            raise ConfigurationError(f"no valid start found in {MAX_SAMPLING_ATTEMPTS} attempts")
+        candidates.append((index, genome.value, state))
     demos = DemonstrationSet()
-    return evaluate_offspring(candidates, demos, env_spec, policy, population=()), demos
+    length = encoding_spec.genome_length
+    return evaluate_offspring(candidates, 0, length, demos, env_spec, policy, ()), demos
 
 
 def make_offspring(
-    population: list[Individual],
+    population: Sequence[Individual],
     config: EvolutionConfig,
     encoding_spec: EncodingSpec,
     env_spec: EnvSpec,
     rng: np.random.Generator,
-    generation: int,
     first_id: int,
-) -> list[Candidate]:
-    """Create this generation's unevaluated offspring, children before mutants.
+) -> list[tuple[int, int, object]]:
+    """Create this generation's unevaluated offspring, children before mutants,
+    as ``(id, genome value, start state)``; ids count from ``first_id``.
 
     One ``rng.integers`` call (none when no offspring are due) draws, per child,
     ``tournament_size`` indices into ``population`` for each of two tournaments
     and then a cut in ``[1, L)``; per mutant, a parent index and then a bit in
     ``[0, L)``, counted from the most significant.  A tournament's winner is the
     contender first in ``_rank`` order, whatever order ``population`` is in.
-    All offspring are decoded and checked in one pass, which draws nothing.
+    All offspring are decoded and checked in one pass, which draws nothing;
+    an invalid start is dropped and takes no id.
     """
     children = math.ceil(config.population_size * config.crossover_probability)
     mutants = math.ceil(config.population_size * config.mutation_probability)
     n, t, length = len(population), config.tournament_size, encoding_spec.genome_length
     if children and length < 2:
         raise ContractViolationError("crossover needs genomes of length at least 2")
-    lows = ([0] * (2 * t) + [1]) * children + [0, 0] * mutants
-    if not lows:
+    if not children + mutants:
         return []
-    highs = ([n] * (2 * t) + [length]) * children + [n, length] * mutants
-    draws = rng.integers(lows, highs).tolist()
+    draws = rng.integers(*_draw_bounds(n, t, length, children, mutants))
 
-    rank = list(map(_rank, population))
+    # each individual's place in _rank order, so a tournament is a minimum of ints
+    ranked = sorted(range(n), key=lambda k: _rank(population[k]))
+    place = np.empty(n, dtype=np.intp)
+    place[ranked] = np.arange(n)
+    genomes = [population[k].genome.value for k in ranked]
+    crossings = draws[: children * (2 * t + 1)].reshape(children, 2 * t + 1)
+    winners = place[crossings[:, :-1]].reshape(children, 2, t).min(axis=2).tolist()
     values = []
-    for at in range(0, children * (2 * t + 1), 2 * t + 1):
-        first = population[min(draws[at:at + t], key=rank.__getitem__)].genome.value
-        second = population[min(draws[at + t:at + 2 * t], key=rank.__getitem__)].genome.value
-        tail = (1 << (length - draws[at + 2 * t])) - 1  # the bits after the cut
-        values.append((first & ~tail) | (second & tail))
-    for at in range(children * (2 * t + 1), len(draws), 2):
-        values.append(population[draws[at]].genome.value ^ (1 << (length - 1 - draws[at + 1])))
+    for (first, second), cut in zip(winners, crossings[:, -1].tolist()):
+        tail = (1 << (length - cut)) - 1  # the bits after the cut
+        values.append((genomes[first] & ~tail) | (genomes[second] & tail))
+    for parent, bit in draws[children * (2 * t + 1):].reshape(mutants, 2).tolist():
+        values.append(population[parent].genome.value ^ (1 << (length - 1 - bit)))
 
     states = env_spec.starts_from_vectors(decode_values(values, encoding_spec))
     kept = [(value, state) for value, state in zip(values, states) if state is not None]
-    return [Candidate(first_id + k, BitGenome(value, length), state, generation)
-            for k, (value, state) in enumerate(kept)]
+    return [(first_id + k, value, state) for k, (value, state) in enumerate(kept)]
+
+
+@functools.lru_cache(maxsize=1)  # a run draws with the same bounds every generation
+def _draw_bounds(n: int, t: int, length: int, children: int, mutants: int) -> tuple:
+    """The ``rng.integers`` bounds of one generation's draw, read-only: callers share them."""
+    bounds = (np.array(([0] * (2 * t) + [1]) * children + [0, 0] * mutants),
+              np.array(([n] * (2 * t) + [length]) * children + [n, length] * mutants))
+    for array in bounds:
+        array.flags.writeable = False
+    return bounds
 
 
 def migrate(
@@ -238,7 +249,7 @@ def migrate(
     Ties prefer older individuals.  Trajectories of dropped individuals leave
     the demonstration set so it stays the exact image of the population.
     """
-    merged = _sorted_population(list(population) + list(offspring))
+    merged = sorted(list(population) + list(offspring), key=_rank)
     kept, dropped = merged[:population_size], merged[population_size:]
     for individual in dropped:
         demos.discard(individual.trajectory)
@@ -279,82 +290,76 @@ def _run(
     rng = np.random.default_rng(config.seed)
     encoding_spec = env_spec.encoding_spec(config.bits_per_dimension)
     population, demos = init_population(config, env_spec, encoding_spec, policy, rng)
-    population = _sorted_population(population)
-    history = [_generation_stats(0, population, tuple(sorted(i.id for i in population)))]
+    population = sorted(population, key=_rank)
+    history = [_generation_stats(0, population)]
     if observer is not None:
         observer(0, population, demos)
 
     next_id = config.population_size
+    length = encoding_spec.genome_length
     for generation in range(1, generations + 1):
-        candidates = make_offspring(
-            population, config, encoding_spec, env_spec, rng, generation, next_id
-        )
+        candidates = make_offspring(population, config, encoding_spec, env_spec, rng, next_id)
         next_id += len(candidates)
-        offspring = evaluate_offspring(candidates, demos, env_spec, policy, population)
-        previous_ids = {individual.id for individual in population}
+        offspring = evaluate_offspring(
+            candidates, generation, length, demos, env_spec, policy, population
+        )
         population = migrate(population, offspring, config.population_size, demos)
-        admitted = tuple(sorted(i.id for i in population if i.id not in previous_ids))
-        history.append(_generation_stats(generation, population, admitted))
+        history.append(_generation_stats(generation, population))
         if observer is not None:
             observer(generation, population, demos)
 
-    return RunResult(
-        env_spec=env_spec,
-        config=config,
-        population=tuple(population),
-        history=tuple(history),
-    )
+    return RunResult(env_spec, config, tuple(population), tuple(history))
 
 
 def evaluate_offspring(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[tuple[int, int, object]],
+    generation: int,
+    genome_length: int,
     demos: DemonstrationSet,
     env_spec: EnvSpec,
     policy: Policy,
     population: Sequence[Individual],
 ) -> list[Individual]:
-    """Evaluate offspring strictly in creation order; the set grows in between.
+    """Score ``(id, genome value, start state)`` offspring born in ``generation``
+    in creation order, each with one ``joint_fitness`` call and one
+    ``demos.add``, and return as individuals those that can survive.
 
-    An offspring whose start equals that of an individual of ``population``,
-    or of an offspring evaluated before it, is a twin: it takes over that
-    rollout and is scored at distance 0 without entering the distance pass.
-    Without a rollout table, a fresh offspring whose joint bound is at most
-    the weakest stored joint of ``population`` is scored at its bound
-    distance instead of its nearest: its stored score is then an upper-bound
-    score, at most that weakest joint, and ``migrate`` against
-    ``population`` drops it.  Precondition: every trajectory of
-    ``population`` is a member of ``demos``; a twin's distance of 0 and
-    the bound rely on it.
+    A twin (an offspring whose start an individual of ``population`` or an
+    earlier offspring holds) takes over that rollout at distance 0.  Without
+    a rollout table, a fresh offspring whose joint bound is at most ``T``,
+    the weakest stored joint of ``population``, is scored at its bound
+    distance.  An offspring whose stored joint is at most ``T`` becomes no
+    individual, and its trajectory leaves ``demos`` once all are scored:
+    ``migrate`` against a full ``population`` would drop it.  Precondition:
+    every trajectory of ``population`` is a member of ``demos``.
     """
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
     # depends on (and extends) the demonstration set, in creation order
     held = {individual.initial_state.key: individual.trajectory for individual in population}
+    keys = [state.key for _, _, state in candidates]
     fresh_starts: dict[tuple, object] = {}
-    for candidate in candidates:
-        if candidate.initial_state.key not in held:
-            fresh_starts.setdefault(candidate.initial_state.key, candidate.initial_state)
+    for key, (_, _, state) in zip(keys, candidates):
+        if key not in held:
+            fresh_starts.setdefault(key, state)
     fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, list(fresh_starts.values()))))
     rows = list(fresh.values())
     table = env_spec.rollout_table(policy)
-    # rows whose bound shows they cannot survive skip the exact pass (see the
-    # module docstring); a table already makes an exact distance a lookup
+    floor = min((individual.fitness.joint for individual in population), default=-math.inf)
+    # a row whose bound shows it cannot survive skips the exact pass and keeps its
+    # bound distance (see the module docstring); a table makes an exact one a lookup
     bound: list[float | None] = [None] * len(rows)
     asked = None  # the rows the exact pass works out; None for all
     if population and rows and table is None:
-        floor = min(individual.fitness.joint for individual in population)
-        for row, (distance, joint) in enumerate(demos.joint_bounds(rows, env_spec)):
-            if joint <= floor:
-                bound[row] = distance
+        bound = [d if joint <= floor else None for d, joint in demos.joint_bounds(rows, env_spec)]
         asked = [row for row, distance in enumerate(bound) if distance is None]
     # the set each fresh rollout is scored against is known before any is
     # scored, so one pass does their distance work; a twin scored in between
     # adds only positions the set holds already, which moves no minimum
     exact = iter(demos.nearest_distances(rows, table, asked))
     distances = iter([next(exact) if distance is None else distance for distance in bound])
-    individuals = []
-    for candidate in candidates:
-        key = candidate.initial_state.key
+    individuals, dropped = [], []
+    for key, (the_id, value, state) in zip(keys, candidates):
         twin = held.get(key)
         if twin is None:
             trajectory = held[key] = fresh[key]
@@ -365,14 +370,13 @@ def evaluate_offspring(
             trajectory, distance = twin.copy(), 0.0
         components = joint_fitness(trajectory, demos, env_spec, distance)
         demos.add(trajectory, components.local_diversity, components.certainty)
-        individuals.append(Individual(
-            id=candidate.id,
-            genome=candidate.genome,
-            initial_state=candidate.initial_state,
-            trajectory=trajectory,
-            fitness=components,
-            birth_generation=candidate.birth_generation,
-        ))
+        if components.joint <= floor:
+            dropped.append(trajectory)
+        else:
+            individuals.append(Individual(the_id, BitGenome(value, genome_length), state,
+                                          trajectory, components, generation))
+    for trajectory in dropped:
+        demos.discard(trajectory)
     return individuals
 
 
@@ -380,18 +384,13 @@ def _rank(individual: Individual) -> tuple[float, int]:
     return (-individual.fitness.joint, individual.id)  # best stored score first, then oldest
 
 
-def _sorted_population(individuals: list[Individual]) -> list[Individual]:
-    return sorted(individuals, key=_rank)
-
-
-def _generation_stats(
-    generation: int, population: list[Individual], admitted: tuple[int, ...]
-) -> GenerationStats:
+def _generation_stats(generation: int, population: list[Individual]) -> GenerationStats:
+    """The record of ``population`` after ``generation``, whose offspring it admitted."""
     joints = [individual.fitness.joint for individual in population]
     return GenerationStats(
         generation=generation,
         individuals=tuple(individual.snapshot for individual in population),
         mean_joint=sum(joints) / len(joints),
         max_joint=max(joints),
-        admitted_ids=admitted,
+        admitted_ids=tuple(sorted(i.id for i in population if i.birth_generation == generation)),
     )

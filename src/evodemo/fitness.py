@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def empty_set_components(local_diversity: float, certainty: float) -> FitnessCom
     )
 
 
-@dataclass(frozen=True)
-class DemoEntry:
+class DemoEntry(NamedTuple):
     trajectory: Trajectory
     local_diversity: float
     certainty: float
@@ -129,8 +128,8 @@ class DemonstrationSet:
     after members come or go brings the slots up to date (``_sync``), in
     one gather: a member whose positions a slot holds already, as a row of
     the batch the last read staged does, is moved, not written again.  So
-    an offspring is written once, when it is scored, and the ones
-    ``migrate`` drops are never moved.
+    an offspring is written once, when it is scored, and the ones that do
+    not survive are never moved.
     """
 
     def __init__(self) -> None:
@@ -142,6 +141,7 @@ class DemonstrationSet:
         # keeps them alive, so no id among them is reused while they are listed
         self._written: list[np.ndarray] = []
         self._stale = False  # members came or went since the slots were brought up to date
+        self._axes: int | None = None  # the members' position dimensionality, once read
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -162,28 +162,26 @@ class DemonstrationSet:
         distinct pairs gives: that pair's term is ``math.hypot(0.0, 0.0)``,
         ``0.0``, and no term is negative.
         """
-        own: dict[tuple[float, float], int] = {}  # its entries per pair, if a member
-        for e in self._entries_of.get(id(trajectory), ()):
-            pair = (e.local_diversity, e.certainty)
-            own[pair] = own.get(pair, 0) + 1
-        pair = (d_l, certainty)
-        if self._profiles.get(pair, 0) > own.get(pair, 0):
+        profiles = self._profiles
+        entries = self._entries_of.get(id(trajectory))
+        if entries:  # a member's own pair counts only while another member holds it too
+            profiles = dict(profiles)
+            for e in entries:
+                profiles[e.local_diversity, e.certainty] -= 1
+            profiles = {pair: count for pair, count in profiles.items() if count}
+        if (d_l, certainty) in profiles:
             return 0.0
         # math.hypot per pair, not np.hypot: the two differ in the last bit on
-        # some inputs, and stored scores must not move; an own pair stays
-        # while another member holds it too
-        return min(
-            (math.hypot(d_l - other_d_l, certainty - c)
-             for (other_d_l, c), count in self._profiles.items()
-             if count > own.get((other_d_l, c), 0)),
-            default=None,
-        )
+        # some inputs, and stored scores must not move
+        return min((math.hypot(d_l - other_d_l, certainty - c) for other_d_l, c in profiles),
+                   default=None)
 
     def add(self, trajectory: Trajectory, local_diversity: float, certainty: float) -> None:
-        if self._entries and (
-            trajectory.points.shape[1] != next(iter(self)).trajectory.points.shape[1]
-        ):
-            raise ContractViolationError("members must share one position dimensionality")
+        if self._entries:  # a lone member's positions are not read until a pass needs them
+            if self._axes is None:
+                self._axes = next(iter(self)).trajectory.points.shape[1]
+            if trajectory.points.shape[1] != self._axes:
+                raise ContractViolationError("members must share one position dimensionality")
         entry = DemoEntry(trajectory, float(local_diversity), float(certainty))
         self._entries[id(entry)] = entry
         self._entries_of.setdefault(id(trajectory), []).append(entry)
@@ -200,6 +198,8 @@ class DemonstrationSet:
         if not entries:
             del self._entries_of[id(trajectory)]
         del self._entries[id(entry)]
+        if not self._entries:
+            self._axes = None
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] -= 1
         if not self._profiles[pair]:

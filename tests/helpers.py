@@ -4,7 +4,12 @@ Each is a thin composition of public library names, kept here because only
 tests need it.  The tuple-of-bits variation operators and
 ``reference_offspring`` are the per-candidate offspring path that
 ``evolution.make_offspring`` replaces with one batch pass; tests hold the
-batch pass equal to it.
+batch pass equal to it.  The reference path builds its own candidates, the
+``(id, genome value, start state)`` triples ``make_offspring`` returns.
+``reference_evaluate`` scores them one at a time, each with its own rollout
+and distance pass, into an ``Individual`` per candidate, and leaves it to
+``migrate`` to drop every one that cannot survive; the search makes
+individuals only of offspring that can.
 """
 
 from __future__ import annotations
@@ -15,8 +20,13 @@ import numpy as np
 
 from evodemo.encoding import BitGenome, decode
 from evodemo.environments import N_ACTIONS, GridSpec, GridState, ReachState
-from evodemo.evolution import Candidate
-from evodemo.fitness import DemonstrationSet, local_diversity, trajectory_certainty
+from evodemo.evolution import Individual
+from evodemo.fitness import (
+    DemonstrationSet,
+    joint_fitness,
+    local_diversity,
+    trajectory_certainty,
+)
 from evodemo.policy import TabularPolicy
 from evodemo.report import BoxplotStats
 from evodemo.rollout import Trajectory
@@ -75,7 +85,7 @@ def state_from_vector(env_spec, values):
     return ReachState(tuple(values[:env_spec.dims]), tuple(values[env_spec.dims:]))
 
 
-def reference_offspring(population, config, encoding_spec, env_spec, rng, generation, first_id):
+def reference_offspring(population, config, encoding_spec, env_spec, rng, first_id):
     """``make_offspring`` one scalar draw, one genome, one decode and one
     ``validate_initial`` call at a time."""
     genomes = []
@@ -91,8 +101,22 @@ def reference_offspring(population, config, encoding_spec, env_spec, rng, genera
         genome = genome_from_string("".join(map(str, bits)))
         state = state_from_vector(env_spec, decode(genome, encoding_spec))
         if env_spec.validate_initial(state) is None:
-            candidates.append(Candidate(first_id + len(candidates), genome, state, generation))
+            candidates.append((first_id + len(candidates), genome.value, state))
     return candidates
+
+
+def reference_evaluate(candidates, generation, genome_length, demos, env_spec, policy, population):
+    """``evaluate_offspring`` one candidate at a time, every candidate an
+    ``Individual``: a rollout of its own start, a ``joint_fitness`` call that
+    works out its nearest distance alone, and an ``add``."""
+    individuals = []
+    for the_id, value, state in candidates:
+        (trajectory,) = env_spec.rollouts(policy, [state])
+        components = joint_fitness(trajectory, demos, env_spec)
+        demos.add(trajectory, components.local_diversity, components.certainty)
+        individuals.append(Individual(the_id, BitGenome(value, genome_length), state, trajectory,
+                                      components, generation))
+    return individuals
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:

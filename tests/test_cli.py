@@ -229,6 +229,8 @@ def test_policy_file_that_does_not_fit_exits_one_naming_the_file(tmp_path, capsy
     [
         ("evolution: {population_size: ten}", "population_size"),
         ("evolution: {tournament_size: 2.5}", "tournament_size"),
+        ("evolution: {tournament_size: 1000000000}", "tournament_size"),  # above the cap
+        ("evolution: {population_size: 1000000000}", "population_size"),
         ("evolution: {generations: true}", "generations"),
         ("evolution: {crossover_probability: high}", "crossover_probability"),
         ("evolution: {mutation_probability: true}", "mutation_probability"),

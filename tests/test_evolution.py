@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlearning_reference as reference
-from helpers import reference_offspring
+from helpers import reference_evaluate, reference_offspring
 from evodemo import evolution, fitness
 from evodemo.encoding import BitGenome, EncodingSpec, random_genome
 from evodemo.environments import (
@@ -27,7 +27,8 @@ from evodemo.environments import (
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import (
-    Candidate,
+    MAX_POPULATION_SIZE,
+    MAX_TOURNAMENT_SIZE,
     EvolutionConfig,
     Individual,
     baseline,
@@ -129,13 +130,18 @@ def test_offspring_counts_follow_ceil_rule(flat_spec, well_trained_policy):
     config = EvolutionConfig(seed=1)
     encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
-    population, _ = init_population(config, flat_spec, encoding, well_trained_policy, rng)
-    candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
+    population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
+    candidates = make_offspring(population, config, encoding, flat_spec, rng, first_id=10)
     # every FlatGrid11 interior cell is a valid start, so none are filtered
     expected = math.ceil(10 * 0.75) + math.ceil(10 * 0.5)
     assert len(candidates) == expected
-    assert [c.id for c in candidates] == list(range(10, 10 + expected))
-    assert all(c.birth_generation == 1 for c in candidates)
+    assert [the_id for the_id, _, _ in candidates] == list(range(10, 10 + expected))
+    # against no population every offspring becomes an individual, of its birth generation
+    offspring = evaluate_offspring(
+        candidates, 1, encoding.genome_length, demos, flat_spec, well_trained_policy, ()
+    )
+    assert [i.id for i in offspring] == list(range(10, 10 + expected))
+    assert all(i.birth_generation == 1 for i in offspring)
 
 
 def test_offspring_ids_skip_filtered_candidates(holey_spec, well_trained_policy):
@@ -145,10 +151,8 @@ def test_offspring_ids_skip_filtered_candidates(holey_spec, well_trained_policy)
     rng = np.random.default_rng(config.seed)
     population, _ = init_population(config, holey_spec, encoding, well_trained_policy, rng)
     for generation in range(1, 6):
-        candidates = make_offspring(
-            population, config, encoding, holey_spec, rng, generation, first_id=100
-        )
-        assert [c.id for c in candidates] == list(range(100, 100 + len(candidates)))
+        candidates = make_offspring(population, config, encoding, holey_spec, rng, first_id=100)
+        assert [the_id for the_id, _, _ in candidates] == list(range(100, 100 + len(candidates)))
         assert len(candidates) <= math.ceil(10 * 0.75) + math.ceil(10 * 0.5)
 
 
@@ -183,10 +187,11 @@ def test_make_offspring_matches_the_per_candidate_path(
     population = _population(values, length, joints, ids)  # in no particular order
 
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    made = make_offspring(population, config, encoding, spec, rng, 7, first_id=50)
-    expected = reference_offspring(population, config, encoding, spec, reference_rng, 7, 50)
+    made = make_offspring(population, config, encoding, spec, rng, first_id=50)
+    expected = reference_offspring(population, config, encoding, spec, reference_rng, 50)
     assert made == expected
-    assert [c.genome.as_string() for c in made] == [c.genome.as_string() for c in expected]
+    assert ([BitGenome(value, length).as_string() for _, value, _ in made]
+            == [BitGenome(value, length).as_string() for _, value, _ in expected])
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -242,7 +247,7 @@ def test_make_offspring_draws_once_per_generation(
     rng = CountingRng(0)
     values = [int(v) for v in np.random.default_rng(1).integers(0, 2**54, size=30)]
     population = _population(values, 54, [0.5] * 30, range(30))
-    offspring = make_offspring(population, config, encoding, reach_spec, rng, 1, first_id=30)
+    offspring = make_offspring(population, config, encoding, reach_spec, rng, first_id=30)
     assert rng.calls == calls
     due = math.ceil(30 * crossover_probability) + math.ceil(30 * mutation_probability)
     assert len(offspring) <= due
@@ -256,9 +261,9 @@ def test_crossover_needs_genomes_of_two_bits(flat_spec):
     mutants_only = EvolutionConfig(crossover_probability=0.0, mutation_probability=1.0)
     rng = np.random.default_rng(0)
     # one-dimensional vectors are no grid cell: every mutant is dropped, none raises
-    assert make_offspring(population, mutants_only, encoding, flat_spec, rng, 1, 2) == []
+    assert make_offspring(population, mutants_only, encoding, flat_spec, rng, 2) == []
     with pytest.raises(ContractViolationError, match="length at least 2"):
-        make_offspring(population, EvolutionConfig(), encoding, flat_spec, rng, 1, 2)
+        make_offspring(population, EvolutionConfig(), encoding, flat_spec, rng, 2)
 
 
 def test_the_search_checks_no_start_one_at_a_time(flat_spec, reach_spec, monkeypatch):
@@ -281,8 +286,10 @@ def test_evaluated_offspring_join_the_demo_set(flat_spec, well_trained_policy):
     encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
-    candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
-    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
+    candidates = make_offspring(population, config, encoding, flat_spec, rng, first_id=10)
+    offspring = evaluate_offspring(candidates, 1, encoding.genome_length, demos, flat_spec,
+                                   well_trained_policy, population)
+    # only the offspring that can survive become individuals and stay in the set
     assert len(demos) == 10 + len(offspring)
     alive = {id(t) for t in demos.trajectories()}
     for individual in population + offspring:
@@ -298,8 +305,10 @@ def test_migrate_keeps_best_by_stored_score(flat_spec, well_trained_policy):
     encoding = flat_spec.encoding_spec(config.bits_per_dimension)
     rng = np.random.default_rng(config.seed)
     population, demos = init_population(config, flat_spec, encoding, well_trained_policy, rng)
-    candidates = make_offspring(population, config, encoding, flat_spec, rng, 1, first_id=10)
-    offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
+    candidates = make_offspring(population, config, encoding, flat_spec, rng, first_id=10)
+    # an individual per candidate, so migrate selects among all of them
+    offspring = reference_evaluate(candidates, 1, encoding.genome_length, demos, flat_spec,
+                                   well_trained_policy, population)
 
     merged = population + offspring
     survivors = migrate(population, offspring, 10, demos)
@@ -413,15 +422,27 @@ def _seeded(spec, policy, seed):
 
 
 def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, monkeypatch):
-    _, _, _, population, demos = _seeded(flat_spec, well_trained_policy, 0)
-    calls = []
+    _, encoding, _, population, demos = _seeded(flat_spec, well_trained_policy, 0)
+    calls, scored, members = [], [], []
     original_rollouts = GridSpec.rollouts
+    original_score = evolution.joint_fitness
+    original_add = fitness.DemonstrationSet.add
 
     def rollouts(spec, policy, starts):
         calls.append(list(starts))
         return original_rollouts(spec, policy, starts)
 
+    def joint_fitness(trajectory, *args):
+        scored.append((trajectory, original_score(trajectory, *args)))
+        return scored[-1][1]
+
+    def add(demos, trajectory, *profile):
+        original_add(demos, trajectory, *profile)
+        members.append({id(t) for t in demos.trajectories()})
+
     monkeypatch.setattr(GridSpec, "rollouts", rollouts)
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
+    monkeypatch.setattr(fitness.DemonstrationSet, "add", add)
     twin = population[3]
     fresh_start = next(
         GridState(r, c)
@@ -431,37 +452,49 @@ def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, mo
         and all(i.initial_state != GridState(r, c) for i in population)
     )
     candidates = [
-        Candidate(10, twin.genome, twin.initial_state, 1),
-        Candidate(11, twin.genome, fresh_start, 1),
-        Candidate(12, twin.genome, fresh_start, 1),  # held by offspring 11 by now
+        (10, twin.genome.value, twin.initial_state),
+        (11, twin.genome.value, fresh_start),
+        (12, twin.genome.value, fresh_start),  # held by offspring 11 by now
     ]
-    reused, fresh, fresh_again = evaluate_offspring(
-        candidates, demos, flat_spec, well_trained_policy, population
+    offspring = evaluate_offspring(
+        candidates, 1, encoding.genome_length, demos, flat_spec, well_trained_policy, population
     )
     assert calls == [[fresh_start]]
-    assert reused.trajectory is not twin.trajectory
-    assert reused.trajectory == twin.trajectory
-    assert reused.trajectory.states is twin.trajectory.states
+    (reused, reused_fitness), (fresh, _), (fresh_again, again_fitness) = scored
+    assert reused is not twin.trajectory
+    assert reused == twin.trajectory
+    assert reused.states is twin.trajectory.states
     d_l, c = twin.fitness.local_diversity, twin.fitness.certainty
-    assert reused.fitness == FitnessComponents(d_l, c, 0.0, 0.0, 0.0)
-    assert fresh_again.trajectory is not fresh.trajectory
-    assert fresh_again.trajectory == fresh.trajectory
-    assert fresh_again.fitness.joint == 0.0
-    # every individual is its own member of the set
-    assert len(demos) == 13
+    assert reused_fitness == FitnessComponents(d_l, c, 0.0, 0.0, 0.0)
+    assert fresh_again is not fresh
+    assert fresh_again == fresh
+    assert again_fitness.joint == 0.0
+    # every offspring is its own member of the set while the batch is scored
+    assert len(members[-1]) == 13
+    assert members[-1] == {id(i.trajectory) for i in population} | set(map(id, (
+        reused, fresh, fresh_again)))
+    # then the twins, which score 0, leave it and become no individual
+    assert [i.id for i in offspring] in ([], [11])
     assert {id(t) for t in demos.trajectories()} == {
-        id(i.trajectory) for i in population + [reused, fresh, fresh_again]
+        id(i.trajectory) for i in population + offspring
     }
 
 
-def test_dropped_trajectories_are_freed(flat_spec, well_trained_policy):
+def test_dropped_trajectories_are_freed(flat_spec, well_trained_policy, monkeypatch):
     config, encoding, rng, population, demos = _seeded(flat_spec, well_trained_policy, 6)
+    scored = []  # a weak reference to every offspring trajectory scored
+    original_score = evolution.joint_fitness
+
+    def joint_fitness(trajectory, *args):
+        scored.append(weakref.ref(trajectory))
+        return original_score(trajectory, *args)
+
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
     dropped = []
     for generation in range(1, 4):
-        candidates = make_offspring(
-            population, config, encoding, flat_spec, rng, generation, 100 * generation
-        )
-        offspring = evaluate_offspring(candidates, demos, flat_spec, well_trained_policy, population)
+        candidates = make_offspring(population, config, encoding, flat_spec, rng, 100 * generation)
+        offspring = evaluate_offspring(candidates, generation, encoding.genome_length, demos,
+                                       flat_spec, well_trained_policy, population)
         survivors = migrate(population, offspring, config.population_size, demos)
         kept = {id(i) for i in survivors}
         dropped += [i for i in population + offspring if id(i) not in kept]
@@ -469,10 +502,14 @@ def test_dropped_trajectories_are_freed(flat_spec, well_trained_policy):
     live_starts = {i.initial_state for i in population}
     assert any(i.initial_state not in live_starts for i in dropped)
     refs = [weakref.ref(i.trajectory) for i in dropped]
+    live = {id(i.trajectory) for i in population}
+    assert len(scored) > len(refs)  # the dropped individuals are fewer: some offspring never were
     del candidates, offspring, survivors, dropped
     gc.collect()
     # even a dropped rollout whose tuples a live twin still shares is freed itself
     assert all(ref() is None for ref in refs)
+    # and so is every offspring's that never became an individual
+    assert all(ref() is None or id(ref()) in live for ref in scored)
 
 
 def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
@@ -490,7 +527,7 @@ def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
 
     def make_offspring(*args):
         candidates = original_make_offspring(*args)
-        candidate_starts.append([c.initial_state for c in candidates])
+        candidate_starts.append([state for _, _, state in candidates])
         return candidates
 
     monkeypatch.setattr(ReachSpec, "rollouts", rollouts)
@@ -761,32 +798,43 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
         spec, policy = case
     config = EvolutionConfig(seed=seed, **fields)
     original_pass = fitness.DemonstrationSet.nearest_distances
+    original_score = evolution.joint_fitness
     original_evaluate = evolution.evaluate_offspring
     original_migrate = evolution.migrate
 
     def search(pruning):
         # pruned trajectories by id, each held so that its id is not reused
         # by a later trajectory once the search has dropped it
-        calls, pruned, floors = [], {}, {}
+        calls, pruned, floors, joints = [], {}, {}, {}
 
         def nearest_distances(demos, trajectories, table=None, rows=None):
             if rows is not None:
                 pruned.update((id(t), t) for k, t in enumerate(trajectories) if k not in rows)
             return original_pass(demos, trajectories, table, rows)
 
-        def evaluate_offspring(candidates, demos, env_spec, policy, population):
-            offspring = original_evaluate(candidates, demos, env_spec, policy, population)
-            for individual in offspring:
-                if id(individual.trajectory) in pruned:
+        def joint_fitness(trajectory, *args):
+            components = original_score(trajectory, *args)
+            joints[id(trajectory)] = components.joint  # a batch's scores, by trajectory
+            return components
+
+        def evaluate_offspring(candidates, generation, length, demos, env_spec, policy, population):
+            joints.clear()
+            offspring = original_evaluate(candidates, generation, length, demos, env_spec, policy,
+                                          population)
+            for key, joint in joints.items():
+                if key in pruned:
                     # its one score, at the bound distance, is at most the floor
                     floor = min(i.fitness.joint for i in population)
-                    assert individual.fitness.joint <= floor
-                    floors[individual.id] = floor
+                    assert joint <= floor
+                    floors[key] = floor
+            # no pruned offspring becomes an individual
+            assert not {id(i.trajectory) for i in offspring} & set(floors)
             return offspring
 
         def migrate(population, offspring, population_size, demos):
             kept = original_migrate(population, offspring, population_size, demos)
-            assert not {i.id for i in kept} & set(floors)  # every pruned offspring is dropped
+            # every pruned offspring is dropped
+            assert not {id(i.trajectory) for i in kept} & set(floors)
             return kept
 
         def observer(generation, population, demos):
@@ -795,6 +843,7 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+            patch.setattr(evolution, "joint_fitness", joint_fitness)
             patch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
             patch.setattr(evolution, "migrate", migrate)
             if not pruning:  # no bound is low enough: every row goes through the exact pass
@@ -949,3 +998,153 @@ def test_the_set_buffer_holds_the_members_blocks_in_insertion_order(case, seed, 
     config = EvolutionConfig(seed=seed, bits_per_dimension=5, **fields)
     run(spec, policy, config, observer)
     assert checked == list(range(config.generations + 1))
+
+
+# ---------------------------------------------------------------------------
+# only offspring that can survive become individuals
+
+
+@st.composite
+def preset_cases(draw, flat_spec, holey_spec, reach_spec):
+    """A shipped preset and a policy for it: random Q values on a grid."""
+    spec = draw(st.sampled_from([flat_spec, holey_spec, reach_spec]))
+    if spec is reach_spec:
+        return spec, GaussianControllerPolicy(step_size=spec.step_size)
+    return spec, _rounded_policy(spec, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    population_size=st.integers(2, 8),
+    generations=st.integers(1, 5),
+    bits_per_dimension=st.integers(4, 7),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(  # most of its trajectories collapse to 20 to 40 states
+    data=None, population_size=8, generations=4, bits_per_dimension=6, seed=1,
+)
+def test_a_search_equals_the_per_candidate_path(
+    flat_spec, holey_spec, reach_spec, data, seed, **fields
+):
+    if data is None:
+        spec, policy = LONG_REACH, GaussianControllerPolicy(gain=0.5, step_size=LONG_REACH.step_size)
+    else:
+        spec, policy = data.draw(st.one_of(preset_cases(flat_spec, holey_spec, reach_spec),
+                                           reach_cases()))
+    config = EvolutionConfig(seed=seed, **fields)
+
+    def search(evaluate):
+        calls = []
+
+        def observer(generation, population, demos):
+            profiles = [(e.local_diversity, e.certainty) for e in demos]
+            calls.append((generation, tuple(population), demos.trajectories(), profiles))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "evaluate_offspring", evaluate)
+            return run(spec, policy, config, observer), calls
+
+    (result, calls) = search(evolution.evaluate_offspring)
+    # an individual per candidate, each scored alone, and migrate over all of them
+    (expected, expected_calls) = search(reference_evaluate)
+    assert result.population == expected.population
+    assert result.history == expected.history
+    assert calls == expected_calls
+    with tempfile.TemporaryDirectory() as directory:
+        bundles = []
+        for name, searched in (("search", result), ("reference", expected)):
+            export_bundle(searched, Path(directory) / name)
+            bundles.append({p.name: p.read_bytes()
+                            for p in sorted((Path(directory) / name).iterdir())})
+    assert bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("fixtures,bits", [
+    (("flat_spec", "well_trained_policy"), 4),
+    (("holey_spec", "just_converged_holey_policy"), 4),
+    (("reach_spec", "reach_controller"), 4),
+    # 64 corner starts: the seed population holds twins, so its weakest joint
+    # is 0, and every twin offspring ties it
+    (("reach_spec", "reach_controller"), 1),
+])
+def test_only_offspring_above_the_weakest_member_become_individuals(
+    fixtures, bits, request, monkeypatch
+):
+    spec, policy = map(request.getfixturevalue, fixtures)
+    # few bits leave few starts, so offspring often repeat a live start
+    config = EvolutionConfig(population_size=8, generations=6, bits_per_dimension=bits, seed=11)
+    scored, added, individuals, genomes, batches = [], [], [], [], []
+    original_score, original_add = evolution.joint_fitness, fitness.DemonstrationSet.add
+    original_individual, original_genome = evolution.Individual, evolution.BitGenome
+    original_evaluate = evolution.evaluate_offspring
+
+    def joint_fitness(trajectory, *args):
+        scored.append(original_score(trajectory, *args))
+        return scored[-1]
+
+    def add(demos, trajectory, *profile):
+        added.append(trajectory)
+        original_add(demos, trajectory, *profile)
+
+    def individual(*args, **fields):
+        individuals.append(original_individual(*args, **fields))
+        return individuals[-1]
+
+    def genome(*args):
+        genomes.append(original_genome(*args))
+        return genomes[-1]
+
+    def evaluate_offspring(candidates, generation, length, demos, env_spec, policy, population):
+        for made in (scored, added, individuals, genomes):
+            made.clear()
+        offspring = original_evaluate(candidates, generation, length, demos, env_spec, policy,
+                                      population)
+        held = {i.initial_state.key for i in population}
+        batches.append((generation, list(candidates), held, list(population), list(scored),
+                        list(added), list(individuals), list(genomes), offspring))
+        return offspring
+
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
+    monkeypatch.setattr(fitness.DemonstrationSet, "add", add)
+    monkeypatch.setattr(evolution, "Individual", individual)
+    monkeypatch.setattr(evolution, "BitGenome", genome)
+    monkeypatch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
+    run(spec, policy, config)
+    assert [batch[0] for batch in batches] == list(range(config.generations + 1))
+    twins = dropped = ties = 0
+    for generation, candidates, held, population, scores, adds, made, built, offspring in batches:
+        # one score and one add per candidate, twins included
+        assert len(scores) == len(adds) == len(candidates)
+        assert len(set(map(id, adds))) == len(adds)
+        floor = min((i.fitness.joint for i in population), default=-math.inf)
+        if generation:
+            assert floor > -math.inf
+        above = [candidate for candidate, components in zip(candidates, scores)
+                 if components.joint > floor]
+        # an Individual and a BitGenome for each of those and no other offspring
+        assert [i.id for i in made] == [the_id for the_id, _, _ in above]
+        assert [genome.value for genome in built] == [value for _, value, _ in above]
+        assert made == offspring
+        for _, _, state in candidates:
+            twins += state.key in held
+            held.add(state.key)
+        dropped += len(candidates) - len(above)
+        ties += sum(components.joint == floor for components in scores)
+    assert twins and dropped
+    assert ties or bits > 1
+
+
+def test_population_and_tournament_sizes_are_capped_without_allocating():
+    EvolutionConfig(population_size=MAX_POPULATION_SIZE, tournament_size=MAX_TOURNAMENT_SIZE)
+    tracemalloc.start()
+    try:
+        for name, cap in (("population_size", MAX_POPULATION_SIZE),
+                          ("tournament_size", MAX_TOURNAMENT_SIZE)):
+            for value in (cap + 1, 10**9):
+                with pytest.raises(ConfigurationError, match=name):
+                    EvolutionConfig(**{name: value})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -526,6 +526,21 @@ def test_members_must_share_one_dimensionality(flat_spec):
     assert len(demos) == 1
 
 
+def test_a_set_that_empties_takes_the_dimensionality_of_its_next_members(flat_spec):
+    flat = make_traj([(1.0, 1.0), (1.0, 2.0)])
+    demos = demo_set([flat, flat.copy()], flat_spec)
+    for member in demos.trajectories():
+        demos.discard(member)
+    walks = [random_walk(np.random.default_rng(seed), 3, 4) for seed in range(2)]
+    for walk in walks:
+        demos.add(walk, 0.5, 0.5)
+    assert demos.trajectories() == tuple(walks)
+    assert demos.nearest_distances([walks[0].copy()]) == [0.0]
+    with pytest.raises(ContractViolationError):
+        demos.add(flat, 0.5, 0.5)
+    assert len(demos) == 2
+
+
 def test_members_sharing_one_position_array_are_gathered_from_its_slot():
     # a twin's copy shares its original's points, so the buffer brings more
     # members up to date than it has slots, each from the one slot holding them

@@ -378,23 +378,36 @@ def test_a_reach_search_builds_records_only_for_trajectories_someone_reads(
         return value
 
     monkeypatch.setattr(Trajectory, "__getattr__", recording)
-    dropped = []  # offspring that migrate drops in the generation they are made
-    migrate = evolution.migrate
+    starts = {}  # each rollout and its start, by id of its positions, which a twin's copy shares
+    rollouts = ReachSpec.rollouts
 
-    def migrate_and_keep(population, offspring, size, demos):
-        kept = migrate(population, offspring, size, demos)
-        ids = set(map(id, kept))
-        dropped.extend(individual for individual in offspring if id(individual) not in ids)
-        return kept
+    def rollouts_and_keep(env_spec, policy, batch):
+        trajectories = rollouts(env_spec, policy, batch)
+        starts.update((id(t.points), (t, start)) for t, start in zip(trajectories, batch))
+        return trajectories
 
+    scored = []  # trajectories scored since the last observer call
+    score = evolution.joint_fitness
+
+    def score_and_keep(trajectory, *args):
+        scored.append(trajectory)
+        return score(trajectory, *args)
+
+    # offspring dropped in the generation they are made, whether they became
+    # an individual that migrate dropped or never became one
+    dropped = []
     observed = {}
 
     def observer(generation, population, demos):
+        live = {id(individual.trajectory) for individual in population}
+        dropped.extend(trajectory for trajectory in scored if id(trajectory) not in live)
+        scored.clear()
         if generation % 2:  # an observer reads the weakest member's return
             observed[id(population[-1].trajectory)] = population[-1].trajectory
             assert population[-1].trajectory.episode_return <= 0.0
 
-    monkeypatch.setattr(evolution, "migrate", migrate_and_keep)
+    monkeypatch.setattr(ReachSpec, "rollouts", rollouts_and_keep)
+    monkeypatch.setattr(evolution, "joint_fitness", score_and_keep)
     spec, policy = ReachSpec(), GaussianControllerPolicy()
     config = EvolutionConfig(population_size=10, generations=8, bits_per_dimension=6, seed=4)
     result = run(spec, policy, config, observer)
@@ -403,11 +416,11 @@ def test_a_reach_search_builds_records_only_for_trajectories_someone_reads(
     export_bundle(result, tmp_path / "bundle")
     population = {id(individual.trajectory) for individual in result.population}
     assert built.keys() <= observed.keys() | population
-    assert not built.keys() & {id(individual.trajectory) for individual in dropped}
+    assert not built.keys() & {id(trajectory) for trajectory in dropped}
     # a public caller's first read of a dropped offspring builds its records
-    for individual in dropped[:10]:
-        assert same_bits([individual.trajectory],
-                         [reference_reach_rollout(spec, policy, individual.initial_state)])
+    for trajectory in dropped[:10]:
+        _, start = starts[id(trajectory.points)]
+        assert same_bits([trajectory], [reference_reach_rollout(spec, policy, start)])
 
 
 @settings(max_examples=40, deadline=None)
