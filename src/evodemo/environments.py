@@ -269,7 +269,9 @@ class RolloutTable:
     * ``distances``: the one-way distance between the episodes of two cells
       ``low <= high``, keyed ``low * size + high``, for each pair
       ``fitness.DemonstrationSet.nearest_distances`` has scored;
-    * ``blocks``: the walked episodes' positions as ``fitness`` pads them.
+    * ``blocks``: the positions of the walked episodes whose distances were
+      worked out, in one store ``fitness`` pads and appends to as cells are
+      first paired.
 
     Its memory grows with the cells walked and the pairs scored, never with
     the square of the layout area.

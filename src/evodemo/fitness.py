@@ -54,22 +54,23 @@ than the bound, which is what lets the search skip the exact pass for
 offspring that cannot survive.
 
 Both ask one kernel, ``_Blocks.one_way``, for exactly the pairs of position
-blocks they need.  The set keeps its members' blocks in one persistent
-padded buffer, in insertion order, and writes a batch's blocks after them,
-so the pass works out only the pairs a row can see: the members and the
-batch rows before it, a triangle, with no element computed only to be
-masked.  Every block's minima are summed in the order ``_ordered_sums``
-states, numpy's pairwise summation, so every distance is bit for bit what
-numpy gives the pair alone (``tests/pairwise.py``).
+blocks they need.  Each read pads the members' blocks, in insertion order,
+and the batch's after them into one store built for that read, so the pass
+works out only the pairs a row can see: the members and the batch rows
+before it, a triangle, with no element computed only to be masked.  Every
+block's minima are summed in the order ``_ordered_sums`` states, numpy's
+pairwise summation, so every distance is bit for bit what numpy gives the
+pair alone (``tests/pairwise.py``).
 
 On a grid a rollout depends only on the policy and the start cell, so the
 search also passes the spec's ``rollout_table`` for the policy.  When every
 member and every trajectory of the batch shares that table's tuples, the
 pass reads each pair's distance from the table, working out only the pairs
-it lacks, with the same kernel over blocks the table keeps of its walked
-cells, and storing them there.  A table entry is therefore the distance the
-kernel gives, and a search scores the same whatever the table held before
-it.  ``ReachSpec`` answers no table.
+it lacks, with the same kernel over a store the table keeps of its walked
+cells' blocks, appending each cell when it is first paired, and storing
+the distances there.  A table entry is therefore the distance the kernel
+gives, and a search scores the same whatever the table held before it.
+``ReachSpec`` answers no table.
 """
 
 from __future__ import annotations
@@ -122,25 +123,16 @@ class DemoEntry(NamedTuple):
 class DemonstrationSet:
     """Alive demonstrations with cached (D_l, C) profiles.
 
-    Members are kept in insertion order, keyed by identity; slot ``k`` of
-    ``_blocks`` holds the ``k``-th member's positions, and a read writes its
-    batch's blocks into the slots after them (``_stage``).  The first read
-    after members come or go brings the slots up to date (``_sync``), in
-    one gather: a member whose positions a slot holds already, as a row of
-    the batch the last read staged does, is moved, not written again.  So
-    an offspring is written once, when it is scored, and the ones that do
-    not survive are never moved.
+    Members are kept in insertion order, keyed by identity.  The set keeps
+    no positions of its own: each distance read builds one ``_Blocks`` of
+    the members' positions, in insertion order, and its batch's after them,
+    so slot ``k`` of that store is the ``k``-th member's block.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, DemoEntry] = {}  # by id(entry), in insertion order
         self._entries_of: dict[int, list[DemoEntry]] = {}  # by id(trajectory), oldest first
         self._profiles: dict[tuple[float, float], int] = {}  # members per distinct pair
-        self._blocks = _Blocks()
-        # the ``points`` array whose block each slot holds, members' first; it
-        # keeps them alive, so no id among them is reused while they are listed
-        self._written: list[np.ndarray] = []
-        self._stale = False  # members came or went since the slots were brought up to date
         self._axes: int | None = None  # the members' position dimensionality, once read
 
     def __len__(self) -> int:
@@ -187,7 +179,6 @@ class DemonstrationSet:
         self._entries_of.setdefault(id(trajectory), []).append(entry)
         pair = (entry.local_diversity, entry.certainty)
         self._profiles[pair] = self._profiles.get(pair, 0) + 1
-        self._stale = True
 
     def discard(self, trajectory: Trajectory) -> None:
         # identity-based: value-equal duplicates from other individuals survive
@@ -204,9 +195,6 @@ class DemonstrationSet:
         self._profiles[pair] -= 1
         if not self._profiles[pair]:
             del self._profiles[pair]
-        # the set holds no reference to what left it, only, until the next
-        # read, the positions its slot holds
-        self._stale = True
 
     def joint_bounds(
         self, trajectories: Sequence[Trajectory], env_spec: EnvSpec
@@ -218,19 +206,21 @@ class DemonstrationSet:
         nearest (the oldest on a tie), bit for bit that pair's entry in
         ``nearest_distances``.  The profile term is ``local_distance`` over
         the members as they stand, which the batch's earlier trajectories can
-        only lower.  Precondition: the set has a member, and no trajectory of
-        the batch is one (a member would be its own partner, at distance 0).
+        only lower.  Precondition: the set has a member.  A trajectory of the
+        batch that is a member raises ``ContractViolationError``: it would be
+        its own partner, at distance 0, below its exact score.
         """
-        members = self._stage(trajectories)
-        end = members + len(trajectories)
-        blocks = self._blocks
-        slots = np.arange(end)
+        if not self._entries_of.keys().isdisjoint(map(id, trajectories)):
+            raise ContractViolationError("a bounded trajectory must not be a member")
+        members = len(self._entries)
+        blocks = _Blocks(self.trajectories() + tuple(trajectories))
+        slots = np.arange(len(blocks.counts))
         # each slot's first and last positions, side by side
-        last = blocks.points[:, blocks.rows[blocks.lengths[slots] - 1, slots], slots]
-        ends = np.concatenate((blocks.points[:, 0, slots], last))
+        last = blocks.points[:, blocks.rows[blocks.lengths - 1, slots], slots]
+        ends = np.concatenate((blocks.points[:, 0], last))
         offsets = ends[:, members:, None] - ends[:, None, :members]
         partners = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
-        distances = blocks.one_way(slots[members:], partners, end).tolist()
+        distances = blocks.one_way(slots[members:], partners).tolist()
         bounds = []
         for trajectory, distance in zip(trajectories, distances):
             d_l = local_diversity(trajectory, env_spec)
@@ -254,11 +244,11 @@ class DemonstrationSet:
         asks for those trajectories' distances only, each still against
         everything before it; left out, it asks for all.  A value-equal copy
         of any of those is at distance 0, worked out like any other.  The
-        members' blocks fill the buffer's first slots, in insertion order,
-        and the batch's follow; each asked row is paired with every slot
-        before its own that belongs to another object, and the kernel works
-        out those pairs only, in chunks of at most ``MAX_PAIR_ELEMENTS``
-        point pairs.
+        members' blocks fill the first slots of a store built for the call,
+        in insertion order, and the batch's follow; each asked row is paired
+        with every slot before its own that belongs to another object, and
+        the kernel works out those pairs only, in chunks of at most
+        ``MAX_PAIR_ELEMENTS`` point pairs.
 
         ``table`` is the spec's ``rollout_table`` for the policy that rolled
         the trajectories out, if it has one.  When every member and every
@@ -270,91 +260,50 @@ class DemonstrationSet:
         if not rows:
             return []
         batch = trajectories[: rows[-1] + 1]
-        at = len(self._entries) + np.asarray(rows)  # each asked row's slot, once staged
+        at = len(self._entries) + np.asarray(rows)  # each asked row's slot, after the members'
         if not at[-1]:  # the first trajectory ever scored, with nothing to compare with
             return [math.inf]
         visible = np.arange(at[-1]) < at[:, None]
         ids = list(map(id, batch))
+        everyone = self.trajectories() + tuple(batch)  # each slot's trajectory
         if len(set(ids)) < len(ids) or not self._entries_of.keys().isdisjoint(ids):
-            owners = self.trajectories() + tuple(batch)  # a row sees no slot of its own object
-            for asked, slot in enumerate(at.tolist()):
-                visible[asked, [k for k in range(slot) if owners[k] is owners[slot]]] = False
-        cells = list(map(table.cell, self.trajectories() + tuple(batch))) if table else [None]
+            for asked, slot in enumerate(at.tolist()):  # a row sees no slot of its own object
+                visible[asked, [k for k in range(slot) if everyone[k] is everyone[slot]]] = False
+        cells = list(map(table.cell, everyone)) if table else [None]
         if None not in cells:
             return _table_distances(table, np.array(cells), at, visible).min(axis=1).tolist()
-        self._stage(batch)
         distances = np.full(visible.shape, math.inf)
         asked, slots = np.nonzero(visible)
-        distances[asked, slots] = self._blocks.one_way(at[asked], slots, at[-1] + 1)
+        distances[asked, slots] = _Blocks(everyone).one_way(at[asked], slots)
         return distances.min(axis=1).tolist()
-
-    def _sync(self) -> int:
-        """Bring the first slots up to date with the members, in insertion
-        order; return their count.  Each member's block is gathered from a
-        slot that holds its ``points`` (a twin's copy shares them), and only
-        the blocks no slot holds are written, after every written slot."""
-        if self._stale:
-            entries = list(self._entries.values())
-            holding = {id(points): slot for slot, points in enumerate(self._written)}
-            sources = [holding.get(id(entry.trajectory.points)) for entry in entries]
-            missing = [entry.trajectory for entry, slot in zip(entries, sources) if slot is None]
-            if missing:
-                start = len(self._written)
-                self._blocks.write(start, missing)
-                fresh = iter(range(start, start + len(missing)))
-                sources = [next(fresh) if slot is None else slot for slot in sources]
-            self._blocks.keep(sources)
-            self._written = [entry.trajectory.points for entry in entries]
-            self._stale = False
-        return len(self._entries)
-
-    def _stage(self, trajectories: Sequence[Trajectory]) -> int:
-        """Write ``trajectories``' blocks into the slots after the members' and
-        return the members' count; slots that hold a row's ``points`` already,
-        as after the bound when the exact pass asks for a prefix, are kept."""
-        members = self._sync()
-        staged = self._written[members:]
-        if len(trajectories) > len(staged) or not all(
-            trajectory.points is held for trajectory, held in zip(trajectories, staged)
-        ):
-            self._blocks.write(members, trajectories)
-            self._written[members:] = [trajectory.points for trajectory in trajectories]
-        return members
 
 
 class _Blocks:
-    """Position blocks in one padded buffer, one slot each, for ``one_way``.
+    """Position blocks padded to one width, one slot each, for ``one_way``.
 
     Slot ``k`` holds a block of ``lengths[k]`` points, of which ``points``
     (axes, width, slots) stores ``counts[k]``, padded by repeating the last;
     ``rows`` (width, slots) gives each point's row among them.  A block of
     more than ``SHORT_BLOCK`` and at most 128 points is stored as its distinct
-    points (a looping grid path has few); ``slot_of`` maps table cells to slots.
+    points (a looping grid path has few).  The store holds exactly the slots
+    of the trajectories it was built from and appended, in order;
+    ``slot_of`` maps table cells to slots.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, trajectories: Sequence[Trajectory] = ()) -> None:
         self.points = np.empty((0, 0, 0))
         self.rows = np.empty((0, 0), dtype=np.intp)
         self.counts = np.empty(0, dtype=np.intp)
         self.lengths = np.empty(0, dtype=np.intp)
         self.distinct = False  # some block was stored as its distinct points
         self.slot_of: dict[int, int] = {}
+        if trajectories:
+            self.append(trajectories)
 
-    def keep(self, slots: list[int]) -> None:
-        """Gather ``slots``, in order, to the front; a slot may be named more
-        than once, and the buffer grows to hold them all."""
-        extra = len(slots) - len(self.counts)
-        if extra > 0:
-            self.points, self.rows, self.counts, self.lengths = (
-                np.pad(array, [(0, 0)] * (array.ndim - 1) + [(0, extra)])
-                for array in (self.points, self.rows, self.counts, self.lengths)
-            )
-        for array in (self.points, self.rows, self.counts, self.lengths):
-            array[..., : len(slots)] = array[..., slots]
-
-    def write(self, start: int, trajectories: Sequence[Trajectory]) -> None:
-        """Write ``trajectories``' blocks into the slots from ``start`` on; the
-        buffer grows to hold them, keeping the slots before ``start``."""
+    def append(self, trajectories: Sequence[Trajectory]) -> None:
+        """Lay out ``trajectories``' blocks in the slots after the stored ones,
+        at the wider of the two sides' widths; the stored slots are padded
+        when the new blocks are wider."""
         blocks = [trajectory.points for trajectory in trajectories]
         lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
         rows = np.minimum(np.arange(max(len(self.rows), lengths.max()))[:, None], lengths - 1)
@@ -363,29 +312,23 @@ class _Blocks:
             rows[lengths[k]:, k] = rows[lengths[k] - 1, k]
             self.distinct = True
         axes = {points.shape[1] for points in blocks}
-        old = self.points
-        if len(axes) > 1 or (start and axes != {len(old)}):
+        if len(axes) > 1 or (len(self.counts) and axes != {len(self.points)}):
             raise ContractViolationError("demonstrations must share one position dimensionality")
         counts = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        width = max(old.shape[1], int(counts.max()))
-        end = start + len(blocks)
-        if (axes != {len(old)} or width > old.shape[1] or len(rows) > len(self.rows)
-                or end > len(self.counts)):
-            slots = max(end, 2 * len(self.counts))
-            self.points = _grown(old, (axes.pop(), width, slots), start)
-            self.rows = _grown(self.rows, (len(rows), slots), start)
-            self.counts = np.resize(self.counts, slots)
-            self.lengths = np.resize(self.lengths, slots)
+        width = max(self.points.shape[1], int(counts.max()))
         # each block's stored points, then its last again up to the width
         at = np.cumsum(counts) - counts + np.minimum(np.arange(width)[:, None], counts - 1)
-        self.points[:, :, start:end] = np.concatenate(blocks)[at].transpose(2, 0, 1)
-        self.rows[:, start:end] = rows
-        self.counts[start:end] = counts
-        self.lengths[start:end] = lengths
+        points = np.concatenate(blocks)[at].transpose(2, 0, 1)
+        if len(self.counts):
+            points = np.concatenate((_widened(self.points, width), points), axis=2)
+            rows = np.concatenate((_widened(self.rows, len(rows)), rows), axis=1)
+            counts = np.concatenate((self.counts, counts))
+            lengths = np.concatenate((self.lengths, lengths))
+        self.points, self.rows, self.counts, self.lengths = points, rows, counts, lengths
 
-    def one_way(self, left: np.ndarray, right: np.ndarray, end: int) -> np.ndarray:
+    def one_way(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The one-way distance of the blocks of slots ``left[k]`` and
-        ``right[k]``, all before ``end``, for each ``k``.
+        ``right[k]``, for each ``k``.
 
         Stored blocks of up to ``SHORT_BLOCK`` points are one size, and each
         longer count its own.  A pair is turned smaller block first (the
@@ -393,7 +336,7 @@ class _Blocks:
         its sizes, in chunks of at most ``MAX_PAIR_ELEMENTS`` point pairs,
         each side padded to its longest stored block.
         """
-        counts, lengths = self.counts[:end], self.lengths[:end]
+        counts, lengths = self.counts, self.lengths
         distances = np.empty(len(left))
         if not len(left):
             return distances
@@ -428,13 +371,11 @@ class _Blocks:
         return distances
 
 
-def _grown(old: np.ndarray, shape: tuple[int, ...], start: int) -> np.ndarray:
-    """``old``'s first ``start`` slots in a new (..., width, slots) array, padded by repeating."""
-    new = np.empty(shape, dtype=old.dtype)
-    if start:
-        new[..., : old.shape[-2], :start] = old[..., :start]
-        new[..., old.shape[-2] :, :start] = old[..., -1:, :start]
-    return new
+def _widened(array: np.ndarray, width: int) -> np.ndarray:
+    """A (..., width, slots) array padded to ``width`` by repeating its last row."""
+    if array.shape[-2] == width:
+        return array
+    return array[..., np.minimum(np.arange(width), array.shape[-2] - 1), :]
 
 
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
@@ -487,10 +428,10 @@ def _table_distances(
     ``cells`` holds every slot's cell, ``at`` each asked row's own slot, in
     increasing order, and ``visible`` is (rows, slots).  Each pair of cells
     the table lacks is worked out once, by one ``_Blocks.one_way`` call over
-    the blocks the table keeps of its walked cells (a cell walked for the
-    first time is written to them first), and stored; a pair is keyed by
-    its unordered cells, so each is worked out once however many rows lack
-    it.
+    the store the table keeps of its walked cells' blocks (a cell paired
+    for the first time is appended to it first), and stored; a pair is
+    keyed by its unordered cells, so each is worked out once however many
+    rows lack it.
     """
     rows = cells[at, None]
     columns = cells[: visible.shape[1]]
@@ -507,10 +448,10 @@ def _table_distances(
         blocks = table.blocks = table.blocks or _Blocks()
         new = [cell for cell in dict.fromkeys(pairs.ravel().tolist()) if cell not in blocks.slot_of]
         if new:
-            blocks.write(len(blocks.slot_of), [table.trajectories[cell] for cell in new])
-            blocks.slot_of.update((cell, len(blocks.slot_of)) for cell in new)
+            blocks.slot_of.update((cell, slot) for slot, cell in enumerate(new, len(blocks.counts)))
+            blocks.append([table.trajectories[cell] for cell in new])
         slots = np.array([[blocks.slot_of[cell] for cell in side] for side in pairs.tolist()])
-        found = blocks.one_way(*slots, len(blocks.slot_of)).tolist()
+        found = blocks.one_way(*slots).tolist()
         table.distances.update(zip(dict.fromkeys(lacking_keys), found))
         distances[lacking] = list(map(table.distances.__getitem__, lacking_keys))
     return distances

@@ -974,14 +974,13 @@ LOOPING_HOLEY = preset("HoleyGrid11")
 @example(  # many of its paths loop over a few cells for 100 steps
     case=(LOOPING_HOLEY, _rounded_policy(LOOPING_HOLEY, 0)), population_size=8, generations=4, seed=1,
 )
-def test_the_set_buffer_holds_the_members_blocks_in_insertion_order(case, seed, **fields):
+def test_a_store_of_the_members_holds_their_blocks_in_insertion_order(case, seed, **fields):
     spec, policy = case
     checked = []
 
     def observer(generation, population, demos):
-        members = demos._sync()
-        blocks = demos._blocks
-        assert members == len(demos) == len(population)
+        blocks = fitness._Blocks(demos.trajectories())
+        assert len(blocks.counts) == len(demos) == len(population)
         for slot, entry in enumerate(demos):
             points = entry.trajectory.points
             length, count = blocks.lengths[slot], blocks.counts[slot]

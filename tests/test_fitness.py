@@ -541,9 +541,9 @@ def test_a_set_that_empties_takes_the_dimensionality_of_its_next_members(flat_sp
     assert len(demos) == 2
 
 
-def test_members_sharing_one_position_array_are_gathered_from_its_slot():
-    # a twin's copy shares its original's points, so the buffer brings more
-    # members up to date than it has slots, each from the one slot holding them
+def test_members_sharing_one_position_array_each_count_as_a_block():
+    # a twin's copy shares its original's points array; each copy is a member
+    # of its own, and the original leaving takes none of their positions along
     walk = make_traj([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
     other = make_traj([(3.0, 1.0), (2.5, 2.5)])
     demos = demo_set([walk], REACH)
@@ -558,9 +558,6 @@ def test_members_sharing_one_position_array_are_gathered_from_its_slot():
     assert demos.nearest_distances([fresh]) == [
         pairwise.one_way(pairwise.points(fresh), pairwise.points(walk))
     ]
-    assert demos._sync() == len(twins)
-    for slot in range(len(twins)):
-        assert demos._blocks.points[:, :3, slot].T.tobytes() == walk.points.tobytes()
 
 
 def test_nearest_distance_is_infinite_with_nothing_to_compare():
@@ -574,13 +571,54 @@ def test_nearest_distance_is_infinite_with_nothing_to_compare():
 # the search's bound: one member's distance per row, and rows asked by index
 
 
+def test_a_member_cannot_be_bounded():
+    # a member would be its own partner, at distance 0, below its exact score
+    walks = [random_walk(np.random.default_rng(seed), 3, 6) for seed in range(3)]
+    demos = demo_set(walks[:2], REACH)
+    with pytest.raises(ContractViolationError):
+        demos.joint_bounds([walks[2], walks[1]], REACH)
+    assert len(demos.joint_bounds([walks[2], walks[1].copy()], REACH)) == 2
+
+
+def test_appending_to_a_store_keeps_every_earlier_slot(holey_spec):
+    # wider blocks, then narrower ones, then HoleyGrid11 paths that loop for
+    # 101 points over a few cells and are stored as their distinct points
+    rng = np.random.default_rng(11)
+    policy = TabularPolicy(np.round(np.random.default_rng(0).normal(size=(11, 11, 4))))
+    loops = [walk for walk in holey_spec.rollouts(policy, list(holey_spec.startable.values()))
+             if fitness.SHORT_BLOCK < len(walk.points) <= 128][:3]
+    batches = [
+        [random_walk(rng, 2, n) for n in (3, 5)],
+        [random_walk(rng, 2, n) for n in (20, 9, 140)],
+        [random_walk(rng, 2, n) for n in (1, 2)],
+        loops,
+    ]
+    blocks, everyone = fitness._Blocks(batches[0]), list(batches[0])
+    for batch in batches[1:]:
+        old = blocks.points.copy(), blocks.rows.copy(), blocks.counts.copy(), blocks.lengths.copy()
+        blocks.append(batch)
+        everyone += batch
+        slots = len(old[2])
+        assert blocks.counts[:slots].tobytes() == old[2].tobytes()
+        assert blocks.lengths[:slots].tobytes() == old[3].tobytes()
+        for new, stored in zip((blocks.points, blocks.rows), old[:2]):
+            width = stored.shape[-2]
+            assert new[..., :width, :slots].tobytes() == stored.tobytes()
+            # the padding repeats each earlier slot's last stored row
+            assert (new[..., width:, :slots] == stored[..., -1:, :]).all()
+    assert len(blocks.counts) == len(everyone) and blocks.distinct and len(loops) == 3
+    left, right = np.indices((len(everyone),) * 2).reshape(2, -1)
+    expected = [pairwise.one_way(pairwise.points(everyone[u]), pairwise.points(everyone[v]))
+                for u, v in zip(left.tolist(), right.tolist())]
+    assert blocks.one_way(left, right).tolist() == expected
+
+
 def paired_distances(rows, columns):
     """The kernel's one-way distance of each pair of blocks ``rows[k]``,
-    ``columns[k]``, from one ``_Blocks.one_way`` call over a buffer of both."""
-    blocks = fitness._Blocks()
-    blocks.write(0, [make_traj(points.tolist()) for points in (*rows, *columns)])
+    ``columns[k]``, from one ``_Blocks.one_way`` call over a store of both."""
+    blocks = fitness._Blocks([make_traj(points.tolist()) for points in (*rows, *columns)])
     left = np.arange(len(rows))
-    return blocks.one_way(left, left + len(rows), 2 * len(rows)).tolist()
+    return blocks.one_way(left, left + len(rows)).tolist()
 
 
 @pytest.mark.parametrize("lattice", [False, True])
