@@ -147,6 +147,7 @@ def cmd_baseline(args) -> int:
 def cmd_report(args) -> int:
     if not args.search and not args.baseline:
         raise ConfigurationError("report needs at least one --search or --baseline bundle")
+    _check_makeable(Path(args.out), "output directory")  # before any bundle is read
     written = report.write_comparison_report(args.search, args.baseline, args.out)
     for path in written:
         print(f"[report] wrote {path}")

@@ -35,20 +35,20 @@ distance work, so it scores 0, at most ``T``.  Starts are told apart by
 their ``key``, a plain tuple made once per start, never by hashing the start
 itself.  The distinct starts no live individual holds are rolled out
 together, in one ``env_spec.rollouts`` call per batch, and their distances
-come from one ``nearest_distances`` pass, given the spec's
+come from one ``nearest_distances`` read, given the spec's
 ``rollout_table`` for the policy: a grid remembers each cell's rollout and
 each scored pair's distance for as long as the policy lives; the reach task
 has no table.
 
 Without a table, most offspring are worked out only far enough to show that
-they cannot survive.  ``DemonstrationSet.joint_bounds`` bounds each fresh
-rollout's joint from above: its distance to the member the set finds with
-the nearest first and last positions, which is at least its nearest
-distance, and its profile distance to the members alone, which the
-offspring scored before it can only lower.  A rollout whose bound is at
-most ``T`` skips the exact pass and is scored at its bound distance, so its
-score is at most ``T`` too.  Until its batch is scored it stays in the set,
-as columns for later rows and as a profile, as it would at its exact score.
+they cannot survive.  Given ``T`` as its floor, the read bounds each fresh
+rollout's joint from above: its distance to the member with the nearest
+first and last positions, which is at least its nearest distance, and its
+profile distance to the members alone, which the offspring scored before it
+can only lower.  A rollout whose bound is at most ``T`` skips the exact pass
+and is scored at its bound distance, so its score is at most ``T`` too.
+Until its batch is scored it stays in the set, as columns for later rows
+and as a profile, as it would at its exact score.
 
 Work is done once: an individual's ``IndividualSnapshot`` for the history
 on first use, a run's draw bounds, and a rollout's local diversity and mean
@@ -78,11 +78,14 @@ MAX_SAMPLING_ATTEMPTS = 10_000
 # numbers, whose bounds are kept for the run: at both caps, two 16 MB arrays
 MAX_POPULATION_SIZE = 10_000
 MAX_TOURNAMENT_SIZE = 100
+# a genome is drawn one number per bit, and decoding in float64 resolves
+# about 53 bits per dimension, so no wider setting yields other starts
+MAX_BITS_PER_DIMENSION = 64
 _COUNT_RANGES = {  # each integer setting's inclusive range
     "population_size": (2, MAX_POPULATION_SIZE),
     "generations": (1, math.inf),
     "tournament_size": (1, MAX_TOURNAMENT_SIZE),
-    "bits_per_dimension": (1, math.inf),
+    "bits_per_dimension": (1, MAX_BITS_PER_DIMENSION),
 }
 
 
@@ -343,21 +346,14 @@ def evaluate_offspring(
         if key not in held:
             fresh_starts.setdefault(key, state)
     fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, list(fresh_starts.values()))))
-    rows = list(fresh.values())
-    table = env_spec.rollout_table(policy)
     floor = min((individual.fitness.joint for individual in population), default=-math.inf)
-    # a row whose bound shows it cannot survive skips the exact pass and keeps its
-    # bound distance (see the module docstring); a table makes an exact one a lookup
-    bound: list[float | None] = [None] * len(rows)
-    asked = None  # the rows the exact pass works out; None for all
-    if population and rows and table is None:
-        bound = [d if joint <= floor else None for d, joint in demos.joint_bounds(rows, env_spec)]
-        asked = [row for row, distance in enumerate(bound) if distance is None]
     # the set each fresh rollout is scored against is known before any is
-    # scored, so one pass does their distance work; a twin scored in between
-    # adds only positions the set holds already, which moves no minimum
-    exact = iter(demos.nearest_distances(rows, table, asked))
-    distances = iter([next(exact) if distance is None else distance for distance in bound])
+    # scored, so one read does their distance work; given the floor, it gives a
+    # rollout whose bound shows it cannot survive its bound distance (see the
+    # module docstring).  A twin scored in between adds only positions the set
+    # holds already, which moves no minimum
+    table = env_spec.rollout_table(policy)
+    distances = iter(demos.nearest_distances(list(fresh.values()), table, env_spec, floor))
     individuals, dropped = [], []
     for key, (the_id, value, state) in zip(keys, candidates):
         twin = held.get(key)

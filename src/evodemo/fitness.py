@@ -30,8 +30,8 @@ rollout batch builds up front; no pass builds a trajectory's per-step
 records.  The demonstration set caches each member's (local diversity,
 certainty) pair; scoring a candidate never re-derives members.  The set
 counts its members per distinct profile, so the profile term
-(``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and
-``joint_bounds``) is a minimum over distinct pairs, or one lookup when
+(``DemonstrationSet.local_distance``, shared by ``joint_fitness`` and the
+bound below) is a minimum over distinct pairs, or one lookup when
 another member holds the candidate's own pair, as it does for most
 candidates; the term is then exactly 0.  The set keeps no index of
 trajectories by value: a value-equal copy of a member is at distance
@@ -40,27 +40,24 @@ exactly 0 because every point-to-point distance between equal positions is
 copy to the distance pass; it sets the copy's distance to 0 itself
 (``evolution.evaluate_offspring``).
 
-``DemonstrationSet.nearest_distances`` finds the nearest one-way distance
-for a whole batch of trajectories at once, each against the set as it will
-stand when that trajectory is scored; ``joint_fitness`` takes its answer or,
-called alone, asks it for a batch of one.  Asked for some rows only, the
-pass works out just those, each still against every member and every row
-before it.  ``DemonstrationSet.joint_bounds`` gives the search a cheap
-upper bound on each joint score of a batch: the one-way distance to a
-single member, the one whose first and last positions lie nearest, bit for
-bit the entry the pass would give that pair, and the profile term over the
-members as they stand.  ``joint_fitness`` at that distance scores no higher
-than the bound, which is what lets the search skip the exact pass for
-offspring that cannot survive.
+``DemonstrationSet.nearest_distances`` is the one distance read of a batch:
+it finds the nearest one-way distance for every trajectory at once, each
+against the set as it will stand when that trajectory is scored;
+``joint_fitness`` takes its answer or, called alone, asks it for a batch of
+one.  Given the search's floor, the read first bounds each row's joint score
+from above with its distance to one member, bit for bit the entry the exact
+pass would give that pair.  A row whose bound is at most the floor keeps that
+distance, at which ``joint_fitness`` scores no higher than the bound: the
+search skips the exact pass for offspring that cannot survive.
 
-Both ask one kernel, ``_Blocks.one_way``, for exactly the pairs of position
-blocks they need.  Each read pads the members' blocks, in insertion order,
-and the batch's after them into one store built for that read, so the pass
-works out only the pairs a row can see: the members and the batch rows
-before it, a triangle, with no element computed only to be masked.  Every
-block's minima are summed in the order ``_ordered_sums`` states, numpy's
-pairwise summation, so every distance is bit for bit what numpy gives the
-pair alone (``tests/pairwise.py``).
+The bound and the exact pass ask one kernel, ``_Blocks.one_way``, for
+exactly the pairs of position blocks they need, from one store the read
+pads of the members' blocks, in insertion order, and the batch's after
+them, so the exact pass works out only the pairs a row can see: the members
+and the batch rows before it, a triangle, with no element computed only to
+be masked.  Every block's minima are summed in the order ``_ordered_sums``
+states, numpy's pairwise summation, so every distance is bit for bit what
+numpy gives the pair alone (``tests/pairwise.py``).
 
 On a grid a rollout depends only on the policy and the start cell, so the
 search also passes the spec's ``rollout_table`` for the policy.  When every
@@ -196,85 +193,74 @@ class DemonstrationSet:
         if not self._profiles[pair]:
             del self._profiles[pair]
 
-    def joint_bounds(
-        self, trajectories: Sequence[Trajectory], env_spec: EnvSpec
-    ) -> list[tuple[float, float]]:
-        """An upper bound on each trajectory's joint score in a batch scored in
-        order, as ``(distance, joint)``: the score at ``distance``.
-
-        The distance is to the member whose first and last positions lie
-        nearest (the oldest on a tie), bit for bit that pair's entry in
-        ``nearest_distances``.  The profile term is ``local_distance`` over
-        the members as they stand, which the batch's earlier trajectories can
-        only lower.  Precondition: the set has a member.  A trajectory of the
-        batch that is a member raises ``ContractViolationError``: it would be
-        its own partner, at distance 0, below its exact score.
-        """
-        if not self._entries_of.keys().isdisjoint(map(id, trajectories)):
-            raise ContractViolationError("a bounded trajectory must not be a member")
-        members = len(self._entries)
-        blocks = _Blocks(self.trajectories() + tuple(trajectories))
-        slots = np.arange(len(blocks.counts))
-        # each slot's first and last positions, side by side
-        last = blocks.points[:, blocks.rows[blocks.lengths - 1, slots], slots]
-        ends = np.concatenate((blocks.points[:, 0], last))
-        offsets = ends[:, members:, None] - ends[:, None, :members]
-        partners = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
-        distances = blocks.one_way(slots[members:], partners).tolist()
-        bounds = []
-        for trajectory, distance in zip(trajectories, distances):
-            d_l = local_diversity(trajectory, env_spec)
-            certainty = trajectory_certainty(trajectory)
-            profile = self.local_distance(trajectory, d_l, certainty)
-            bounds.append((distance, distance / env_spec.max_state_distance + profile))
-        return bounds
-
     def nearest_distances(
         self,
         trajectories: Sequence[Trajectory],
         table: RolloutTable | None = None,
-        rows: Sequence[int] | None = None,
+        env_spec: EnvSpec | None = None,
+        floor: float | None = None,
     ) -> list[float]:
         """One-way distance from each trajectory to its nearest other demonstration.
 
         Trajectory ``k`` is compared with every member and every one of
         ``trajectories[:k]`` but itself (by identity), as though each joined
         the set right after it was scored; ``inf`` when there is nothing to
-        compare with.  ``rows``, increasing indices into ``trajectories``,
-        asks for those trajectories' distances only, each still against
-        everything before it; left out, it asks for all.  A value-equal copy
-        of any of those is at distance 0, worked out like any other.  The
-        members' blocks fill the first slots of a store built for the call,
-        in insertion order, and the batch's follow; each asked row is paired
-        with every slot before its own that belongs to another object, and
-        the kernel works out those pairs only, in chunks of at most
-        ``MAX_PAIR_ELEMENTS`` point pairs.
+        compare with.  A value-equal copy of any of those is at distance 0,
+        worked out like any other.  The members' blocks fill the first slots
+        of one store built for the call, in insertion order, and the batch's
+        follow; each row is paired with every slot before its own that belongs
+        to another object, and the kernel works out those pairs only, in
+        chunks of at most ``MAX_PAIR_ELEMENTS`` point pairs.
+
+        Given a ``floor`` and the ``env_spec`` that scores the batch, a row
+        that is neither a member nor a repeat of an earlier row (a member
+        would be its own partner) is first paired, in the same store, with its
+        partner: the member whose first and last positions lie nearest, the
+        oldest on a tie.  Its score at that distance, with the profile term
+        over the members as they stand, bounds its exact score from above,
+        since the rows before it can only lower the profile term.  A row whose
+        bound is at most ``floor`` gets its partner's distance; the others go
+        through the exact pass.
 
         ``table`` is the spec's ``rollout_table`` for the policy that rolled
         the trajectories out, if it has one.  When every member and every
         trajectory has a cell in it, each distance is read from the table
-        instead, after the pairs it lacks are worked out and stored in it.
+        instead, with no bound, after the pairs it lacks are worked out and
+        stored in it.
         """
-        if rows is None:
-            rows = range(len(trajectories))
-        if not rows:
-            return []
-        batch = trajectories[: rows[-1] + 1]
-        at = len(self._entries) + np.asarray(rows)  # each asked row's slot, after the members'
-        if not at[-1]:  # the first trajectory ever scored, with nothing to compare with
-            return [math.inf]
+        members = len(self._entries)
+        at = members + np.arange(len(trajectories))  # each row's slot, after the members'
+        if not at.any():  # no row, or the first one ever scored, with nothing to compare with
+            return [math.inf] * len(at)
         visible = np.arange(at[-1]) < at[:, None]
-        ids = list(map(id, batch))
-        everyone = self.trajectories() + tuple(batch)  # each slot's trajectory
+        ids = list(map(id, trajectories))
+        everyone = self.trajectories() + tuple(trajectories)  # each slot's trajectory
         if len(set(ids)) < len(ids) or not self._entries_of.keys().isdisjoint(ids):
-            for asked, slot in enumerate(at.tolist()):  # a row sees no slot of its own object
-                visible[asked, [k for k in range(slot) if everyone[k] is everyone[slot]]] = False
+            for row, slot in enumerate(at.tolist()):  # a row sees no slot of its own object
+                visible[row, [k for k in range(slot) if everyone[k] is everyone[slot]]] = False
         cells = list(map(table.cell, everyone)) if table else [None]
         if None not in cells:
             return _table_distances(table, np.array(cells), at, visible).min(axis=1).tolist()
+        blocks = _Blocks(everyone)
         distances = np.full(visible.shape, math.inf)
+        if floor is not None and members:
+            # the rows that see every slot before their own: neither a member nor a repeat
+            bounded = np.flatnonzero(visible.sum(axis=1) == at)
+            slots = np.arange(len(blocks.counts))
+            # each slot's first and last positions, side by side
+            last = blocks.points[:, blocks.rows[blocks.lengths - 1, slots], slots]
+            ends = np.concatenate((blocks.points[:, 0], last))
+            offsets = ends[:, at[bounded], None] - ends[:, None, :members]
+            partners = np.einsum("krm,krm->rm", offsets, offsets).argmin(axis=1)
+            bounds = blocks.one_way(at[bounded], partners)
+            profiles = [self.local_distance(t, local_diversity(t, env_spec), trajectory_certainty(t))
+                        for t in map(trajectories.__getitem__, bounded.tolist())]
+            # one mask: a pruned row sees its partner only, at its bound distance
+            pruned = bounds / env_spec.max_state_distance + np.array(profiles) <= floor
+            visible[bounded[pruned]] = False
+            distances[bounded[pruned], partners[pruned]] = bounds[pruned]
         asked, slots = np.nonzero(visible)
-        distances[asked, slots] = _Blocks(everyone).one_way(at[asked], slots)
+        distances[asked, slots] = blocks.one_way(at[asked], slots)
         return distances.min(axis=1).tolist()
 
 

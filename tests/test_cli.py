@@ -235,6 +235,7 @@ def test_policy_file_that_does_not_fit_exits_one_naming_the_file(tmp_path, capsy
         ("evolution: {crossover_probability: high}", "crossover_probability"),
         ("evolution: {mutation_probability: true}", "mutation_probability"),
         ("encoding: {bits_per_dimension: 3}", "bits_per_dimension"),  # 9 interior rows
+        ("encoding: {bits_per_dimension: 1000000000}", "bits_per_dimension"),  # above the cap
         ("seeds: [true]", "seeds"),
     ],
 )
@@ -409,6 +410,26 @@ def test_an_output_path_through_a_file_exits_one_before_any_search(
     assert err.startswith("config error:") and f"{blocker} is not a directory" in err
     assert str(out) in err
     assert sorted(tmp_path.iterdir()) == [tmp_path / "c.yaml", blocker]
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("below", ["", "runs"], ids=["the file", "under the file"])
+def test_a_report_output_path_through_a_file_exits_one_before_any_bundle_is_read(
+    tmp_path, capsys, monkeypatch, below,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bundle was read")
+
+    monkeypatch.setattr(cli.report, "load_bundle", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    search = tmp_path / "search"
+    assert main(["report", "--search", str(search), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: output directory {out} cannot be made: "
+                   f"{blocker} is not a directory\n")
+    assert sorted(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text() == "kept\n"
 
 

@@ -27,6 +27,7 @@ from evodemo.environments import (
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import (
+    MAX_BITS_PER_DIMENSION,
     MAX_POPULATION_SIZE,
     MAX_TOURNAMENT_SIZE,
     EvolutionConfig,
@@ -176,7 +177,8 @@ def test_make_offspring_matches_the_per_candidate_path(
     spec = {"FlatGrid11": flat_spec, "HoleyGrid11": holey_spec, "PointReach": reach_spec}[preset]
     # a grid needs 4 bits to cover its 9 interior rows
     least = 1 if spec is reach_spec else 4
-    bits = data.draw(st.sampled_from([least, 6, 9, 80]) | st.integers(least, 80))
+    bits = data.draw(st.sampled_from([least, 6, 9, MAX_BITS_PER_DIMENSION])
+                     | st.integers(least, MAX_BITS_PER_DIMENSION))
     config = EvolutionConfig(population_size=n, bits_per_dimension=bits, **fields)
     encoding = spec.encoding_spec(bits)
     length = encoding.genome_length
@@ -558,9 +560,9 @@ def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
         rolled.append(trajectories)
         return trajectories
 
-    def nearest_distances(demos, trajectories, table=None, rows=None):
+    def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
         passes.append(list(trajectories))
-        return original_pass(demos, trajectories, table, rows)
+        return original_pass(demos, trajectories, table, env_spec, floor)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         assert nearest_distance is not None  # the batch pass or the twin rule answered it
@@ -583,6 +585,29 @@ def test_a_batch_makes_one_distance_pass_and_one_score_call_per_candidate(
         assert list(map(id, batch)) == list(map(id, fresh))
     assert len(scored) == config.population_size + sum(offspring)
     assert len(scored) > sum(map(len, passes))  # twins were scored outside the pass
+
+
+def test_a_reach_generation_builds_one_store(reach_spec, reach_controller, monkeypatch):
+    # the bound and the exact pass read one store of the members and the batch
+    config = EvolutionConfig(population_size=30, generations=5, bits_per_dimension=9, seed=2)
+    stores, per_generation = [], []
+    original_init = fitness._Blocks.__init__
+    original_evaluate = evolution.evaluate_offspring
+
+    def init(blocks, *args):
+        stores.append(blocks)
+        original_init(blocks, *args)
+
+    def evaluate_offspring(*args):
+        stores.clear()
+        offspring = original_evaluate(*args)
+        per_generation.append(len(stores))
+        return offspring
+
+    monkeypatch.setattr(fitness._Blocks, "__init__", init)
+    monkeypatch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
+    run(reach_spec, reach_controller, config)
+    assert per_generation == [1] * (config.generations + 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -608,13 +633,13 @@ def test_the_distance_pass_gets_no_twin_and_every_twin_scores_at_distance_zero(
     original_pass = fitness.DemonstrationSet.nearest_distances
     original_score = evolution.joint_fitness
 
-    def nearest_distances(demos, trajectories, table=None, rows=None):
+    def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
         seen = {trajectory.states for trajectory in demos.trajectories()}
         for trajectory in trajectories:
             assert trajectory.states not in seen  # equal to no member nor earlier row
             seen.add(trajectory.states)
             passed[id(trajectory)] = trajectory
-        return original_pass(demos, trajectories, table, rows)
+        return original_pass(demos, trajectories, table, env_spec, floor)
 
     def joint_fitness(trajectory, demos, env_spec, nearest_distance=None):
         if id(trajectory) not in passed:  # a twin
@@ -671,9 +696,8 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
         asked.update(start.row * 101 + start.col for start in starts)
         return original_rollouts(env_spec, policy, starts)
 
-    def nearest_distances(demos, trajectories, table=None, rows=None):
+    def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
         assert table is spec.rollout_table(policy)
-        assert rows is None  # a grid works out every row through its table
         blocks = list(demos.trajectories()) + list(trajectories)
         cells = [table.cell(block) for block in blocks]
         for row in range(len(blocks) - len(trajectories), len(blocks)):
@@ -681,7 +705,10 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
                 if blocks[column] is not blocks[row]:
                     low, high = sorted((cells[row], cells[column]))
                     scored.add(low * table.size + high)
-        return original_pass(demos, trajectories, table, rows)
+        distances = original_pass(demos, trajectories, table, env_spec, floor)
+        # a grid works out every row through its table: the floor prunes none
+        assert distances == original_pass(demos, trajectories, table)
+        return distances
 
     monkeypatch.setattr(GridSpec, "rollouts", rollouts)
     monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
@@ -702,9 +729,44 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
 # search invariants over generated configurations
 
 
-@settings(max_examples=15, deadline=None)
+@st.composite
+def reach_cases(draw):
+    """A PointReach-like spec and its controller: a gain below 1 or a small step
+    in a wide box makes collapsed trajectories longer than 7 states."""
+    dims = draw(st.integers(1, 3))
+    bounds = tuple(
+        (low, low + width)
+        for low, width in draw(st.lists(
+            st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 1.5)), min_size=dims, max_size=dims,
+        ))
+    )
+    step_size = draw(st.floats(0.01, 0.2))
+    spec = ReachSpec(bounds=bounds, goal_radius=draw(st.floats(0.005, 0.5)),
+                     horizon=draw(st.integers(1, 40)), step_size=step_size)
+    return spec, GaussianControllerPolicy(gain=draw(st.sampled_from([0.3, 0.5, 1.0, 2.0])),
+                                          step_size=step_size)
+
+
+def _rounded_policy(spec, seed):
+    """A tabular policy of rounded random Q values: many starts loop."""
+    rng = np.random.default_rng(seed)
+    return TabularPolicy(np.round(rng.normal(size=(spec.height, spec.width, 4))))
+
+
+@st.composite
+def grid_cases(draw, max_side=9, max_steps=80):
+    """A generated layout of 3 to ``max_side`` per side and a tabular policy over it."""
+    spec = draw(reference.grid_layouts(max_height=max_side, max_width=max_side,
+                                       max_steps=max_steps))
+    return spec, _rounded_policy(spec, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    reach=st.booleans(),
+    # FlatGrid11 with a random Q table, the default PointReach, generated
+    # reach geometry (bounded inside the distance read) or a generated layout
+    case=st.one_of(st.sampled_from(["flat", "reach"]), reach_cases(),
+                   grid_cases(max_side=15, max_steps=100)),
     population_size=st.integers(2, 8),
     generations=st.integers(1, 4),
     crossover_probability=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
@@ -713,18 +775,23 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
     bits_per_dimension=st.integers(4, 7),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_search_invariants_hold_for_generated_configs(flat_spec, reach_spec, reach, seed, **fields):
-    if reach:
+def test_search_invariants_hold_for_generated_configs(flat_spec, reach_spec, case, seed, **fields):
+    if case == "reach":
         spec, policy = reach_spec, GaussianControllerPolicy(step_size=reach_spec.step_size)
-    else:
+    elif case == "flat":
         q = np.random.default_rng(seed).normal(size=(flat_spec.height, flat_spec.width, 4))
         spec, policy = flat_spec, TabularPolicy(q)
+    else:
+        spec, policy = case
     config = EvolutionConfig(seed=seed, **fields)
     best = [-math.inf]
 
     def observer(generation, population, demos):
         # the set is the image of the population, member for member
         assert sorted(map(id, demos.trajectories())) == sorted(id(i.trajectory) for i in population)
+        assert all(spec.validate_initial(i.initial_state) is None for i in population)
+        twin = population[0].trajectory.copy()
+        assert fitness.joint_fitness(twin, demos, spec).joint == 0.0  # a duplicate scores 0
         top = max(i.fitness.joint for i in population)
         assert top >= best[0]  # the stored maximum never decreases
         best[0] = top
@@ -756,24 +823,6 @@ class _Untabled:
         return None
 
 
-@st.composite
-def reach_cases(draw):
-    """A PointReach-like spec and its controller: a gain below 1 or a small step
-    in a wide box makes collapsed trajectories longer than 7 states."""
-    dims = draw(st.integers(1, 3))
-    bounds = tuple(
-        (low, low + width)
-        for low, width in draw(st.lists(
-            st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 1.5)), min_size=dims, max_size=dims,
-        ))
-    )
-    step_size = draw(st.floats(0.01, 0.2))
-    spec = ReachSpec(bounds=bounds, goal_radius=draw(st.floats(0.005, 0.5)),
-                     horizon=draw(st.integers(1, 40)), step_size=step_size)
-    return spec, GaussianControllerPolicy(gain=draw(st.sampled_from([0.3, 0.5, 1.0, 2.0])),
-                                          step_size=step_size)
-
-
 LONG_REACH = ReachSpec(bounds=((-0.5, 0.5),) * 3, horizon=40, step_size=0.02)
 
 
@@ -798,6 +847,7 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
         spec, policy = case
     config = EvolutionConfig(seed=seed, **fields)
     original_pass = fitness.DemonstrationSet.nearest_distances
+    original_kernel = fitness._Blocks.one_way
     original_score = evolution.joint_fitness
     original_evaluate = evolution.evaluate_offspring
     original_migrate = evolution.migrate
@@ -805,12 +855,22 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
     def search(pruning):
         # pruned trajectories by id, each held so that its id is not reused
         # by a later trajectory once the search has dropped it
-        calls, pruned, floors, joints = [], {}, {}, {}
+        calls, pruned, floors, joints, kernel_rows = [], {}, {}, {}, []
 
-        def nearest_distances(demos, trajectories, table=None, rows=None):
-            if rows is not None:
-                pruned.update((id(t), t) for k, t in enumerate(trajectories) if k not in rows)
-            return original_pass(demos, trajectories, table, rows)
+        def one_way(blocks, left, right):
+            kernel_rows.append(left)
+            return original_kernel(blocks, left, right)
+
+        def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
+            kernel_rows.clear()
+            # without a floor every row goes through the exact pass
+            distances = original_pass(demos, trajectories, table, env_spec,
+                                      floor if pruning else None)
+            if len(demos) and trajectories:  # a row the read's last kernel call skips
+                asked = set(kernel_rows[-1].tolist())
+                pruned.update((id(t), t) for k, t in enumerate(trajectories)
+                              if len(demos) + k not in asked)
+            return distances
 
         def joint_fitness(trajectory, *args):
             components = original_score(trajectory, *args)
@@ -843,12 +903,10 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+            patch.setattr(fitness._Blocks, "one_way", one_way)
             patch.setattr(evolution, "joint_fitness", joint_fitness)
             patch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
             patch.setattr(evolution, "migrate", migrate)
-            if not pruning:  # no bound is low enough: every row goes through the exact pass
-                patch.setattr(fitness.DemonstrationSet, "joint_bounds",
-                              lambda demos, rows, env_spec: [(0.0, math.inf)] * len(rows))
             result = run(spec, policy, config, observer)
         if not pruning:
             assert not pruned
@@ -869,14 +927,23 @@ def test_a_pruned_search_matches_the_exact_search(flat_spec, case, seed, **field
 def test_most_reach_offspring_skip_the_exact_distance_pass(reach_spec, reach_controller, monkeypatch):
     rows = [0, 0]  # fresh rows of the bounded batches, and those the exact pass worked out
     original_pass = fitness.DemonstrationSet.nearest_distances
+    original_kernel = fitness._Blocks.one_way
+    kernel_rows = []
 
-    def nearest_distances(demos, trajectories, table=None, rows_asked=None):
-        if rows_asked is not None:
+    def one_way(blocks, left, right):
+        kernel_rows.append(left)
+        return original_kernel(blocks, left, right)
+
+    def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
+        kernel_rows.clear()
+        distances = original_pass(demos, trajectories, table, env_spec, floor)
+        if floor is not None and len(demos) and trajectories:  # the exact call comes last
             rows[0] += len(trajectories)
-            rows[1] += len(rows_asked)
-        return original_pass(demos, trajectories, table, rows_asked)
+            rows[1] += len(set(kernel_rows[-1].tolist()))
+        return distances
 
     monkeypatch.setattr(fitness.DemonstrationSet, "nearest_distances", nearest_distances)
+    monkeypatch.setattr(fitness._Blocks, "one_way", one_way)
     for seed in range(2):
         config = EvolutionConfig(population_size=30, generations=10, bits_per_dimension=9, seed=seed)
         run(reach_spec, reach_controller, config)
@@ -942,19 +1009,6 @@ def test_each_rollout_works_out_its_profile_values_once(flat_spec, reach_spec, r
     walked = list(flat_spec.rollout_table(policy).trajectories.values())
     for made in computed.values():
         assert sorted(map(id, made)) == sorted(map(id, walked))
-
-
-def _rounded_policy(spec, seed):
-    """A tabular policy of rounded random Q values: many starts loop."""
-    rng = np.random.default_rng(seed)
-    return TabularPolicy(np.round(rng.normal(size=(spec.height, spec.width, 4))))
-
-
-@st.composite
-def grid_cases(draw):
-    """A generated layout and a tabular policy over it."""
-    spec = draw(reference.grid_layouts(max_height=9, max_width=9, max_steps=80))
-    return spec, _rounded_policy(spec, draw(st.integers(0, 2**32 - 1)))
 
 
 LOOPING_HOLEY = preset("HoleyGrid11")
@@ -1135,11 +1189,13 @@ def test_only_offspring_above_the_weakest_member_become_individuals(
 
 
 def test_population_and_tournament_sizes_are_capped_without_allocating():
-    EvolutionConfig(population_size=MAX_POPULATION_SIZE, tournament_size=MAX_TOURNAMENT_SIZE)
+    EvolutionConfig(population_size=MAX_POPULATION_SIZE, tournament_size=MAX_TOURNAMENT_SIZE,
+                    bits_per_dimension=MAX_BITS_PER_DIMENSION)
     tracemalloc.start()
     try:
         for name, cap in (("population_size", MAX_POPULATION_SIZE),
-                          ("tournament_size", MAX_TOURNAMENT_SIZE)):
+                          ("tournament_size", MAX_TOURNAMENT_SIZE),
+                          ("bits_per_dimension", MAX_BITS_PER_DIMENSION)):
             for value in (cap + 1, 10**9):
                 with pytest.raises(ConfigurationError, match=name):
                     EvolutionConfig(**{name: value})

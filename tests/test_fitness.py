@@ -350,15 +350,37 @@ def test_the_profile_term_equals_the_scan_over_the_other_members(walks, fresh, a
     # member whose first and last positions lie nearest, the oldest on a tie
     # (lattice walks, so the squared distances are exact in any order)
     bounded = scored[len(members):]
-    expected = []
+    partner_distances = []
     for trajectory in bounded:
         partner = min(demos, key=lambda e: _ends_squared(trajectory, e.trajectory)).trajectory
         distance = pairwise.one_way(pairwise.points(trajectory), pairwise.points(partner))
         profile = pairwise.local_distance(
             trajectory, local_diversity(trajectory, REACH), trajectory_certainty(trajectory), demos
         )
-        expected.append((distance, distance / REACH.max_state_distance + profile))
-    assert demos.joint_bounds(bounded, REACH) == expected
+        joint = distance / REACH.max_state_distance + profile
+        # pruned at a floor equal to its bound, worked out exactly just below it
+        assert exact_rows(demos, [trajectory], REACH, joint) == ([distance], [])
+        exact = demos.nearest_distances([trajectory])
+        below = math.nextafter(joint, -math.inf)
+        assert exact_rows(demos, [trajectory], REACH, below) == (exact, [0])
+        partner_distances.append(distance)
+    assert demos.nearest_distances(bounded, None, REACH, math.inf) == partner_distances
+
+
+def exact_rows(demos, batch, env_spec, floor):
+    """``demos.nearest_distances(batch, None, env_spec, floor)`` and the rows
+    of ``batch`` that its exact kernel call, the read's last, asks for; the
+    rest were pruned."""
+    calls = []
+    kernel = fitness._Blocks.one_way
+
+    def recording(blocks, left, right):
+        calls.append(left)
+        return kernel(blocks, left, right)
+
+    with mock.patch.object(fitness._Blocks, "one_way", recording):
+        distances = demos.nearest_distances(batch, None, env_spec, floor)
+    return distances, sorted(set((calls[-1] - len(demos)).tolist())) if calls else []
 
 
 def _ends_squared(u, v):
@@ -568,16 +590,59 @@ def test_nearest_distance_is_infinite_with_nothing_to_compare():
 
 
 # ---------------------------------------------------------------------------
-# the search's bound: one member's distance per row, and rows asked by index
+# the search's bound: one member's distance per row, read with the exact pass
 
 
-def test_a_member_cannot_be_bounded():
+def test_a_member_row_gets_its_exact_distance():
     # a member would be its own partner, at distance 0, below its exact score
     walks = [random_walk(np.random.default_rng(seed), 3, 6) for seed in range(3)]
     demos = demo_set(walks[:2], REACH)
-    with pytest.raises(ContractViolationError):
-        demos.joint_bounds([walks[2], walks[1]], REACH)
-    assert len(demos.joint_bounds([walks[2], walks[1].copy()], REACH)) == 2
+    exact = pairwise.one_way(pairwise.points(walks[1]), pairwise.points(walks[0]))
+    assert exact > 0.0
+    distances, asked = exact_rows(demos, [walks[1], walks[2]], REACH, math.inf)
+    assert distances[0] == exact and asked == [0]
+    # a copy of a member is not a member: its partner is the member it copies
+    twin = walks[1].copy()
+    assert exact_rows(demos, [walks[2], twin], REACH, math.inf) == ([distances[1], 0.0], [])
+
+
+def test_a_bound_partner_is_the_oldest_member_on_a_tie():
+    # both members' ends lie at squared distance 2 from the row's ends, but
+    # their one-way distances to the row differ
+    row = make_traj([(0.0, 0.0), (0.0, 4.0)])
+    detour = make_traj([(1.0, 0.0), (5.0, 5.0), (1.0, 4.0)])
+    straight = make_traj([(-1.0, 0.0), (-1.0, 4.0)])
+    distances = [pairwise.one_way(pairwise.points(row), pairwise.points(member))
+                 for member in (detour, straight)]
+    assert distances[0] != distances[1]
+    for members in ([detour, straight], [straight, detour]):
+        demos = demo_set(members, REACH)
+        expected = distances[0] if members[0] is detour else distances[1]
+        assert demos.nearest_distances([row], None, REACH, math.inf) == [expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 6), size=st.integers(1, 8))
+def test_a_read_with_a_floor_gives_each_boundable_row_its_partners_entry(
+    flat_spec, seed, members, size
+):
+    # 2-D lattice walks: the squared distances of the ends are exact in any
+    # order, and often tie; the batch mixes fresh walks, twins, members and repeats
+    rng = np.random.default_rng(seed)
+    live = [random_walk(rng, 2, int(rng.integers(1, 40))) for _ in range(members)]
+    demos = demo_set(live, flat_spec)
+    batch = []
+    for _ in range(size):
+        batch.append(_batch_member(rng, 2, 40, live, batch))
+    floored = demos.nearest_distances(batch, None, flat_spec, math.inf)
+    seen = set(map(id, live))
+    for trajectory, got, exact in zip(batch, floored, demos.nearest_distances(batch)):
+        if live and id(trajectory) not in seen:  # the oldest member with the nearest ends
+            partner = min(live, key=lambda member: _ends_squared(trajectory, member))
+            assert got == pairwise.one_way(pairwise.points(trajectory), pairwise.points(partner))
+        else:  # a member, a repeat of an earlier row, or a row of an empty set
+            assert got == exact
+        seen.add(id(trajectory))
 
 
 def test_appending_to_a_store_keeps_every_earlier_slot(holey_spec):
@@ -674,8 +739,8 @@ def test_the_kernel_equals_the_stated_order_in_plain_python(pair):
         assert one_way_distance(make_traj(first), make_traj(second)) == expected
         assert paired_distances([np.array(first)], [np.array(second)]) == [expected]
         # the bound, from a set whose one member is the partner
-        bounds = demo_set([make_traj(second)], REACH).joint_bounds([make_traj(first)], REACH)
-        assert bounds[0][0] == expected
+        demos = demo_set([make_traj(second)], REACH)
+        assert demos.nearest_distances([make_traj(first)], None, REACH, math.inf) == [expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -700,10 +765,13 @@ def test_the_ordered_sums_are_the_stated_order(columns):
     members=st.integers(0, 5),
     size=st.integers(1, 8),
     tabled=st.booleans(),
+    floor=st.floats(0.0, 2.0),
 )
 def test_the_rows_asked_for_get_their_distances_in_the_whole_pass(
-    flat_spec, seed, members, size, tabled
+    flat_spec, seed, members, size, tabled, floor
 ):
+    # the rows the bound leaves are asked for by the exact pass; a table
+    # serves every row, with no bound
     rng = np.random.default_rng(seed)
     policy = TabularPolicy(np.round(rng.normal(size=(flat_spec.height, flat_spec.width, 4))))
     starts = list(flat_spec.startable.values())
@@ -712,9 +780,12 @@ def test_the_rows_asked_for_get_their_distances_in_the_whole_pass(
     demos = demo_set(trajectories[:members], flat_spec)
     batch = trajectories[members:]
     whole = demos.nearest_distances(batch)
-    rows = sorted(rng.choice(size, int(rng.integers(0, size + 1)), replace=False).tolist())
-    table = flat_spec.rollout_table(policy) if tabled else None
-    assert demos.nearest_distances(batch, table, rows) == [whole[row] for row in rows]
+    if tabled:
+        table = flat_spec.rollout_table(policy)
+        assert demos.nearest_distances(batch, table, flat_spec, floor) == whole
+        return
+    distances, rows = exact_rows(demos, batch, flat_spec, floor)
+    assert [distances[row] for row in rows] == [whole[row] for row in rows]
 
 
 def test_a_position_array_is_built_once_and_when_a_pass_first_reads_it(monkeypatch):
