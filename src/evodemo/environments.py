@@ -268,13 +268,12 @@ class RolloutTable:
       cell shares;
     * ``distances``: the one-way distance between the episodes of two cells
       ``low <= high``, keyed ``low * size + high``, for each pair
-      ``fitness.DemonstrationSet.nearest_distances`` has scored;
-    * ``blocks``: the positions of the walked episodes whose distances were
-      worked out, in one store ``fitness`` pads and appends to as cells are
-      first paired.
+      ``fitness.DemonstrationSet.nearest_distances`` has scored.
 
-    Its memory grows with the cells walked and the pairs scored, never with
-    the square of the layout area.
+    It holds walked trajectories and pair distances only, no store of
+    positions: each read works out the pairs it lacks from a store of its
+    own.  Its memory grows with the cells walked and the pairs scored, never
+    with the square of the layout area.
     """
 
     def __init__(self, decisions, size: int) -> None:
@@ -283,7 +282,6 @@ class RolloutTable:
         self.trajectories: dict[int, Trajectory] = {}
         self.cells: dict[int, int] = {}  # by id(trajectory.states)
         self.distances: dict[int, float] = {}
-        self.blocks = None  # made by fitness when a pair is first worked out
 
     def add(self, cell: int, trajectory: Trajectory) -> None:
         self.trajectories[cell] = trajectory

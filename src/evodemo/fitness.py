@@ -62,12 +62,12 @@ numpy gives the pair alone (``tests/pairwise.py``).
 On a grid a rollout depends only on the policy and the start cell, so the
 search also passes the spec's ``rollout_table`` for the policy.  When every
 member and every trajectory of the batch shares that table's tuples, the
-pass reads each pair's distance from the table, working out only the pairs
-it lacks, with the same kernel over a store the table keeps of its walked
-cells' blocks, appending each cell when it is first paired, and storing
-the distances there.  A table entry is therefore the distance the kernel
-gives, and a search scores the same whatever the table held before it.
-``ReachSpec`` answers no table.
+pass reads each pair's distance from the table, which holds walked
+trajectories and pair distances only.  The pairs it lacks are worked out
+once each, with the same kernel over the read's own store, and stored
+there.  A table entry is therefore the distance the kernel gives, and a
+search scores the same whatever the table held before it.  ``ReachSpec``
+answers no table.
 """
 
 from __future__ import annotations
@@ -212,22 +212,25 @@ class DemonstrationSet:
         to another object, and the kernel works out those pairs only, in
         chunks of at most ``MAX_PAIR_ELEMENTS`` point pairs.
 
-        Given a ``floor`` and the ``env_spec`` that scores the batch, a row
-        that is neither a member nor a repeat of an earlier row (a member
-        would be its own partner) is first paired, in the same store, with its
-        partner: the member whose first and last positions lie nearest, the
-        oldest on a tie.  Its score at that distance, with the profile term
-        over the members as they stand, bounds its exact score from above,
-        since the rows before it can only lower the profile term.  A row whose
-        bound is at most ``floor`` gets its partner's distance; the others go
-        through the exact pass.
+        Given a ``floor``, which needs the ``env_spec`` that scores the batch
+        (``ContractViolationError`` without it), a row that is neither a
+        member nor a repeat of an earlier row (a member would be its own
+        partner) is first paired, in the same store, with its partner: the
+        member whose first and last positions lie nearest, the oldest on a
+        tie.  Its score at that distance, with the profile term over the
+        members as they stand, bounds its exact score from above, since the
+        rows before it can only lower the profile term.  A row whose bound is
+        at most ``floor`` gets its partner's distance; the others go through
+        the exact pass.
 
         ``table`` is the spec's ``rollout_table`` for the policy that rolled
         the trajectories out, if it has one.  When every member and every
         trajectory has a cell in it, each distance is read from the table
-        instead, with no bound, after the pairs it lacks are worked out and
-        stored in it.
+        instead, with no bound, after the pairs it lacks are worked out from
+        the call's own store, once each, and stored in it.
         """
+        if floor is not None and env_spec is None:
+            raise ContractViolationError("a floor needs the env_spec that scores the batch")
         members = len(self._entries)
         at = members + np.arange(len(trajectories))  # each row's slot, after the members'
         if not at.any():  # no row, or the first one ever scored, with nothing to compare with
@@ -240,7 +243,7 @@ class DemonstrationSet:
                 visible[row, [k for k in range(slot) if everyone[k] is everyone[slot]]] = False
         cells = list(map(table.cell, everyone)) if table else [None]
         if None not in cells:
-            return _table_distances(table, np.array(cells), at, visible).min(axis=1).tolist()
+            return _table_distances(table, everyone, np.array(cells), visible).min(axis=1).tolist()
         blocks = _Blocks(everyone)
         distances = np.full(visible.shape, math.inf)
         if floor is not None and members:
@@ -272,45 +275,26 @@ class _Blocks:
     ``rows`` (width, slots) gives each point's row among them.  A block of
     more than ``SHORT_BLOCK`` and at most 128 points is stored as its distinct
     points (a looping grid path has few).  The store holds exactly the slots
-    of the trajectories it was built from and appended, in order;
-    ``slot_of`` maps table cells to slots.
+    of the trajectories it was built from, in order, and never grows: each
+    distance read builds its own.
     """
 
-    def __init__(self, trajectories: Sequence[Trajectory] = ()) -> None:
-        self.points = np.empty((0, 0, 0))
-        self.rows = np.empty((0, 0), dtype=np.intp)
-        self.counts = np.empty(0, dtype=np.intp)
-        self.lengths = np.empty(0, dtype=np.intp)
-        self.distinct = False  # some block was stored as its distinct points
-        self.slot_of: dict[int, int] = {}
-        if trajectories:
-            self.append(trajectories)
-
-    def append(self, trajectories: Sequence[Trajectory]) -> None:
-        """Lay out ``trajectories``' blocks in the slots after the stored ones,
-        at the wider of the two sides' widths; the stored slots are padded
-        when the new blocks are wider."""
+    def __init__(self, trajectories: Sequence[Trajectory]) -> None:
         blocks = [trajectory.points for trajectory in trajectories]
         lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        rows = np.minimum(np.arange(max(len(self.rows), lengths.max()))[:, None], lengths - 1)
+        rows = np.minimum(np.arange(lengths.max())[:, None], lengths - 1)
+        self.distinct = False  # some block was stored as its distinct points
         for k in np.flatnonzero((SHORT_BLOCK < lengths) & (lengths <= 128)).tolist():
             blocks[k], rows[: lengths[k], k] = trajectories[k].distinct_points
             rows[lengths[k]:, k] = rows[lengths[k] - 1, k]
             self.distinct = True
-        axes = {points.shape[1] for points in blocks}
-        if len(axes) > 1 or (len(self.counts) and axes != {len(self.points)}):
+        if len({points.shape[1] for points in blocks}) > 1:
             raise ContractViolationError("demonstrations must share one position dimensionality")
         counts = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        width = max(self.points.shape[1], int(counts.max()))
         # each block's stored points, then its last again up to the width
-        at = np.cumsum(counts) - counts + np.minimum(np.arange(width)[:, None], counts - 1)
-        points = np.concatenate(blocks)[at].transpose(2, 0, 1)
-        if len(self.counts):
-            points = np.concatenate((_widened(self.points, width), points), axis=2)
-            rows = np.concatenate((_widened(self.rows, len(rows)), rows), axis=1)
-            counts = np.concatenate((self.counts, counts))
-            lengths = np.concatenate((self.lengths, lengths))
-        self.points, self.rows, self.counts, self.lengths = points, rows, counts, lengths
+        at = np.cumsum(counts) - counts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
+        self.points = np.concatenate(blocks)[at].transpose(2, 0, 1)
+        self.rows, self.counts, self.lengths = rows, counts, lengths
 
     def one_way(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The one-way distance of the blocks of slots ``left[k]`` and
@@ -357,13 +341,6 @@ class _Blocks:
         return distances
 
 
-def _widened(array: np.ndarray, width: int) -> np.ndarray:
-    """A (..., width, slots) array padded to ``width`` by repeating its last row."""
-    if array.shape[-2] == width:
-        return array
-    return array[..., np.minimum(np.arange(width), array.shape[-2] - 1), :]
-
-
 def local_diversity(trajectory: Trajectory, env_spec: EnvSpec) -> float:
     """Fraction of the state space one trajectory covers on its own."""
     count = env_spec.state_count
@@ -406,20 +383,20 @@ def joint_fitness(
 
 
 def _table_distances(
-    table: RolloutTable, cells: np.ndarray, at: np.ndarray, visible: np.ndarray
+    table: RolloutTable, everyone: Sequence[Trajectory], cells: np.ndarray, visible: np.ndarray
 ) -> np.ndarray:
     """The one-way distance of each asked row to each slot it sees, ``inf``
     where it sees none, read from ``table``.
 
-    ``cells`` holds every slot's cell, ``at`` each asked row's own slot, in
-    increasing order, and ``visible`` is (rows, slots).  Each pair of cells
-    the table lacks is worked out once, by one ``_Blocks.one_way`` call over
-    the store the table keeps of its walked cells' blocks (a cell paired
-    for the first time is appended to it first), and stored; a pair is
-    keyed by its unordered cells, so each is worked out once however many
-    rows lack it.
+    ``everyone`` holds every slot's trajectory, the rows' last, and ``cells``
+    each slot's cell; ``visible`` is (rows, slots).  A pair is keyed by its
+    unordered cells, and each pair the table lacks is worked out once, from
+    one row and slot that pair it (any gives the same bits: every trajectory
+    from one cell shares its ``points``), by one ``_Blocks.one_way`` call over
+    a store of ``everyone`` built for the read, and stored.
     """
-    rows = cells[at, None]
+    first = len(everyone) - len(visible)  # the first row's slot
+    rows = cells[first:, None]
     columns = cells[: visible.shape[1]]
     low = np.minimum(rows, columns)
     # one key per unordered pair: the one-way distance is symmetric bit for bit,
@@ -430,15 +407,10 @@ def _table_distances(
     lacking = np.isnan(distances)
     if lacking.any():
         lacking_keys = keys[lacking].tolist()
-        pairs = np.array([divmod(key, table.size) for key in dict.fromkeys(lacking_keys)]).T
-        blocks = table.blocks = table.blocks or _Blocks()
-        new = [cell for cell in dict.fromkeys(pairs.ravel().tolist()) if cell not in blocks.slot_of]
-        if new:
-            blocks.slot_of.update((cell, slot) for slot, cell in enumerate(new, len(blocks.counts)))
-            blocks.append([table.trajectories[cell] for cell in new])
-        slots = np.array([[blocks.slot_of[cell] for cell in side] for side in pairs.tolist()])
-        found = blocks.one_way(*slots).tolist()
-        table.distances.update(zip(dict.fromkeys(lacking_keys), found))
+        picks = dict(zip(lacking_keys, range(len(lacking_keys))))  # each key's last lacking entry
+        asked, slots = (side[list(picks.values())] for side in np.nonzero(lacking))
+        found = _Blocks(everyone).one_way(first + asked, slots).tolist()
+        table.distances.update(zip(picks, found))
         distances[lacking] = list(map(table.distances.__getitem__, lacking_keys))
     return distances
 

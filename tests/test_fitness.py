@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
@@ -451,23 +451,32 @@ def test_batch_scoring_equals_sequential_reference(
     batch_sizes=st.lists(st.integers(0, 10), min_size=1, max_size=4),
     bound=st.sampled_from([1, 300, fitness.MAX_PAIR_ELEMENTS]),
 )
+# 8 start cells: a batch of 10 repeats a cell in distinct objects, and the
+# members it leaves behind share cells
+@example(spec=SMALL_GRID, seed=3, batch_sizes=[10, 10], bound=fitness.MAX_PAIR_ELEMENTS)
 def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_sizes, bound):
     # few actions and rounded Q values make many starts share their paths
     q = np.round(np.random.default_rng(seed).normal(size=(spec.height, spec.width, 4)))
     policy = TabularPolicy(q)
     table = spec.rollout_table(policy)
     starts = list(spec.startable.values())
-    kernel_calls = []
-    kernel = fitness._Blocks.one_way
+    kernel_calls, stores = [], []
+    kernel, init = fitness._Blocks.one_way, fitness._Blocks.__init__
 
     def counting(*args):
         kernel_calls.append(args)
         return kernel(*args)
 
+    def counting_init(*args):
+        stores.append(args)
+        init(*args)
+
     with mock.patch.object(fitness, "MAX_PAIR_ELEMENTS", bound), \
-            mock.patch.object(fitness._Blocks, "one_way", counting):
+            mock.patch.object(fitness._Blocks, "one_way", counting), \
+            mock.patch.object(fitness._Blocks, "__init__", counting_init):
         for warm in (False, True):  # the same batches, the second time from a full table
             kernel_calls.clear()
+            stores.clear()
             rng = np.random.default_rng(seed)
             demos, live = DemonstrationSet(), []
             for size in batch_sizes:
@@ -476,7 +485,20 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
                 if batch and rng.random() < 0.5:  # the same object again, or a live member
                     pool = live + batch
                     batch.append(pool[int(rng.integers(len(pool)))])
+                # the unordered cell pairs the read sees that the table lacks
+                everyone = demos.trajectories() + tuple(batch)
+                cells = list(map(table.cell, everyone))
+                lacking = {(min(cells[row], cells[slot]), max(cells[row], cells[slot]))
+                           for row in range(len(demos), len(everyone)) for slot in range(row)
+                           if everyone[slot] is not everyone[row]}
+                lacking -= {divmod(key, table.size) for key in table.distances}
+                calls = len(kernel_calls)
                 nearest = demos.nearest_distances(batch, table)
+                # one slot pair per lacking pair of cells, in one call
+                assert len(kernel_calls) - calls == bool(lacking)
+                for _, left, right in kernel_calls[calls:]:
+                    asked = [tuple(sorted((cells[u], cells[v]))) for u, v in zip(left, right)]
+                    assert sorted(asked) == sorted(lacking)
                 others = [entry.trajectory for entry in demos]
                 for trajectory, distance in zip(batch, nearest):
                     expected = min((pairwise.one_way(pairwise.points(trajectory),
@@ -491,8 +513,8 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
                     live.append(trajectory)
                 for _ in range(int(rng.integers(0, len(live) // 2 + 1))):
                     demos.discard(live.pop(int(rng.integers(len(live)))))
-            if warm:
-                assert kernel_calls == []  # every distance came from the table
+            if warm:  # every distance came from the table, with no store built
+                assert kernel_calls == [] and stores == []
     # each entry is its two cells' distance, whichever episode is the row
     for key, distance in table.distances.items():
         u, v = (pairwise.points(table.trajectories[cell]) for cell in divmod(key, table.size))
@@ -606,6 +628,13 @@ def test_a_member_row_gets_its_exact_distance():
     assert exact_rows(demos, [walks[2], twin], REACH, math.inf) == ([distances[1], 0.0], [])
 
 
+def test_a_floor_without_the_env_spec_is_refused():
+    walks = [random_walk(np.random.default_rng(seed), 3, 6) for seed in range(2)]
+    demos = demo_set(walks[:1], REACH)
+    with pytest.raises(ContractViolationError, match="floor needs the env_spec"):
+        demos.nearest_distances(walks[1:], None, None, math.inf)
+
+
 def test_a_bound_partner_is_the_oldest_member_on_a_tie():
     # both members' ends lie at squared distance 2 from the row's ends, but
     # their one-way distances to the row differ
@@ -645,32 +674,15 @@ def test_a_read_with_a_floor_gives_each_boundable_row_its_partners_entry(
         seen.add(id(trajectory))
 
 
-def test_appending_to_a_store_keeps_every_earlier_slot(holey_spec):
-    # wider blocks, then narrower ones, then HoleyGrid11 paths that loop for
-    # 101 points over a few cells and are stored as their distinct points
+def test_one_store_of_mixed_widths_equals_the_pairwise_reference(holey_spec):
+    # walks of 1 to 140 points beside HoleyGrid11 paths that loop for 101
+    # points over a few cells and are stored as their distinct points
     rng = np.random.default_rng(11)
     policy = TabularPolicy(np.round(np.random.default_rng(0).normal(size=(11, 11, 4))))
     loops = [walk for walk in holey_spec.rollouts(policy, list(holey_spec.startable.values()))
              if fitness.SHORT_BLOCK < len(walk.points) <= 128][:3]
-    batches = [
-        [random_walk(rng, 2, n) for n in (3, 5)],
-        [random_walk(rng, 2, n) for n in (20, 9, 140)],
-        [random_walk(rng, 2, n) for n in (1, 2)],
-        loops,
-    ]
-    blocks, everyone = fitness._Blocks(batches[0]), list(batches[0])
-    for batch in batches[1:]:
-        old = blocks.points.copy(), blocks.rows.copy(), blocks.counts.copy(), blocks.lengths.copy()
-        blocks.append(batch)
-        everyone += batch
-        slots = len(old[2])
-        assert blocks.counts[:slots].tobytes() == old[2].tobytes()
-        assert blocks.lengths[:slots].tobytes() == old[3].tobytes()
-        for new, stored in zip((blocks.points, blocks.rows), old[:2]):
-            width = stored.shape[-2]
-            assert new[..., :width, :slots].tobytes() == stored.tobytes()
-            # the padding repeats each earlier slot's last stored row
-            assert (new[..., width:, :slots] == stored[..., -1:, :]).all()
+    everyone = [random_walk(rng, 2, n) for n in (3, 5, 20, 9, 140, 1, 2)] + loops
+    blocks = fitness._Blocks(everyone)
     assert len(blocks.counts) == len(everyone) and blocks.distinct and len(loops) == 3
     left, right = np.indices((len(everyone),) * 2).reshape(2, -1)
     expected = [pairwise.one_way(pairwise.points(everyone[u]), pairwise.points(everyone[v]))
