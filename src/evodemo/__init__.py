@@ -7,7 +7,7 @@ distance, so the surviving rollouts illustrate distinct behaviours of the
 same policy.
 """
 
-from .encoding import BitGenome, EncodingSpec, decode, occurrence_stats
+from .encoding import BitGenome, EncodingSpec, decode, occurrence_stats, state_value_distance
 from .environments import (
     GridSpec,
     GridState,
@@ -59,6 +59,7 @@ __all__ = [
     "preset",
     "run",
     "save_policy",
+    "state_value_distance",
     "train_q_learning",
     "write_comparison_report",
     "__version__",

@@ -221,7 +221,10 @@ def _export_seed(env_spec: EnvSpec, policy: Policy, seeded: EvolutionConfig, bun
     settings, with the genome's bit width under ``encoding``.
     """
     search = evolution.baseline if mode == "baseline" else evolution.run
-    result = search(env_spec, policy, seeded)
+    try:
+        result = search(env_spec, policy, seeded)
+    except ConfigurationError as exc:  # e.g. no valid start to sample: name the environment
+        raise ConfigurationError(f"{snapshot['environment']}: {exc}") from exc
     settings = asdict(seeded)
     seed = settings.pop("seed")
     encoding = {"bits_per_dimension": settings.pop("bits_per_dimension")}

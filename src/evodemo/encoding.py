@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolationError
 
 DISCRETE = "discrete"
@@ -175,12 +173,6 @@ def state_value_distance(spec: EncodingSpec, dim: int = 0) -> float:
     _check_dim(spec, dim)
     lo, hi = spec.bounds[dim]
     return (hi - lo) / (2 ** spec.bits_per_dim - 1)
-
-
-def random_genome(rng: np.random.Generator, spec: EncodingSpec) -> BitGenome:
-    """Uniform random genome of the encoding's full bit length."""
-    bits = rng.integers(0, 2, size=spec.genome_length)
-    return BitGenome(int("".join(map(str, bits.tolist())), 2), spec.genome_length)
 
 
 def _check_genome(genome: BitGenome, spec: EncodingSpec) -> None:

@@ -21,34 +21,31 @@ Each spec class is the one place that answers questions about its
 environment, so the search, scoring, export and CLI code never switch on the
 spec type: ``rollouts``, ``validate_initial``, ``max_state_distance``,
 ``state_count``, ``grid_shape``, ``encoding_spec``, ``starts_from_vectors``,
-``search_defaults``, ``policy_kind``, ``check_policy`` and
+``start_state``, ``search_defaults``, ``policy_kind``, ``check_policy`` and
 ``rollout_table``.
-``rollouts(policy, starts)`` is the only way an episode is produced: it first
-checks that the policy fits (``check_policy``), then runs the fixed policy
-from each start and records the episode as a ``Trajectory``.
-``rollout_table(policy)`` is what the search may remember per policy: a
-``GridSpec`` keeps a ``RolloutTable`` of each cell's episode and of the
-distances scored between them, while ``ReachSpec``, whose starts rarely
-repeat, answers ``None`` and remembers nothing.  A ``GridSpec``
-also answers, built once per layout and indexed by cell ``row * width + col``:
+A start is named by its ``key``, the decoded genome vector: ``(row, col)``,
+or the effector's coordinates then the target's.  ``starts_from_vectors``
+answers each valid decoded vector as its key, ``start_state(key)`` makes the
+state a key names, and ``rollouts(policy, starts)``, the only way an episode
+is produced, takes keys: it checks that the policy fits (``check_policy``)
+and that ``validate_initial`` accepts every start, then records the fixed
+policy's episode from each as a ``Trajectory``.  A ``GridSpec`` also
+answers, built once per layout and indexed by cell ``row * width + col``:
 ``transitions``, the dynamics that ``rollouts`` and the Q-learning trainer
 walk, and ``positions``, the coordinates ``rollouts`` records for each cell.
 A grid rollout walks ``transitions`` side by side with the tabular policy's
-``decisions``, which use the same indexing.  Its ``startable`` table, keyed by
-``(row, col)``, is what ``starts_from_vectors`` and ``rollouts`` check starts by.
+``decisions``, which use the same indexing.  Its ``startable`` set of keys
+is what ``starts_from_vectors`` and ``rollouts`` check starts by.
 
 Every trajectory carries its positions as an array, ``Trajectory.points``,
 which is what the search reads.  A grid builds it, with the distinct points
 and the mean certainty that scoring reads, once per walked cell, and the
-copies ``rollouts`` returns share them.  ``ReachSpec.rollouts`` steps a
-batch as arrays and keeps it so: each trajectory starts out as its row's
-collapsed positions, and builds ``states``, ``actions``, ``rewards`` and
-``episode_return`` from the batch the first time one of them is read.  The
-search reads positions, certainties and step counts only, so the records of
-the many offspring it drops are never built; export, an observer or a caller
-that reads a trajectory builds them.  That laziness lives in this module
-alone: no other module makes a ``Trajectory`` field by field or reads its
-instance dict.
+copies ``rollouts`` returns share them.  A reach trajectory builds its
+per-step records from its batch when they are first read (``Trajectory``),
+so the search, which reads positions, certainties and step counts only,
+never builds those of the many offspring it drops.  That laziness lives in
+this module alone: no other module makes a ``Trajectory`` field by field or
+reads its instance dict.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ class GridState:
     row: int
     col: int
 
-    def __post_init__(self) -> None:  # a plain tuple, hashed in place of the state
+    def __post_init__(self) -> None:  # the decoded vector naming this start, a plain tuple
         object.__setattr__(self, "key", (self.row, self.col))
 
 
@@ -103,7 +100,7 @@ class ReachState:
     effector: tuple[float, float, float]
     target: tuple[float, float, float]
 
-    def __post_init__(self) -> None:  # a plain tuple, hashed in place of the state
+    def __post_init__(self) -> None:  # the decoded vector naming this start, a plain tuple
         object.__setattr__(self, "key", tuple(self.effector) + tuple(self.target))
 
 
@@ -242,16 +239,16 @@ class _ReachRecords:
         }
 
 
-def _check_starts(spec: EnvSpec, starts: Sequence, flags) -> None:
-    """Raise for the first start ``flags()`` marks invalid, with ``validate_initial``'s reason."""
-    try:
-        valid = flags()
-    except (AttributeError, TypeError, ValueError):  # not all starts are states of this spec
-        valid = [spec.validate_initial(start) is None for start in starts]
-    for start, ok in zip(starts, valid):
-        if not ok:
-            reason = spec.validate_initial(start)
-            raise ContractViolationError(f"cannot start an episode at {start}: {reason}")
+def _check_starts(spec: EnvSpec, starts: Sequence, valid: Sequence[bool]) -> None:
+    """Raise for the first start key not marked ``valid``, naming it and
+    ``validate_initial``'s reason for the state ``start_state`` makes of it."""
+    for key in (key for key, ok in zip(starts, valid) if not ok):
+        try:
+            reason = spec.validate_initial(spec.start_state(key))
+        except TypeError:  # no state of this spec has such a key
+            reason = f"not a start key of a {type(spec).__name__}"
+        if reason is not None:  # a valid key beside keys of another shape
+            raise ContractViolationError(f"cannot start an episode at {key}: {reason}")
 
 
 class RolloutTable:
@@ -323,11 +320,9 @@ class GridSpec:
         targets = sum(row.count(TARGET) for row in self.cells)
         if targets != 1:
             raise ConfigurationError(f"layout must contain exactly one target, found {targets}")
-        for r in range(self.height):
-            for c in range(self.width):
-                on_edge = r in (0, self.height - 1) or c in (0, self.width - 1)
-                if on_edge and self.cells[r][c] != WALL:
-                    raise ConfigurationError("layout perimeter must be wall")
+        border = self.cells[0] + self.cells[-1] + "".join(row[0] + row[-1] for row in self.cells)
+        if set(border) != {WALL}:
+            raise ConfigurationError("layout perimeter must be wall")
 
     @cached_property
     def target_cell(self) -> tuple[int, int]:
@@ -363,18 +358,17 @@ class GridSpec:
         return tuple((float(r), float(c)) for r in range(self.height) for c in range(self.width))
 
     @cached_property
-    def startable(self) -> dict[tuple[int, int], GridState]:
-        """The start state of every cell ``validate_initial`` accepts, keyed by ``(row, col)``."""
-        states = (GridState(r, c) for r in range(self.height) for c in range(self.width))
-        return {(s.row, s.col): s for s in states if self.validate_initial(s) is None}
+    def startable(self) -> frozenset[tuple[int, int]]:
+        """The ``(row, col)`` key of every cell ``validate_initial`` accepts."""
+        cells = ((r, c) for r in range(self.height) for c in range(self.width))
+        return frozenset(key for key in cells if self.validate_initial(GridState(*key)) is None)
 
     @cached_property
     def canonical_start(self) -> GridState:
         """First floor cell in row-major order; training episodes begin here."""
-        for r in range(self.height):
-            for c in range(self.width):
-                if self.cells[r][c] == FLOOR:
-                    return GridState(r, c)
+        for r, row in enumerate(self.cells):
+            if FLOOR in row:
+                return GridState(r, row.index(FLOOR))
         raise ConfigurationError("layout has no floor cell to start from")
 
     @cached_property
@@ -405,24 +399,24 @@ class GridSpec:
             return "outside the grid"
         return _BLOCKED_CELLS.get(self.cells[state.row][state.col])
 
-    def rollouts(self, policy, starts: Sequence[GridState]) -> list[Trajectory]:
-        """One episode of ``policy`` per start, in order; pure in all arguments.
+    def rollouts(self, policy, starts: Sequence[tuple[int, int]]) -> list[Trajectory]:
+        """One episode of ``policy`` per ``(row, col)`` start key, in order; pure in all arguments.
 
         An episode walks ``transitions`` and the policy's ``decisions`` until
         it enters the target (``reached_target``) or a hole (``failed``), or
         has taken ``max_steps`` steps (``truncated``).  A policy that does not
-        fit is a configuration error; every start must be valid, and an
-        invalid one is a contract violation.  The episode from each cell is
+        fit is a configuration error; every key must be in ``startable``, and
+        one that is not is a contract violation.  The episode from each cell is
         walked once per policy and kept in its ``rollout_table``; each call
         returns new ``Trajectory`` objects that share the table's tuples.
         """
         self.check_policy(policy)
-        _check_starts(self, starts, lambda: [(s.row, s.col) in self.startable for s in starts])
+        _check_starts(self, starts, [key in self.startable for key in starts])
         table = self.rollout_table(policy)
         walked = table.trajectories
         trajectories = []
-        for start in starts:
-            cell = start.row * self.width + start.col
+        for row, col in starts:
+            cell = row * self.width + col
             if cell not in walked:
                 table.add(cell, self._walk(table.decisions, cell))
             # a new object per start and call, sharing the table's tuples: the
@@ -504,10 +498,13 @@ class GridSpec:
         except ContractViolationError as exc:
             raise ConfigurationError(f"bits_per_dimension {bits_per_dim!r}: {exc}") from exc
 
-    def starts_from_vectors(self, vectors: Sequence[tuple[int, int]]) -> list[GridState | None]:
-        """The start state each decoded ``(row, col)`` vector stands for, ``None``
-        where ``validate_initial`` would reject it; one ``startable`` lookup each."""
-        return list(map(self.startable.get, vectors))
+    def starts_from_vectors(self, vectors: Sequence[tuple[int, int]]) -> list[tuple | None]:
+        """Each decoded ``(row, col)`` vector as its start's key, ``None`` if not ``startable``."""
+        return [vector if vector in self.startable else None for vector in vectors]
+
+    def start_state(self, key: tuple[int, int]) -> GridState:
+        """The start state a ``(row, col)`` key names."""
+        return GridState(*key)
 
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a Q table of this grid's size."""
@@ -583,8 +580,8 @@ class ReachSpec:
                     return "coordinate outside bounds"
         return None
 
-    def rollouts(self, policy, starts: Sequence[ReachState]) -> list[Trajectory]:
-        """Gaussian-controller episodes, one per start, stepped together as ``(B, dims)`` arrays.
+    def rollouts(self, policy, starts: Sequence[tuple[float, ...]]) -> list[Trajectory]:
+        """Gaussian-controller episodes, one per start key, stepped as ``(B, dims)`` arrays.
 
         Reads the controller through ``policy.mean_actions``, once per step
         for the whole batch, and ``policy.step_certainty``, once per call.
@@ -592,18 +589,17 @@ class ReachSpec:
         start alone in plain Python, so the bits are the same.  Each
         trajectory holds its row's collapsed positions as ``points``, and
         builds its per-step records from the batch when they are first read.
-        A policy that does not fit is a configuration error; every start must
-        be valid, and an invalid one is a contract violation.
+        A policy that does not fit is a configuration error; every key must
+        name a valid start, and one that does not is a contract violation.
         """
         self.check_policy(policy)
-        _check_starts(self, starts, lambda: self._inside([(s.effector, s.target) for s in starts]))
-        if not starts:
-            return []
+        keys, inside = self._inside(starts)
+        _check_starts(self, starts, inside)
         certainties = (policy.step_certainty(self.dims),) * self.horizon
 
         lo, hi = np.array(self.bounds, dtype=float).T
-        target = np.array([start.target for start in starts], dtype=float)
-        path = [np.array([start.effector for start in starts], dtype=float)]
+        target = keys[:, self.dims:]
+        path = [keys[:, :self.dims]]
         actions = []
         while len(actions) < self.horizon:
             actions.append(policy.mean_actions(path[-1], target))
@@ -649,18 +645,24 @@ class ReachSpec:
             kind=CONTINUOUS,
         )
 
-    def starts_from_vectors(self, vectors: Sequence[tuple[float, ...]]) -> list[ReachState | None]:
-        """The start state each decoded (effector, target) vector stands for,
-        ``None`` where a coordinate lies outside the bounds."""
-        d, inside = self.dims, self._inside(vectors)
-        return [ReachState(v[:d], v[d:]) if ok else None for v, ok in zip(vectors, inside)]
+    def starts_from_vectors(self, vectors: Sequence[tuple[float, ...]]) -> list[tuple | None]:
+        """Each decoded vector as its start's key, or ``None`` where it leaves the bounds."""
+        _, inside = self._inside(vectors)
+        return [vector if ok else None for vector, ok in zip(vectors, inside)]
 
-    def _inside(self, starts: Sequence) -> list[bool]:
-        """Whether every coordinate of each start, its effector's then its target's,
-        lies within the bounds, as ``validate_initial`` asks; one array comparison."""
-        points = np.array(starts, dtype=float).reshape(len(starts), 2, self.dims)
-        lo, hi = np.array(self.bounds, dtype=float).T
-        return ((lo <= points) & (points <= hi)).all(axis=(1, 2)).tolist()
+    def start_state(self, key: tuple[float, ...]) -> ReachState:
+        """The start state a key names: its first ``dims`` coordinates are the effector's."""
+        return ReachState(key[:self.dims], key[self.dims:])
+
+    def _inside(self, keys: Sequence) -> tuple[np.ndarray | None, list[bool]]:
+        """``keys`` as one float array, and whether each lies within the bounds, as
+        ``validate_initial`` asks, by one comparison; no array and none inside if one is no key."""
+        try:
+            points = np.array(keys, dtype=float).reshape(len(keys), 2 * self.dims)
+        except (TypeError, ValueError):
+            return None, [False] * len(keys)
+        lo, hi = np.array(self.bounds + self.bounds, dtype=float).T
+        return points, ((lo <= points) & (points <= hi)).all(axis=1).tolist()
 
     def check_policy(self, policy) -> None:
         """Raise a ConfigurationError unless ``policy`` is a reach controller."""

@@ -1,8 +1,9 @@
 """Population loop evolving disturbed start states into diverse demonstrations.
 
-The demonstration set and the population move in lock-step: every evaluated
-offspring appends its trajectory to the set before the next one is scored,
-so scores depend on evaluation order by design.  A stored score is never
+The demonstration set and the population move in lock-step: an evaluated
+offspring appends its trajectory to the set before the next one is scored
+(unless it is a twin that cannot survive, see below), so scores depend on
+evaluation order by design.  A stored score is never
 recomputed; selection and survival always compare the score an individual
 earned at its own evaluation time.  Trajectories that do not survive leave
 the set again, keeping set and population identical.
@@ -17,28 +18,26 @@ Offspring whose genome decodes to an invalid start state are dropped without
 replacement.  Survivor selection keeps the top ``n`` by stored score.  Both
 resolve score ties toward older individuals.
 
-Offspring stay plain values, ``(id, genome value, start state)``, until they
-are scored, and only those that can survive become ``Individual``s.  Every
-member is older than every offspring, and ties go to the older, so from
-generation 1 on an offspring whose stored joint is at most the population's
-weakest stored joint ``T`` is dropped by ``migrate`` whatever else the
-generation holds, and appears in no result, history entry, observer call or
-bundle.  It is still scored once, in creation order, and stays in the set
-for the offspring after it; then its trajectory leaves the set, and it never
-gets an ``Individual`` or a ``BitGenome``.
+Offspring stay plain values, ``(id, genome value, start key)``, until they
+are scored, and only those that can survive become ``Individual``s and get
+a start state.  Every member is older than every offspring, and ties go to
+the older, so from generation 1 on an offspring whose stored joint is at
+most the population's weakest stored joint ``T`` is dropped by ``migrate``
+whatever else the generation holds, and appears in no result, history
+entry, observer call or bundle.  It is still scored once, in creation order.
 
-Rollouts are pure functions of the start state, so a candidate whose start
-is held by a live individual (the population, or an offspring already
-evaluated this generation) is a twin: it takes over that individual's
-rollout instead of running its own, and its nearest distance is 0 with no
-distance work, so it scores 0, at most ``T``.  Starts are told apart by
-their ``key``, a plain tuple made once per start, never by hashing the start
-itself.  The distinct starts no live individual holds are rolled out
-together, in one ``env_spec.rollouts`` call per batch, and their distances
-come from one ``nearest_distances`` read, given the spec's
-``rollout_table`` for the policy: a grid remembers each cell's rollout and
-each scored pair's distance for as long as the policy lives; the reach task
-has no table.
+Rollouts are pure functions of the start, so a candidate whose start key a
+live individual holds (the population, or an offspring already evaluated
+this generation) is a twin: it takes over that individual's rollout
+instead of running its own, and its nearest distance is 0 with no distance
+work, so from generation 1 on it scores 0, at most ``T``, and never joins
+the set, where the individual it copies holds the same positions and the
+same (D_l, C) pair until the batch ends.  The distinct starts no live
+individual holds are rolled out together, in one ``env_spec.rollouts`` call
+per batch, and their distances come from one ``nearest_distances`` read,
+given the spec's ``rollout_table`` for the policy: a grid remembers each
+cell's rollout and each scored pair's distance for as long as the policy
+lives; the reach task has no table.
 
 Without a table, most offspring are worked out only far enough to show that
 they cannot survive.  Given ``T`` as its floor, the read bounds each fresh
@@ -53,9 +52,8 @@ and as a profile, as it would at its exact score.
 Work is done once: an individual's ``IndividualSnapshot`` for the history
 on first use, a run's draw bounds, and a rollout's local diversity and mean
 certainty, which the bound and the score share (``Trajectory.distinct_points``,
-``Trajectory.mean_certainty``).  The search reads a trajectory's positions,
-certainties and step count, never its per-step records, which a reach
-rollout builds only when an observer, an export or a caller reads them.
+``Trajectory.mean_certainty``).  The search never reads a trajectory's
+per-step records (see ``environments``).
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import BitGenome, EncodingSpec, decode, decode_values, random_genome
+from .encoding import BitGenome, EncodingSpec, decode_values
 from .environments import EnvSpec, Trajectory
 from .errors import ConfigurationError, ContractViolationError, is_finite_number, is_int
 from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
@@ -165,22 +163,26 @@ def init_population(
 ) -> tuple[list[Individual], DemonstrationSet]:
     """Sample the seed population, then evaluate it in creation order.
 
-    Start states come from rejection sampling over random genomes; an
-    environment whose valid starts are too sparse to hit within
-    ``MAX_SAMPLING_ATTEMPTS`` draws is a configuration error.
+    Starts come from rejection sampling over uniform random genomes, kept in
+    draw order.  A round draws the bits of every genome still missing in one
+    ``rng.integers(0, 2, size=(k, L))`` call, the stream of ``k`` one-genome
+    draws, packed most significant bit first; ``MAX_SAMPLING_ATTEMPTS``
+    consecutive invalid draws are a configuration error.
     """
-    candidates = []
-    for index in range(config.population_size):
-        for _ in range(MAX_SAMPLING_ATTEMPTS):
-            genome = random_genome(rng, encoding_spec)
-            (state,) = env_spec.starts_from_vectors([decode(genome, encoding_spec)])
-            if state is not None:
-                break
-        else:
-            raise ConfigurationError(f"no valid start found in {MAX_SAMPLING_ATTEMPTS} attempts")
-        candidates.append((index, genome.value, state))
-    demos = DemonstrationSet()
     length = encoding_spec.genome_length
+    candidates, misses = [], 0
+    while len(candidates) < config.population_size:
+        bits = rng.integers(0, 2, size=(config.population_size - len(candidates), length))
+        values = [int.from_bytes(row, "big") >> (-length % 8)  # the pad bits are the last
+                  for row in np.packbits(bits, axis=1).tolist()]
+        keys = env_spec.starts_from_vectors(decode_values(values, encoding_spec))
+        for value, key in zip(values, keys):
+            misses = 0 if key is not None else misses + 1
+            if misses == MAX_SAMPLING_ATTEMPTS:
+                raise ConfigurationError(f"no valid start found in {MAX_SAMPLING_ATTEMPTS} attempts")
+            if key is not None:
+                candidates.append((len(candidates), value, key))
+    demos = DemonstrationSet()
     return evaluate_offspring(candidates, 0, length, demos, env_spec, policy, ()), demos
 
 
@@ -191,9 +193,9 @@ def make_offspring(
     env_spec: EnvSpec,
     rng: np.random.Generator,
     first_id: int,
-) -> list[tuple[int, int, object]]:
+) -> list[tuple[int, int, tuple]]:
     """Create this generation's unevaluated offspring, children before mutants,
-    as ``(id, genome value, start state)``; ids count from ``first_id``.
+    as ``(id, genome value, start key)``; ids count from ``first_id``.
 
     One ``rng.integers`` call (none when no offspring are due) draws, per child,
     ``tournament_size`` indices into ``population`` for each of two tournaments
@@ -226,9 +228,9 @@ def make_offspring(
     for parent, bit in draws[children * (2 * t + 1):].reshape(mutants, 2).tolist():
         values.append(population[parent].genome.value ^ (1 << (length - 1 - bit)))
 
-    states = env_spec.starts_from_vectors(decode_values(values, encoding_spec))
-    kept = [(value, state) for value, state in zip(values, states) if state is not None]
-    return [(first_id + k, value, state) for k, (value, state) in enumerate(kept)]
+    keys = env_spec.starts_from_vectors(decode_values(values, encoding_spec))
+    kept = [(value, key) for value, key in zip(values, keys) if key is not None]
+    return [(first_id + k, value, key) for k, (value, key) in enumerate(kept)]
 
 
 @functools.lru_cache(maxsize=1)  # a run draws with the same bounds every generation
@@ -315,7 +317,7 @@ def _run(
 
 
 def evaluate_offspring(
-    candidates: Sequence[tuple[int, int, object]],
+    candidates: Sequence[tuple[int, int, tuple]],
     generation: int,
     genome_length: int,
     demos: DemonstrationSet,
@@ -323,29 +325,25 @@ def evaluate_offspring(
     policy: Policy,
     population: Sequence[Individual],
 ) -> list[Individual]:
-    """Score ``(id, genome value, start state)`` offspring born in ``generation``
-    in creation order, each with one ``joint_fitness`` call and one
-    ``demos.add``, and return as individuals those that can survive.
+    """Score ``(id, genome value, start key)`` offspring born in ``generation``
+    in creation order, each with one ``joint_fitness`` call, and return as
+    individuals those that can survive.
 
-    A twin (an offspring whose start an individual of ``population`` or an
-    earlier offspring holds) takes over that rollout at distance 0.  Without
-    a rollout table, a fresh offspring whose joint bound is at most ``T``,
-    the weakest stored joint of ``population``, is scored at its bound
+    A twin (an offspring whose start key an individual of ``population`` or
+    an earlier offspring holds) takes over that rollout at distance 0.
+    Without a rollout table, a fresh offspring whose joint bound is at most
+    ``T``, the weakest stored joint of ``population``, is scored at its bound
     distance.  An offspring whose stored joint is at most ``T`` becomes no
-    individual, and its trajectory leaves ``demos`` once all are scored:
-    ``migrate`` against a full ``population`` would drop it.  Precondition:
-    every trajectory of ``population`` is a member of ``demos``.
+    individual (``migrate`` against a full ``population`` would drop it): if
+    fresh, it is in ``demos`` until all are scored; a twin never is.
+    Precondition: every trajectory of ``population`` is a member of ``demos``.
     """
     # rollouts are pure and set-independent, so every start that no live
     # individual holds is rolled out up front in one batch; only the scoring
     # depends on (and extends) the demonstration set, in creation order
     held = {individual.initial_state.key: individual.trajectory for individual in population}
-    keys = [state.key for _, _, state in candidates]
-    fresh_starts: dict[tuple, object] = {}
-    for key, (_, _, state) in zip(keys, candidates):
-        if key not in held:
-            fresh_starts.setdefault(key, state)
-    fresh = dict(zip(fresh_starts, env_spec.rollouts(policy, list(fresh_starts.values()))))
+    fresh_keys = list(dict.fromkeys(key for _, _, key in candidates if key not in held))
+    fresh = dict(zip(fresh_keys, env_spec.rollouts(policy, fresh_keys)))
     floor = min((individual.fitness.joint for individual in population), default=-math.inf)
     # the set each fresh rollout is scored against is known before any is
     # scored, so one read does their distance work; given the floor, it gives a
@@ -355,7 +353,7 @@ def evaluate_offspring(
     table = env_spec.rollout_table(policy)
     distances = iter(demos.nearest_distances(list(fresh.values()), table, env_spec, floor))
     individuals, dropped = [], []
-    for key, (the_id, value, state) in zip(keys, candidates):
+    for the_id, value, key in candidates:
         twin = held.get(key)
         if twin is None:
             trajectory = held[key] = fresh[key]
@@ -365,12 +363,15 @@ def evaluate_offspring(
             # excludes members by identity
             trajectory, distance = twin.copy(), 0.0
         components = joint_fitness(trajectory, demos, env_spec, distance)
+        if twin is not None and components.joint <= floor:
+            continue  # its twin stands for it in the set (module docstring)
         demos.add(trajectory, components.local_diversity, components.certainty)
         if components.joint <= floor:
             dropped.append(trajectory)
         else:
-            individuals.append(Individual(the_id, BitGenome(value, genome_length), state,
-                                          trajectory, components, generation))
+            individuals.append(Individual(the_id, BitGenome(value, genome_length),
+                                          env_spec.start_state(key), trajectory, components,
+                                          generation))
     for trajectory in dropped:
         demos.discard(trajectory)
     return individuals

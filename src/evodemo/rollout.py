@@ -1,9 +1,9 @@
 """Demonstration generation: roll a policy out from a start state.
 
-Each environment spec rolls out its own starts (``GridSpec.rollouts``,
-``ReachSpec.rollouts``), and a search calls that directly for a whole batch.
-``generate`` runs one episode through it, and ``trajectory_to_dict`` gives a
-trajectory's exported form.
+Each environment spec rolls out its own starts, named by their keys
+(``GridSpec.rollouts``, ``ReachSpec.rollouts``), and a search calls that
+directly for a whole batch.  ``generate`` runs one episode from a start state
+through it, and ``trajectory_to_dict`` gives a trajectory's exported form.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .environments import (
 
 
 def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
-    """One full episode from ``initial_state``: the spec's ``rollouts`` on a batch of one."""
-    return env_spec.rollouts(policy, [initial_state])[0]
+    """One full episode from ``initial_state``: the spec's ``rollouts`` on a batch of its key."""
+    return env_spec.rollouts(policy, [initial_state.key])[0]
 
 
 def trajectory_to_dict(trajectory: Trajectory) -> dict:

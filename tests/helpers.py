@@ -5,11 +5,13 @@ tests need it.  The tuple-of-bits variation operators and
 ``reference_offspring`` are the per-candidate offspring path that
 ``evolution.make_offspring`` replaces with one batch pass; tests hold the
 batch pass equal to it.  The reference path builds its own candidates, the
-``(id, genome value, start state)`` triples ``make_offspring`` returns.
+``(id, genome value, start key)`` triples ``make_offspring`` returns.
 ``reference_evaluate`` scores them one at a time, each with its own rollout
-and distance pass, into an ``Individual`` per candidate, and leaves it to
-``migrate`` to drop every one that cannot survive; the search makes
-individuals only of offspring that can.
+and distance pass and its own ``add``, into an ``Individual`` per candidate,
+and leaves it to ``migrate`` to drop every one that cannot survive; the
+search makes individuals only of offspring that can.  ``random_genome`` and
+``reference_initial_candidates`` are the one-genome-at-a-time sampler that
+``evolution.init_population`` replaces with one draw per round.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import math
 
 import numpy as np
 
-from evodemo.encoding import BitGenome, decode
+from evodemo.encoding import BitGenome, EncodingSpec, decode
 from evodemo.environments import N_ACTIONS, GridSpec, GridState, ReachState
+from evodemo.errors import ConfigurationError
 from evodemo.evolution import Individual
 from evodemo.fitness import (
     DemonstrationSet,
@@ -78,6 +81,28 @@ def tournament_pick(population, tournament_size: int, rng: np.random.Generator):
     return max(contenders, key=lambda ind: (ind.fitness.joint, -ind.id))
 
 
+def random_genome(rng: np.random.Generator, spec: EncodingSpec) -> BitGenome:
+    """Uniform random genome of the encoding's full bit length: one draw of its bits."""
+    bits = rng.integers(0, 2, size=spec.genome_length)
+    return BitGenome(int("".join(map(str, bits.tolist())), 2), spec.genome_length)
+
+
+def reference_initial_candidates(size, encoding_spec, env_spec, rng, attempts=10_000):
+    """The seed population's ``(id, genome value, start key)`` triples, one
+    genome, one decode and one ``validate_initial`` call at a time."""
+    candidates = []
+    for index in range(size):
+        for _ in range(attempts):
+            genome = random_genome(rng, encoding_spec)
+            state = state_from_vector(env_spec, decode(genome, encoding_spec))
+            if env_spec.validate_initial(state) is None:
+                break
+        else:
+            raise ConfigurationError(f"no valid start found in {attempts} attempts")
+        candidates.append((index, genome.value, state.key))
+    return candidates
+
+
 def state_from_vector(env_spec, values):
     """The start state a decoded vector stands for, valid or not."""
     if isinstance(env_spec, GridSpec):
@@ -101,7 +126,7 @@ def reference_offspring(population, config, encoding_spec, env_spec, rng, first_
         genome = genome_from_string("".join(map(str, bits)))
         state = state_from_vector(env_spec, decode(genome, encoding_spec))
         if env_spec.validate_initial(state) is None:
-            candidates.append((first_id + len(candidates), genome.value, state))
+            candidates.append((first_id + len(candidates), genome.value, state.key))
     return candidates
 
 
@@ -110,12 +135,13 @@ def reference_evaluate(candidates, generation, genome_length, demos, env_spec, p
     ``Individual``: a rollout of its own start, a ``joint_fitness`` call that
     works out its nearest distance alone, and an ``add``."""
     individuals = []
-    for the_id, value, state in candidates:
-        (trajectory,) = env_spec.rollouts(policy, [state])
+    for the_id, value, key in candidates:
+        (trajectory,) = env_spec.rollouts(policy, [key])
         components = joint_fitness(trajectory, demos, env_spec)
         demos.add(trajectory, components.local_diversity, components.certainty)
-        individuals.append(Individual(the_id, BitGenome(value, genome_length), state, trajectory,
-                                      components, generation))
+        individuals.append(Individual(the_id, BitGenome(value, genome_length),
+                                      state_from_vector(env_spec, key), trajectory, components,
+                                      generation))
     return individuals
 
 

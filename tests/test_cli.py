@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from evodemo import cli
 from evodemo.cli import main
-from evodemo.policy import CONTROLLER_PARAMETERS, load_policy, save_policy
+from evodemo.policy import CONTROLLER_PARAMETERS, TabularPolicy, load_policy, save_policy
 
 
 def write_yaml(path, text):
@@ -221,6 +222,20 @@ def test_policy_file_that_does_not_fit_exits_one_naming_the_file(tmp_path, capsy
     message = capsys.readouterr().err
     assert str(tmp_path / "ctrl.json") in message
     assert "GaussianControllerPolicy" in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "baseline"])
+def test_a_layout_without_a_start_exits_one_naming_it(tmp_path, capsys, command):
+    # the one interior cell is the target: no draw decodes to a valid start
+    (tmp_path / "walled.map").write_text("###\n#T#\n###\n")
+    save_policy(TabularPolicy(np.zeros((3, 3, 4))), tmp_path / "q.json")
+    config = write_yaml(
+        tmp_path / "walled.yaml",
+        f"environment: walled.map\npolicy: q.json\nseeds: [0]\noutput: {tmp_path / 'out'}\n",
+    )
+    assert main([command, config]) == 1
+    assert "walled.map: no valid start found in 10000 attempts" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from helpers import genome_from_string
+from helpers import genome_from_string, random_genome
 from evodemo.encoding import (
     BitGenome,
     EncodingSpec,
     decode,
     decode_values,
     occurrence_stats,
-    random_genome,
     state_value_distance,
 )
 from evodemo.errors import ContractViolationError

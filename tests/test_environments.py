@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -152,26 +153,29 @@ def test_grid_hole_entry_penalizes_and_terminates(holey_spec):
 
 
 def test_grid_truncates_at_step_limit(flat_spec):
-    (trajectory,) = flat_spec.rollouts(constant_policy(flat_spec, UP), [GridState(1, 1)])
+    (trajectory,) = flat_spec.rollouts(constant_policy(flat_spec, UP), [(1, 1)])
     assert trajectory.outcome == OUTCOME_TRUNCATED
     assert trajectory.raw_length == flat_spec.max_steps
 
 
 def test_grid_rejects_bad_resets_and_policies(flat_spec, holey_spec):
-    for spec, start in ((flat_spec, GridState(0, 0)),  # wall
-                        (flat_spec, GridState(9, 9)),  # target
-                        (holey_spec, GridState(5, 1))):  # hole
-        with pytest.raises(ContractViolationError):
-            spec.rollouts(constant_policy(spec, RIGHT), [GridState(1, 1), start])
-    with pytest.raises(ContractViolationError, match="expected GridState, got ReachState"):
-        flat_spec.rollouts(constant_policy(flat_spec, RIGHT), [ReachState((0.0,) * 3, (0.0,) * 3)])
+    for spec, start, reason in ((flat_spec, (0, 0), "wall cell"),
+                                (flat_spec, (9, 9), "target cell"),
+                                (holey_spec, (5, 1), "hole cell"),
+                                (flat_spec, (11, 3), "outside the grid")):
+        with pytest.raises(ContractViolationError, match=re.escape(f"at {start}: {reason}")):
+            spec.rollouts(constant_policy(spec, RIGHT), [(1, 1), start])
+    # a key names a start only by its (row, col) pair
+    for key in ((0.0,) * 6, (1,), (1, 1, 1), ReachState((0.0,) * 3, (0.0,) * 3), GridState(1, 1)):
+        with pytest.raises(ContractViolationError, match="not a start key of a GridSpec"):
+            flat_spec.rollouts(constant_policy(flat_spec, RIGHT), [(1, 1), key])
     # a grid rollout reads a tabular policy's decision table; an object that
     # answers per state instead is refused
     duck_typed = SimpleNamespace(act=lambda state: RIGHT, certainty=lambda state, action: 1.0)
     for policy, name in ((duck_typed, "SimpleNamespace"),
                          (GaussianControllerPolicy(), "GaussianControllerPolicy")):
         with pytest.raises(ConfigurationError, match=f"need a tabular policy, not {name}"):
-            flat_spec.rollouts(policy, [GridState(1, 1)])
+            flat_spec.rollouts(policy, [(1, 1)])
 
 
 def test_a_rollout_table_serves_one_policy_on_one_layout(flat_spec, holey_spec):
@@ -181,7 +185,7 @@ def test_a_rollout_table_serves_one_policy_on_one_layout(flat_spec, holey_spec):
     q = down.q_values.copy()
     q[3, 1] = (0.0, 1.0, 0.0, 0.0)  # one cell turns right
     turning = TabularPolicy(q)
-    starts = [GridState(1, 1), GridState(2, 1), GridState(4, 1)]
+    starts = [(1, 1), (2, 1), (4, 1)]
     fresh = {name: parse_layout("\n".join(spec.cells)) for name, spec in
              (("flat", flat_spec), ("holey", holey_spec))}
     by_down = flat_spec.rollouts(down, starts)
@@ -209,8 +213,8 @@ def test_a_rollout_table_serves_one_policy_on_one_layout(flat_spec, holey_spec):
 
 def test_rollouts_are_new_objects_sharing_the_tables_tuples(flat_spec):
     policy = constant_policy(flat_spec, RIGHT)
-    first, again = flat_spec.rollouts(policy, [GridState(2, 2), GridState(2, 2)])
-    (later,) = flat_spec.rollouts(policy, [GridState(2, 2)])
+    first, again = flat_spec.rollouts(policy, [(2, 2), (2, 2)])
+    (later,) = flat_spec.rollouts(policy, [(2, 2)])
     assert len({id(first), id(again), id(later)}) == 3
     assert first.states is again.states is later.states
     table = flat_spec.rollout_table(policy)
@@ -222,11 +226,11 @@ def test_rollouts_are_new_objects_sharing_the_tables_tuples(flat_spec):
 
 def test_a_layout_pickles_and_copies_without_its_rollout_tables(flat_spec):
     policy = constant_policy(flat_spec, RIGHT)
-    (walked,) = flat_spec.rollouts(policy, [GridState(3, 3)])
+    (walked,) = flat_spec.rollouts(policy, [(3, 3)])
     for twin in (pickle.loads(pickle.dumps(flat_spec)), copy.copy(flat_spec)):
         assert twin == flat_spec
         assert twin.rollout_table(policy).trajectories == {}
-        assert twin.rollouts(policy, [GridState(3, 3)]) == [walked]
+        assert twin.rollouts(policy, [(3, 3)]) == [walked]
     assert flat_spec.rollout_table(policy).trajectories  # the original keeps its own
 
 
@@ -243,7 +247,7 @@ def assert_steps_like_the_if_chain(spec):
                 assert repr(table_reward) == repr(reward)  # same value and same type
                 if spec.cells[row][col] != FLOOR:
                     continue
-                (trajectory,) = one_step.rollouts(policies[action], [GridState(row, col)])
+                (trajectory,) = one_step.rollouts(policies[action], [(row, col)])
                 assert trajectory.states[-1] == (float(r), float(c))
                 assert trajectory.rewards == (float(reward),)
                 assert (trajectory.outcome == OUTCOME_TRUNCATED) == (not terminated)
@@ -289,14 +293,14 @@ def test_holey_optimal_return_detours_around_holes(holey_spec):
 def test_reach_moves_scale_and_clip(reach_spec):
     # a controller tuned for smaller steps asks for a full-size move past the box
     policy = GaussianControllerPolicy(step_size=0.01)
-    (trajectory,) = reach_spec.rollouts(policy, [ReachState((0.14, 0.0, 0.0), (0.15, 0.0, 0.0))])
+    (trajectory,) = reach_spec.rollouts(policy, [(0.14, 0.0, 0.0, 0.15, 0.0, 0.0)])
     assert trajectory.states[1] == (0.15, 0.0, 0.0)  # clipped at the box edge
 
 
 def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec, reach_controller):
     (on_edge, outside) = reach_spec.rollouts(reach_controller, [
-        ReachState((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)),  # one full step left: distance 0.05
-        ReachState((0.12, 0.0, 0.0), (0.0, 0.0, 0.0)),  # distance 0.07
+        (0.1, 0.0, 0.0, 0.0, 0.0, 0.0),  # one full step left: distance 0.05
+        (0.12, 0.0, 0.0, 0.0, 0.0, 0.0),  # distance 0.07
     ])
     assert on_edge.states[1] == (0.05, 0.0, 0.0)
     assert on_edge.rewards[0] == 0.0
@@ -304,7 +308,7 @@ def test_reach_reward_is_zero_only_inside_goal_radius(reach_spec, reach_controll
 
 
 def test_reach_runs_to_horizon_without_terminating(reach_spec, reach_controller):
-    (trajectory,) = reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3)])
+    (trajectory,) = reach_spec.rollouts(reach_controller, [(0.0,) * 6])
     assert trajectory.rewards == (0.0,) * reach_spec.horizon
     assert trajectory.outcome == OUTCOME_TRUNCATED
 
@@ -322,7 +326,7 @@ def test_position_and_distances(flat_spec, reach_spec, reach_controller):
     assert flat_spec.positions[3 * 11 + 7] == (3.0, 7.0)
     assert flat_spec.positions == tuple((float(r), float(c)) for r in range(11) for c in range(11))
     start = ReachState((0.1, 0.0, -0.1), (0.0, 0.0, 0.0))
-    assert reach_spec.rollouts(reach_controller, [start])[0].states[0] == (0.1, 0.0, -0.1)
+    assert reach_spec.rollouts(reach_controller, [start.key])[0].states[0] == (0.1, 0.0, -0.1)
     assert flat_spec.max_state_distance == math.hypot(10.0, 10.0)
     assert reach_spec.max_state_distance == pytest.approx(math.sqrt(3 * 0.3**2))
     assert flat_spec.state_count == 121
@@ -340,14 +344,18 @@ def test_default_encodings_cover_disturbable_coordinates(flat_spec, reach_spec):
 
 
 def test_starts_from_vectors_assemble_states(flat_spec, holey_spec, reach_spec):
+    # a valid vector is its start's key, and start_state makes that start of it
     assert flat_spec.starts_from_vectors([(4, 5), (9, 9), (1, 1)]) == [
-        GridState(4, 5), None, GridState(1, 1),  # (9, 9) is the target
+        GridState(4, 5).key, None, GridState(1, 1).key,  # (9, 9) is the target
     ]
+    assert flat_spec.start_state((4, 5)) == GridState(4, 5)
     assert holey_spec.starts_from_vectors([(5, 2)]) == [None]  # a hole
     assert flat_spec.starts_from_vectors([]) == []
+    valid = ReachState((0.1, 0.0, -0.1), (0.05, 0.0, 0.0))
     assert reach_spec.starts_from_vectors([
         (0.1, 0.0, -0.1, 0.05, 0.0, 0.0), (0.1, 0.0, -0.1, 0.05, 0.0, 0.2),
-    ]) == [ReachState((0.1, 0.0, -0.1), (0.05, 0.0, 0.0)), None]
+    ]) == [valid.key, None]
+    assert reach_spec.start_state(valid.key) == valid
     assert reach_spec.starts_from_vectors([]) == []
 
 
@@ -356,15 +364,18 @@ def test_starts_from_vectors_assemble_states(flat_spec, holey_spec, reach_spec):
 def test_grid_start_table_agrees_with_validate_initial(spec):
     for r in range(spec.height):
         for c in range(spec.width):
-            valid = spec.validate_initial(GridState(r, c)) is None
-            (state,) = spec.starts_from_vectors([(r, c)])
-            assert state == (GridState(r, c) if valid else None)
+            state = GridState(r, c)
+            reason = spec.validate_initial(state)
+            (key,) = spec.starts_from_vectors([(r, c)])
+            assert key == (state.key if reason is None else None)
+            assert spec.start_state(state.key) == state
             policy = constant_policy(spec, UP)
-            if valid:
-                spec.rollouts(policy, [GridState(r, c)])
+            if reason is None:
+                spec.rollouts(policy, [state.key])
             else:
-                with pytest.raises(ContractViolationError, match="cannot start an episode"):
-                    spec.rollouts(policy, [spec.canonical_start, GridState(r, c)])
+                with pytest.raises(ContractViolationError,
+                                   match=rf"cannot start an episode at \({r}, {c}\): {reason}"):
+                    spec.rollouts(policy, [spec.canonical_start.key, state.key])
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,23 +387,29 @@ def test_grid_start_table_agrees_with_validate_initial(spec):
 def test_reach_start_check_agrees_with_validate_initial(reach_spec, reach_controller, vector):
     state = ReachState(tuple(vector[:3]), tuple(vector[3:]))
     valid = reach_spec.validate_initial(state) is None
-    assert reach_spec.starts_from_vectors([tuple(vector)]) == [state if valid else None]
+    assert state.key == tuple(vector)
+    (key,) = reach_spec.starts_from_vectors([tuple(vector)])
+    assert key == (state.key if valid else None)
+    assert reach_spec.start_state(state.key) == state
     if valid:
-        reach_spec.rollouts(reach_controller, [state])
+        reach_spec.rollouts(reach_controller, [state.key])
     else:
         with pytest.raises(ContractViolationError, match="coordinate outside bounds"):
-            reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3), state])
+            reach_spec.rollouts(reach_controller, [(0.0,) * 6, state.key])
 
 
 @pytest.mark.parametrize("start,reason", [
-    (ReachState((0.0, 0.0), (0.0, 0.0, 0.0)), "wrong dimensionality"),
-    (ReachState((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)), "wrong dimensionality"),
-    (ReachState((0.0,) * 3, (0.0,) * 4), "wrong dimensionality"),
-    (GridState(1, 1), "expected ReachState"),
+    ((0.0,) * 5, "wrong dimensionality"),
+    ((0.0,) * 7, "wrong dimensionality"),
+    ((1, 1), "wrong dimensionality"),
+    (((0.0,) * 3, (0.0,) * 3), "wrong dimensionality"),
+    ((0.0,) * 5 + ("x",), "not a start key of a ReachSpec"),
+    (GridState(1, 1), "not a start key of a ReachSpec"),
+    (ReachState((0.0,) * 3, (0.0,) * 3), "not a start key of a ReachSpec"),
 ])
 def test_reach_rollouts_reject_starts_of_another_shape(reach_spec, reach_controller, start, reason):
     with pytest.raises(ContractViolationError, match=reason):
-        reach_spec.rollouts(reach_controller, [ReachState((0.0,) * 3, (0.0,) * 3), start])
+        reach_spec.rollouts(reach_controller, [(0.0,) * 6, start])
 
 
 def test_reach_spec_defaults():

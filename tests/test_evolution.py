@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlearning_reference as reference
-from helpers import reference_evaluate, reference_offspring
+from helpers import (
+    random_genome, reference_evaluate, reference_initial_candidates, reference_offspring,
+)
 from evodemo import evolution, fitness
-from evodemo.encoding import BitGenome, EncodingSpec, random_genome
+from evodemo.encoding import BitGenome, EncodingSpec
 from evodemo.environments import (
     GridSpec,
     GridState,
@@ -121,6 +123,82 @@ def test_unsatisfiable_start_sampling_is_a_config_error(well_trained_policy):
 
     with pytest.raises(ConfigurationError, match="valid start"):
         init_population(config, spec, encoding, TabularPolicy(policy_q), np.random.default_rng(0))
+
+
+def test_a_layout_without_a_start_stops_a_search_at_the_sampling_limit():
+    # a 3x3 layout's one interior cell is its target: every draw decodes to it
+    spec = parse_layout("###\n#T#\n###")
+    for search in (run, baseline):
+        with pytest.raises(ConfigurationError, match=(
+                f"^no valid start found in {evolution.MAX_SAMPLING_ATTEMPTS} attempts$")):
+            search(spec, TabularPolicy(np.zeros((3, 3, 4))), EvolutionConfig(generations=1))
+
+
+def _initial_candidates(config, spec, encoding, rng):
+    """``init_population``'s candidates, sampled from ``rng`` and not evaluated."""
+    drawn = []
+
+    def evaluate_offspring(candidates, *args):
+        drawn.extend(candidates)
+        return []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
+        init_population(config, spec, encoding, None, rng)
+    return drawn
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), population_size=st.integers(2, 12), seed=st.integers(0, 2**63),
+       # a small limit makes sparse layouts run out of attempts
+       limit=st.sampled_from([1, 3, 10, 60, evolution.MAX_SAMPLING_ATTEMPTS]))
+@example(data=None, population_size=12, seed=5, limit=evolution.MAX_SAMPLING_ATTEMPTS)
+def test_the_initial_draw_equals_the_one_genome_sampler(
+    holey_spec, data, population_size, seed, limit
+):
+    if data is None:  # the widest genome: 6 dimensions of 64 bits
+        spec, bits = ReachSpec(), MAX_BITS_PER_DIMENSION
+    else:
+        # generated layouts, where many cells are walls, holes or the target
+        spec = data.draw(st.one_of(reference.grid_layouts(), st.just(holey_spec),
+                                   reach_cases().map(lambda case: case[0])))
+        # a grid needs enough bits to cover its interior rows and columns
+        least = max(1, (max(spec.grid_shape or (3, 3)) - 3).bit_length())
+        bits = data.draw(st.integers(least, 12))
+    config = EvolutionConfig(population_size=population_size, bits_per_dimension=bits)
+    encoding = spec.encoding_spec(bits)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "MAX_SAMPLING_ATTEMPTS", limit)
+        try:
+            drawn = _initial_candidates(config, spec, encoding, rng)
+        except ConfigurationError as error:
+            drawn = str(error)
+    try:
+        expected = reference_initial_candidates(population_size, encoding, spec, reference_rng,
+                                                limit)
+    except ConfigurationError as error:
+        expected = str(error)
+    assert drawn == expected  # the same ids, genome values and keys, or the same error
+    if isinstance(drawn, list):
+        # the generator is left where the per-genome sampler leaves it
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rng.integers(0, 2**63) == reference_rng.integers(0, 2**63)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12), length=st.integers(1, 6 * MAX_BITS_PER_DIMENSION),
+       seed=st.integers(0, 2**63))
+@example(rows=5, length=383, seed=0)
+@example(rows=5, length=384, seed=0)
+@example(rows=3, length=1, seed=1)
+def test_one_bit_matrix_draw_equals_a_draw_per_genome(rows, length, seed):
+    # init_population relies on numpy drawing a (k, L) bit matrix from the
+    # stream that k draws of L bits read, half words included
+    batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    matrix = batch.integers(0, 2, size=(rows, length))
+    assert matrix.tolist() == [single.integers(0, 2, size=length).tolist() for _ in range(rows)]
+    assert batch.bit_generator.state == single.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +525,14 @@ def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, mo
     monkeypatch.setattr(fitness.DemonstrationSet, "add", add)
     twin = population[3]
     fresh_start = next(
-        GridState(r, c)
+        (r, c)
         for r in range(1, 10)
         for c in range(1, 10)
         if flat_spec.validate_initial(GridState(r, c)) is None
         and all(i.initial_state != GridState(r, c) for i in population)
     )
     candidates = [
-        (10, twin.genome.value, twin.initial_state),
+        (10, twin.genome.value, twin.initial_state.key),
         (11, twin.genome.value, fresh_start),
         (12, twin.genome.value, fresh_start),  # held by offspring 11 by now
     ]
@@ -471,11 +549,11 @@ def test_a_live_start_reuses_the_twin_rollout(flat_spec, well_trained_policy, mo
     assert fresh_again is not fresh
     assert fresh_again == fresh
     assert again_fitness.joint == 0.0
-    # every offspring is its own member of the set while the batch is scored
-    assert len(members[-1]) == 13
-    assert members[-1] == {id(i.trajectory) for i in population} | set(map(id, (
-        reused, fresh, fresh_again)))
-    # then the twins, which score 0, leave it and become no individual
+    # the fresh offspring is its own member of the set while the batch is
+    # scored; the twins, which score 0, at most the weakest member's joint,
+    # never join it, and become no individual
+    assert len(members) == 1
+    assert members[-1] == {id(i.trajectory) for i in population} | {id(fresh)}
     assert [i.id for i in offspring] in ([], [11])
     assert {id(t) for t in demos.trajectories()} == {
         id(i.trajectory) for i in population + offspring
@@ -529,14 +607,14 @@ def test_each_fresh_reach_start_is_rolled_out_once_per_generation(
 
     def make_offspring(*args):
         candidates = original_make_offspring(*args)
-        candidate_starts.append([state for _, _, state in candidates])
+        candidate_starts.append([key for _, _, key in candidates])
         return candidates
 
     monkeypatch.setattr(ReachSpec, "rollouts", rollouts)
     monkeypatch.setattr(evolution, "make_offspring", make_offspring)
     run(reach_spec, reach_controller, config,
         lambda generation, population, demos: population_starts.append(
-            {i.initial_state for i in population}))
+            {i.initial_state.key for i in population}))
     assert len(batches) == config.generations + 1
     assert any(len(set(starts)) < len(starts) for starts in candidate_starts)
     assert any(set(starts) & live for starts, live in zip(candidate_starts, population_starts))
@@ -693,7 +771,7 @@ def test_a_rollout_table_grows_with_the_cells_walked_and_the_pairs_scored(monkey
     original_pass = fitness.DemonstrationSet.nearest_distances
 
     def rollouts(env_spec, policy, starts):
-        asked.update(start.row * 101 + start.col for start in starts)
+        asked.update(row * 101 + col for row, col in starts)
         return original_rollouts(env_spec, policy, starts)
 
     def nearest_distances(demos, trajectories, table=None, env_spec=None, floor=None):
@@ -1167,25 +1245,114 @@ def test_only_offspring_above_the_weakest_member_become_individuals(
     assert [batch[0] for batch in batches] == list(range(config.generations + 1))
     twins = dropped = ties = 0
     for generation, candidates, held, population, scores, adds, made, built, offspring in batches:
-        # one score and one add per candidate, twins included
-        assert len(scores) == len(adds) == len(candidates)
-        assert len(set(map(id, adds))) == len(adds)
         floor = min((i.fitness.joint for i in population), default=-math.inf)
         if generation:
             assert floor > -math.inf
+        # a twin: its start key a member or an earlier offspring holds
+        is_twin = []
+        for _, _, key in candidates:
+            is_twin.append(key in held)
+            held.add(key)
+        dropped_twins = [twin and components.joint <= floor
+                         for twin, components in zip(is_twin, scores)]
+        # one score per candidate, and one add per candidate but the twins that cannot survive
+        assert len(scores) == len(candidates)
+        assert len(adds) == len(candidates) - sum(dropped_twins)
+        assert len(set(map(id, adds))) == len(adds)
+        if generation:  # from generation 1 on every twin scores 0, at most the floor
+            assert dropped_twins == is_twin
         above = [candidate for candidate, components in zip(candidates, scores)
                  if components.joint > floor]
         # an Individual and a BitGenome for each of those and no other offspring
         assert [i.id for i in made] == [the_id for the_id, _, _ in above]
         assert [genome.value for genome in built] == [value for _, value, _ in above]
         assert made == offspring
-        for _, _, state in candidates:
-            twins += state.key in held
-            held.add(state.key)
+        twins += sum(is_twin)
         dropped += len(candidates) - len(above)
         ties += sum(components.joint == floor for components in scores)
     assert twins and dropped
     assert ties or bits > 1
+
+
+@pytest.mark.parametrize("fixtures", [
+    ("flat_spec", "well_trained_policy"),
+    ("holey_spec", "just_converged_holey_policy"),
+    ("reach_spec", "reach_controller"),
+])
+def test_a_twin_that_cannot_survive_never_reaches_the_set(fixtures, request, monkeypatch):
+    spec, policy = map(request.getfixturevalue, fixtures)
+    # few bits leave few starts, so offspring often repeat a live start
+    config = EvolutionConfig(population_size=8, generations=6, bits_per_dimension=4, seed=11)
+    scored, touched, dropped_twins = [], {}, []  # each held, so that no id is reused
+    original_score = evolution.joint_fitness
+    original_add, original_discard = fitness.DemonstrationSet.add, fitness.DemonstrationSet.discard
+    original_evaluate = evolution.evaluate_offspring
+
+    def joint_fitness(trajectory, *args):
+        scored.append((trajectory, original_score(trajectory, *args)))
+        return scored[-1][1]
+
+    def add(demos, trajectory, *profile):
+        touched[id(trajectory)] = trajectory
+        original_add(demos, trajectory, *profile)
+
+    def discard(demos, trajectory):
+        touched[id(trajectory)] = trajectory
+        original_discard(demos, trajectory)
+
+    def evaluate_offspring(candidates, generation, length, demos, env_spec, policy, population):
+        scored.clear()
+        offspring = original_evaluate(candidates, generation, length, demos, env_spec, policy,
+                                      population)
+        assert len(scored) == len(candidates)  # one joint_fitness call per candidate
+        held = {i.initial_state.key for i in population}
+        floor = min((i.fitness.joint for i in population), default=-math.inf)
+        for (_, _, key), (trajectory, components) in zip(candidates, scored):
+            if key in held and components.joint <= floor:
+                dropped_twins.append(trajectory)
+            held.add(key)
+        return offspring
+
+    monkeypatch.setattr(evolution, "joint_fitness", joint_fitness)
+    monkeypatch.setattr(fitness.DemonstrationSet, "add", add)
+    monkeypatch.setattr(fitness.DemonstrationSet, "discard", discard)
+    monkeypatch.setattr(evolution, "evaluate_offspring", evaluate_offspring)
+    run(spec, policy, config)
+    assert dropped_twins
+    assert not touched.keys() & set(map(id, dropped_twins))
+
+
+def test_a_reach_search_makes_a_start_state_only_for_each_individual(
+    reach_spec, reach_controller, monkeypatch
+):
+    made, individuals, candidates = [], [], []
+    original_post_init = ReachState.__post_init__
+    original_individual = evolution.Individual
+    original_make_offspring = evolution.make_offspring
+
+    def post_init(state):
+        made.append(state)
+        original_post_init(state)
+
+    def individual(*args, **fields):
+        individuals.append(original_individual(*args, **fields))
+        return individuals[-1]
+
+    def make_offspring(*args):
+        offspring = original_make_offspring(*args)
+        candidates.extend(offspring)
+        return offspring
+
+    monkeypatch.setattr(ReachState, "__post_init__", post_init)
+    monkeypatch.setattr(evolution, "Individual", individual)
+    monkeypatch.setattr(evolution, "make_offspring", make_offspring)
+    config = EvolutionConfig(population_size=30, generations=10, bits_per_dimension=9, seed=3)
+    run(reach_spec, reach_controller, config)
+    # one start state per Individual, and it is that individual's; most
+    # valid offspring never become one, and get none
+    assert len(made) == len(individuals) > config.population_size
+    assert all(state is i.initial_state for state, i in zip(made, individuals))
+    assert len(individuals) - config.population_size < len(candidates) / 2
 
 
 def test_population_and_tournament_sizes_are_capped_without_allocating():

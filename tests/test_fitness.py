@@ -459,7 +459,7 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
     q = np.round(np.random.default_rng(seed).normal(size=(spec.height, spec.width, 4)))
     policy = TabularPolicy(q)
     table = spec.rollout_table(policy)
-    starts = list(spec.startable.values())
+    starts = sorted(spec.startable)  # row-major keys
     kernel_calls, stores = [], []
     kernel, init = fitness._Blocks.one_way, fitness._Blocks.__init__
 
@@ -679,7 +679,7 @@ def test_one_store_of_mixed_widths_equals_the_pairwise_reference(holey_spec):
     # points over a few cells and are stored as their distinct points
     rng = np.random.default_rng(11)
     policy = TabularPolicy(np.round(np.random.default_rng(0).normal(size=(11, 11, 4))))
-    loops = [walk for walk in holey_spec.rollouts(policy, list(holey_spec.startable.values()))
+    loops = [walk for walk in holey_spec.rollouts(policy, sorted(holey_spec.startable))
              if fitness.SHORT_BLOCK < len(walk.points) <= 128][:3]
     everyone = [random_walk(rng, 2, n) for n in (3, 5, 20, 9, 140, 1, 2)] + loops
     blocks = fitness._Blocks(everyone)
@@ -786,7 +786,7 @@ def test_the_rows_asked_for_get_their_distances_in_the_whole_pass(
     # serves every row, with no bound
     rng = np.random.default_rng(seed)
     policy = TabularPolicy(np.round(rng.normal(size=(flat_spec.height, flat_spec.width, 4))))
-    starts = list(flat_spec.startable.values())
+    starts = sorted(flat_spec.startable)
     picks = rng.integers(len(starts), size=members + size).tolist()
     trajectories = flat_spec.rollouts(policy, [starts[i] for i in picks])
     demos = demo_set(trajectories[:members], flat_spec)

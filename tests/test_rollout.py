@@ -170,7 +170,7 @@ def test_grid_rollouts_match_the_step_loop(data, spec, temperature):
                            max_size=spec.state_count * N_ACTIONS))
     policy = TabularPolicy(np.reshape(q, (spec.height, spec.width, N_ACTIONS)), temperature)
     expected = [reference.stepped_rollout(spec, policy, start) for start in starts]
-    assert same_bits(spec.rollouts(policy, starts), expected)
+    assert same_bits(spec.rollouts(policy, [start.key for start in starts]), expected)
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
 
 
@@ -280,7 +280,7 @@ def test_lockstep_matches_the_step_loop(data, box, gain, step_size, horizon):
     spec = ReachSpec(bounds=box, horizon=horizon)
     policy = GaussianControllerPolicy(gain=gain, step_size=step_size)
     expected = [reference_reach_rollout(spec, policy, start) for start in starts]
-    assert same_bits(spec.rollouts(policy, starts), expected)
+    assert same_bits(spec.rollouts(policy, [start.key for start in starts]), expected)
     assert same_bits([generate(spec, policy, start) for start in starts], expected)
 
 
@@ -354,13 +354,13 @@ def test_a_reach_trajectory_read_first_in_any_way_reads_as_the_step_loop(
     spec = ReachSpec(bounds=box, goal_radius=radius, horizon=horizon, step_size=step_size)
     policy = GaussianControllerPolicy(gain=gain, step_size=step_size)
     expected = [reference_reach_rollout(spec, policy, start) for start in starts]
-    for row, (lazy, eager) in enumerate(zip(spec.rollouts(policy, starts), expected)):
+    for row, (lazy, eager) in enumerate(zip(spec.rollouts(policy, [start.key for start in starts]), expected)):
         # the search's reads: positions and their count, before any record is built
         points = np.array(eager.states, dtype=float)
         assert (lazy.points.shape, lazy.points.tobytes()) == (points.shape, points.tobytes())
         assert lazy.final_length == eager.final_length
         assert not lazy.points.flags.writeable
-        reads = first_reads(lambda: spec.rollouts(policy, starts)[row], eager)
+        reads = first_reads(lambda: spec.rollouts(policy, [start.key for start in starts])[row], eager)
         assert reads == dict.fromkeys(reads, True)
     if data is None:  # none of these settles: each position differs from the one before
         assert [trajectory.final_length for trajectory in expected] == [horizon + 1] * 3
@@ -383,7 +383,8 @@ def test_a_reach_search_builds_records_only_for_trajectories_someone_reads(
 
     def rollouts_and_keep(env_spec, policy, batch):
         trajectories = rollouts(env_spec, policy, batch)
-        starts.update((id(t.points), (t, start)) for t, start in zip(trajectories, batch))
+        starts.update((id(t.points), (t, env_spec.start_state(key)))
+                      for t, key in zip(trajectories, batch))
         return trajectories
 
     scored = []  # trajectories scored since the last observer call
@@ -434,7 +435,7 @@ def test_lockstep_goal_test_at_exactly_the_radius(start, step, nudge):
         return
     spec = ReachSpec(bounds=BOX, goal_radius=radius)
     policy = GaussianControllerPolicy()
-    assert same_bits(spec.rollouts(policy, [start]),
+    assert same_bits(spec.rollouts(policy, [start.key]),
                      [reference_reach_rollout(spec, policy, start)])
 
 
@@ -444,7 +445,7 @@ def test_lockstep_goal_test_follows_math_dist_where_numpy_rounds_up():
     start = ReachState((0.111, -0.067, 0.019), (-0.03, 0.034, -0.091))
     spec = ReachSpec(goal_radius=0.12034118164618461)
     policy = GaussianControllerPolicy()
-    (trajectory,) = spec.rollouts(policy, [start])
+    (trajectory,) = spec.rollouts(policy, [start.key])
     assert trajectory.rewards[0] == 0.0
     assert trajectory == reference_reach_rollout(spec, policy, start)
 
@@ -452,7 +453,7 @@ def test_lockstep_goal_test_follows_math_dist_where_numpy_rounds_up():
 def test_lockstep_handles_empty_and_single_batches(reach_spec, reach_controller):
     assert reach_spec.rollouts(reach_controller, []) == []
     start = ReachState((0.15, -0.15, 0.0), (0.15, -0.15, 0.0))  # on the bounds, at the target
-    (trajectory,) = reach_spec.rollouts(reach_controller, [start])
+    (trajectory,) = reach_spec.rollouts(reach_controller, [start.key])
     assert trajectory == reference_reach_rollout(reach_spec, reach_controller, start)
     assert trajectory.states == ((0.15, -0.15, 0.0),)
     assert trajectory.episode_return == 0.0
@@ -462,7 +463,7 @@ def test_lockstep_rejects_an_invalid_start(reach_spec, reach_controller):
     inside = ReachState((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
     outside = ReachState((0.0, 0.0, 0.2), (0.1, 0.1, 0.1))
     with pytest.raises(ContractViolationError):
-        reach_spec.rollouts(reach_controller, [inside, outside])
+        reach_spec.rollouts(reach_controller, [inside.key, outside.key])
 
 
 @settings(max_examples=50, deadline=None)
