@@ -320,9 +320,11 @@ class GridSpec:
         targets = sum(row.count(TARGET) for row in self.cells)
         if targets != 1:
             raise ConfigurationError(f"layout must contain exactly one target, found {targets}")
-        border = self.cells[0] + self.cells[-1] + "".join(row[0] + row[-1] for row in self.cells)
-        if set(border) != {WALL}:
-            raise ConfigurationError("layout perimeter must be wall")
+        for r in range(self.height):
+            for c in range(self.width):
+                on_edge = r in (0, self.height - 1) or c in (0, self.width - 1)
+                if on_edge and self.cells[r][c] != WALL:
+                    raise ConfigurationError("layout perimeter must be wall")
 
     @cached_property
     def target_cell(self) -> tuple[int, int]:
@@ -366,9 +368,10 @@ class GridSpec:
     @cached_property
     def canonical_start(self) -> GridState:
         """First floor cell in row-major order; training episodes begin here."""
-        for r, row in enumerate(self.cells):
-            if FLOOR in row:
-                return GridState(r, row.index(FLOOR))
+        for r in range(self.height):
+            for c in range(self.width):
+                if self.cells[r][c] == FLOOR:
+                    return GridState(r, c)
         raise ConfigurationError("layout has no floor cell to start from")
 
     @cached_property

@@ -72,6 +72,8 @@ from .fitness import DemonstrationSet, FitnessComponents, joint_fitness
 from .policy import Policy
 
 MAX_SAMPLING_ATTEMPTS = 10_000
+# an initial sampling round draws at most this many bits, an 8 MB int64 matrix
+_ROUND_BITS = 1 << 20
 # a generation draws at most ``population_size * (2 * tournament_size + 3)``
 # numbers, whose bounds are kept for the run: at both caps, two 16 MB arrays
 MAX_POPULATION_SIZE = 10_000
@@ -164,7 +166,8 @@ def init_population(
     """Sample the seed population, then evaluate it in creation order.
 
     Starts come from rejection sampling over uniform random genomes, kept in
-    draw order.  A round draws the bits of every genome still missing in one
+    draw order.  A round draws the bits of the ``k`` genomes still missing,
+    or of as many as ``_ROUND_BITS`` holds, in one
     ``rng.integers(0, 2, size=(k, L))`` call, the stream of ``k`` one-genome
     draws, packed most significant bit first; ``MAX_SAMPLING_ATTEMPTS``
     consecutive invalid draws are a configuration error.
@@ -172,7 +175,8 @@ def init_population(
     length = encoding_spec.genome_length
     candidates, misses = [], 0
     while len(candidates) < config.population_size:
-        bits = rng.integers(0, 2, size=(config.population_size - len(candidates), length))
+        rows = min(config.population_size - len(candidates), _ROUND_BITS // length)
+        bits = rng.integers(0, 2, size=(rows, length))
         values = [int.from_bytes(row, "big") >> (-length % 8)  # the pad bits are the last
                   for row in np.packbits(bits, axis=1).tolist()]
         keys = env_spec.starts_from_vectors(decode_values(values, encoding_spec))

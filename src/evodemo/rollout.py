@@ -12,10 +12,18 @@ from __future__ import annotations
 from .environments import (
     OUTCOME_FAILED, OUTCOME_REACHED, OUTCOME_TRUNCATED, EnvSpec, Trajectory,
 )
+from .errors import ContractViolationError
 
 
 def generate(env_spec: EnvSpec, policy, initial_state) -> Trajectory:
-    """One full episode from ``initial_state``: the spec's ``rollouts`` on a batch of its key."""
+    """One full episode from ``initial_state``: the spec's ``rollouts`` on a batch of its key.
+
+    The state itself is checked first, since a key does not say where the
+    effector's coordinates end: an invalid state is a contract violation.
+    """
+    reason = env_spec.validate_initial(initial_state)
+    if reason is not None:
+        raise ContractViolationError(f"cannot start an episode at {initial_state}: {reason}")
     return env_spec.rollouts(policy, [initial_state.key])[0]
 
 

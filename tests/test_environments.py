@@ -26,6 +26,7 @@ from evodemo.environments import (
 )
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.policy import GaussianControllerPolicy, TabularPolicy
+from evodemo.rollout import generate
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 
@@ -410,6 +411,18 @@ def test_reach_start_check_agrees_with_validate_initial(reach_spec, reach_contro
 def test_reach_rollouts_reject_starts_of_another_shape(reach_spec, reach_controller, start, reason):
     with pytest.raises(ContractViolationError, match=reason):
         reach_spec.rollouts(reach_controller, [(0.0,) * 6, start])
+
+
+@pytest.mark.parametrize("start,reason", [
+    (ReachState((0.0, 0.0), (0.0, 0.0, 0.0)), "wrong dimensionality"),
+    (ReachState((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)), "wrong dimensionality"),
+    (ReachState((0.0,) * 3, (0.0,) * 4), "wrong dimensionality"),
+    (GridState(1, 1), "expected ReachState"),
+])
+def test_generate_rejects_reach_states_of_another_shape(reach_spec, reach_controller, start, reason):
+    # the first two have a six-coordinate key that rollouts alone would accept
+    with pytest.raises(ContractViolationError, match=reason):
+        generate(reach_spec, reach_controller, start)
 
 
 def test_reach_spec_defaults():

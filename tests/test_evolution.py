@@ -151,10 +151,15 @@ def _initial_candidates(config, spec, encoding, rng):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), population_size=st.integers(2, 12), seed=st.integers(0, 2**63),
        # a small limit makes sparse layouts run out of attempts
-       limit=st.sampled_from([1, 3, 10, 60, evolution.MAX_SAMPLING_ATTEMPTS]))
-@example(data=None, population_size=12, seed=5, limit=evolution.MAX_SAMPLING_ATTEMPTS)
+       limit=st.sampled_from([1, 3, 10, 60, evolution.MAX_SAMPLING_ATTEMPTS]),
+       # a round of 384 bits holds one widest genome, so rounds stop short of the missing count
+       round_bits=st.sampled_from([6 * MAX_BITS_PER_DIMENSION, 1000, evolution._ROUND_BITS]))
+@example(data=None, population_size=12, seed=5, limit=evolution.MAX_SAMPLING_ATTEMPTS,
+         round_bits=evolution._ROUND_BITS)
+@example(data=None, population_size=12, seed=5, limit=evolution.MAX_SAMPLING_ATTEMPTS,
+         round_bits=6 * MAX_BITS_PER_DIMENSION)
 def test_the_initial_draw_equals_the_one_genome_sampler(
-    holey_spec, data, population_size, seed, limit
+    holey_spec, data, population_size, seed, limit, round_bits
 ):
     if data is None:  # the widest genome: 6 dimensions of 64 bits
         spec, bits = ReachSpec(), MAX_BITS_PER_DIMENSION
@@ -170,6 +175,7 @@ def test_the_initial_draw_equals_the_one_genome_sampler(
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution, "MAX_SAMPLING_ATTEMPTS", limit)
+        patch.setattr(evolution, "_ROUND_BITS", round_bits)
         try:
             drawn = _initial_candidates(config, spec, encoding, rng)
         except ConfigurationError as error:
