@@ -265,12 +265,16 @@ class RolloutTable:
       cell shares;
     * ``distances``: the one-way distance between the episodes of two cells
       ``low <= high``, keyed ``low * size + high``, for each pair
-      ``fitness.DemonstrationSet.nearest_distances`` has scored.
+      ``fitness.DemonstrationSet.nearest_distances`` has scored; a read looks
+      up one entry per distinct cell a row sees, in plain Python.
 
     It holds walked trajectories and pair distances only, no store of
     positions: each read works out the pairs it lacks from a store of its
     own.  Its memory grows with the cells walked and the pairs scored, never
-    with the square of the layout area.
+    with the square of the layout area.  A dense matrix over the walked
+    cells would not: 20 seeds on a 101x101 layout walk 2,933 cells and
+    score 67,214 pairs, about 1.6% of the walked pairs, so the matrix
+    would be 11-22 times this dict.
     """
 
     def __init__(self, decisions, size: int) -> None:

@@ -78,8 +78,9 @@ _ROUND_BITS = 1 << 20
 # numbers, whose bounds are kept for the run: at both caps, two 16 MB arrays
 MAX_POPULATION_SIZE = 10_000
 MAX_TOURNAMENT_SIZE = 100
-# a genome is drawn one number per bit, and decoding in float64 resolves
-# about 53 bits per dimension, so no wider setting yields other starts
+# a genome is drawn one number per bit; a continuous dimension decodes in
+# float64, which resolves about 53 bits, so no wider setting yields other
+# reach starts (a grid dimension decodes exactly at any width)
 MAX_BITS_PER_DIMENSION = 64
 _COUNT_RANGES = {  # each integer setting's inclusive range
     "population_size": (2, MAX_POPULATION_SIZE),

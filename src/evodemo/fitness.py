@@ -62,18 +62,21 @@ numpy gives the pair alone (``tests/pairwise.py``).
 On a grid a rollout depends only on the policy and the start cell, so the
 search also passes the spec's ``rollout_table`` for the policy.  When every
 member and every trajectory of the batch shares that table's tuples, the
-pass reads each pair's distance from the table, which holds walked
-trajectories and pair distances only.  The pairs it lacks are worked out
-once each, with the same kernel over the read's own store, and stored
-there.  A table entry is therefore the distance the kernel gives, and a
-search scores the same whatever the table held before it.  ``ReachSpec``
-answers no table.
+read is plain Python over cell numbers: each row's distance is the least
+table entry over the distinct cells of the slots it sees, so a read the
+table holds every pair of makes no numpy call and builds no store.  The
+table holds walked trajectories and pair distances only.  The pairs it
+lacks are worked out once each, with the same kernel over the read's own
+store, and stored there.  A table entry is therefore the distance the
+kernel gives, and a search scores the same whatever the table held before
+it.  ``ReachSpec`` answers no table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -224,26 +227,50 @@ class DemonstrationSet:
         the exact pass.
 
         ``table`` is the spec's ``rollout_table`` for the policy that rolled
-        the trajectories out, if it has one.  When every member and every
-        trajectory has a cell in it, each distance is read from the table
-        instead, with no bound, after the pairs it lacks are worked out from
-        the call's own store, once each, and stored in it.
+        the trajectories out, if it has one.  When ``table.cell`` answers for
+        every member and every trajectory, each distance is read from the
+        table instead, with no bound: a row's is the least entry
+        ``table.distances[low * size + high]`` over the distinct cells of the
+        slots it sees (its own cell only while another object fills a slot
+        there), so its work grows with those cells, not with the members.
+        The pairs the table lacks are collected in first-seen order, worked
+        out in one kernel call over the call's own store, from any slot of
+        each of their two cells, and stored before the minima are taken.
         """
         if floor is not None and env_spec is None:
             raise ContractViolationError("a floor needs the env_spec that scores the batch")
         members = len(self._entries)
+        everyone = self.trajectories() + tuple(trajectories)  # each slot's trajectory
+        ids = list(map(id, everyone))
+        cells = list(map(table.cell, everyone)) if table else [None]
+        if None not in cells:
+            size, known = table.size, table.distances
+            reads = []  # each row's pair keys, one per distinct cell it sees
+            holders = {}  # each cell of the slots so far: the one object there, or None for several
+            for slot, (cell, holder) in enumerate(zip(cells, ids)):
+                if slot >= members:  # a row sees its cell unless its own object fills it alone
+                    others = holders.keys() - {cell} if holders.get(cell) == holder else holders
+                    # one key per unordered pair: the one-way distance is symmetric bit
+                    # for bit, as the sum of the same two block sums
+                    reads.append([other * size + cell if other < cell else cell * size + other
+                                  for other in others])
+                holders[cell] = holder if holders.get(cell, holder) == holder else None
+            try:
+                return [min(map(known.__getitem__, keys), default=math.inf) for keys in reads]
+            except KeyError:  # the pairs the table lacks, in first-seen order, worked out once each
+                lacking = [key for key in dict.fromkeys(chain.from_iterable(reads)) if key not in known]
+                # from any slot of each of its cells: all trajectories from a cell share its points
+                slot_of = dict(zip(cells, range(len(cells))))
+                left, right = np.array([(slot_of[key // size], slot_of[key % size]) for key in lacking]).T
+                known.update(zip(lacking, _Blocks(everyone).one_way(left, right).tolist()))
+            return [min(map(known.__getitem__, keys), default=math.inf) for keys in reads]
         at = members + np.arange(len(trajectories))  # each row's slot, after the members'
         if not at.any():  # no row, or the first one ever scored, with nothing to compare with
             return [math.inf] * len(at)
         visible = np.arange(at[-1]) < at[:, None]
-        ids = list(map(id, trajectories))
-        everyone = self.trajectories() + tuple(trajectories)  # each slot's trajectory
-        if len(set(ids)) < len(ids) or not self._entries_of.keys().isdisjoint(ids):
+        if len(set(ids)) < len(ids):  # some object fills more than one slot
             for row, slot in enumerate(at.tolist()):  # a row sees no slot of its own object
                 visible[row, [k for k in range(slot) if everyone[k] is everyone[slot]]] = False
-        cells = list(map(table.cell, everyone)) if table else [None]
-        if None not in cells:
-            return _table_distances(table, everyone, np.array(cells), visible).min(axis=1).tolist()
         blocks = _Blocks(everyone)
         distances = np.full(visible.shape, math.inf)
         if floor is not None and members:
@@ -380,39 +407,6 @@ def joint_fitness(
         local_distance=local_distance,
         joint=d_g + local_distance,
     )
-
-
-def _table_distances(
-    table: RolloutTable, everyone: Sequence[Trajectory], cells: np.ndarray, visible: np.ndarray
-) -> np.ndarray:
-    """The one-way distance of each asked row to each slot it sees, ``inf``
-    where it sees none, read from ``table``.
-
-    ``everyone`` holds every slot's trajectory, the rows' last, and ``cells``
-    each slot's cell; ``visible`` is (rows, slots).  A pair is keyed by its
-    unordered cells, and each pair the table lacks is worked out once, from
-    one row and slot that pair it (any gives the same bits: every trajectory
-    from one cell shares its ``points``), by one ``_Blocks.one_way`` call over
-    a store of ``everyone`` built for the read, and stored.
-    """
-    first = len(everyone) - len(visible)  # the first row's slot
-    rows = cells[first:, None]
-    columns = cells[: visible.shape[1]]
-    low = np.minimum(rows, columns)
-    # one key per unordered pair: the one-way distance is symmetric bit for bit,
-    # as the sum of the same two block sums
-    keys = low * table.size + (rows + columns - low)
-    distances = np.full(visible.shape, math.inf)
-    distances[visible] = list(map(table.distances.get, keys[visible].tolist()))  # None is NaN
-    lacking = np.isnan(distances)
-    if lacking.any():
-        lacking_keys = keys[lacking].tolist()
-        picks = dict(zip(lacking_keys, range(len(lacking_keys))))  # each key's last lacking entry
-        asked, slots = (side[list(picks.values())] for side in np.nonzero(lacking))
-        found = _Blocks(everyone).one_way(first + asked, slots).tolist()
-        table.distances.update(zip(picks, found))
-        distances[lacking] = list(map(table.distances.__getitem__, lacking_keys))
-    return distances
 
 
 def _chunk_minima(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

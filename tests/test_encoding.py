@@ -15,6 +15,7 @@ from evodemo.encoding import (
     occurrence_stats,
     state_value_distance,
 )
+from evodemo.environments import preset
 from evodemo.errors import ContractViolationError
 
 
@@ -121,6 +122,31 @@ def test_discrete_decode_every_code_agrees_with_oracle():
             for e in range(2**bits):
                 genome = genome_from_string(format(e, f"0{bits}b"))
                 assert decode(genome, spec)[0] == bf.decode_discrete(genome.as_string(), low, high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_discrete_code_decodes_into_its_range(data):
+    # the floor of code * span / 2**bits, taken exactly: float64 rounds the
+    # all-one code of 54 or more bits up to max + 1
+    bits = data.draw(st.integers(1, 80))
+    low = data.draw(st.integers(-50, 50))
+    span = data.draw(st.integers(1, min(2**bits, 10**6)))
+    high = low + span - 1
+    top = 2**bits - 1
+    codes = list(range(top + 1)) if bits <= 8 else [0, 1, top - 1, top, *data.draw(
+        st.lists(st.integers(0, top), max_size=20))]
+    decoded = dict(zip(codes, decode_values(codes, spec_1d(bits, low, high))))
+    for code, (value,) in decoded.items():
+        assert type(value) is int and low <= value <= high
+        assert (value - low) * 2**bits <= code * span < (value - low + 1) * 2**bits
+    assert decoded[0] == (low,) and decoded[top] == (high,)
+
+
+def test_a_wide_grid_genome_of_all_ones_decodes_to_the_last_interior_cell():
+    spec = preset("FlatGrid11").encoding_spec(54)
+    assert decode(BitGenome(2**108 - 1, 108), spec) == (9, 9)
+    assert decode(BitGenome(0, 108), spec) == (1, 1)
 
 
 def test_continuous_decode_endpoints_are_exact():

@@ -454,6 +454,8 @@ def test_batch_scoring_equals_sequential_reference(
 # 8 start cells: a batch of 10 repeats a cell in distinct objects, and the
 # members it leaves behind share cells
 @example(spec=SMALL_GRID, seed=3, batch_sizes=[10, 10], bound=fitness.MAX_PAIR_ELEMENTS)
+# an empty batch, the first row ever scored, then a population of 20 on 8 cells
+@example(spec=SMALL_GRID, seed=5, batch_sizes=[0, 1, 20, 6], bound=fitness.MAX_PAIR_ELEMENTS)
 def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_sizes, bound):
     # few actions and rounded Q values make many starts share their paths
     q = np.round(np.random.default_rng(seed).normal(size=(spec.height, spec.width, 4)))
@@ -482,9 +484,11 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
             for size in batch_sizes:
                 picks = rng.integers(len(starts), size=size).tolist()
                 batch = spec.rollouts(policy, [starts[i] for i in picks])
-                if batch and rng.random() < 0.5:  # the same object again, or a live member
-                    pool = live + batch
-                    batch.append(pool[int(rng.integers(len(pool)))])
+                repeat, member = rng.random(2) < 0.5
+                if batch and repeat:  # the same object again
+                    batch.append(batch[int(rng.integers(len(batch)))])
+                if live and member:  # a live member
+                    batch.insert(int(rng.integers(len(batch) + 1)), live[int(rng.integers(len(live)))])
                 # the unordered cell pairs the read sees that the table lacks
                 everyone = demos.trajectories() + tuple(batch)
                 cells = list(map(table.cell, everyone))
@@ -492,14 +496,20 @@ def test_rollout_table_distances_equal_the_pairwise_reference(spec, seed, batch_
                            for row in range(len(demos), len(everyone)) for slot in range(row)
                            if everyone[slot] is not everyone[row]}
                 lacking -= {divmod(key, table.size) for key in table.distances}
-                calls = len(kernel_calls)
+                calls, built = len(kernel_calls), len(stores)
+                reference = demos.nearest_distances(batch)  # no table: the store path
+                del kernel_calls[calls:], stores[built:]
                 nearest = demos.nearest_distances(batch, table)
+                assert list(map(float.hex, nearest)) == list(map(float.hex, reference))
+                if not len(demos):  # the first row ever scored has nothing to compare with
+                    assert nearest[:1] == [math.inf] * min(1, len(batch))
                 # one slot pair per lacking pair of cells, in one call
                 assert len(kernel_calls) - calls == bool(lacking)
                 for _, left, right in kernel_calls[calls:]:
                     asked = [tuple(sorted((cells[u], cells[v]))) for u, v in zip(left, right)]
                     assert sorted(asked) == sorted(lacking)
                 others = [entry.trajectory for entry in demos]
+                assert len(nearest) == len(batch)
                 for trajectory, distance in zip(batch, nearest):
                     expected = min((pairwise.one_way(pairwise.points(trajectory),
                                                      pairwise.points(other))
