@@ -29,10 +29,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -216,17 +219,14 @@ def load_bundle(path: str | Path) -> BundleData:
         # the report does not have, so such bundles are only held to one
         # shape among themselves (write_comparison_report)
         environment = config.get("environment")
-        if environment in PRESET_NAMES and histogram.shape != preset(environment).grid_shape:
-            grid = preset(environment).grid_shape
+        if environment in PRESET_NAMES and histogram.shape != (grid := _preset_grid(environment)):
             raise ConfigurationError(
                 f"{path}: its histogram.csv has shape {histogram.shape}, but config.json names "
                 f"{environment}, " + (f"whose grid is {grid[0]}x{grid[1]}" if grid else "which has no grid")
             )
     with _malformed(path / "generations.csv"):
-        generations = [
-            {key: (int(row[key]) if key in ("id", "generation") else float(row[key])) for key in row}
-            for row in _read_csv(path / "generations.csv", GENERATION_COLUMNS)
-        ]
+        generations = list(_read_csv(path / "generations.csv", GENERATION_COLUMNS,
+                                     lambda column: int if column in ("id", "generation") else float))
     with _malformed(path / "trajectories.json"):
         individuals = trajectories["individuals"]
         for ind in individuals:
@@ -241,6 +241,12 @@ def load_bundle(path: str | Path) -> BundleData:
                 f"{len(individuals)} individuals of trajectories.json)"
             )
     return BundleData(path, config, manifest, returns, lengths, histogram, generations, individuals)
+
+
+@lru_cache(maxsize=None)
+def _preset_grid(name: str) -> tuple[int, int] | None:
+    """The grid shape of preset ``name``, its layout file read once per process."""
+    return preset(name).grid_shape
 
 
 def _read_bundle_json(path: Path) -> dict:
@@ -272,6 +278,10 @@ def _malformed(path: Path):
         raise ConfigurationError(f"{path}: malformed bundle file ({exc!r})") from exc
 
 
+# what write_comparison_report keeps of every bundle it reads
+_Kept = namedtuple("_Kept", "path environment returns lengths histogram")
+
+
 def write_comparison_report(
     search_dirs: Sequence[str | Path],
     baseline_dirs: Sequence[str | Path],
@@ -281,12 +291,42 @@ def write_comparison_report(
 
     Multi-seed groups pool their individuals for the box plots and sum their
     visit histograms.  Mixing bundles from different environments is refused.
+
+    Bundles are read one at a time, every search bundle before every baseline
+    bundle, and each ``BundleData`` is dropped before the next is read.  What
+    the report writes is kept of each: its returns, lengths and histogram,
+    and of a search bundle its ``population_analysis.csv`` rows and every
+    generation's score values (8 bytes each).  So the report holds one
+    bundle's parse plus the pooled values, however many bundles it reads.
+    Every bundle is read and checked before anything is written.
     """
-    search = [load_bundle(d) for d in search_dirs]
-    base = [load_bundle(d) for d in baseline_dirs]
+    search, base = [], []  # a _Kept per bundle
+    population_rows = []
+    # one array of values per score column, in pooled order
+    by_generation: dict[int, list[array]] = defaultdict(lambda: [array("d") for _ in SCORE_COLUMNS])
+    for kept, dirs in ((search, search_dirs), (base, baseline_dirs)):
+        for directory in dirs:
+            bundle = load_bundle(directory)
+            kept.append(_Kept(bundle.path, bundle.config.get("environment"), bundle.returns,
+                              bundle.lengths, bundle.histogram))
+            if kept is search:
+                population_rows += (
+                    [
+                        bundle.path.name,
+                        ind["id"],
+                        *(ind["fitness"][key] for key in FITNESS_KEYS),
+                        ind["trajectory"]["episode_return"],
+                        len(ind["trajectory"]["states"]),
+                    ]
+                    for ind in bundle.individuals
+                )
+                for row in bundle.generations:
+                    for values, column in zip(by_generation[row["generation"]], SCORE_COLUMNS):
+                        values.append(row[column])
+            del bundle  # freed before the next bundle is read
     if not search and not base:
         raise ConfigurationError("report needs at least one bundle")
-    environments = {b.config.get("environment") for b in search + base}
+    environments = {b.environment for b in search + base}
     if len(environments) > 1:
         raise ConfigurationError(
             f"refusing to mix bundles from different environments: {sorted(map(str, environments))}"
@@ -326,18 +366,6 @@ def write_comparison_report(
     written.append(write_json(out / "report.json", payload))
 
     if search:
-        population_rows = []
-        for bundle in search:
-            for ind in bundle.individuals:
-                population_rows.append(
-                    [
-                        bundle.path.name,
-                        ind["id"],
-                        *(ind["fitness"][key] for key in FITNESS_KEYS),
-                        ind["trajectory"]["episode_return"],
-                        len(ind["trajectory"]["states"]),
-                    ]
-                )
         population_rows.sort(key=lambda row: -row[6])
         written.append(
             _write_csv(
@@ -346,14 +374,9 @@ def write_comparison_report(
                 population_rows,
             )
         )
-
-        by_generation: dict[int, list[dict]] = {}
-        for bundle in search:
-            for row in bundle.generations:
-                by_generation.setdefault(int(row["generation"]), []).append(row)
         generation_rows = [
-            [generation, *(_mean(r[column] for r in rows) for column in SCORE_COLUMNS)]
-            for generation, rows in sorted(by_generation.items())
+            [generation, *(sum(values) / len(values) for values in columns)]
+            for generation, columns in sorted(by_generation.items())
         ]
         written.append(
             _write_csv(
@@ -363,11 +386,6 @@ def write_comparison_report(
             )
         )
     return written
-
-
-def _mean(values: Iterable[float]) -> float:
-    data = list(values)
-    return sum(data) / len(data)
 
 
 def _format_cell(value) -> str:
@@ -432,17 +450,22 @@ def _read_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
-def _read_csv(path: Path, columns: Sequence[str] = ()) -> list[dict]:
-    """The rows of ``path`` keyed by its header; a ValueError unless the header
-    names each of ``columns`` and every row has one cell per header column."""
-    header, *rows = _read_rows(path)
-    for column in columns:
-        if column not in header:
-            raise ValueError(f"no column {column!r}")
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"line {number} has {len(row)} cells for {len(header)} columns")
-    return [dict(zip(header, row)) for row in rows]
+def _read_csv(path: Path, columns: Sequence[str] = (), cell=lambda column: str) -> Iterator[dict]:
+    """The rows of ``path`` keyed by its header, each cell converted by
+    ``cell(column)`` as its row is read (a header that names a column twice
+    keeps the later cell); a ValueError unless the header names each of
+    ``columns`` and every row has one cell per header column."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = csv.reader(handle)
+        header = next(rows, [])  # an empty file has no columns
+        for column in columns:
+            if column not in header:
+                raise ValueError(f"no column {column!r}")
+        kinds = [cell(column) for column in header]
+        for number, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"line {number} has {len(row)} cells for {len(header)} columns")
+            yield {column: kind(text) for column, kind, text in zip(header, kinds, row)}
 
 
 def _write_histogram(path: Path, histogram: np.ndarray) -> Path:

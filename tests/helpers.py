@@ -12,11 +12,15 @@ and leaves it to ``migrate`` to drop every one that cannot survive; the
 search makes individuals only of offspring that can.  ``random_genome`` and
 ``reference_initial_candidates`` are the one-genome-at-a-time sampler that
 ``evolution.init_population`` replaces with one draw per round.
+``reference_comparison_report`` is the comparison report that loads every
+bundle before it pools anything; ``report.write_comparison_report`` reads one
+bundle at a time, and tests hold its files and errors equal to this one's.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +35,19 @@ from evodemo.fitness import (
     trajectory_certainty,
 )
 from evodemo.policy import TabularPolicy
-from evodemo.report import BoxplotStats
+from evodemo.jsonfile import write_json
+from evodemo.report import (
+    BUNDLE_FORMAT,
+    BUNDLE_VERSION,
+    FITNESS_KEYS,
+    SCORE_COLUMNS,
+    BoxplotStats,
+    _fields,
+    _write_csv,
+    _write_histogram,
+    boxplot_stats,
+    load_bundle,
+)
 from evodemo.rollout import Trajectory
 
 
@@ -160,3 +176,84 @@ def trajectory_from_dict(data: dict) -> Trajectory:
 
 def iqr(stats: BoxplotStats) -> float:
     return stats.q3 - stats.q1
+
+
+def reference_comparison_report(search_dirs, baseline_dirs, out_dir) -> list[Path]:
+    """``write_comparison_report`` with every bundle loaded before anything is pooled."""
+    search = [load_bundle(d) for d in search_dirs]
+    base = [load_bundle(d) for d in baseline_dirs]
+    if not search and not base:
+        raise ConfigurationError("report needs at least one bundle")
+    environments = {b.config.get("environment") for b in search + base}
+    if len(environments) > 1:
+        raise ConfigurationError(
+            f"refusing to mix bundles from different environments: {sorted(map(str, environments))}"
+        )
+    with_histogram = [b for b in search + base if b.histogram is not None]
+    for previous, bundle in zip(with_histogram, with_histogram[1:]):
+        if bundle.histogram.shape != previous.histogram.shape:
+            raise ConfigurationError(
+                f"{bundle.path}: its histogram.csv has shape {bundle.histogram.shape}, but "
+                f"{previous.path}'s has {previous.histogram.shape}; refusing to sum them"
+            )
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    payload = {
+        "format": BUNDLE_FORMAT,
+        "version": BUNDLE_VERSION,
+        "environment": next(iter(environments)),
+        "groups": {},
+    }
+    for name, bundles in (("search", search), ("baseline", base)):
+        if not bundles:
+            continue
+        returns = [r for b in bundles for r in b.returns]
+        lengths = [l for b in bundles for l in b.lengths]
+        payload["groups"][name] = {
+            "bundles": len(bundles),
+            "individuals": len(returns),
+            "returns": _fields(boxplot_stats(returns)),
+            "lengths": _fields(boxplot_stats(lengths)),
+        }
+        histograms = [b.histogram for b in bundles if b.histogram is not None]
+        if histograms:
+            written.append(_write_histogram(out / f"histogram_{name}.csv", sum(histograms)))
+    written.append(write_json(out / "report.json", payload))
+
+    if search:
+        population_rows = [
+            [
+                bundle.path.name,
+                ind["id"],
+                *(ind["fitness"][key] for key in FITNESS_KEYS),
+                ind["trajectory"]["episode_return"],
+                len(ind["trajectory"]["states"]),
+            ]
+            for bundle in search
+            for ind in bundle.individuals
+        ]
+        population_rows.sort(key=lambda row: -row[6])
+        written.append(_write_csv(
+            out / "population_analysis.csv",
+            ("bundle", "id", *SCORE_COLUMNS, "episode_return", "final_length"),
+            population_rows,
+        ))
+        by_generation = {}
+        for bundle in search:
+            for row in bundle.generations:
+                by_generation.setdefault(int(row["generation"]), []).append(row)
+        generation_rows = []
+        for generation, rows in sorted(by_generation.items()):
+            means = []
+            for column in SCORE_COLUMNS:
+                values = [r[column] for r in rows]
+                means.append(sum(values) / len(values))
+            generation_rows.append([generation, *means])
+        written.append(_write_csv(
+            out / "generation_analysis.csv",
+            ("generation", *(f"mean_{column}" for column in SCORE_COLUMNS)),
+            generation_rows,
+        ))
+    return written

@@ -1,14 +1,17 @@
 import csv
+import gc
 import io
 import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import iqr, trajectory_from_dict
+from helpers import constant_policy, iqr, reference_comparison_report, trajectory_from_dict
 from evodemo.errors import ConfigurationError, ContractViolationError
 from evodemo.evolution import EvolutionConfig, GenerationStats, IndividualSnapshot, baseline, run
 from evodemo.fitness import FitnessComponents
@@ -16,6 +19,7 @@ from evodemo.jsonfile import dumps
 from evodemo.report import (
     FITNESS_KEYS,
     GENERATION_COLUMNS,
+    SCORE_COLUMNS,
     _format_cell,
     _write_csv,
     _write_generations,
@@ -275,7 +279,14 @@ def test_bundle_round_trips_through_load(tmp_path, flat_result):
     assert data.returns == [i.trajectory.episode_return for i in flat_result.population]
     assert data.lengths == [i.trajectory.final_length for i in flat_result.population]
     assert data.histogram is not None
+    assert data.generations == [
+        {"id": snap.id, "generation": stats.generation,
+         **{column: getattr(snap.fitness, key) for column, key in zip(SCORE_COLUMNS, FITNESS_KEYS)}}
+        for stats in flat_result.history
+        for snap in stats.individuals
+    ]
     assert len(data.generations) == 6 * 10
+    assert {(type(row["id"]), type(row["generation"])) for row in data.generations} == {(int, int)}
     for stored, individual in zip(data.individuals, flat_result.population):
         assert stored["id"] == individual.id
         assert stored["genome"] == individual.genome.as_string()
@@ -335,6 +346,35 @@ def test_load_bundle_names_a_malformed_table(tmp_path, flat_result, name, text):
     (tmp_path / name).write_text(text)
     with pytest.raises(ConfigurationError, match=f"{name}: malformed"):
         load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("text, error", [
+    (GENERATIONS_HEADER.replace("certainty,", "") + "0,0,0.5,0.5,0.5,0.5\n",
+     ValueError("no column 'certainty'")),
+    (GENERATIONS_HEADER + "0,0,0.5,0.5,0.5,0.5,0.5\n1,0,0.5\n",
+     ValueError("line 3 has 3 cells for 7 columns")),
+    (GENERATIONS_HEADER + "0,0,0.5,x,0.5,0.5,0.5\n",
+     ValueError("could not convert string to float: 'x'")),
+    (GENERATIONS_HEADER + "0,1.5,0.5,0.5,0.5,0.5,0.5\n",
+     ValueError("invalid literal for int() with base 10: '1.5'")),
+    ("", ValueError("no column 'id'")),
+], ids=["missing column", "short row", "text score", "fractional generation", "empty file"])
+def test_generations_csv_errors_name_the_defect(tmp_path, flat_result, text, error):
+    export_bundle(flat_result, tmp_path)
+    (tmp_path / "generations.csv").write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_bundle(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'generations.csv'}: malformed bundle file ({error!r})"
+
+
+def test_a_repeated_generations_column_keeps_its_later_cell(tmp_path, flat_result):
+    export_bundle(flat_result, tmp_path)
+    header = GENERATIONS_HEADER.rstrip("\n") + ",certainty,note\n"
+    (tmp_path / "generations.csv").write_text(header + "3,0,0.5,0.25,0.5,0.5,0.5,0.75,1e3\n")
+    assert load_bundle(tmp_path).generations == [{
+        "id": 3, "generation": 0, "local_diversity": 0.5, "certainty": 0.75,
+        "global_diversity": 0.5, "local_distance": 0.5, "joint_fitness": 0.5, "note": 1000.0,
+    }]
 
 
 def _drop(field):
@@ -559,3 +599,135 @@ def test_bundles_naming_a_layout_path_are_held_to_one_histogram_shape(tmp_path, 
 def test_comparison_requires_some_input(tmp_path):
     with pytest.raises(ConfigurationError):
         write_comparison_report([], [], tmp_path / "cmp")
+
+
+# ---------------------------------------------------------------------------
+# the streamed report: one bundle at a time, the same files and errors
+
+
+def test_report_holds_one_bundle_at_a_time(tmp_path, monkeypatch, flat_result):
+    dirs = [tmp_path / f"seed_{i}" for i in range(5)]
+    for directory in dirs:
+        export_bundle(flat_result, directory, {"environment": "FlatGrid11"})
+    loaded = []
+    alive_at_each_load = []
+
+    def tracked(path):
+        gc.collect()
+        alive_at_each_load.append(sum(ref() is not None for ref in loaded))
+        bundle = load_bundle(path)
+        loaded.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr("evodemo.report.load_bundle", tracked)
+    write_comparison_report(dirs[:3], dirs[3:], tmp_path / "cmp")
+    gc.collect()
+    assert alive_at_each_load == [0] * 5
+    assert len(loaded) == 5 and all(ref() is None for ref in loaded)
+
+
+def _traced_peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_memory_does_not_grow_with_the_bundle_count(tmp_path, reach_spec, reach_controller):
+    config = EvolutionConfig(population_size=30, generations=10, bits_per_dimension=9, seed=0)
+    result = run(reach_spec, reach_controller, config)
+    dirs = [tmp_path / f"seed_{i}" for i in range(8)]
+    for directory in dirs:
+        export_bundle(result, directory, {"environment": "PointReach"})
+    write_comparison_report(dirs, dirs, tmp_path / "warm")  # first-call caches filled untraced
+    parse = _traced_peak(lambda: load_bundle(dirs[0]))
+    one = _traced_peak(lambda: write_comparison_report(dirs[:1], dirs[:1], tmp_path / "one"))
+    eight = _traced_peak(lambda: write_comparison_report(dirs, dirs, tmp_path / "eight"))
+    assert eight - one < parse / 2, (parse, one, eight)
+
+
+# directory name: (environment, generations, population size); a bundle of
+# 0 generations is a baseline's. The names need quoting in a CSV cell, and
+# "maps/a.map" names no preset, so its bundles are held to one histogram
+# shape only among themselves
+REPORT_POOL = {
+    "flat seed,0": ("FlatGrid11", 0, 4),
+    "flat_1": ("FlatGrid11", 3, 5),
+    'flat "2"': ("FlatGrid11", 1, 4),
+    "holey é 0": ("HoleyGrid11", 2, 4),
+    'holey a,"b",c': ("HoleyGrid11", 0, 5),
+    "reach 0": ("PointReach", 3, 4),
+    "reach,1": ("PointReach", 1, 5),
+    "reach 2": ("PointReach", 0, 4),
+    "map 11x11": ("maps/a.map", 1, 4),
+    "map 11x12": ("maps/a.map", 2, 4),
+}
+BROKEN = "broken"  # a FlatGrid11 bundle with a text cell in generations.csv
+
+
+@pytest.fixture(scope="session")
+def report_pool(tmp_path_factory, flat_spec, holey_spec, reach_spec, reach_controller):
+    root = tmp_path_factory.mktemp("report_pool")
+    specs = {"FlatGrid11": flat_spec, "HoleyGrid11": holey_spec, "PointReach": reach_spec,
+             "maps/a.map": flat_spec}
+    for seed, (name, (environment, generations, size)) in enumerate(REPORT_POOL.items()):
+        spec = specs[environment]
+        policy = reach_controller if spec is reach_spec else constant_policy(spec, seed % 4)
+        config = EvolutionConfig(population_size=size, generations=max(generations, 1), seed=seed)
+        search, mode = (run, "evolve") if generations else (baseline, "baseline")
+        export_bundle(search(spec, policy, config), root / name, {"environment": environment}, mode=mode)
+    _widen(root / "map 11x12")
+    export_bundle(run(flat_spec, constant_policy(flat_spec, 0), EvolutionConfig(generations=1)),
+                  root / BROKEN, {"environment": "FlatGrid11"})
+    generations = root / BROKEN / "generations.csv"
+    header, first, *rest = generations.read_text().splitlines()
+    generations.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",high", *rest]) + "\n")
+    return root
+
+
+@st.composite
+def report_inputs(draw):
+    """Search and baseline bundle names, mostly of one environment, and where
+    in the search-then-baseline order the broken bundle goes (None: nowhere)."""
+    environment = draw(st.sampled_from([None, "FlatGrid11", "HoleyGrid11", "PointReach", "maps/a.map"]))
+    names = [name for name, spec in REPORT_POOL.items() if environment in (None, spec[0])]
+    search = draw(st.lists(st.sampled_from(names), max_size=4))
+    base = draw(st.lists(st.sampled_from(names), max_size=4))
+    broken_at = draw(st.none() | st.integers(0, len(search) + len(base)))
+    return search, base, broken_at
+
+
+def _report_outcome(write, search_dirs, baseline_dirs, out):
+    try:
+        written = write(search_dirs, baseline_dirs, out)
+    except ConfigurationError as exc:
+        return "refused", str(exc), out.exists()
+    return "written", [(p.name, p.read_bytes()) for p in written], sorted(p.name for p in out.iterdir())
+
+
+@settings(max_examples=60, deadline=None)
+@example(inputs=(["flat_1", "flat seed,0"], [], None))  # no baseline group
+@example(inputs=([], ["flat seed,0", "flat_1"], None))  # no search group
+@example(inputs=(["reach 0", "reach,1"], ["reach 2"], None))  # no histograms
+@example(inputs=([], [], None))  # no bundles
+@example(inputs=(["flat_1"], ["reach 0"], None))  # mixed environments
+@example(inputs=(["map 11x11"], ["map 11x12"], None))  # histogram shapes differ
+@example(inputs=(["flat_1"], ["flat seed,0"], 0))  # the broken bundle at each position
+@example(inputs=(["flat_1"], ["flat seed,0"], 1))
+@example(inputs=(["flat_1"], ["flat seed,0"], 2))
+@given(inputs=report_inputs())
+def test_streamed_report_equals_the_all_at_once_reference(tmp_path_factory, report_pool, inputs):
+    search, base, broken_at = inputs
+    dirs = [report_pool / name for name in search + base]
+    cut = len(search)
+    if broken_at is not None:
+        dirs.insert(broken_at, report_pool / BROKEN)
+        cut += broken_at <= len(search)
+    out = tmp_path_factory.mktemp("cmp")
+    expected = _report_outcome(reference_comparison_report, dirs[:cut], dirs[cut:], out / "reference")
+    actual = _report_outcome(write_comparison_report, dirs[:cut], dirs[cut:], out / "streamed")
+    assert actual == expected
+    assert actual[0] == "written" or actual[2] is False  # a refused report writes nothing
